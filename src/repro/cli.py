@@ -64,12 +64,14 @@ from repro.errors import RecoveryError, ReproError
 from repro.litmus import (
     DEFAULT_CUT_LIMIT,
     DEFAULT_MAX_SCHEDULES,
+    DEFAULT_MODELS as LITMUS_MODELS,
     corpus_by_name,
     default_corpus,
     generate_programs,
     hand_written,
     run_corpus,
     save_report,
+    summary_lines,
 )
 from repro.harness import (
     DEFAULT_COST_MODEL,
@@ -86,6 +88,7 @@ from repro.harness import (
     run_grid,
     table1_cells,
 )
+from repro.harness.cache import ResultStore
 from repro.fuzz import (
     TARGETS,
     CampaignConfig,
@@ -395,8 +398,9 @@ def cmd_fuzz_run(args: argparse.Namespace) -> int:
     materialized with torn / dropped / corrupted persists.  Masked and
     detected faults — and documented undetectable exposures on
     unhardened targets — exit 0; silent corruption exits 1.
-    ``--checkpoint`` persists completed cases so an interrupted
-    campaign resumes (same config) without re-running them.
+    ``--checkpoint DIR`` stores every case in a result store at DIR as
+    it completes, so an interrupted campaign resumes (same config)
+    without re-running them; ``repro serve`` reads the same entries.
 
     ``--oracle dl``/``bdl`` judges every cut by durable (or buffered
     durable) linearizability of the recorded operation history instead
@@ -426,9 +430,7 @@ def cmd_fuzz_run(args: argparse.Namespace) -> int:
         task_retries=args.task_retries,
     )
     result = run_campaign(
-        config,
-        checkpoint_dir=Path(args.checkpoint) if args.checkpoint else None,
-        checkpoint_every=args.checkpoint_every,
+        config, store=ResultStore(args.checkpoint) if args.checkpoint else None
     )
     print(result.summary())
     if result.violations and not args.no_minimize:
@@ -598,6 +600,17 @@ def cmd_check(args: argparse.Namespace) -> int:
     Returns 1 when violations were found, 0 on a verified-clean target,
     2 on an exploration-limit overrun or other error.
     """
+    if args.jobs and args.jobs > 1:
+        for flag, value, default in (
+            ("--reduction", args.reduction, "dpor"),
+            ("--replay", args.replay, None),
+            ("--domain", args.domain, "bitset"),
+        ):
+            if value != default:
+                raise ReproError(
+                    f"{flag} {value} is not supported with --jobs > 1 "
+                    f"(shards run DPOR with the default replay and domain)"
+                )
     config = CheckConfig(
         models=tuple(args.models or DEFAULT_MODELS),
         max_schedules=args.max_schedules,
@@ -713,7 +726,7 @@ def cmd_litmus_run(args: argparse.Namespace) -> int:
     if args.all_models:
         models = sorted(MODELS)
     else:
-        models = list(args.models or ("strict", "epoch", "strand", "px86", "dpox86"))
+        models = list(args.models or LITMUS_MODELS)
     domains = ("bitset", "graph") if args.cross_domains else (args.domain,)
     programs = _litmus_corpus(args)
     report = run_corpus(
@@ -744,26 +757,8 @@ def cmd_litmus_run(args: argparse.Namespace) -> int:
                     f"{len(pair['left_only'])} outcome(s) only-left, "
                     f"{len(pair['right_only'])} only-right"
                 )
-    print(
-        f"litmus: programs={summary['programs']} "
-        f"models={','.join(models)} domains={','.join(domains)}"
-    )
-    print(
-        f"litmus: schedules={summary['schedules']} "
-        f"allowed={summary['allowed']} forbidden={summary['forbidden']}"
-    )
-    print(
-        f"litmus: disagreement pairs={summary['disagreement_pairs']} "
-        f"programs with disagreements="
-        f"{summary['programs_with_disagreements']}"
-    )
-    print(f"litmus: domain mismatches={summary['domain_mismatches']}")
-    if summary["cut_limit_exceeded"]:
-        print(
-            f"litmus: cut limit exceeded in "
-            f"{summary['cut_limit_exceeded']} program(s) — "
-            f"their outcome sets are lower bounds"
-        )
+    for line in summary_lines(summary):
+        print(line)
     if args.out:
         save_report(report, args.out)
         print(f"wrote {args.out}")
@@ -1111,11 +1106,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_run.add_argument(
         "--checkpoint", default=None, metavar="DIR",
-        help="checkpoint completed cases here; rerunning resumes",
-    )
-    fuzz_run.add_argument(
-        "--checkpoint-every", type=int, default=16,
-        help="completed cases between checkpoint writes",
+        help="store each completed case in a result store here; "
+        "rerunning resumes",
     )
     fuzz_run.add_argument(
         "--task-timeout", type=float, default=None,

@@ -9,8 +9,9 @@ at each — with delta-debugging minimization of counterexamples and a
 disk corpus of deterministic, replayable repro files.
 
 Layout: :mod:`~repro.fuzz.targets` registers workloads behind one
-build/run/check interface; :mod:`~repro.fuzz.campaign` samples and
-fans out cases; :mod:`~repro.fuzz.minimize` shrinks findings; and
+build/run/check interface; :mod:`~repro.fuzz.campaign` samples cases
+and owns the campaign's shard plan, worker, and fold;
+:mod:`~repro.fuzz.minimize` shrinks findings; and
 :mod:`~repro.fuzz.corpus` stores and replays them.
 
 Campaigns optionally compose with :mod:`repro.inject` — a configured
@@ -27,14 +28,16 @@ from repro.fuzz.campaign import (
     CaseSpec,
     CaseViolation,
     Finding,
-    campaign_digest,
     case_tasks,
     execute_spec,
+    fold_shards,
     outcome_from_wire,
     outcome_to_wire,
+    plan_shards,
     run_campaign,
     run_case,
     run_case_task,
+    run_shard,
     sample_specs,
 )
 from repro.fuzz.corpus import (
@@ -71,15 +74,17 @@ __all__ = [
     "ReproCase",
     "TARGETS",
     "TargetRun",
-    "campaign_digest",
     "case_from_check",
     "case_tasks",
     "execute_spec",
+    "fold_shards",
     "export_check_violations",
     "make_target",
     "outcome_from_wire",
     "outcome_to_wire",
+    "plan_shards",
     "run_case_task",
+    "run_shard",
     "minimize_finding",
     "minimize_findings",
     "replay_case",

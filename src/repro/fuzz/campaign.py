@@ -18,24 +18,23 @@ verdict — **silent corruption**: a hardened target returned wrong state
 as good.  Genuine ordering violations (the clean image fails too) stay
 ordinary violations regardless of faults.
 
-Cases are independent, so the campaign fans them out through
-:func:`repro.harness.parallel.fan_out` — the same primitive under the
-experiment grid — with module-level JSON-safe workers.  Every case that
+Cases are independent.  The module owns the campaign's one job form:
+:func:`plan_shards` batches the sampled cases into JSON-safe
+``{"kind": "fuzz", "cases": [...]}`` shards, :func:`run_shard` executes
+one, and :func:`fold_shards` folds shard payloads into a
+:class:`CampaignResult`.  :func:`run_campaign` (the batch executor,
+over :func:`repro.harness.parallel.fan_out`) and ``repro serve`` (the
+daemon executor) both run exactly these, and both resume through the
+same :class:`~repro.harness.cache.ResultStore` entries.  Every case that
 violates its recovery invariant carries the recorded schedule choices,
 so the finding can be minimized and replayed deterministically.
-:func:`run_campaign` can periodically checkpoint completed cases to
-disk (atomic writes) and resume an interrupted campaign without
-re-running them.
 """
 
 from __future__ import annotations
 
-import json
 import random
-import warnings
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.analysis import analyze_graph
 from repro.core.recovery import FailureInjector
@@ -43,7 +42,7 @@ from repro.crashrec import CrashRecReport, crash_recovery_check
 from repro.errors import FuzzError, RecoveryError
 from repro.fuzz.targets import TargetRun, make_target
 from repro.histories.oracle import cut_checker, validate_oracle
-from repro.harness.cache import atomic_write, content_digest, quarantine_file
+from repro.harness.cache import ResultStore
 from repro.harness.parallel import fan_out
 from repro.harness.runner import SEED_SPACE
 from repro.inject.engine import materialize_faulty
@@ -75,13 +74,6 @@ _MAX_RECORDED_VIOLATIONS = 3
 
 #: Undetected-fault samples recorded per case (the count is exact).
 _MAX_RECORDED_UNDETECTED = 3
-
-#: Bump when the checkpoint encoding changes; old files stop resuming.
-#: Version 2 added the oracle axis (``CaseSpec.oracle``, per-violation
-#: conditions, per-outcome condition counts).  Version 3 added the
-#: crash-during-recovery axis (``CaseSpec.crash_recovery``, per-violation
-#: crash oracles and schedules, per-outcome crash counters).
-CHECKPOINT_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -625,8 +617,8 @@ def _violations_from_wire(entries: List[dict]) -> List[CaseViolation]:
 
 
 def outcome_to_wire(outcome: CaseOutcome) -> dict:
-    """JSON-safe encoding of one outcome (worker results, checkpoints,
-    serve shard payloads)."""
+    """JSON-safe encoding of one outcome (worker results and shard
+    payloads)."""
     return {
         "spec": outcome.spec.describe(),
         "index": outcome.index,
@@ -665,10 +657,8 @@ def run_case_task(task: dict) -> dict:
 def case_tasks(config: CampaignConfig) -> List[dict]:
     """The campaign's JSON-safe worker tasks, one per sampled case.
 
-    The task list a checkpoint-free :func:`run_campaign` would fan out;
-    the serve job planner batches these into shards, so a fuzz job
-    submitted to the daemon executes the exact cases — in the exact
-    sampling order — that ``repro fuzz run`` would.
+    :func:`plan_shards` batches these into shards, so every executor
+    runs the exact cases, in the exact sampling order, of the config.
     """
     return [
         {"index": index, "spec": spec.describe()}
@@ -700,6 +690,7 @@ def outcome_from_wire(payload: dict) -> CaseOutcome:
         crash_repairs=payload.get("crash_repairs", 0),
         crash_nested_cuts=payload.get("crash_nested_cuts", 0),
         crash_counts=dict(payload.get("crash_counts", {})),
+        error=payload.get("error"),
     )
 
 
@@ -714,8 +705,8 @@ class CampaignConfig:
     with neither fault injection (faults break the invariant, not a
     linearizability condition).  ``jobs``, ``task_timeout`` and
     ``task_retries`` shape *how* the campaign executes, never what it
-    computes, so they are excluded from :meth:`describe` (and therefore
-    from checkpoint identity).
+    computes, so they are excluded from :meth:`describe` and from the
+    planned shards (and therefore from result-store keys).
     """
 
     target: str
@@ -775,8 +766,9 @@ class CampaignConfig:
         """JSON dict of everything that determines sampled outcomes.
 
         Execution-shape knobs (``jobs``, ``task_timeout``,
-        ``task_retries``) are deliberately absent: a checkpoint written
-        by a serial run must resume under a parallel one and vice versa.
+        ``task_retries``) are deliberately absent: this dict is also a
+        valid ``repro serve`` fuzz job spec, and results stored by a
+        serial run must resume a parallel one and vice versa.
         """
         return {
             "target": self.target,
@@ -1031,138 +1023,107 @@ def sample_specs(config: CampaignConfig) -> List[CaseSpec]:
     return specs
 
 
-def campaign_digest(config: CampaignConfig) -> str:
-    """Checkpoint/journal identity: everything that determines outcomes.
+def plan_shards(config: CampaignConfig, batch: int = 1) -> List[dict]:
+    """The campaign's shard tasks: :func:`case_tasks` in runs of ``batch``.
 
-    The digest guarding checkpoint resume (:func:`run_campaign`) and the
-    serve job journal: a stored payload is only trusted for a config
-    whose digest matches, so a spec change can never resume against
-    stale outcomes.
+    Every executor plans with this, so a shard's task dict — and hence
+    its :func:`~repro.harness.cache.shard_key` — is the same whichever
+    executor computed it.
     """
-    return content_digest(
-        {
-            "kind": "fuzz-campaign",
-            "version": CHECKPOINT_FORMAT_VERSION,
-            **config.describe(),
-        }
-    )
+    cases = case_tasks(config)
+    return [
+        {"kind": "fuzz", "cases": cases[start : start + batch]}
+        for start in range(0, len(cases), batch)
+    ]
 
 
-def _load_checkpoint(path: Path, digest: str) -> Dict[int, dict]:
-    """Completed outcome payloads by index, or empty when unusable.
+def run_shard(task: dict) -> dict:
+    """Worker entry point: run one shard's cases in order.
 
-    A malformed checkpoint is quarantined (the campaign restarts from
-    scratch); a well-formed one for a *different* config is left alone
-    but ignored with a warning.
+    Returns the shard payload ``{"kind", "indices", "outcomes"}`` with
+    wire-format outcomes (see :func:`outcome_from_wire`).
     """
-    if not path.exists():
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as stream:
-            payload = json.load(stream)
-        if payload["config"] != digest:
-            warnings.warn(
-                f"checkpoint {path} belongs to a different campaign "
-                f"config; ignoring it (it will be overwritten)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return {}
-        return {
-            int(entry["index"]): entry for entry in payload["outcomes"]
-        }
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        quarantine_file(path, f"unreadable campaign checkpoint: {exc}")
-        return {}
-
-
-def _write_checkpoint(
-    path: Path, digest: str, completed: Dict[int, dict]
-) -> None:
-    """Atomically persist every completed outcome payload."""
-    payload = {
-        "version": CHECKPOINT_FORMAT_VERSION,
-        "config": digest,
-        "outcomes": [completed[index] for index in sorted(completed)],
+    return {
+        "kind": "fuzz",
+        "indices": [case["index"] for case in task["cases"]],
+        "outcomes": [run_case_task(case) for case in task["cases"]],
     }
-    atomic_write(
-        path, lambda stream: json.dump(payload, stream, sort_keys=True)
-    )
+
+
+def _failed_shard(task: dict, error: str) -> dict:
+    """The payload reporting every case of a crashed shard as failed."""
+    return {
+        "kind": "fuzz",
+        "indices": [case["index"] for case in task["cases"]],
+        "outcomes": [
+            {
+                "spec": case["spec"],
+                "index": case["index"],
+                "events": 0,
+                "persists": 0,
+                "cuts_checked": 0,
+                "violation_count": 0,
+                "violations": [],
+                "choices": None,
+                "error": error,
+            }
+            for case in task["cases"]
+        ],
+    }
+
+
+def fold_shards(
+    config: CampaignConfig, payloads: Iterable[dict]
+) -> CampaignResult:
+    """Fold shard payloads, in any order, into the campaign's result."""
+    outcomes = [
+        outcome_from_wire(wire)
+        for payload in payloads
+        for wire in payload["outcomes"]
+    ]
+    outcomes.sort(key=lambda outcome: outcome.index)
+    return CampaignResult(config=config, outcomes=outcomes)
 
 
 def run_campaign(
-    config: CampaignConfig,
-    checkpoint_dir: Optional[Path] = None,
-    checkpoint_every: int = 16,
+    config: CampaignConfig, store: Optional[ResultStore] = None
 ) -> CampaignResult:
-    """Run one campaign, fanning cases out over worker processes.
+    """Run one campaign, fanning its shards out over worker processes.
 
     Results are deterministic for a fixed config: cases are seeded from
-    ``config.seed`` and outcomes are re-sorted into sampling order, so
-    serial and parallel runs report identically.
+    ``config.seed`` and outcomes are folded in sampling order, so serial
+    and parallel runs report identically.
 
-    With ``checkpoint_dir`` set, completed cases are persisted (via
-    atomic writes) every ``checkpoint_every`` completions and once at
-    the end; a rerun with the same config resumes from the checkpoint
-    without re-executing completed cases, and — because cases are
-    independently seeded — produces the byte-identical summary a
-    straight-through run would.  Error outcomes (crashed cells, see
-    ``CampaignConfig.task_retries``) are reported but never
-    checkpointed, so they retry on resume.
+    With a ``store``, shards already in it are not re-run and every
+    fresh shard is stored as soon as it completes, so an interrupted
+    campaign resumes to the byte-identical summary of a straight run.
+    A daemon sharing the store serves these shards as hits, and vice
+    versa.  Shards that crash (see ``CampaignConfig.task_retries``) are
+    reported as error outcomes but never stored, so they retry next run.
     """
-    specs = sample_specs(config)
-    digest = campaign_digest(config)
-    checkpoint_path: Optional[Path] = None
-    completed: Dict[int, dict] = {}
-    if checkpoint_dir is not None:
-        checkpoint_dir = Path(checkpoint_dir)
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        checkpoint_path = checkpoint_dir / "campaign.checkpoint.json"
-        completed = _load_checkpoint(checkpoint_path, digest)
-
-    outcomes: List[CaseOutcome] = [
-        outcome_from_wire(payload) for payload in completed.values()
-    ]
-    tasks = [
-        {"index": index, "spec": spec.describe()}
-        for index, spec in enumerate(specs)
-        if index not in completed
-    ]
-    fresh = 0
+    tasks = plan_shards(config)
+    if store is None:
+        hits, pending = {}, dict.fromkeys(range(len(tasks)))
+    else:
+        hits, pending = store.resolve(tasks)
+    payloads = list(hits.values())
 
     def merge(payload: dict) -> None:
-        nonlocal fresh
-        outcomes.append(outcome_from_wire(payload))
-        if checkpoint_path is None:
-            return
-        completed[int(payload["index"])] = payload
-        fresh += 1
-        if fresh % max(1, checkpoint_every) == 0:
-            _write_checkpoint(checkpoint_path, digest, completed)
+        payloads.append(payload)
+        if store is not None:
+            # One case per shard: the case index is the shard index.
+            store.store(pending[payload["indices"][0]], payload)
 
     def failed(task: dict, error: str) -> None:
-        outcomes.append(
-            CaseOutcome(
-                spec=CaseSpec.from_payload(task["spec"]),
-                index=task["index"],
-                events=0,
-                persists=0,
-                cuts_checked=0,
-                violation_count=0,
-                error=error,
-            )
-        )
+        payloads.append(_failed_shard(task, error))
 
     fan_out(
-        run_case_task,
-        tasks,
+        run_shard,
+        [tasks[index] for index in pending],
         config.jobs,
         merge,
         timeout=config.task_timeout,
         retries=config.task_retries,
         on_failure=failed,
     )
-    if checkpoint_path is not None and fresh:
-        _write_checkpoint(checkpoint_path, digest, completed)
-    outcomes.sort(key=lambda outcome: outcome.index)
-    return CampaignResult(config=config, outcomes=outcomes)
+    return fold_shards(config, payloads)

@@ -1,4 +1,4 @@
-"""Content-addressed on-disk cache for traces and analysis results.
+"""Content-addressed on-disk caches: traces, analyses, and shard results.
 
 Large sweeps (Table 1 and the seven ablations) re-run the same workloads
 and analyses; this cache memoizes both across processes and interpreter
@@ -17,6 +17,13 @@ loads and degrades to a **miss** (evicting the corrupt file) rather than
 crashing — a half-written or truncated entry must never poison a sweep.
 Writes go through a temp file plus :func:`os.replace` so concurrent
 workers racing on one key leave a complete entry either way.
+
+:class:`ResultStore` applies the same addressing to engine shard results
+(a pinned-prefix DPOR exploration, a batch of fuzz cases, one litmus
+program): each is a pure function of its JSON-safe task dict, so it is
+stored under the task's digest.  It is the one resume mechanism of the
+batch campaign (``repro fuzz run --checkpoint DIR``) and the daemon
+(``repro serve``); both read and write the same entries.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.analysis import AnalysisConfig, AnalysisResult
 from repro.errors import CacheError, TraceError
@@ -48,8 +55,8 @@ QUARANTINE_SUFFIX = ".quarantined"
 def atomic_write(path: _PathLike, writer) -> None:
     """Write a file via a private temp file and rename into place.
 
-    ``writer`` receives the open text stream.  Used by the cache, the
-    fuzz corpus, campaign checkpoints, and the serve job journal so that
+    ``writer`` receives the open text stream.  Used by the caches, the
+    fuzz corpus, the result store, and the serve job journal so that
     concurrent writers and crashes leave either the old complete file or
     a new complete one — never a truncated hybrid.
 
@@ -232,8 +239,8 @@ class HarnessStats:
     #: Final exception type per *failed* task (``"TimeoutError"`` for
     #: deadline expiries), e.g. ``{"RecoveryError": 2}``.
     failure_exception_types: Dict[str, int] = field(default_factory=dict)
-    #: Shared result-store counters (see repro.serve.store.ResultStore):
-    #: a hit is a shard served from any tenant's earlier computation.
+    #: Result-store counters (see :class:`ResultStore`): a hit is a
+    #: shard served from an earlier computation (any tenant, any run).
     store_hits: int = 0
     store_misses: int = 0
 
@@ -426,3 +433,105 @@ class DiskCache:
         self._atomic_write(
             path, lambda stream: json.dump(payload, stream, sort_keys=True)
         )
+
+
+#: Bump when the shard task or result encoding changes; old entries
+#: stop matching (their keys change) rather than deserializing wrongly.
+STORE_FORMAT_VERSION = 1
+
+
+def shard_key(task: Dict[str, object]) -> str:
+    """Content digest addressing one shard task's result.
+
+    ``task`` must be the exact JSON-safe dict the shard worker executes
+    — everything that determines the result (kind, target coordinates,
+    bounds, prefix or case specs) and nothing that does not (tenant, job
+    id, worker count, timeouts).
+    """
+    return content_digest(
+        {
+            "kind": "serve-shard",
+            "version": STORE_FORMAT_VERSION,
+            "task": task,
+        }
+    )
+
+
+class ResultStore:
+    """Digest-addressed shard results rooted at one directory.
+
+    Reads degrade like :class:`DiskCache`: a missing entry is a miss, a
+    corrupt entry is quarantined (``*.quarantined``) and reported as a
+    miss — a half-written or bit-rotted result must never poison a run.
+    Writes go through :func:`atomic_write`, so racing workers computing
+    the same shard leave one complete payload (per-key last-writer-wins;
+    both computed the same pure function).  Tenant identity is never
+    part of a key: identical work submitted twice is computed once.
+    """
+
+    def __init__(
+        self, root: _PathLike, stats: Optional[HarnessStats] = None
+    ) -> None:
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.stats = stats if stats is not None else HarnessStats()
+
+    def path_for(self, key: str) -> Path:
+        """File holding the shard result with content digest ``key``."""
+        return self.root / f"{key}.result.json"
+
+    def load(self, key: str) -> Optional[Dict[str, object]]:
+        """The stored result payload for ``key``, or None on a miss."""
+        path = self.path_for(key)
+        if not path.exists():
+            self.stats.store_misses += 1
+            return None
+        try:
+            with open(path, "r", encoding="utf-8") as stream:
+                payload = json.load(stream)
+            if not isinstance(payload, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, UnicodeDecodeError, ValueError) as exc:
+            self.stats.cache_evictions += 1
+            self.stats.store_misses += 1
+            quarantine_file(path, f"unreadable shard result: {exc}")
+            return None
+        self.stats.store_hits += 1
+        return payload
+
+    def store(self, key: str, payload: Dict[str, object]) -> None:
+        """Persist one shard result under its task digest."""
+        atomic_write(
+            self.path_for(key),
+            lambda stream: json.dump(payload, stream, sort_keys=True),
+        )
+
+    def resolve(
+        self, tasks: Sequence[Dict[str, object]]
+    ) -> Tuple[Dict[int, Dict[str, object]], Dict[int, str]]:
+        """Store-first lookup of a planned task list.
+
+        Returns ``(hits, pending)``: the stored payload of every task
+        already computed, and the store key of every task still to run,
+        both by position in ``tasks``.
+        """
+        hits: Dict[int, Dict[str, object]] = {}
+        pending: Dict[int, str] = {}
+        for index, task in enumerate(tasks):
+            key = shard_key(task)
+            payload = self.load(key)
+            if payload is None:
+                pending[index] = key
+            else:
+                hits[index] = payload
+        return hits, pending
+
+    def disk_cache(self) -> DiskCache:
+        """A :class:`DiskCache` sharing this store's root and stats, so
+        worker trace/analysis caching and shard results live under one
+        directory tree and one hit/miss account."""
+        return DiskCache(self.root / "cache", stats=self.stats)
+
+    def __len__(self) -> int:
+        """Complete entries currently on disk (quarantined ones not)."""
+        return sum(1 for _ in self.root.glob("*.result.json"))

@@ -17,9 +17,14 @@ from repro.litmus.program import CELL_SIZE, CELL_STRIDE, LitmusError, LitmusProg
 from repro.litmus.runner import (
     DEFAULT_CUT_LIMIT,
     DEFAULT_MAX_SCHEDULES,
+    DEFAULT_MODELS,
+    program_task,
     run_corpus,
     run_program,
+    run_program_task,
     save_report,
+    summarize_reports,
+    summary_lines,
 )
 
 __all__ = [
@@ -27,13 +32,18 @@ __all__ = [
     "CELL_STRIDE",
     "DEFAULT_CUT_LIMIT",
     "DEFAULT_MAX_SCHEDULES",
+    "DEFAULT_MODELS",
     "LitmusError",
     "LitmusProgram",
     "corpus_by_name",
     "default_corpus",
     "generate_programs",
     "hand_written",
+    "program_task",
     "run_corpus",
     "run_program",
+    "run_program_task",
     "save_report",
+    "summarize_reports",
+    "summary_lines",
 ]

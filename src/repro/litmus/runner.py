@@ -15,6 +15,11 @@ behaviour; the differential report lists, pairwise, the outcomes one
 model allows and another forbids — and any bitset-vs-frozenset domain
 mismatch, which would be an implementation bug rather than a semantic
 difference.
+
+The module also owns the litmus job form every executor runs: one
+:func:`program_task` per corpus program, executed by
+:func:`run_program_task` and folded by :func:`summarize_reports` —
+:func:`run_corpus` runs them in-process, ``repro serve`` as shards.
 """
 
 from __future__ import annotations
@@ -27,12 +32,15 @@ from repro.check.engine import Engine
 from repro.core.analysis import analyze_graph
 from repro.core.recovery import enumerate_cuts
 from repro.errors import RecoveryError
+from repro.litmus.corpus import corpus_by_name
 from repro.litmus.program import CELL_SIZE, LitmusProgram
 from repro.sim.scheduler import Scheduler
 
 #: An outcome: (per-thread register tuples, per-location persisted values).
 Outcome = Tuple[Tuple[tuple, ...], Tuple[int, ...]]
 
+#: Models a corpus run compares by default.
+DEFAULT_MODELS = ("strict", "epoch", "strand", "px86", "dpox86")
 #: Default bound on explored schedules per program.
 DEFAULT_MAX_SCHEDULES = 20_000
 #: Default bound on enumerated cuts per persist DAG.
@@ -217,6 +225,83 @@ def _disagreements(
     return rows
 
 
+def program_task(
+    name: str,
+    models: Sequence[str] = DEFAULT_MODELS,
+    domains: Sequence[str] = ("bitset",),
+    max_schedules: int = DEFAULT_MAX_SCHEDULES,
+    cut_limit: int = DEFAULT_CUT_LIMIT,
+) -> dict:
+    """The JSON-safe task running one named corpus program."""
+    return {
+        "kind": "litmus",
+        "program": name,
+        "models": list(models),
+        "domains": list(domains),
+        "max_schedules": int(max_schedules),
+        "cut_limit": int(cut_limit),
+    }
+
+
+def run_program_task(task: dict) -> dict:
+    """Worker entry point: run one :func:`program_task`; returns
+    ``{"kind": "litmus", "report": ...}``."""
+    report = run_program(
+        corpus_by_name()[str(task["program"])],
+        [str(model) for model in task["models"]],
+        domains=tuple(str(domain) for domain in task["domains"]),
+        max_schedules=int(task["max_schedules"]),
+        cut_limit=int(task["cut_limit"]),
+    )
+    return {"kind": "litmus", "report": report}
+
+
+def summarize_reports(
+    reports: Sequence[dict], models: Sequence[str], domains: Sequence[str]
+) -> dict:
+    """The corpus summary of per-program reports (pinnable counts)."""
+    return {
+        "programs": len(reports),
+        "models": list(models),
+        "domains": list(domains),
+        "schedules": sum(r["schedules"] for r in reports),
+        "allowed": sum(sum(r["allowed"].values()) for r in reports),
+        "forbidden": sum(sum(r["forbidden"].values()) for r in reports),
+        "disagreement_pairs": sum(len(r["disagreements"]) for r in reports),
+        "programs_with_disagreements": sum(
+            1 for r in reports if r["disagreements"]
+        ),
+        "domain_mismatches": sum(
+            len(r["domain_mismatches"]) for r in reports
+        ),
+        "cut_limit_exceeded": sum(
+            1 for r in reports if r["cut_limit_exceeded"]
+        ),
+    }
+
+
+def summary_lines(summary: dict) -> List[str]:
+    """The human-readable report of a :func:`summarize_reports` dict."""
+    lines = [
+        f"litmus: programs={summary['programs']} "
+        f"models={','.join(summary['models'])} "
+        f"domains={','.join(summary['domains'])}",
+        f"litmus: schedules={summary['schedules']} "
+        f"allowed={summary['allowed']} forbidden={summary['forbidden']}",
+        f"litmus: disagreement pairs={summary['disagreement_pairs']} "
+        f"programs with disagreements="
+        f"{summary['programs_with_disagreements']}",
+        f"litmus: domain mismatches={summary['domain_mismatches']}",
+    ]
+    if summary["cut_limit_exceeded"]:
+        lines.append(
+            f"litmus: cut limit exceeded in "
+            f"{summary['cut_limit_exceeded']} program(s) — "
+            f"their outcome sets are lower bounds"
+        )
+    return lines
+
+
 def run_corpus(
     programs: Sequence[LitmusProgram],
     models: Sequence[str],
@@ -235,26 +320,10 @@ def run_corpus(
         )
         for program in programs
     ]
-    disagreement_pairs = sum(len(r["disagreements"]) for r in reports)
-    summary = {
-        "programs": len(reports),
-        "models": list(models),
-        "domains": list(domains),
-        "schedules": sum(r["schedules"] for r in reports),
-        "allowed": sum(sum(r["allowed"].values()) for r in reports),
-        "forbidden": sum(sum(r["forbidden"].values()) for r in reports),
-        "disagreement_pairs": disagreement_pairs,
-        "programs_with_disagreements": sum(
-            1 for r in reports if r["disagreements"]
-        ),
-        "domain_mismatches": sum(
-            len(r["domain_mismatches"]) for r in reports
-        ),
-        "cut_limit_exceeded": sum(
-            1 for r in reports if r["cut_limit_exceeded"]
-        ),
+    return {
+        "summary": summarize_reports(reports, models, domains),
+        "programs": reports,
     }
-    return {"summary": summary, "programs": reports}
 
 
 def save_report(report: dict, path: str) -> None:

@@ -10,13 +10,15 @@ token-bucket fairness, and every shard result lands in a shared
 digest-addressed store so identical work — across tenants, across
 daemon restarts, across resubmissions — is computed once.
 
-Layout: :mod:`~repro.serve.store` is the shared result store,
-:mod:`~repro.serve.jobs` plans and merges jobs and journals their
-durable state, :mod:`~repro.serve.queue` schedules fairly and steals
-work, :mod:`~repro.serve.workers` executes shards in processes, and
+Layout: :mod:`~repro.serve.jobs` maps job specs onto the engines' own
+shard plans and folds and journals each job's durable state,
+:mod:`~repro.serve.queue` schedules fairly and steals work,
+:mod:`~repro.serve.workers` executes shards in processes, and
 :mod:`~repro.serve.api` is the daemon, the socket protocol, and the
 client the ``repro serve`` / ``submit`` / ``jobs`` / ``status`` /
-``cancel`` subcommands drive.
+``cancel`` subcommands drive.  Shard results live in
+:class:`repro.harness.cache.ResultStore`, the same store
+``repro fuzz run --checkpoint DIR`` resumes from.
 """
 
 from repro.serve.api import (
@@ -41,7 +43,6 @@ from repro.serve.jobs import (
     validate_spec,
 )
 from repro.serve.queue import JobQueue, TokenBucket, WorkStealingScheduler
-from repro.serve.store import ResultStore, shard_key
 from repro.serve.workers import WorkerPool, execute_shard
 
 __all__ = [
@@ -50,7 +51,6 @@ __all__ = [
     "TERMINAL_STATES",
     "JobQueue",
     "JobRecord",
-    "ResultStore",
     "ServeConfig",
     "ServeDaemon",
     "TokenBucket",
@@ -65,7 +65,6 @@ __all__ = [
     "request",
     "save_record",
     "serve_forever",
-    "shard_key",
     "validate_spec",
     "wait_for_daemon",
     "wait_for_job",

@@ -2,13 +2,15 @@
 
 A *job* is one tenant-submitted unit of checking work: a sharded model
 check, a fuzz (or crash-recovery) campaign, or a litmus sweep.  Each
-kind maps onto the exact task dicts its batch-mode counterpart already
-fans out — :func:`repro.check.shard.shard_tasks` for checks,
-:func:`repro.fuzz.campaign.case_tasks` for campaigns, one
-:func:`repro.litmus.runner.run_program` call per program for litmus —
-so a job submitted to the daemon computes precisely what the one-shot
-CLI would, and its shards content-address into the shared
-:class:`~repro.serve.store.ResultStore`.
+engine module owns its kind's task form and fold —
+:func:`~repro.check.shard.shard_tasks` / :class:`~repro.check.shard.ShardMerge`
+for checks, :func:`~repro.fuzz.campaign.plan_shards` /
+:func:`~repro.fuzz.campaign.fold_shards` for campaigns,
+:func:`~repro.litmus.runner.program_task` /
+:func:`~repro.litmus.runner.summarize_reports` for litmus — and this
+module only maps specs onto them, so a job submitted to the daemon
+computes precisely what the one-shot CLI would, and its shards
+content-address into the shared :class:`~repro.harness.cache.ResultStore`.
 
 Job lifecycle::
 
@@ -20,8 +22,7 @@ Every transition — and every completed shard — is journaled to
 ``<state-dir>/jobs/<id>.json`` through
 :func:`repro.harness.cache.atomic_write`, so a killed daemon restarts
 with every job's last durable state.  Records carry a content digest of
-their identity (tenant, sequence number, spec), the same config-digest
-guard the fuzz campaign uses for checkpoints: a journal entry whose
+their identity (tenant, sequence number, spec): a journal entry whose
 digest no longer matches its content is quarantined and dropped rather
 than trusted.
 """
@@ -35,14 +36,16 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.check import CheckConfig, ShardMerge, shard_tasks
 from repro.errors import ReproError, ServeError
-from repro.fuzz.campaign import (
-    CampaignConfig,
-    CampaignResult,
-    case_tasks,
-    outcome_from_wire,
-)
+from repro.fuzz.campaign import CampaignConfig, fold_shards, plan_shards
 from repro.harness.cache import atomic_write, content_digest, quarantine_file
-from repro.serve.store import shard_key
+from repro.litmus.runner import (
+    DEFAULT_CUT_LIMIT,
+    DEFAULT_MAX_SCHEDULES,
+    DEFAULT_MODELS as _LITMUS_DEFAULT_MODELS,
+    program_task,
+    summarize_reports,
+    summary_lines,
+)
 
 _PathLike = Union[str, Path]
 
@@ -97,8 +100,6 @@ _FUZZ_KEYS = frozenset(
 _LITMUS_KEYS = frozenset(
     {"programs", "models", "domains", "max_schedules", "cut_limit"}
 )
-
-_LITMUS_DEFAULT_MODELS = ("strict", "epoch", "strand", "px86", "dpox86")
 
 
 def _reject_unknown(spec: Dict[str, object], allowed: frozenset) -> None:
@@ -199,7 +200,7 @@ def plan_job(spec: Dict[str, object]) -> List[Dict[str, object]]:
 
     Every task is JSON-safe, carries its ``kind``, and is exactly what
     :func:`repro.serve.workers.execute_shard` executes — and what
-    :func:`repro.serve.store.shard_key` digests.  Planning is
+    :func:`repro.harness.cache.shard_key` digests.  Planning is
     deterministic (seeded sampling, schedule-tree probing), so a
     restarted daemon re-plans a job into byte-identical tasks and every
     already-computed shard resolves from the store.
@@ -217,21 +218,17 @@ def plan_job(spec: Dict[str, object]) -> List[Dict[str, object]]:
             task["kind"] = "check"
         return tasks
     if kind == "fuzz":
-        cases = case_tasks(_campaign_config(spec))
-        batch = int(spec.get("batch", 1))
-        return [
-            {"kind": "fuzz", "cases": cases[start : start + batch]}
-            for start in range(0, len(cases), batch)
-        ]
+        return plan_shards(
+            _campaign_config(spec), batch=int(spec.get("batch", 1))
+        )
     return [
-        {
-            "kind": "litmus",
-            "program": name,
-            "models": list(spec.get("models", _LITMUS_DEFAULT_MODELS)),
-            "domains": list(spec.get("domains", ("bitset",))),
-            "max_schedules": int(spec.get("max_schedules", 20_000)),
-            "cut_limit": int(spec.get("cut_limit", 50_000)),
-        }
+        program_task(
+            name,
+            spec.get("models", _LITMUS_DEFAULT_MODELS),
+            domains=spec.get("domains", ("bitset",)),
+            max_schedules=spec.get("max_schedules", DEFAULT_MAX_SCHEDULES),
+            cut_limit=spec.get("cut_limit", DEFAULT_CUT_LIMIT),
+        )
         for name in _litmus_programs(spec)
     ]
 
@@ -268,13 +265,7 @@ def merge_job(
             "text": "\n".join(result.summary_lines()),
         }
     if kind == "fuzz":
-        outcomes = [
-            outcome_from_wire(wire)
-            for payload in payloads
-            for wire in payload["outcomes"]
-        ]
-        outcomes.sort(key=lambda outcome: outcome.index)
-        result = CampaignResult(config=_campaign_config(spec), outcomes=outcomes)
+        result = fold_shards(_campaign_config(spec), payloads)
         return {
             "kind": "fuzz",
             "violations": result.violations,
@@ -285,23 +276,16 @@ def merge_job(
             "crash_violations": result.crash_violations,
             "text": result.summary(),
         }
-    reports = [payload["report"] for payload in payloads]
-    disagreement_pairs = sum(len(r["disagreements"]) for r in reports)
-    mismatches = sum(len(r["domain_mismatches"]) for r in reports)
+    summary = summarize_reports(
+        [payload["report"] for payload in payloads],
+        spec.get("models", _LITMUS_DEFAULT_MODELS),
+        spec.get("domains", ("bitset",)),
+    )
     return {
         "kind": "litmus",
-        "violations": mismatches,
-        "programs": len(reports),
-        "schedules": sum(r["schedules"] for r in reports),
-        "allowed": sum(sum(r["allowed"].values()) for r in reports),
-        "forbidden": sum(sum(r["forbidden"].values()) for r in reports),
-        "disagreement_pairs": disagreement_pairs,
-        "domain_mismatches": mismatches,
-        "text": (
-            f"litmus: {len(reports)} program(s), "
-            f"{disagreement_pairs} disagreement pair(s), "
-            f"{mismatches} domain mismatch(es)"
-        ),
+        "violations": summary["domain_mismatches"],
+        **summary,
+        "text": "\n".join(summary_lines(summary)),
     }
 
 
@@ -477,7 +461,3 @@ def load_records(jobs_dir: _PathLike) -> List[JobRecord]:
     records.sort(key=lambda record: record.seq)
     return records
 
-
-def shard_keys_for(tasks: Sequence[Dict[str, object]]) -> List[str]:
-    """The store key of every planned shard, in shard order."""
-    return [shard_key(task) for task in tasks]

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Union
 
 from repro.errors import ReproError, ServeError
-from repro.harness.cache import HarnessStats
+from repro.harness.cache import HarnessStats, ResultStore
 from repro.serve.jobs import (
     JobRecord,
     job_id,
@@ -42,7 +42,6 @@ from repro.serve.jobs import (
     save_record,
     validate_spec,
 )
-from repro.serve.store import ResultStore, shard_key
 
 _PathLike = Union[str, Path]
 
@@ -262,26 +261,21 @@ class JobQueue:
         record.shards_total = len(tasks)
         record.state = "sharded"
         self._save(record)
-        held = self._payloads.setdefault(record.id, {})
-        pending: List[dict] = []
-        for index, task in enumerate(tasks):
-            key = shard_key(task)
-            payload = self.store.load(key)
-            if payload is not None:
-                record.store_hits += 1
-                record.shards_done += 1
-                held[index] = payload
-            else:
-                record.store_misses += 1
-                pending.append(
-                    {
-                        "job": record.id,
-                        "tenant": record.tenant,
-                        "index": index,
-                        "key": key,
-                        "task": task,
-                    }
-                )
+        hits, misses = self.store.resolve(tasks)
+        self._payloads.setdefault(record.id, {}).update(hits)
+        record.store_hits += len(hits)
+        record.shards_done += len(hits)
+        record.store_misses += len(misses)
+        pending = [
+            {
+                "job": record.id,
+                "tenant": record.tenant,
+                "index": index,
+                "key": key,
+                "task": tasks[index],
+            }
+            for index, key in misses.items()
+        ]
         record.state = "running"
         record.started_at = time.time()
         self._save(record)

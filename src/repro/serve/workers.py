@@ -1,11 +1,11 @@
 """Multiprocessing shard execution for the checking service.
 
 :func:`execute_shard` is the single module-level worker entry point —
-it crosses the process boundary exactly like the batch workers it
-dispatches to (:func:`repro.check.shard.check_shard_worker` for check
-shards, :func:`repro.fuzz.campaign.run_case_task` for fuzz case
-batches, :func:`repro.litmus.runner.run_program` for litmus programs),
-so a shard computed by the daemon is byte-identical to one computed by
+it dispatches on the task's ``kind`` to the engine-owned worker
+(:func:`repro.check.shard.check_shard_worker` for check shards,
+:func:`repro.fuzz.campaign.run_shard` for fuzz case batches,
+:func:`repro.litmus.runner.run_program_task` for litmus programs), so
+a shard computed by the daemon is byte-identical to one computed by
 ``repro check --jobs N`` / ``repro fuzz run`` / ``repro litmus run``.
 
 :class:`WorkerPool` wraps a :class:`ProcessPoolExecutor` for the
@@ -23,9 +23,19 @@ import asyncio
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Optional
 
+from repro.check.shard import check_shard_worker
 from repro.errors import ServeError
+from repro.fuzz.campaign import run_shard
 from repro.harness.cache import HarnessStats
 from repro.harness.parallel import RetryPolicy
+from repro.litmus.runner import run_program_task
+
+#: The engine worker of each shard kind.
+_WORKERS = {
+    "check": check_shard_worker,
+    "fuzz": run_shard,
+    "litmus": run_program_task,
+}
 
 
 def execute_shard(task: Dict[str, object]) -> Dict[str, object]:
@@ -36,33 +46,10 @@ def execute_shard(task: Dict[str, object]) -> Dict[str, object]:
     overruns); fuzz shards return ``{"outcomes": [...]}`` in case
     order; litmus shards return ``{"report": {...}}``.
     """
-    kind = task.get("kind")
-    if kind == "check":
-        from repro.check.shard import check_shard_worker
-
-        return check_shard_worker(task)
-    if kind == "fuzz":
-        from repro.fuzz.campaign import run_case_task
-
-        return {
-            "kind": "fuzz",
-            "indices": [case["index"] for case in task["cases"]],
-            "outcomes": [run_case_task(case) for case in task["cases"]],
-        }
-    if kind == "litmus":
-        from repro.litmus.corpus import corpus_by_name
-        from repro.litmus.runner import run_program
-
-        program = corpus_by_name()[str(task["program"])]
-        report = run_program(
-            program,
-            [str(model) for model in task["models"]],
-            domains=tuple(str(domain) for domain in task["domains"]),
-            max_schedules=int(task["max_schedules"]),
-            cut_limit=int(task["cut_limit"]),
-        )
-        return {"kind": "litmus", "report": report}
-    raise ServeError(f"unknown shard kind {kind!r}")
+    worker = _WORKERS.get(task.get("kind"))
+    if worker is None:
+        raise ServeError(f"unknown shard kind {task.get('kind')!r}")
+    return worker(task)
 
 
 class WorkerPool:

@@ -9,10 +9,8 @@ The contract under test (ISSUE: device-level fault injection):
   never a campaign failure);
 * a serialized fault plan replays to the identical
   :class:`~repro.inject.report.RecoveryReport`;
-* checkpointed campaigns resume to byte-identical summaries.
+* campaigns resumed from a result store report byte-identical summaries.
 """
-
-import json
 
 import pytest
 
@@ -28,7 +26,9 @@ from repro.fuzz import (
     run_case,
     sample_specs,
 )
-from repro.fuzz.campaign import _load_checkpoint, campaign_digest
+from repro.fuzz import campaign as campaign_module
+from repro.fuzz.campaign import plan_shards
+from repro.harness.cache import ResultStore
 from repro.inject import FAULT_KINDS, FaultPlan
 
 #: Small per-target sizes so the full matrix stays fast.
@@ -223,62 +223,70 @@ class TestReplayDeterminism:
 
 
 class TestCheckpointing:
+    """Campaign resume through the content-addressed result store."""
+
     CONFIG = dict(target="counter", budget=6, seed=2, cut_samples=8)
 
     def test_resume_is_byte_identical(self, tmp_path):
         config = CampaignConfig(**self.CONFIG)
         straight = run_campaign(config).summary()
-        ckpt = tmp_path / "ckpt"
-        first = run_campaign(
-            config, checkpoint_dir=ckpt, checkpoint_every=2
-        ).summary()
-        assert first == straight
-        path = ckpt / "campaign.checkpoint.json"
-        assert path.exists()
-        # Drop half the completed cases to simulate an interrupt.
-        payload = json.loads(path.read_text())
-        assert len(payload["outcomes"]) == self.CONFIG["budget"]
-        payload["outcomes"] = payload["outcomes"][:3]
-        path.write_text(json.dumps(payload))
-        resumed = run_campaign(
-            config, checkpoint_dir=ckpt, checkpoint_every=2
-        ).summary()
-        assert resumed == straight
-        # The checkpoint healed back to the full campaign.
-        healed = json.loads(path.read_text())
-        assert len(healed["outcomes"]) == self.CONFIG["budget"]
+        store = ResultStore(tmp_path / "store")
+        assert run_campaign(config, store=store).summary() == straight
+        entries = sorted(store.root.glob("*.result.json"))
+        assert len(entries) == self.CONFIG["budget"]
+        # Drop half the stored cases to simulate an interrupt.
+        for path in entries[::2]:
+            path.unlink()
+        resumed = ResultStore(store.root)
+        assert run_campaign(config, store=resumed).summary() == straight
+        assert resumed.stats.store_hits == resumed.stats.store_misses == 3
+        # The store healed back to the full campaign.
+        assert len(resumed) == self.CONFIG["budget"]
 
-    def test_resume_skips_completed_cases(self, tmp_path):
+    def test_resume_skips_completed_cases(self, tmp_path, monkeypatch):
         config = CampaignConfig(**self.CONFIG)
-        ckpt = tmp_path / "ckpt"
-        run_campaign(config, checkpoint_dir=ckpt)
-        digest = campaign_digest(config)
-        path = ckpt / "campaign.checkpoint.json"
-        completed = _load_checkpoint(path, digest)
-        assert sorted(completed) == list(range(self.CONFIG["budget"]))
+        store = ResultStore(tmp_path / "store")
+        straight = run_campaign(config, store=store).summary()
+        hits, pending = store.resolve(plan_shards(config))
+        assert sorted(hits) == list(range(self.CONFIG["budget"]))
+        assert pending == {}
+
+        def boom(task):
+            raise AssertionError("a stored shard was re-run")
+
+        monkeypatch.setattr(campaign_module, "run_shard", boom)
+        result = run_campaign(config, store=store)
+        assert result.failed_cases == 0
+        assert result.summary() == straight
 
     def test_different_config_ignores_checkpoint(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        run_campaign(CampaignConfig(**self.CONFIG), checkpoint_dir=ckpt)
+        store = ResultStore(tmp_path / "store")
+        run_campaign(CampaignConfig(**self.CONFIG), store=store)
         other = CampaignConfig(**{**self.CONFIG, "seed": 3})
-        with pytest.warns(RuntimeWarning, match="different campaign"):
-            result = run_campaign(other, checkpoint_dir=ckpt)
-        assert result.cases == self.CONFIG["budget"]
+        shared = ResultStore(store.root)
+        result = run_campaign(other, store=shared)
+        # Different cases, different keys: nothing resumes wrongly.
+        assert shared.stats.store_hits == 0
+        assert result.summary() == run_campaign(other).summary()
+        assert len(shared) == 2 * self.CONFIG["budget"]
 
     def test_parallelism_does_not_change_checkpoint_identity(self):
         serial = CampaignConfig(**self.CONFIG, jobs=1)
         parallel = CampaignConfig(
             **self.CONFIG, jobs=4, task_timeout=30.0, task_retries=2
         )
-        assert campaign_digest(serial) == campaign_digest(parallel)
+        assert plan_shards(serial) == plan_shards(parallel)
 
     def test_corrupt_checkpoint_quarantined_and_rerun(self, tmp_path):
         config = CampaignConfig(**self.CONFIG)
-        ckpt = tmp_path / "ckpt"
-        ckpt.mkdir()
-        path = ckpt / "campaign.checkpoint.json"
-        path.write_bytes(b'{"version": 1, "config": "abc", "outc')
+        store = ResultStore(tmp_path / "store")
+        straight = run_campaign(config, store=store).summary()
+        victim = sorted(store.root.glob("*.result.json"))[0]
+        victim.write_bytes(b'{"kind": "fuzz", "outc')
+        rerun = ResultStore(store.root)
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            result = run_campaign(config, checkpoint_dir=ckpt)
-        assert result.cases == self.CONFIG["budget"]
-        assert (ckpt / "campaign.checkpoint.json.quarantined").exists()
+            result = run_campaign(config, store=rerun)
+        assert result.summary() == straight
+        assert rerun.stats.store_misses == rerun.stats.cache_evictions == 1
+        assert victim.with_name(victim.name + ".quarantined").exists()
+        assert len(rerun) == self.CONFIG["budget"]  # recomputed and stored

@@ -29,6 +29,8 @@ LITMUS_SPEC = {
 
 
 def start_daemon(state_dir, workers=2, extra=()):
+    """Start a daemon in its own session, so that its process group —
+    the daemon and its pool workers — can be killed as one."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen(
@@ -44,9 +46,29 @@ def start_daemon(state_dir, workers=2, extra=()):
         ]
         + list(extra),
         env=env,
-        stdout=subprocess.PIPE,
+        stdout=subprocess.DEVNULL,
         stderr=subprocess.STDOUT,
+        start_new_session=True,
     )
+
+
+def kill_daemon(process):
+    """SIGKILL the daemon's whole process group (pool workers too)."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    process.wait(timeout=10)
+
+
+def stop_daemon(process, sock):
+    """Shut the daemon down cleanly, killing its group if that fails."""
+    try:
+        if process.poll() is None:
+            request(sock, {"op": "shutdown"})
+        process.wait(timeout=30)
+    except (ServeError, subprocess.TimeoutExpired):
+        kill_daemon(process)
 
 
 @pytest.fixture
@@ -58,9 +80,7 @@ def daemon(tmp_path):
         wait_for_daemon(sock, timeout=30)
         yield state_dir, sock
     finally:
-        if process.poll() is None:
-            process.kill()
-        process.wait(timeout=10)
+        stop_daemon(process, sock)
 
 
 def test_daemon_end_to_end(daemon):
@@ -142,8 +162,7 @@ def test_kill_dash_nine_then_resume_completes(tmp_path):
             sock, {"op": "submit", "tenant": "alice", "spec": spec}
         )["job"]
     finally:
-        first.send_signal(signal.SIGKILL)
-        first.wait(timeout=10)
+        kill_daemon(first)
 
     journal = json.loads(
         (state_dir / "jobs" / f"{job}.json").read_text()
@@ -158,11 +177,9 @@ def test_kill_dash_nine_then_resume_completes(tmp_path):
         assert view["shards_done"] == view["shards_total"] == 6
         # Whatever the first daemon managed to store came back as hits.
         assert view["store_hits"] + view["store_misses"] == 6
-        request(sock, {"op": "shutdown"})
-        second.wait(timeout=30)
+        stop_daemon(second, sock)
         assert second.returncode == 0
     finally:
         if second.poll() is None:
-            second.kill()
-            second.wait(timeout=10)
+            kill_daemon(second)
     assert not sock.exists()  # clean shutdown removes the socket

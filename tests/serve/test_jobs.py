@@ -7,6 +7,7 @@ import pytest
 from repro.check import CheckConfig, check_target_sharded, shard_tasks
 from repro.errors import ReproError, ServeError
 from repro.fuzz.campaign import CampaignConfig, case_tasks
+from repro.litmus import DEFAULT_MODELS, corpus_by_name, run_corpus
 from repro.serve import (
     JobRecord,
     job_id,
@@ -137,6 +138,17 @@ class TestMergeJob:
         assert summary["programs"] == 1
         assert summary["violations"] == 0  # no domain mismatches
         assert summary["schedules"] > 0
+
+    def test_litmus_merge_matches_corpus_summary_under_truncation(self):
+        spec = {"kind": "litmus", "programs": ["mp-clflush"], "cut_limit": 1}
+        payloads = [execute_shard(task) for task in plan_job(spec)]
+        summary = merge_job(spec, payloads)
+        corpus = run_corpus(
+            [corpus_by_name()["mp-clflush"]], DEFAULT_MODELS, cut_limit=1
+        )["summary"]
+        assert {key: summary[key] for key in corpus} == corpus
+        assert summary["cut_limit_exceeded"] >= 1
+        assert "lower bounds" in summary["text"]
 
 
 class TestJobRecord:

@@ -3,13 +3,9 @@
 import pytest
 
 from repro.errors import ServeError
-from repro.serve import (
-    JobQueue,
-    TokenBucket,
-    WorkStealingScheduler,
-    load_records,
-    shard_key,
-)
+from repro.fuzz import CampaignConfig, run_campaign
+from repro.harness.cache import ResultStore, shard_key
+from repro.serve import JobQueue, TokenBucket, WorkStealingScheduler, load_records
 from repro.serve.workers import execute_shard
 
 CHECK_SPEC = {"kind": "check", "target": "queue-cwl", "threads": 2, "ops": 1}
@@ -166,6 +162,18 @@ class TestJobQueue:
         assert second.store_hits == 1 and second.store_misses == 0
         assert second.violations == first.violations
         assert queue.stats.store_hits >= 1
+
+    def test_batch_campaign_store_serves_daemon_job(self, tmp_path):
+        config = CampaignConfig(target="queue-2lc-faithful", budget=4, seed=0)
+        store = ResultStore(tmp_path / "store")
+        result = run_campaign(config, store=store)
+        queue = self.make_queue(tmp_path, store=store)
+        record = queue.submit("alice", {"kind": "fuzz", **config.describe()})
+        assert queue.plan(record) == []  # every shard hits the store
+        assert record.store_hits == record.shards_total == 4
+        assert record.store_misses == 0
+        assert record.state == "done"
+        assert record.summary["text"] == result.summary()
 
     def test_shard_failed_fails_the_job(self, tmp_path):
         queue = self.make_queue(tmp_path)

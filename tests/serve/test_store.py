@@ -2,8 +2,7 @@
 
 import json
 
-from repro.harness.cache import HarnessStats
-from repro.serve import ResultStore, shard_key
+from repro.harness.cache import HarnessStats, ResultStore, shard_key
 
 
 class TestShardKey:

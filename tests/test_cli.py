@@ -367,6 +367,21 @@ class TestCheck:
         with pytest.raises(SystemExit):
             main(["check", "--target", "ext4"])
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--reduction", "none"], ["--replay", "reexecute"],
+         ["--domain", "graph"]],
+    )
+    def test_sharded_check_rejects_unsharded_options(self, flag, capsys):
+        # Shards always run DPOR with the default replay and domain, so
+        # these options would otherwise be dropped without a word.
+        code = main(
+            ["check", "--target", "counter", "--threads", "2", "--ops", "1",
+             "--jobs", "2", "--no-export"] + flag
+        )
+        assert code == 2
+        assert flag[0] in capsys.readouterr().err
+
 
 class TestLitmus:
     def test_list_names_programs(self, capsys):
