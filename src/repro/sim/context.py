@@ -98,7 +98,11 @@ class ThreadContext:
         size: int = layout.WORD_SIZE,
         sync: bool = False,
     ) -> OpGen:
-        """Block until ``predicate(value)``; returns the satisfying value."""
+        """Block until ``predicate(value)``; returns the satisfying value.
+
+        ``predicate`` must be a pure function of the value: a blocked
+        thread is re-checked only when its word is written.
+        """
         value = yield ops.WaitUntil(addr, predicate, size, sync)
         return value
 

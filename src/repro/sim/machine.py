@@ -11,10 +11,12 @@ guarantee the paper's lock-bank PIN tracer provides (Section 7).
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional, Tuple
+from bisect import bisect_left
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import DeadlockError, SimulationError
 from repro.memory import AddressSpace, FreeListAllocator
+from repro.memory.layout import WORD_SIZE
 from repro.sim import ops
 from repro.sim.context import ThreadContext
 from repro.sim.scheduler import RandomScheduler, Scheduler
@@ -63,6 +65,9 @@ class SimThread:
         self.body: Optional[Callable] = None
         self.args: tuple = ()
         self.ctx: Optional[ThreadContext] = None
+        #: Word a WAITING thread is registered under in the machine's
+        #: watch index (see :meth:`Machine._relist`).
+        self.watch_word: Optional[int] = None
 
     def __repr__(self) -> str:
         return (
@@ -172,6 +177,16 @@ class Machine:
         #: pairs; see :meth:`register_state`.
         self._ext_state: List[Tuple[Callable, Callable]] = []
         self._ext_initial: Optional[list] = None
+        #: Runnable agents in scheduling order — thread ``t``, then its
+        #: drain agent ``_DRAIN_BASE + t``, by thread id — with the
+        #: parallel sort keys ``2t`` / ``2t + 1``.  Kept up to date step
+        #: by step (:meth:`_relist`), rebuilt on entry to :meth:`run`.
+        self._runnable: List[int] = []
+        self._runnable_keys: List[int] = []
+        #: Watch index: word number -> ids of WAITING threads whose wait
+        #: reads that word; :meth:`_mem_write` moves them to ``_woken``.
+        self._watchers: Dict[int, Set[int]] = {}
+        self._woken: Set[int] = set()
 
     # -- setup ----------------------------------------------------------------
 
@@ -209,8 +224,11 @@ class Machine:
             DeadlockError: when all unfinished threads are blocked.
             SimulationError: when ``max_steps`` is exhausted first.
         """
+        self._rebuild_runnable()
+        runnable = self._runnable
+        threads = self._threads
+        woken = self._woken
         while True:
-            runnable = self._runnable_ids()
             if not runnable:
                 unfinished = [
                     t for t in self._threads if t.state is not ThreadState.FINISHED
@@ -228,23 +246,78 @@ class Machine:
                 raise SimulationError(
                     f"exceeded max_steps={max_steps} with threads still running"
                 )
-            self._step(self.scheduler.pick(runnable))
+            agent = self.scheduler.pick(runnable)
+            self._step(agent)
             self._steps += 1
+            # A step changes only its own thread's state and buffer, plus
+            # memory; of the other threads, only WAITING ones whose word
+            # was written can change runnability (wait predicates are pure).
+            self._relist(threads[agent % _DRAIN_BASE])
+            if woken:
+                for thread_id in woken:
+                    self._relist(threads[thread_id])
+                woken.clear()
 
-    def _runnable_ids(self) -> List[int]:
-        runnable = []
+    def _rebuild_runnable(self) -> None:
+        """Recompute the runnable set and watch index from scratch.
+
+        Covers every change made outside :meth:`run` — setup-time
+        memory writes, :meth:`spawn`, :meth:`restore`, direct steps.
+        """
+        self._runnable.clear()
+        self._runnable_keys.clear()
+        self._watchers.clear()
+        self._woken.clear()
         for thread in self._threads:
-            if thread.state in (ThreadState.NEW, ThreadState.READY):
-                runnable.append(thread.thread_id)
-            elif thread.state is ThreadState.WAITING:
-                value = self._visible_value(
-                    thread, thread.wait.addr, thread.wait.size
+            thread.watch_word = None
+            self._relist(thread)
+
+    def _relist(self, thread: SimThread) -> None:
+        """Bring ``thread``'s two runnable-set entries up to date.
+
+        The thread is listed when NEW or READY, or when WAITING and its
+        predicate holds on the value it would observe now; its drain
+        agent is listed while the store buffer is non-empty.  A WAITING
+        thread is registered in the watch index so that a write to its
+        word re-checks it.
+        """
+        thread_id = thread.thread_id
+        state = thread.state
+        if state is ThreadState.WAITING:
+            wait = thread.wait
+            if thread.watch_word is None:
+                thread.watch_word = wait.addr // WORD_SIZE
+                self._watchers.setdefault(thread.watch_word, set()).add(
+                    thread_id
                 )
-                if thread.wait.predicate(value):
-                    runnable.append(thread.thread_id)
-            if thread.store_buffer:
-                runnable.append(_DRAIN_BASE + thread.thread_id)
-        return runnable
+            listed = bool(
+                wait.predicate(
+                    self._visible_value(thread, wait.addr, wait.size)
+                )
+            )
+        else:
+            if thread.watch_word is not None:
+                watchers = self._watchers[thread.watch_word]
+                watchers.discard(thread_id)
+                if not watchers:
+                    del self._watchers[thread.watch_word]
+                thread.watch_word = None
+            listed = state is ThreadState.NEW or state is ThreadState.READY
+        self._list(2 * thread_id, thread_id, listed)
+        drain = _DRAIN_BASE + thread_id
+        self._list(2 * thread_id + 1, drain, bool(thread.store_buffer))
+
+    def _list(self, key: int, agent: int, listed: bool) -> None:
+        """Make ``agent``'s presence at sort ``key`` match ``listed``."""
+        keys = self._runnable_keys
+        index = bisect_left(keys, key)
+        present = index < len(keys) and keys[index] == key
+        if listed and not present:
+            keys.insert(index, key)
+            self._runnable.insert(index, agent)
+        elif present and not listed:
+            del keys[index]
+            del self._runnable[index]
 
     def _step(self, thread_id: int) -> None:
         """Execute one scheduling step for ``thread_id``."""
@@ -354,6 +427,9 @@ class Machine:
         if journal is not None:
             journal.append((addr, self.memory.read_bytes(addr, size)))
         self.memory.write(addr, size, value)
+        watchers = self._watchers.get(addr // WORD_SIZE)
+        if watchers:
+            self._woken.update(watchers)
 
     # -- snapshot / restore -------------------------------------------------
 

@@ -85,7 +85,9 @@ class WaitUntil:
     check as LOAD events (test-then-block, like a futex wait); the thread
     consumes no scheduling steps while blocked.  This keeps traces free of
     unbounded spin loops while still emitting the conflicting load that
-    orders the waiter after the releasing store.
+    orders the waiter after the releasing store.  ``predicate`` must be
+    pure: the machine re-evaluates a blocked wait only when a store
+    writes its word.
     """
 
     addr: int

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import abc
 import random
-from bisect import bisect_right
 from typing import Callable, List, Optional, Sequence
 
 from repro.errors import SimulationError
@@ -22,25 +21,32 @@ class Scheduler(abc.ABC):
 
     @abc.abstractmethod
     def pick(self, runnable: Sequence[int]) -> int:
-        """Return one thread id from ``runnable`` (non-empty, sorted)."""
+        """Return one agent id from ``runnable`` (non-empty).
+
+        The machine lists agents by thread id, each thread ``t`` followed
+        by its store-buffer drain agent (``_DRAIN_BASE + t``) when that
+        buffer is non-empty.  Without drain agents (every SC machine) the
+        list is sorted; on TSO machines it is not.  ``runnable`` is the
+        machine's own list, updated in place between steps: ``pick`` must
+        neither mutate it nor keep a reference to it.
+        """
 
 
 class RoundRobinScheduler(Scheduler):
-    """Cycle through threads in id order, skipping blocked ones.
+    """Cycle through agents in id order, skipping blocked ones.
 
-    ``pick`` is O(log n): the runnable list is sorted (the ``pick``
-    contract), so the smallest id greater than the previous choice — the
-    same id the historical linear scan returned — is found by bisection.
-    At thousands of lanes the per-step linear scan was a measurable
-    fraction of simulation time.
+    Picks the smallest runnable id greater than the previous choice, else
+    the smallest runnable id.  The scan does not assume ``runnable`` is
+    sorted, which it is not on TSO machines (drain agents follow their
+    threads), so every thread runs before any drain agent in each cycle.
     """
 
     def __init__(self) -> None:
         self._last = -1
 
     def pick(self, runnable: Sequence[int]) -> int:
-        index = bisect_right(runnable, self._last)
-        self._last = runnable[index] if index < len(runnable) else runnable[0]
+        later = [agent for agent in runnable if agent > self._last]
+        self._last = min(later) if later else min(runnable)
         return self._last
 
 

@@ -6,12 +6,14 @@ from repro.errors import SimulationError
 from repro.sim import (
     SCHEDULER_KINDS,
     ChoiceRecordingScheduler,
+    Machine,
     RandomScheduler,
     ReplayScheduler,
     RoundRobinScheduler,
     StridedScheduler,
     make_scheduler,
 )
+from repro.sim.machine import _DRAIN_BASE
 
 
 class TestRoundRobin:
@@ -45,7 +47,7 @@ class TestRoundRobin:
         assert scheduler.pick([0, 2]) == 0
 
     def test_matches_linear_scan_reference(self):
-        """Bisect pick-order regression: identical to the historical
+        """Pick-order regression: identical to the historical
         linear scan (smallest id greater than the previous choice, else
         the smallest runnable id) on random sorted runnable sets."""
         import random
@@ -63,6 +65,23 @@ class TestRoundRobin:
             pick = scheduler.pick(runnable)
             assert pick == expected, (runnable, last)
             last = pick
+
+    def test_tso_drain_agents_follow_every_thread(self):
+        """On TSO the machine lists ``[0, D+0, 1, D+1, ...]``, which is
+        not sorted; round-robin still takes the smallest id above its
+        last pick, so each cycle runs every thread before any drain."""
+
+        def body(ctx, base):
+            for index in range(3):
+                yield from ctx.store(base + 8 * index, index + 1)
+
+        recorder = ChoiceRecordingScheduler(RoundRobinScheduler())
+        machine = Machine(scheduler=recorder, consistency="tso")
+        for _ in range(2):
+            machine.spawn(body, machine.volatile_heap.malloc(64))
+        machine.run()
+        d0, d1 = _DRAIN_BASE, _DRAIN_BASE + 1
+        assert recorder.choices == [0, 1] + [0, 1, d0, d1] * 3
 
 
 class TestRandom:
