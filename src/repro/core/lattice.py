@@ -184,8 +184,8 @@ class GraphDomain(DependencyDomain):
         self.nodes: List[PersistNode] = []
         self._closure: Dict[int, FrozenSet[int]] = {}
         #: Bumped on every mutation (persist *and* coalesce) so derived
-        #: structures — the level caches below, recovery's address index —
-        #: can cheaply detect staleness.
+        #: structures — the level caches below, recovery's per-graph
+        #: caches — can cheaply detect staleness.
         self._version = 0
         self._levels_cache: Optional[List[int]] = None
         self._hist_cache: Optional[Dict[int, int]] = None

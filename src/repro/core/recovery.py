@@ -20,6 +20,10 @@ On a mask-capable graph (one exposing ``dep_masks`` — see
 single big-int operations and a cached per-graph address→persist write
 index instead of rescanning every node; results are identical to the
 set-based reference paths, which remain in place as the oracle.
+
+Imaging is compiled once per graph: :func:`persist_table` holds every
+persist's writes as pre-validated image slices, so :func:`image_at_cut`
+is one copy of the base image plus slice assignments.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from typing import (
     List,
     Optional,
     Set,
+    Tuple,
     Union,
 )
 
@@ -54,16 +59,32 @@ def _dep_masks(graph: GraphDomain) -> Optional[List[int]]:
     return getattr(graph, "dep_masks", None)
 
 
+def _check_mask(cut: int) -> None:
+    """Reject a negative bitmask, which names no set of persists."""
+    if cut < 0:
+        raise RecoveryError(f"cut bitmask must be non-negative, got {cut}")
+
+
 def cut_members(cut: Cut) -> List[int]:
-    """The cut's persist ids in ascending order, whatever its form."""
+    """The cut's persist ids in ascending order, whatever its form.
+
+    Raises:
+        RecoveryError: when ``cut`` is a negative bitmask.
+    """
     if isinstance(cut, int):
+        _check_mask(cut)
         return list(iter_bits(cut))
     return sorted(cut)
 
 
 def cut_size(cut: Cut) -> int:
-    """Number of persists in a cut of either representation."""
+    """Number of persists in a cut of either representation.
+
+    Raises:
+        RecoveryError: when ``cut`` is a negative bitmask.
+    """
     if isinstance(cut, int):
+        _check_mask(cut)
         return bin(cut).count("1")
     return len(cut) if isinstance(cut, (set, frozenset)) else len(set(cut))
 
@@ -147,6 +168,41 @@ def minimal_cut_mask(graph: GraphDomain, pid: int) -> int:
     return graph.ancestor_mask(pid) | (1 << pid)
 
 
+def _graph_stamp(graph: GraphDomain) -> tuple:
+    """Staleness stamp for per-graph caches.
+
+    Every ``persist``/``coalesce`` bumps ``_version``, so a cache built
+    under an older stamp is rebuilt on next use.
+    """
+    return (len(graph.nodes), getattr(graph, "_version", None))
+
+
+def _extension_index(
+    graph: GraphDomain,
+) -> Tuple[List[int], List[List[int]], List[int]]:
+    """Per-graph ``(indegree, dependents, roots)``, cached on the graph.
+
+    ``dependents[pid]`` lists the persists that depend directly on
+    ``pid`` in ascending pid order, and ``roots`` the dependency-free
+    persists in ascending pid order: the orders the random walk of
+    :func:`linear_extension_cut` draws from.
+    """
+    stamp = _graph_stamp(graph)
+    cached = getattr(graph, "_extension_index", None)
+    if cached is not None and cached[0] == stamp:
+        return cached[1]
+    nodes = graph.nodes
+    indegree = [len(node.deps) for node in nodes]
+    dependents: List[List[int]] = [[] for _ in nodes]
+    for node in nodes:
+        for dep in node.deps:
+            dependents[dep].append(node.pid)
+    roots = [node.pid for node in nodes if not node.deps]
+    index = (indegree, dependents, roots)
+    graph._extension_index = (stamp, index)
+    return index
+
+
 def linear_extension_cut(
     graph: GraphDomain, rng: random.Random
 ) -> FrozenSet[int]:
@@ -156,14 +212,10 @@ def linear_extension_cut(
     persists, so deep-but-sparse failure states appear with useful
     probability.
     """
-    nodes = graph.nodes
-    remaining_deps = {node.pid: set(node.deps) for node in nodes}
-    dependents = {node.pid: [] for node in nodes}
-    for node in nodes:
-        for dep in node.deps:
-            dependents[dep].append(node.pid)
-    ready = [pid for pid, deps in remaining_deps.items() if not deps]
-    target = rng.randint(0, len(nodes))
+    indegree, dependents, roots = _extension_index(graph)
+    remaining = list(indegree)
+    ready = list(roots)
+    target = rng.randint(0, len(indegree))
     included: Set[int] = set()
     while ready and len(included) < target:
         index = rng.randrange(len(ready))
@@ -171,9 +223,8 @@ def linear_extension_cut(
         pid = ready.pop()
         included.add(pid)
         for successor in dependents[pid]:
-            deps = remaining_deps[successor]
-            deps.discard(pid)
-            if not deps:
+            remaining[successor] -= 1
+            if not remaining[successor]:
                 ready.append(successor)
     return frozenset(included)
 
@@ -266,7 +317,7 @@ def _write_index(graph: GraphDomain) -> List[Dict[int, int]]:
     computes.  The cache is stamped with ``(len(nodes), _version)`` so
     any ``persist``/``coalesce`` after indexing rebuilds it.
     """
-    stamp = (len(graph.nodes), getattr(graph, "_version", None))
+    stamp = _graph_stamp(graph)
     cached = getattr(graph, "_recovery_index", None)
     if cached is not None and cached[0] == stamp:
         return cached[1]
@@ -299,7 +350,7 @@ def cut_content_key(graph: GraphDomain, cut: Cut) -> str:
         index = _write_index(graph)
         written: Dict[int, int] = {}
         members = (
-            iter_bits(cut) if isinstance(cut, int) else sorted(set(cut))
+            cut_members(cut) if isinstance(cut, int) else sorted(set(cut))
         )
         count = len(index)
         for pid in members:
@@ -395,6 +446,43 @@ def unique_cut_masks(
         yield mask
 
 
+#: One pre-validated persist: ``(start, end, data)`` image offsets.
+Slice = Tuple[int, int, bytes]
+
+
+def persist_table(
+    graph: GraphDomain, image: NvramImage
+) -> List[Optional[Tuple[Slice, ...]]]:
+    """Per-persist write slices for images shaped like ``image``.
+
+    Entry ``pid`` holds the persist's writes, in occurrence order, as
+    :meth:`~repro.memory.nvram.NvramImage.persist_slice` slices.  A
+    persist with a write that ``apply_persist`` would reject gets
+    ``None``: callers apply its writes through ``apply_persist``, which
+    raises the usual error, so only cuts that contain it fail.  Built
+    once per graph and image geometry (base, size, persist granularity)
+    and cached on the graph under the same staleness stamp as the write
+    index.
+    """
+    stamp = (
+        _graph_stamp(graph),
+        image.base,
+        image.size,
+        image.persist_granularity,
+    )
+    cached = getattr(graph, "_persist_table", None)
+    if cached is not None and cached[0] == stamp:
+        return cached[1]
+    table: List[Optional[Tuple[Slice, ...]]] = []
+    for node in graph.nodes:
+        slices = tuple(
+            image.persist_slice(addr, data) for addr, data in node.writes
+        )
+        table.append(None if None in slices else slices)
+    graph._persist_table = (stamp, table)
+    return table
+
+
 def image_at_cut(
     graph: GraphDomain,
     cut: Cut,
@@ -407,21 +495,32 @@ def image_at_cut(
     to the same address are always ordered by strong persist atomicity,
     so any linear extension yields the same bytes.  Accepts a bitmask
     cut; either way only the cut's members are visited (ascending pid),
-    not the whole node list.
+    not the whole node list, and their writes come pre-validated from
+    the cached :func:`persist_table`.
 
     Raises:
-        RecoveryError: when ``check`` is set and the cut is inconsistent.
+        RecoveryError: when ``check`` is set and the cut is inconsistent,
+            or when ``cut`` is a negative bitmask.
+        MemoryAccessError: when a member's write falls outside the image
+            or crosses an atomic block (as ``apply_persist`` raises it).
     """
     if check and not is_consistent_cut(graph, cut):
         raise RecoveryError("cut is not downward-closed under persist order")
     members = cut_members(cut)
+    table = persist_table(graph, base_image)
     image = base_image.copy()
-    nodes = graph.nodes
-    count = len(nodes)
+    count = len(table)
+    pending: List[Slice] = []
+    extend = pending.extend
     for pid in members:
         if 0 <= pid < count:
-            for addr, data in nodes[pid].writes:
-                image.apply_persist(addr, data)
+            slices = table[pid]
+            if slices is None:
+                # A write that failed validation: apply_persist raises.
+                image.apply_all(graph.nodes[pid].writes)
+            else:
+                extend(slices)
+    image.apply_slices(pending)
     return image
 
 

@@ -23,6 +23,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set, Tuple
 
+from repro.core.recovery import persist_table
 from repro.harness.wear import block_write_counts
 from repro.inject.plan import FaultPlan
 from repro.memory.nvram import NvramImage
@@ -81,8 +82,10 @@ def materialize_faulty(
 ) -> Tuple[NvramImage, List[InjectedFault]]:
     """Apply ``cut`` to a copy of ``base_image``, injecting planned faults.
 
-    Walks persists in creation order (as :func:`~repro.core.recovery.image_at_cut`
-    does) and, per persist, decides drop / tear / apply; afterwards flips
+    Walks the cut's persists in creation order (as
+    :func:`~repro.core.recovery.image_at_cut` does) and, per persist,
+    decides drop / tear / apply, applying untouched persists from the
+    same cached :func:`~repro.core.recovery.persist_table`; afterwards flips
     ``plan.corrupt`` bits inside landed blocks.  Returns the image plus
     the exact faults injected — an empty list means the image is
     byte-identical to the clean cut image.
@@ -98,15 +101,19 @@ def materialize_faulty(
     )
     landed: List[Tuple[int, bytes]] = []
 
-    for node in graph.nodes:
-        if node.pid not in cut_set:
+    nodes = graph.nodes
+    count = len(nodes)
+    table = persist_table(graph, base_image)
+    for pid in sorted(cut_set):
+        if not 0 <= pid < count:
             continue
-        if budget > 0 and node.pid in droppable and rng.random() < plan.dropped:
+        node = nodes[pid]
+        if budget > 0 and pid in droppable and rng.random() < plan.dropped:
             budget -= 1
             faults.append(
                 InjectedFault(
                     kind="dropped",
-                    pid=node.pid,
+                    pid=pid,
                     addr=node.addr,
                     detail=(
                         f"silently discarded {len(node.writes)} write(s) "
@@ -128,7 +135,7 @@ def materialize_faulty(
                 faults.append(
                     InjectedFault(
                         kind="torn",
-                        pid=node.pid,
+                        pid=pid,
                         addr=fragments[keep][0],
                         detail=(
                             f"landed {keep}/{len(fragments)} "
@@ -137,9 +144,13 @@ def materialize_faulty(
                     )
                 )
                 continue
-        for addr, data in node.writes:
-            image.apply_persist(addr, data)
-            landed.append((addr, data))
+        slices = table[pid]
+        if slices is None:
+            # A write that failed validation: apply_persist raises.
+            image.apply_all(node.writes)
+        else:
+            image.apply_slices(slices)
+        landed.extend(node.writes)
 
     if plan.corrupt and landed:
         granularity = image.persist_granularity

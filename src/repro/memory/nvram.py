@@ -10,7 +10,7 @@ of the persist partial order and hands them to recovery code.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.errors import MemoryAccessError
 from repro.memory import layout
@@ -124,6 +124,43 @@ class NvramImage:
         for addr, data in persists:
             self.apply_persist(addr, data)
 
+    def persist_slice(
+        self, addr: int, data: bytes
+    ) -> Optional[Tuple[int, int, bytes]]:
+        """The persist as a pre-validated slice for :meth:`apply_slices`.
+
+        Returns ``(start, end, data)`` with offsets relative to
+        :attr:`base`, or None when :meth:`apply_persist` would reject
+        the persist (empty, outside the image, or crossing an atomic
+        block).  The slice stays valid for any image of the same base,
+        size and persist granularity.
+        """
+        start = addr - self._base
+        end = start + len(data)
+        granularity = self._granularity
+        if (
+            end <= start
+            or start < 0
+            or end > len(self._data)
+            or addr // granularity != (addr + len(data) - 1) // granularity
+        ):
+            return None
+        return (start, end, data)
+
+    def apply_slices(self, slices: Sequence[Tuple[int, int, bytes]]) -> None:
+        """Apply persists from :meth:`persist_slice`, in order.
+
+        Skips the per-persist checks, which :meth:`persist_slice` already
+        made; every slice counts toward :attr:`persists_applied`.
+        Recovery's per-graph persist table
+        (:func:`repro.core.recovery.persist_table`) builds the slices
+        once per graph so imaging a cut pays only the assignments.
+        """
+        data = self._data
+        for start, end, chunk in slices:
+            data[start:end] = chunk
+        self._applied += len(slices)
+
     def apply_raw(self, addr: int, data: bytes) -> None:
         """Apply a device-level sub-persist, bypassing the atomicity rule.
 
@@ -162,9 +199,14 @@ class NvramImage:
         return int.from_bytes(self.read_bytes(addr, size), "little")
 
     def copy(self) -> "NvramImage":
-        """Deep-copy the image (e.g., to fork alternative failure states)."""
-        clone = NvramImage(
-            self._base, len(self._data), bytes(self._data), self._granularity
-        )
+        """Deep-copy the image (e.g., to fork alternative failure states).
+
+        Makes exactly one copy of the bytes and skips the constructor's
+        validation, which this image already passed.
+        """
+        clone = NvramImage.__new__(NvramImage)
+        clone._base = self._base
+        clone._data = bytearray(self._data)
+        clone._granularity = self._granularity
         clone._applied = self._applied
         return clone

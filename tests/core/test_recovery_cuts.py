@@ -6,6 +6,8 @@ import pytest
 
 from repro.core import (
     CutStats,
+    cut_members,
+    cut_size,
     FailureInjector,
     GraphDomain,
     analyze_graph,
@@ -58,6 +60,25 @@ class TestCutPredicates:
     def test_unknown_pid_rejected(self):
         graph, _ = diamond_graph()
         assert not is_consistent_cut(graph, [99])
+
+
+class TestNegativeMasks:
+    """A negative int names no set of persists; it must fail, not hang."""
+
+    def test_members_and_size_reject(self):
+        for function in (cut_members, cut_size):
+            with pytest.raises(RecoveryError, match="non-negative"):
+                function(-1)
+
+    def test_imaging_and_content_key_reject(self):
+        graph, _ = diamond_graph()
+        base = NvramImage(P, 4096)
+        with pytest.raises(RecoveryError, match="non-negative"):
+            image_at_cut(graph, -1, base, check=False)
+        with pytest.raises(RecoveryError, match="non-negative"):
+            cut_content_key(graph, -1)
+        with pytest.raises(RecoveryError):
+            image_at_cut(graph, -1, base)
 
 
 class TestCutConstructors:

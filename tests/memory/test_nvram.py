@@ -49,6 +49,33 @@ class TestApplyPersist:
         )
         assert image.persists_applied == 2
 
+    def test_apply_slices(self, image):
+        slices = [
+            image.persist_slice(0x8000_0000, b"\x01" * 8),
+            image.persist_slice(0x8000_000C, b"\xff\xff"),
+        ]
+        assert slices == [(0, 8, b"\x01" * 8), (12, 14, b"\xff\xff")]
+        image.apply_slices(slices)
+        assert image.read(0x8000_0000, 8) == 0x0101010101010101
+        assert image.read(0x8000_000C, 2) == 0xFFFF
+        assert image.persists_applied == 2
+
+    @pytest.mark.parametrize("granularity", [8, 64])
+    def test_persist_slice_accepts_exactly_what_apply_persist_does(
+        self, granularity
+    ):
+        image = NvramImage(0x8000_0000, 256, persist_granularity=granularity)
+        for offset in range(-80, 336, 3):
+            for size in (0, 1, 2, 5, 8, 9, 64, 65):
+                addr, data = 0x8000_0000 + offset, bytes(range(size))
+                piece = image.persist_slice(addr, data)
+                try:
+                    image.copy().apply_persist(addr, data)
+                except MemoryAccessError:
+                    assert piece is None, (offset, size)
+                else:
+                    assert piece == (offset, offset + size, data)
+
 
 class TestSnapshots:
     def test_blank_from_region_is_zeroed(self):
@@ -74,6 +101,20 @@ class TestSnapshots:
         clone.apply_persist(0x8000_0000, b"\x09" * 8)
         assert image.read(0x8000_0000, 8) != clone.read(0x8000_0000, 8)
         assert clone.persists_applied == image.persists_applied + 1
+
+    def test_copy_keeps_geometry(self):
+        image = NvramImage(0x8000_0000, 256, persist_granularity=64)
+        image.apply_persist(0x8000_0000, bytes(range(64)))
+        clone = image.copy()
+        assert (clone.base, clone.size, clone.persist_granularity) == (
+            image.base,
+            image.size,
+            image.persist_granularity,
+        )
+        assert clone.read_bytes(clone.base, clone.size) == image.read_bytes(
+            image.base, image.size
+        )
+        assert clone.persists_applied == 1
 
 
 class TestConstruction:
