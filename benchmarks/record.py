@@ -27,7 +27,7 @@ import time
 from pathlib import Path
 
 from repro.check import CheckConfig, check_target
-from repro.core import AnalysisConfig, StreamingAnalyzer, analyze, analyze_graph
+from repro.core import AnalysisConfig, StreamingAnalyzer, analyze_graph
 from repro.gpu.lanes import iter_lane_chunks
 from repro.queue import run_insert_workload
 
@@ -188,21 +188,19 @@ def _stream_lanes(model, lanes, chunks=None):
 def measure_streaming():
     """The streaming engine on million-event GPU-lanes traces.
 
-    Three measurements:
+    Two measurements:
 
     * **analysis throughput** (the 2.5M events/s bar) — chunked
       level-domain analysis of the pre-encoded 1M-event columnar trace,
       best of :data:`TRIALS`;
     * **lanes scaling** — the same per-lane workload at 64/256/1024
-      lanes (events scale with lanes);
-    * **streaming vs batch** — the chunked path against the per-event
-      scalar path on the identical trace, results asserted equal.
+      lanes (events scale with lanes).
 
     The end-to-end memory claim (trace generated, streamed, and
-    analyzed without ever existing whole, under a pinned RSS ceiling,
-    lockstep-equal to the per-event reference) is measured by running
-    ``repro.gpu.bench`` as a fresh subprocess — RSS is a whole-process
-    property, so the parent's own allocations must not pollute it.
+    analyzed without ever existing whole, under a pinned RSS ceiling)
+    is measured by running ``repro.gpu.bench`` as a fresh subprocess —
+    RSS is a whole-process property, so the parent's own allocations
+    must not pollute it.
     """
     scaling = {}
     headline = None
@@ -219,22 +217,6 @@ def measure_streaming():
         }
         if lanes == LANES:
             headline = scaling[str(lanes)]
-        if lanes == 256:
-            # Streaming vs batch: the chunked fast path against the
-            # per-event scalar loop on the same trace, results equal.
-            events = [event for chunk in chunks for event in chunk]
-            batch_seconds, batch = best_of(
-                lambda: analyze(events, "epoch", STREAM_CONFIG)
-            )
-            assert batch.critical_path == result.critical_path
-            assert batch.persist_count == result.persist_count
-            assert batch.coalesced == result.coalesced
-            versus_batch = {
-                "events": len(events),
-                "streaming_seconds": round(seconds, 4),
-                "batch_seconds": round(batch_seconds, 4),
-                "speedup": round(batch_seconds / seconds, 2),
-            }
         del chunks
 
     bench = subprocess.run(
@@ -247,7 +229,6 @@ def measure_streaming():
             "--words", str(LANE_WORDS),
             "--scope", str(LANES_PER_SCOPE),
             "--models", "epoch",
-            "--lockstep",
             "--max-rss-mb", str(STREAMING_RSS_CEILING_MB),
         ],
         capture_output=True,
@@ -262,9 +243,6 @@ def measure_streaming():
             f"repro.gpu.bench failed ({bench.returncode}):\n{bench.stderr}"
         )
     end_to_end = json.loads(bench.stdout)
-    assert end_to_end["models"]["epoch"]["lockstep_equal"], (
-        "streaming diverged from the per-event reference"
-    )
     events_per_second = headline["events_per_second"]
     return {
         "workload": {
@@ -279,7 +257,6 @@ def measure_streaming():
         },
         "analysis_events_per_second": events_per_second,
         "lanes_scaling": scaling,
-        "streaming_vs_batch": versus_batch,
         "end_to_end": {
             "events": end_to_end["events"],
             "events_per_second": round(
@@ -291,7 +268,6 @@ def measure_streaming():
             "peak_rss_mb": round(end_to_end["peak_rss_kb"] / 1024, 1),
             "rss_ceiling_mb": STREAMING_RSS_CEILING_MB,
             "within_rss_ceiling": not end_to_end["failures"],
-            "lockstep_equal": True,
         },
         "meets_2_5m_bar": events_per_second
         >= MIN_STREAMING_EVENTS_PER_SECOND,

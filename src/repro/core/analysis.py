@@ -14,24 +14,25 @@ to their atomic block when no ordering constraint is violated, and
 dependences propagate at a configurable granularity, so that persistent
 false sharing (Figure 5) and atomic persist size (Figure 4) can be swept.
 
-Two entry points share one engine:
+Every trace reaches one loop, :meth:`StreamingAnalyzer._feed_chunk`,
+as struct-of-arrays :class:`~repro.trace.columnar.ColumnarChunk`
+batches; a :class:`Trace` or any event iterable is encoded into chunks
+on the way in.  The loop dispatches on integer kind codes, batches
+maximal same-block persistent-store runs into one domain call, and —
+with a ``node_sink`` — retires sealed persists' write payloads so
+resident memory is bounded by the dependence frontier, not by trace
+length.  Two entry points share it:
 
-* :func:`analyze` — one-shot over an in-memory trace (the original API;
-  now a thin wrapper).
-* :class:`StreamingAnalyzer` — resumable: feed events, whole traces, or
-  struct-of-arrays :class:`~repro.trace.columnar.ColumnarChunk` batches
-  in any mix, then :meth:`~StreamingAnalyzer.finish`.  The chunk path
-  dispatches on integer kind codes (no enum identity chains), batches
-  maximal same-block persistent-store runs into one domain call, and —
-  with a ``node_sink`` — retires sealed persists' write payloads so
-  resident memory is bounded by the dependence frontier, not by trace
-  length.
+* :func:`analyze` — one-shot over an in-memory trace;
+* :class:`StreamingAnalyzer` — resumable: feed chunks, whole traces, or
+  event iterables in trace order, then
+  :meth:`~StreamingAnalyzer.finish`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.core.bitgraph import BitsetGraphDomain
 from repro.core.lattice import (
@@ -54,12 +55,13 @@ from repro.trace.columnar import (
     CODE_RMW,
     CODE_SFENCE,
     CODE_STORE,
+    DEFAULT_CHUNK_EVENTS,
     FLAG_PERSISTENT,
     HAVE_NUMPY,
     ColumnarChunk,
+    chunks_from_events,
 )
 from repro.trace.columnar import _np
-from repro.trace.events import EventKind, MemoryEvent
 from repro.trace.trace import Trace
 
 
@@ -155,12 +157,13 @@ def make_domain(name: str) -> DependencyDomain:
 
 
 class _ChunkStore:
-    """Duck-typed stand-in for a store :class:`MemoryEvent`.
+    """Duck-typed stand-in for a store
+    :class:`~repro.trace.events.MemoryEvent`.
 
     The DAG domains only read ``thread``/``seq``/``addr`` and call
     ``data_bytes()`` when registering a persist; reconstructing (and
     re-validating) a full frozen dataclass per persist would dominate the
-    chunk fast path.
+    analysis loop.
     """
 
     __slots__ = ("seq", "thread", "addr", "size", "value")
@@ -180,9 +183,9 @@ class StreamingAnalyzer:
     """Resumable persist-ordering analysis over an event stream.
 
     Construct with a model/config/domain (same conventions as
-    :func:`analyze`), :meth:`feed` any mix of event iterables, traces,
-    or single :class:`ColumnarChunk` batches — in trace order — then
-    call :meth:`finish` for the :class:`AnalysisResult`.
+    :func:`analyze`), :meth:`feed` any mix of :class:`ColumnarChunk`
+    batches, traces, or event iterables — in trace order — then call
+    :meth:`finish` for the :class:`AnalysisResult`.
 
     State between feeds is exactly the engine's dependence frontier: the
     per-block last-writer/reader values, the pending (still-coalescible)
@@ -251,15 +254,23 @@ class StreamingAnalyzer:
         """Consume more of the trace; returns self for chaining.
 
         ``source`` may be a :class:`ColumnarChunk`, a :class:`Trace`, or
-        any iterable of :class:`MemoryEvent`.  Events must arrive in SC
-        trace order across all feed calls.
+        any iterable of :class:`~repro.trace.events.MemoryEvent`.  Every
+        source runs through the same chunk loop: events are encoded into
+        chunks of :data:`~repro.trace.columnar.DEFAULT_CHUNK_EVENTS` on
+        the way in.  Sources must arrive in SC trace order across all
+        feed calls, and an event source must continue densely from
+        :attr:`events_fed` (its first event's ``seq`` equals it);
+        otherwise :class:`~repro.errors.TraceError` is raised.
         """
         if self._finished:
             raise AnalysisError("cannot feed a finished StreamingAnalyzer")
         if isinstance(source, ColumnarChunk):
             self._feed_chunk(source)
         else:
-            self._feed_events(source)
+            for chunk in chunks_from_events(
+                source, DEFAULT_CHUNK_EVENTS, base_seq=self._events
+            ):
+                self._feed_chunk(chunk)
         return self
 
     def finish(self) -> AnalysisResult:
@@ -286,147 +297,10 @@ class StreamingAnalyzer:
             graph=self._graph,
         )
 
-    # -- event path (reference) ---------------------------------------------
-
-    def _feed_events(self, events: Iterable[MemoryEvent]) -> None:
-        """Per-event reference path: plain traces and event iterables."""
-        model = self.model
-        domain = self.domain
-        config = self.config
-        persist_gran = config.persist_granularity
-        tracking_gran = config.tracking_granularity
-        coalescing = config.coalescing
-        detect_lbs = model.detect_load_before_store
-        track_volatile = model.track_volatile_conflicts
-        sink = self._node_sink
-
-        join = domain.join
-        write_dep = self._write_dep
-        read_dep = self._read_dep
-        pending = self._pending
-        block_writes = self._block_writes
-
-        count = 0
-        persist_stores = self._persist_stores
-        coalesced = self._coalesced
-        barriers = self._barriers
-        strands = self._strands
-
-        for event in events:
-            count += 1
-            kind = event.kind
-            if kind is EventKind.PERSIST_BARRIER:
-                barriers += 1
-                model.on_barrier(event.thread)
-                continue
-            if kind is EventKind.NEW_STRAND:
-                strands += 1
-                model.on_new_strand(event.thread)
-                continue
-            if kind is EventKind.SFENCE or kind is EventKind.FENCE:
-                # An mfence carries sfence semantics on x86 (commits the
-                # thread's outstanding weak flushes); the SC models ignore
-                # both.
-                model.on_sfence(event.thread)
-                continue
-            if event.is_flush:
-                # The flushed line's persist chain is whatever the last
-                # persist to each covered tracking block depends on (which
-                # transitively includes the whole same-block chain).
-                first = event.addr // tracking_gran
-                last = (event.addr + event.size - 1) // tracking_gran
-                deps = None
-                if last - first >= len(write_dep):
-                    # Wide flush over a sparse chain map: walk the blocks
-                    # that actually have chains instead of the whole
-                    # flushed range (join is commutative/associative, so
-                    # visiting map order is equivalent to block order).
-                    for block, chain in write_dep.items():
-                        if first <= block <= last:
-                            deps = chain if deps is None else join(deps, chain)
-                else:
-                    for block in range(first, last + 1):
-                        chain = write_dep.get(block)
-                        if chain is not None:
-                            deps = chain if deps is None else join(deps, chain)
-                if deps is not None:
-                    model.on_flush(
-                        event.thread,
-                        deps,
-                        synchronous=kind is EventKind.CLFLUSH,
-                    )
-                continue
-            if not event.is_access:
-                continue
-
-            thread = event.thread
-            if kind is EventKind.RMW or event.info == "rmw-fail":
-                # Atomics are fences on x86 — even a failed CAS (traced as a
-                # LOAD tagged "rmw-fail") commits outstanding weak flushes.
-                model.on_sfence(thread)
-            # Store-buffer-forwarded loads (TSO machines) never touched
-            # memory: they observe the thread's own pending store, an
-            # ordering program order already provides.
-            tracked = (
-                (event.persistent or track_volatile)
-                and event.info != "sb-forward"
-            )
-            observed = model.thread_in(thread)
-            tblock = event.addr // tracking_gran
-            store_like = event.is_store_like
-            if tracked:
-                last_write = write_dep.get(tblock)
-                if last_write is not None:
-                    observed = join(observed, last_write)
-                if store_like and detect_lbs:
-                    reads = read_dep.get(tblock)
-                    if reads is not None:
-                        observed = join(observed, reads)
-
-            value_after = observed
-            if event.is_persist:
-                persist_stores += 1
-                pblock = event.addr // persist_gran
-                token = pending.get(pblock)
-                if (
-                    coalescing
-                    and token is not None
-                    and domain.leq(observed, token)
-                ):
-                    domain.coalesce(token, event)
-                    coalesced += 1
-                else:
-                    deps = observed
-                    if token is not None:
-                        deps = join(deps, domain.value_of(token))
-                        if sink is not None:
-                            self._seal(token)
-                    token = domain.persist(deps, event)
-                    pending[pblock] = token
-                    block_writes[pblock] = block_writes.get(pblock, 0) + 1
-                value_after = domain.value_of(token)
-
-            if tracked:
-                if store_like:
-                    write_dep[tblock] = value_after
-                    read_dep.pop(tblock, None)
-                else:
-                    reads = read_dep.get(tblock)
-                    read_dep[tblock] = (
-                        value_after if reads is None else join(reads, value_after)
-                    )
-            model.absorb(thread, value_after)
-
-        self._events += count
-        self._persist_stores = persist_stores
-        self._coalesced = coalesced
-        self._barriers = barriers
-        self._strands = strands
-
-    # -- chunk path (columnar fast path) ------------------------------------
+    # -- the analysis loop ---------------------------------------------------
 
     def _feed_chunk(self, chunk: ColumnarChunk) -> None:
-        """Columnar fast path: table dispatch on kind codes plus batched
+        """The analysis loop: dispatch on kind codes plus batched
         same-block coalescing runs.
 
         A *run* is a maximal sequence of consecutive plain persistent
@@ -706,7 +580,7 @@ class StreamingAnalyzer:
 
 
 #: Placeholder event for level-domain persists: the domain never touches
-#: the event, so the chunk path avoids building one per persist.
+#: the event, so the loop avoids building one per persist.
 _NO_PAYLOAD = None
 
 

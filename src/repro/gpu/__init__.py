@@ -17,8 +17,7 @@ Modules:
   sizes the simulator need not reach.
 * :mod:`repro.gpu.bench` — ``python -m repro.gpu.bench``: a subprocess
   benchmark entrypoint that streams a lane trace through the analyzer,
-  reporting events/s, peak RSS, and lockstep equality against the
-  per-event reference path.
+  reporting events/s and peak RSS.
 """
 
 from repro.gpu.lanes import (

@@ -9,11 +9,6 @@ meaningful when the measuring process does nothing else, and the memory
 claim being made — a million-event trace analyzed without ever existing
 whole — is a whole-process property.
 
-``--lockstep`` additionally re-generates the trace and runs the
-per-event reference path (the same ``StreamingAnalyzer`` fed event
-objects instead of chunks, which exercises the original scalar loop)
-and fails unless every result field matches the chunked run exactly.
-
 ``--min-events-per-sec`` and ``--max-rss-mb`` turn the report into a
 pass/fail gate (exit status 3 on violation) for CI floors.
 """
@@ -29,20 +24,7 @@ from typing import Optional
 
 from repro.core.analysis import AnalysisConfig, StreamingAnalyzer
 from repro.gpu.lanes import iter_lane_chunks, lane_event_count
-
-#: Result fields compared by the lockstep check (everything observable
-#: except the config/model echoes and the graph object itself).
-_LOCKSTEP_FIELDS = (
-    "critical_path",
-    "persist_count",
-    "persist_stores",
-    "coalesced",
-    "events",
-    "barriers",
-    "strands",
-    "level_histogram",
-    "block_writes",
-)
+from repro.trace.columnar import DEFAULT_CHUNK_EVENTS
 
 
 def records_for_events(
@@ -85,7 +67,6 @@ def run_bench(
     models,
     domain: str,
     config: AnalysisConfig,
-    lockstep: bool,
 ) -> dict:
     """Stream the lane trace through every model; return the report."""
     report: dict = {
@@ -128,22 +109,6 @@ def run_bench(
             "persist_stores": result.persist_stores,
             "coalesced": result.coalesced,
         }
-        if lockstep:
-            reference = StreamingAnalyzer(model, config, domain=domain)
-            for chunk in iter_lane_chunks(
-                lanes, records, words, lanes_per_scope, chunk_events
-            ):
-                # iter(chunk) yields event objects: the scalar path.
-                reference.feed(iter(chunk))
-            ref_result = reference.finish()
-            mismatches = [
-                field
-                for field in _LOCKSTEP_FIELDS
-                if getattr(result, field) != getattr(ref_result, field)
-            ]
-            entry["lockstep_equal"] = not mismatches
-            if mismatches:
-                entry["lockstep_mismatches"] = mismatches
         report["models"][model] = entry
     report["peak_rss_kb"] = peak_rss_kb()
     return report
@@ -164,18 +129,15 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--words", type=int, default=8)
     parser.add_argument("--scope", type=int, default=32, dest="lanes_per_scope")
     parser.add_argument("--events", type=int, default=1_000_000)
-    parser.add_argument("--chunk-events", type=int, default=1 << 16)
+    parser.add_argument(
+        "--chunk-events", type=int, default=DEFAULT_CHUNK_EVENTS
+    )
     parser.add_argument("--models", default="epoch,strict")
     parser.add_argument("--domain", default="level")
     parser.add_argument("--persist-granularity", type=int, default=64)
     parser.add_argument("--tracking-granularity", type=int, default=64)
     parser.add_argument(
         "--no-coalescing", action="store_true", help="disable coalescing"
-    )
-    parser.add_argument(
-        "--lockstep",
-        action="store_true",
-        help="also run the per-event reference path and compare results",
     )
     parser.add_argument("--min-events-per-sec", type=float, default=None)
     parser.add_argument("--max-rss-mb", type=float, default=None)
@@ -200,7 +162,6 @@ def main(argv: Optional[list] = None) -> int:
         models=[name.strip() for name in args.models.split(",") if name.strip()],
         domain=args.domain,
         config=config,
-        lockstep=args.lockstep,
     )
 
     failures = []
@@ -217,11 +178,6 @@ def main(argv: Optional[list] = None) -> int:
             failures.append(
                 f"peak RSS {rss_mb:.1f} MiB above ceiling "
                 f"{args.max_rss_mb:.1f} MiB"
-            )
-    for entry in report["models"].values():
-        if entry.get("lockstep_equal") is False:
-            failures.append(
-                f"lockstep mismatch in {entry['lockstep_mismatches']}"
             )
     report["failures"] = failures
     json.dump(report, sys.stdout, indent=2, sort_keys=True)

@@ -36,7 +36,7 @@ from repro.memory import layout
 from repro.memory.nvram import NvramImage
 from repro.sim.machine import Machine
 from repro.sim.scheduler import Scheduler
-from repro.trace.columnar import ColumnarChunk
+from repro.trace.columnar import DEFAULT_CHUNK_EVENTS, ColumnarChunk
 from repro.trace.events import EventKind
 
 #: Record stride: one 64-byte line per record, the GPU-natural unit
@@ -283,7 +283,7 @@ def iter_lane_chunks(
     records: int,
     words: int = 8,
     lanes_per_scope: int = 32,
-    chunk_events: int = 1 << 16,
+    chunk_events: int = DEFAULT_CHUNK_EVENTS,
 ) -> Iterator[ColumnarChunk]:
     """Generate the canonical gpu-lanes trace as columnar chunks.
 

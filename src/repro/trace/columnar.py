@@ -7,8 +7,8 @@ too slow to walk.  This module stores the same trace as chunks of typed
 arrays (:mod:`array`), one column per field:
 
 * ``kinds`` — one byte per event, the :data:`KIND_CODES` code of its
-  :class:`~repro.trace.events.EventKind` (table dispatch, no enum
-  identity chains);
+  :class:`~repro.trace.events.EventKind` (the analyzer compares small
+  ints, not enum members);
 * ``threads``/``addrs``/``sizes``/``values`` — unsigned integers
   (``size`` never exceeds the 8-byte machine word, so ``values`` fits
   ``array('Q')``);
@@ -46,8 +46,9 @@ except ImportError:  # pragma: no cover - stdlib-only environments
 HAVE_NUMPY = _np is not None
 
 #: Stable event-kind codes, in :class:`EventKind` declaration order.
-#: The codes are part of the chunk contract: the streaming analyzer's
-#: dispatch tables are indexed by them.
+#: The codes are part of the chunk contract: the analysis loop, which
+#: every trace runs through, dispatches on them with an if-chain over
+#: the ``CODE_*`` constants below.
 KIND_CODES: Dict[EventKind, int] = {
     kind: code for code, kind in enumerate(EventKind)
 }
@@ -74,9 +75,10 @@ FLAG_PERSISTENT = 1
 FLAG_SYNC = 2
 
 #: Default events per chunk: big enough to amortise per-chunk overhead,
-#: small enough that a chunk (~2 MB of columns) stays cache-friendly and
-#: the streaming analyzer's working set is bounded.
-DEFAULT_CHUNK_EVENTS = 1 << 16
+#: small enough that a chunk and the per-column lists the analyzer
+#: builds from it (a few hundred KB) stay cache-friendly and add little
+#: to peak memory.  Every event-fed analysis encodes at this size.
+DEFAULT_CHUNK_EVENTS = 1 << 12
 
 
 class ColumnarChunk:
@@ -205,7 +207,9 @@ def chunks_from_events(
     time, so arbitrarily long streams encode in bounded memory.  Sequence
     numbers are implicit in chunks, so the stream must be dense from
     ``base_seq``; a gap or reordering raises :class:`TraceError`, as
-    :meth:`Trace.append <repro.trace.trace.Trace.append>` does.
+    :meth:`Trace.append <repro.trace.trace.Trace.append>` does.  So does
+    a field that does not fit its typed column (a negative or over-wide
+    ``value``, a ``thread`` of 2**32 or more).
     """
     if chunk_events <= 0:
         raise TraceError(f"chunk_events must be positive, got {chunk_events}")
@@ -215,7 +219,12 @@ def chunks_from_events(
             raise TraceError(
                 f"event seq {event.seq} out of order; expected {chunk.end_seq}"
             )
-        chunk.append_event(event)
+        try:
+            chunk.append_event(event)
+        except (OverflowError, TypeError) as exc:
+            raise TraceError(
+                f"event seq {event.seq} does not fit a columnar chunk: {exc}"
+            ) from exc
         if len(chunk) >= chunk_events:
             yield chunk
             chunk = ColumnarChunk(chunk.end_seq)

@@ -25,6 +25,9 @@ from repro.trace.trace import Trace
 
 _PathLike = Union[str, Path]
 
+#: Thread ids must fit the columnar ``threads`` column (``array('I')``).
+_THREAD_LIMIT = 1 << 32
+
 
 def event_to_record(event: MemoryEvent) -> dict:
     """Convert an event to a compact JSON-serializable dict."""
@@ -41,13 +44,29 @@ def event_to_record(event: MemoryEvent) -> dict:
 
 
 def event_from_record(record: dict) -> MemoryEvent:
-    """Rebuild an event from its JSON dict."""
+    """Rebuild an event from its JSON dict.
+
+    Besides the :class:`MemoryEvent` checks, the fields must fit the
+    columnar encoding every analysis runs on: an access's ``value`` lies
+    in ``0 <= value < 2**(8*size)``, a non-access carries no value, and
+    ``thread`` is below ``2**32``.
+    """
     try:
         kind = EventKind(record["kind"])
         fields = {name: record.get(name, default) for name, default in OPTIONAL_FIELDS}
-        return MemoryEvent(
+        event = MemoryEvent(
             seq=record["seq"], thread=record["thread"], kind=kind, **fields
         )
+        if event.thread >= _THREAD_LIMIT:
+            raise ValueError(f"thread id {event.thread} is not below 2**32")
+        if event.is_access:
+            if not 0 <= event.value < 1 << (8 * event.size):
+                raise ValueError(
+                    f"value {event.value} does not fit {event.size} bytes"
+                )
+        elif event.value:
+            raise ValueError(f"{kind.value} event must not carry a value")
+        return event
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"malformed event record {record!r}: {exc}") from exc
 

@@ -1,9 +1,12 @@
-"""Shared fixtures: session-scoped workloads reused across test modules."""
+"""Shared fixtures: session-scoped workloads reused across test modules,
+and the switch between the analysis loop's numpy and stdlib branches."""
 
 import pytest
 
+from repro.core import analysis
 from repro.harness import ExperimentRunner
 from repro.queue import run_insert_workload
+from repro.trace import columnar
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +45,26 @@ def tlc_4t():
 def shared_runner():
     """Small ExperimentRunner shared by harness tests."""
     return ExperimentRunner(inserts_per_thread=40, base_seed=3)
+
+
+@pytest.fixture(
+    params=[
+        pytest.param(
+            True,
+            id="numpy",
+            marks=pytest.mark.skipif(
+                not columnar.HAVE_NUMPY, reason="numpy is not installed"
+            ),
+        ),
+        pytest.param(False, id="stdlib"),
+    ]
+)
+def numpy_branch(request, monkeypatch):
+    """Select the analysis loop's numpy or stdlib precompute branch.
+
+    ``StreamingAnalyzer._feed_chunk`` derives block ids and run bounds
+    with numpy when it is importable and with plain lists otherwise;
+    both branches must give identical results on every host.
+    """
+    monkeypatch.setattr(analysis, "HAVE_NUMPY", request.param)
+    return request.param

@@ -1,39 +1,30 @@
-"""Streaming-analyzer parity: chunked results must equal one-shot.
+"""Analysis-engine parity: the chunk loop must equal the per-event reference.
 
-The streaming engine is only an optimisation — kind-code dispatch,
-batched coalescing runs, touched-block flush joins, and incremental
-DAG levels must be *invisible* in the results.  These tests drive
-random traces through :class:`~repro.core.analysis.StreamingAnalyzer`
-in columnar chunks of adversarial sizes and assert every observable
-result field (and, on graph domains, the persist DAG itself) matches
-the per-event ``analyze()`` reference, across all models and domains.
+Every trace is analyzed by one loop over columnar chunks; kind-code
+dispatch, batched coalescing runs, touched-block flush joins, the numpy
+run-bound precompute, and incremental DAG levels are optimisations that
+must be *invisible* in the results.  These tests drive random traces
+through :class:`~repro.core.analysis.StreamingAnalyzer` — as chunks of
+adversarial sizes and as plain event sources — on both the numpy and
+the stdlib branch, and assert every observable result field (and, on
+the DAG domains, the persist DAG itself) matches
+:func:`~tests.core.reference_analysis.reference_analyze`, across all
+models and domains.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import AnalysisConfig, StreamingAnalyzer, analyze
 from repro.core.model import MODELS
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, TraceError
 from repro.trace import EventKind, MemoryEvent, Trace, chunks_from_events
 
 from tests.core.helpers import B, L, NS, P, R, S, V, build
+from tests.core.reference_analysis import RESULT_FIELDS, reference_analyze
 
 DOMAINS = ("level", "graph", "bitset")
-
-#: Every result field with observable analysis content.
-FIELDS = (
-    "critical_path",
-    "persist_count",
-    "persist_stores",
-    "coalesced",
-    "events",
-    "barriers",
-    "strands",
-    "level_histogram",
-    "block_writes",
-)
 
 
 def stream(trace, model, config, domain, chunk_events):
@@ -45,7 +36,7 @@ def stream(trace, model, config, domain, chunk_events):
 
 
 def assert_results_equal(reference, streamed, context=""):
-    for field in FIELDS:
+    for field in RESULT_FIELDS:
         assert getattr(reference, field) == getattr(streamed, field), (
             f"{field} diverged {context}"
         )
@@ -125,33 +116,52 @@ def trace_from_script(script, info_every=0):
     return trace
 
 
+def assert_matches_reference(trace, model, config, domain, chunk_events):
+    """Chunked and event-fed engine runs both equal the reference."""
+    reference = reference_analyze(trace, model, config, domain=domain)
+    for label, result in (
+        ("chunked", stream(trace, model, config, domain, chunk_events)),
+        ("event-fed", analyze(trace, model, config, domain=domain)),
+    ):
+        context = f"({label} {model}/{domain}/chunk={chunk_events})"
+        assert_results_equal(reference, result, context)
+        if domain != "level":
+            assert_dags_equal(reference, result, context)
+
+
+#: The ``numpy_branch`` fixture fixes one branch for the whole test, so
+#: sharing it across hypothesis examples is sound.
+_branch_settings = settings(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
 class TestRandomParity:
-    @settings(max_examples=40, deadline=None)
+    @settings(_branch_settings, max_examples=40)
     @given(
         script=_script,
         chunk_events=st.sampled_from([1, 3, 17, 64]),
         coalescing=st.booleans(),
     )
-    def test_all_models_all_domains(self, script, chunk_events, coalescing):
+    def test_all_models_all_domains(
+        self, numpy_branch, script, chunk_events, coalescing
+    ):
         trace = trace_from_script(script, info_every=7)
         config = AnalysisConfig(coalescing=coalescing)
         for model in MODELS:
             for domain in DOMAINS:
-                reference = analyze(trace, model, config, domain=domain)
-                streamed = stream(trace, model, config, domain, chunk_events)
-                context = f"({model}/{domain}/chunk={chunk_events})"
-                assert_results_equal(reference, streamed, context)
-                if domain == "graph":
-                    assert_dags_equal(reference, streamed, context)
+                assert_matches_reference(
+                    trace, model, config, domain, chunk_events
+                )
 
-    @settings(max_examples=25, deadline=None)
+    @settings(_branch_settings, max_examples=25)
     @given(
         script=_script,
         persist_granularity=st.sampled_from([8, 64]),
         tracking_granularity=st.sampled_from([8, 64]),
     )
     def test_coarse_granularities(
-        self, script, persist_granularity, tracking_granularity
+        self, numpy_branch, script, persist_granularity, tracking_granularity
     ):
         """Coarse blocks maximise run batching; results must not move."""
         trace = trace_from_script(script)
@@ -159,16 +169,9 @@ class TestRandomParity:
             persist_granularity=persist_granularity,
             tracking_granularity=tracking_granularity,
         )
-        for model in ("epoch", "strand", "px86"):
-            for domain in ("level", "bitset"):
-                reference = analyze(trace, model, config, domain=domain)
-                streamed = stream(trace, model, config, domain, 13)
-                assert_results_equal(
-                    reference,
-                    streamed,
-                    f"({model}/{domain}/pg={persist_granularity}"
-                    f"/tg={tracking_granularity})",
-                )
+        for model in MODELS:
+            for domain in DOMAINS:
+                assert_matches_reference(trace, model, config, domain, 13)
 
 
 class TestRunBatching:
@@ -188,7 +191,7 @@ class TestRunBatching:
         config = AnalysisConfig(
             persist_granularity=64, tracking_granularity=64
         )
-        reference = analyze(trace, model, config)
+        reference = reference_analyze(trace, model, config)
         for chunk_events in (5, 64, 1000):
             streamed = stream(trace, model, config, "level", chunk_events)
             assert_results_equal(reference, streamed, f"({model})")
@@ -201,10 +204,30 @@ class TestRunBatching:
         config = AnalysisConfig(
             persist_granularity=64, tracking_granularity=64
         )
-        reference = analyze(trace, "epoch", config)
+        reference = reference_analyze(trace, "epoch", config)
         for chunk_events in (1, 7, 39, 40):
             streamed = stream(trace, "epoch", config, "level", chunk_events)
             assert_results_equal(reference, streamed, f"chunk={chunk_events}")
+
+    def test_thread_switch_breaks_run(self, numpy_branch):
+        """A same-block store by another thread is not part of the run:
+        that thread's epoch can order it after the pending persist."""
+        trace = build(
+            [
+                (1, S, P + 64, 1),
+                (1, B),
+                (1, S, P + 128, 2),
+                (1, B),
+                (0, S, P, 3),
+                (1, S, P + 8, 4),
+            ]
+        )
+        config = AnalysisConfig(persist_granularity=64, tracking_granularity=64)
+        for model in ("epoch", "strand"):
+            reference = reference_analyze(trace, model, config)
+            streamed = stream(trace, model, config, "level", 6)
+            assert_results_equal(reference, streamed, model)
+        assert reference_analyze(trace, "epoch", config).persist_count == 4
 
     def test_info_breaks_run_eligibility(self):
         """An annotated store mid-run must fall off the fast path."""
@@ -227,7 +250,7 @@ class TestRunBatching:
             )
         config = AnalysisConfig(persist_granularity=64, tracking_granularity=64)
         for model in ("epoch", "bpfs"):
-            reference = analyze(annotated, model, config)
+            reference = reference_analyze(annotated, model, config)
             streamed = stream(annotated, model, config, "level", 4)
             assert_results_equal(reference, streamed, model)
 
@@ -259,7 +282,7 @@ class TestFlushTouchedBlocks:
             )
         )
         for model in ("px86", "dpox86"):
-            reference = analyze(flushed, model)
+            reference = reference_analyze(flushed, model)
             streamed = stream(flushed, model, None, "level", 2)
             assert_results_equal(reference, streamed, model)
 
@@ -280,10 +303,33 @@ class TestStreamingApi:
         assert analyzer.finish().events == 3
 
     def test_feed_accepts_plain_event_iterables(self):
-        trace = build([(0, S, P, 1), (0, S, P + 8, 2)])
-        chunked = StreamingAnalyzer("strict")
-        for chunk in chunks_from_events(trace):
-            chunked.feed(chunk)
+        trace = build(
+            [(0, S, P, 1), (0, S, P + 8, 2), (1, B), (1, S, P + 64, 3)]
+        )
+        reference = reference_analyze(trace, "strict")
         scalar = StreamingAnalyzer("strict")
         scalar.feed(iter(trace))
-        assert_results_equal(chunked.finish(), scalar.finish())
+        assert_results_equal(reference, scalar.finish())
+
+        # Events fed after chunks continue at events_fed and give the
+        # same result as one chunked pass.
+        first, _ = chunks_from_events(trace, 2)
+        mixed = StreamingAnalyzer("strict")
+        mixed.feed(first)
+        assert mixed.events_fed == 2
+        mixed.feed(event for event in trace if event.seq >= 2)
+        assert mixed.events_fed == 4
+        assert_results_equal(
+            stream(trace, "strict", None, "level", 4), mixed.finish()
+        )
+
+        # A whole trace after a chunk restarts at seq 0: rejected.
+        restarted = StreamingAnalyzer("strict")
+        restarted.feed(first)
+        with pytest.raises(TraceError, match="seq 0 out of order; expected 2"):
+            restarted.feed(trace)
+
+        # A seq gap inside an event source is rejected too.
+        gapped = [trace[0], trace[2]]
+        with pytest.raises(TraceError, match="seq 2 out of order; expected 1"):
+            StreamingAnalyzer("strict").feed(iter(gapped))

@@ -21,6 +21,8 @@ from repro.memory.nvram import NvramImage
 from repro.sim import RandomScheduler, RoundRobinScheduler
 from repro.trace import chunks_from_events
 
+from tests.core.reference_analysis import RESULT_FIELDS, reference_analyze
+
 
 def _final_image(machine):
     return NvramImage.from_region(
@@ -141,7 +143,7 @@ class TestSyntheticTrace:
             ]
             assert prior[-1].kind.value == "persist_barrier"
 
-    def test_streamed_analysis_locksteps_reference(self):
+    def test_streamed_analysis_locksteps_reference(self, numpy_branch):
         config = AnalysisConfig(
             persist_granularity=64, tracking_granularity=64
         )
@@ -149,24 +151,18 @@ class TestSyntheticTrace:
             chunked = StreamingAnalyzer(model, config)
             for chunk in iter_lane_chunks(8, 4, 4, 4, chunk_events=31):
                 chunked.feed(chunk)
-            scalar = StreamingAnalyzer(model, config)
-            for chunk in iter_lane_chunks(8, 4, 4, 4, chunk_events=31):
-                scalar.feed(iter(chunk))
             a = chunked.finish()
-            b = scalar.finish()
-            assert (
-                a.critical_path,
-                a.persist_count,
-                a.persist_stores,
-                a.coalesced,
-                a.level_histogram,
-            ) == (
-                b.critical_path,
-                b.persist_count,
-                b.persist_stores,
-                b.coalesced,
-                b.level_histogram,
+            b = reference_analyze(
+                (
+                    event
+                    for chunk in iter_lane_chunks(8, 4, 4, 4, chunk_events=31)
+                    for event in chunk
+                ),
+                model,
+                config,
             )
+            for field in RESULT_FIELDS:
+                assert getattr(a, field) == getattr(b, field), (model, field)
 
     def test_epoch_critical_path_is_records_plus_commit(self):
         """Lockstep lanes: one level per record epoch, one for commits."""
@@ -201,13 +197,11 @@ class TestBenchCli:
                 "--scope", "4",
                 "--chunk-events", "64",
                 "--models", "epoch",
-                "--lockstep",
             ]
         )
         assert status == 0
         report = json.loads(capsys.readouterr().out)
         assert report["events"] == lane_event_count(8, 6, 4, 4)
-        assert report["models"]["epoch"]["lockstep_equal"] is True
         assert report["failures"] == []
         assert report["peak_rss_kb"] > 0
 

@@ -135,6 +135,37 @@ class TestAnalyze:
         assert errors[0] == errors[1]
         assert "event seq 7 out of order; expected 1" in errors[0]
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (
+                '{"seq": 0, "thread": 0, "kind": "store", "addr": 2147483648,'
+                ' "size": 8, "value": -1, "persistent": true}',
+                "value -1 does not fit 8 bytes",
+            ),
+            (
+                '{"seq": 0, "thread": 4294967296, "kind": "store",'
+                ' "addr": 2147483648, "size": 8, "value": 1,'
+                ' "persistent": true}',
+                "thread id 4294967296 is not below 2**32",
+            ),
+        ],
+        ids=["negative-value", "wide-thread"],
+    )
+    def test_out_of_range_field_fails_batch_and_stream_alike(
+        self, tmp_path, capsys, record, message
+    ):
+        """A field the columnar encoding cannot hold is a trace error on
+        both paths, never a traceback."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"meta": {}}\n' + record + "\n")
+        for extra in ([], ["--stream"]):
+            assert main(["analyze", str(path)] + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: malformed event record")
+            assert message in captured.err
+
 
 class TestRaces:
     def test_race_free_trace_passes(self, trace_path, capsys):

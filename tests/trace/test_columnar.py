@@ -89,6 +89,29 @@ class TestChunksFromEvents:
         with pytest.raises(TraceError, match="expected 0"):
             list(chunks_from_events(events, 2))
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"value": -1}, {"thread": 1 << 32}, {"value": 1.5}],
+        ids=["negative-value", "wide-thread", "float-value"],
+    )
+    def test_unencodable_field_names_the_event(self, fields):
+        """A field its typed column cannot hold is a TraceError naming the
+        event, not a raw OverflowError/TypeError from :mod:`array`."""
+        events = sample_events(3)
+        spec = {
+            "seq": 2,
+            "thread": 0,
+            "kind": EventKind.STORE,
+            "addr": 0x8000_0000,
+            "size": 8,
+            "value": 1,
+            "persistent": True,
+            **fields,
+        }
+        events[2] = MemoryEvent(**spec)
+        with pytest.raises(TraceError, match="event seq 2 does not fit"):
+            list(chunks_from_events(events, 2))
+
     def test_rejects_nonpositive_chunk(self):
         with pytest.raises(TraceError):
             list(chunks_from_events([], 0))

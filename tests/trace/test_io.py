@@ -100,6 +100,32 @@ class TestMalformedInput:
         )
         assert len(load(stream)) == 1
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"kind": "store", "size": 8, "value": -1},
+            {"kind": "load", "size": 1, "value": 256},
+            {"kind": "rmw", "size": 4, "value": 1 << 32},
+            {"kind": "persist_barrier", "value": 5},
+            {"kind": "mark", "thread": 1 << 32},
+        ],
+        ids=["negative", "over-wide", "over-wide-rmw", "non-access", "thread"],
+    )
+    def test_field_outside_columnar_range(self, record):
+        """Fields must fit the columnar encoding every analysis uses."""
+        record = {"seq": 0, "thread": 0, **record}
+        if "size" in record:
+            record["addr"] = 0x8000_0000
+        with pytest.raises(TraceError, match="malformed event record"):
+            event_from_record(record)
+
+    def test_field_range_boundaries_accepted(self):
+        store = event_from_record(
+            {"seq": 0, "thread": (1 << 32) - 1, "kind": "store",
+             "addr": 0x8000_0000, "size": 2, "value": 0xFFFF}
+        )
+        assert (store.thread, store.value) == ((1 << 32) - 1, 0xFFFF)
+
 
 _event_strategy = st.builds(
     lambda seq, thread, kind, addr_words, value, persistent: (
