@@ -22,8 +22,8 @@ index instead of rescanning every node; results are identical to the
 set-based reference paths, which remain in place as the oracle.
 
 Imaging is compiled once per graph: :func:`persist_table` holds every
-persist's writes as pre-validated image slices, so :func:`image_at_cut`
-is one copy of the base image plus slice assignments.
+persist's writes as pre-validated page slices, so :func:`image_at_cut`
+is one copy-on-write clone of the base image plus slice assignments.
 """
 
 from __future__ import annotations
@@ -446,8 +446,9 @@ def unique_cut_masks(
         yield mask
 
 
-#: One pre-validated persist: ``(start, end, data)`` image offsets.
-Slice = Tuple[int, int, bytes]
+#: One pre-validated persist: ``(page, span, data)``, ``span`` a slice
+#: of offsets in page number ``page``.
+Slice = Tuple[int, slice, bytes]
 
 
 def persist_table(
@@ -456,13 +457,14 @@ def persist_table(
     """Per-persist write slices for images shaped like ``image``.
 
     Entry ``pid`` holds the persist's writes, in occurrence order, as
-    :meth:`~repro.memory.nvram.NvramImage.persist_slice` slices.  A
+    :meth:`~repro.memory.nvram.NvramImage.page_slice` slices.  A
     persist with a write that ``apply_persist`` would reject gets
     ``None``: callers apply its writes through ``apply_persist``, which
-    raises the usual error, so only cuts that contain it fail.  Built
-    once per graph and image geometry (base, size, persist granularity)
-    and cached on the graph under the same staleness stamp as the write
-    index.
+    raises the usual error, so only cuts that contain it fail.  So does
+    a persist with a write spanning two copy-on-write pages, which
+    ``apply_persist`` applies.  Built once per graph and image geometry
+    (base, size, persist granularity) and cached on the graph under the
+    same staleness stamp as the write index.
     """
     stamp = (
         _graph_stamp(graph),
@@ -476,7 +478,7 @@ def persist_table(
     table: List[Optional[Tuple[Slice, ...]]] = []
     for node in graph.nodes:
         slices = tuple(
-            image.persist_slice(addr, data) for addr, data in node.writes
+            image.page_slice(addr, data) for addr, data in node.writes
         )
         table.append(None if None in slices else slices)
     graph._persist_table = (stamp, table)
@@ -516,11 +518,14 @@ def image_at_cut(
         if 0 <= pid < count:
             slices = table[pid]
             if slices is None:
-                # A write that failed validation: apply_persist raises.
+                # A write that failed validation (apply_persist raises)
+                # or that spans two pages: apply it in pid order.
+                image.apply_page_slices(pending)
+                pending.clear()
                 image.apply_all(graph.nodes[pid].writes)
             else:
                 extend(slices)
-    image.apply_slices(pending)
+    image.apply_page_slices(pending)
     return image
 
 
@@ -607,13 +612,25 @@ class FailureInjector:
             yield cut, image_at_cut(self._graph, cut, self._base, check=False)
 
     def prefix_images(self, step: int = 1) -> Iterator[tuple]:
-        """Yield (cut, image) for every ``step``-th prefix cut, plus full."""
+        """Yield (cut, image) for every ``step``-th prefix cut, plus full.
+
+        Each image extends the previous prefix's with only the persists
+        between the two: creation order is the order :func:`image_at_cut`
+        applies persists in, so the bytes and ``persists_applied`` equal
+        imaging the whole prefix on the base image.
+        """
         if step <= 0:
             raise RecoveryError(f"step must be positive, got {step}")
         total = len(self._graph.nodes)
-        for count in range(0, total + 1, step):
-            cut = prefix_cut(self._graph, count)
-            yield cut, image_at_cut(self._graph, cut, self._base, check=False)
+        counts = list(range(0, total + 1, step))
         if total % step:
-            cut = full_cut(self._graph)
-            yield cut, image_at_cut(self._graph, cut, self._base, check=False)
+            counts.append(total)
+        # A private copy, so a caller writing to a yielded image cannot
+        # leak into the next one.
+        previous, done = self._base, 0
+        for count in counts:
+            image = image_at_cut(
+                self._graph, range(done, count), previous, check=False
+            )
+            previous, done = image.copy(), count
+            yield prefix_cut(self._graph, count), image

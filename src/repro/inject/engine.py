@@ -146,10 +146,11 @@ def materialize_faulty(
                 continue
         slices = table[pid]
         if slices is None:
-            # A write that failed validation: apply_persist raises.
+            # A write that failed validation (apply_persist raises) or
+            # that spans two pages.
             image.apply_all(node.writes)
         else:
-            image.apply_slices(slices)
+            image.apply_page_slices(slices)
         landed.extend(node.writes)
 
     if plan.corrupt and landed:

@@ -45,6 +45,7 @@ demonstrate the resulting recovery violation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -87,11 +88,26 @@ def name_hash(name: str) -> int:
 
 
 def checksum(data: bytes) -> int:
-    """Order-sensitive 64-bit checksum used to detect torn file data."""
+    """Order-sensitive 64-bit checksum used to detect torn file data.
+
+    This per-byte loop defines the on-NVRAM format; recovery calls it
+    through the content-keyed :data:`_memo_checksum`.
+    """
     value = 1469598103934665603
     for index, byte in enumerate(data):
         value = (value * 31 + byte * (index + 1)) % (1 << 64)
     return value
+
+
+#: Payloads the checksum memo keeps.  Recovery re-verifies the same few
+#: file versions at every cut of a campaign, so a small memo answers
+#: almost every call; at most this many payloads of up to
+#: ``MAX_FILE_SIZE`` bytes stay alive.
+CHECKSUM_MEMO_SIZE = 256
+
+#: :func:`checksum` memoized by payload content.  A pure function of
+#: the bytes, so torn or corrupt data still gets its own, right value.
+_memo_checksum = functools.lru_cache(maxsize=CHECKSUM_MEMO_SIZE)(checksum)
 
 
 def file_checksum(hashed: int, data: bytes) -> int:
@@ -104,7 +120,9 @@ def file_checksum(hashed: int, data: bytes) -> int:
     verification at mount instead of surfacing a clean-looking file
     under the wrong name.
     """
-    return (checksum(data) ^ hashed * 0x9E3779B97F4A7C15) % (1 << 64)
+    return (_memo_checksum(bytes(data)) ^ hashed * 0x9E3779B97F4A7C15) % (
+        1 << 64
+    )
 
 
 @dataclass(frozen=True)
@@ -362,21 +380,21 @@ class MiniFs:
                 discipline makes impossible — a published entry whose
                 inode is invalid or whose data fails its checksum.
         """
-        entry_addr = self._entry_addr(slot)
-        ref = image.read(entry_addr + ENTRY_REF, 8)
+        entry = image.read_words(self._entry_addr(slot), ENTRY_BYTES // 8)
+        ref = entry[ENTRY_REF // 8]
         if ref == 0:
             return None
         if ref > self._inodes:
             raise RecoveryError(f"entry {slot} references bad inode {ref}")
-        hashed = image.read(entry_addr + ENTRY_NAME, 8)
+        hashed = entry[ENTRY_NAME // 8]
         if hashed == 0:
             raise RecoveryError(f"entry {slot} published without a name")
-        inode_addr = self._inode_addr(ref - 1)
-        if image.read(inode_addr + INODE_VALID, 8) != 1:
+        inode = image.read_words(self._inode_addr(ref - 1), INODE_BYTES // 8)
+        if inode[INODE_VALID // 8] != 1:
             raise RecoveryError(
                 f"entry {slot} references invalid inode {ref - 1}"
             )
-        size = image.read(inode_addr + INODE_SIZE, 8)
+        size = inode[INODE_SIZE // 8]
         if size > MAX_FILE_SIZE:
             raise RecoveryError(f"inode {ref - 1} has bad size {size}")
         chunks = []
@@ -384,7 +402,7 @@ class MiniFs:
         for position in range(DIRECT_BLOCKS):
             if remaining <= 0:
                 break
-            pointer = image.read(inode_addr + INODE_BLOCKS + 8 * position, 8)
+            pointer = inode[INODE_BLOCKS // 8 + position]
             if pointer == 0 or pointer > self._data_blocks:
                 raise RecoveryError(
                     f"inode {ref - 1} has bad block pointer {pointer}"
@@ -395,8 +413,7 @@ class MiniFs:
             )
             remaining -= take
         data = b"".join(chunks)
-        stored = image.read(inode_addr + INODE_CHECKSUM, 8)
-        if file_checksum(hashed, data) != stored:
+        if file_checksum(hashed, data) != inode[INODE_CHECKSUM // 8]:
             raise RecoveryError(
                 f"file in entry {slot} failed its checksum (torn data or "
                 f"mis-bound name)"

@@ -1,9 +1,10 @@
 """Differential tests for cut imaging and linear-extension cuts.
 
 ``image_at_cut`` applies a cut from a per-graph table of pre-validated
-write slices, and ``linear_extension_cut`` walks a cached per-graph
-index.  Both are checked here in lockstep against the straightforward
-algorithms they replaced, kept below as the references.
+page slices to a copy-on-write clone of the base image, and
+``linear_extension_cut`` walks a cached per-graph index.  Both are
+checked here in lockstep against straightforward references kept
+below: a flat ``bytearray`` with per-write checks, and a per-call walk.
 """
 
 import random
@@ -28,6 +29,7 @@ from repro.fuzz.campaign import (
     sample_specs,
 )
 from repro.memory import NvramImage
+from repro.memory.nvram import PAGE_SIZE
 from repro.trace import EventKind, make_access
 
 from tests.core.helpers import P
@@ -35,13 +37,39 @@ from tests.core.test_recovery_cuts import diamond_graph
 
 
 def reference_image(graph, cut, base):
-    """Copy ``base``, then ``apply_persist`` each member's writes by pid."""
-    image = base.copy()
+    """Apply each member's writes by pid to a flat copy of ``base``'s bytes.
+
+    Independent of ``NvramImage`` copies and slices: one ``bytearray``
+    of the whole image, with the bounds and atomic-block checks of
+    ``apply_persist`` (and its error messages) made per write.  Returns
+    ``(image bytes, persists applied)``.
+    """
+    data = bytearray(base.read_bytes(base.base, base.size))
+    applied = base.persists_applied
+    granularity = base.persist_granularity
     for pid in sorted(cut):
-        if 0 <= pid < len(graph.nodes):
-            for addr, data in graph.nodes[pid].writes:
-                image.apply_persist(addr, data)
-    return image
+        if not 0 <= pid < len(graph.nodes):
+            continue
+        for addr, chunk in graph.nodes[pid].writes:
+            size = len(chunk)
+            if size <= 0:
+                raise MemoryAccessError(
+                    f"persist size must be positive, got {size}"
+                )
+            if addr < base.base or addr + size > base.end:
+                raise MemoryAccessError(
+                    f"range [{addr:#x}, {addr + size:#x}) outside image "
+                    f"[{base.base:#x}, {base.end:#x})"
+                )
+            if addr // granularity != (addr + size - 1) // granularity:
+                raise MemoryAccessError(
+                    f"persist at {addr:#x} size {size} spans multiple "
+                    f"{granularity}-byte atomic blocks"
+                )
+            offset = addr - base.base
+            data[offset : offset + size] = chunk
+            applied += 1
+    return bytes(data), applied
 
 
 def reference_extension_cut(graph, rng):
@@ -73,8 +101,8 @@ def image_bytes(image):
 
 
 def assert_same_image(image, expected):
-    assert image_bytes(image) == image_bytes(expected)
-    assert image.persists_applied == expected.persists_applied
+    """``image`` against a :func:`reference_image` result."""
+    assert (image_bytes(image), image.persists_applied) == expected
 
 
 #: (target, campaign seed): two sampled cases each.
@@ -116,6 +144,22 @@ class TestImageMatchesReference:
                 image_at_cut(graph, mask, base),
                 reference_image(graph, minimal_cut(graph, pid), base),
             )
+
+    @pytest.mark.parametrize("step", [1, 3, 7])
+    def test_prefix_images_extend_each_other(self, executions, step):
+        spec, execution = executions[0]
+        graph = execution.graph
+        base = execution.run.base_image
+        injector = FailureInjector(graph, base)
+        cuts = []
+        for cut, image in injector.prefix_images(step=step):
+            assert_same_image(image, reference_image(graph, cut, base))
+            # A caller scribbling on one image must not reach the next.
+            image.apply_raw(base.base, b"\xff" * 64)
+            cuts.append(len(cut))
+        total = len(graph.nodes)
+        expected = list(range(0, total + 1, step))
+        assert cuts == expected + ([total] if total % step else [])
 
     def test_base_image_left_untouched(self, executions):
         spec, execution = executions[0]
@@ -236,6 +280,29 @@ class TestTableStaleness:
         with pytest.raises(MemoryAccessError) as info:
             image_at_cut(graph, full, base)
         assert str(info.value) == expected
+
+
+class TestPageSpanningPersists:
+    def test_applied_in_pid_order_with_table_slices(self):
+        # A granularity above the page size lets one persist span two
+        # copy-on-write pages; it then bypasses the slice table.
+        graph, _ = small_graph()
+        coarse = NvramImage(
+            P, 4 * PAGE_SIZE, persist_granularity=2 * PAGE_SIZE
+        )
+        edge = P + PAGE_SIZE
+        graph.coalesce_run(0, [(edge - 2, b"\x01\x02")])
+        graph.coalesce_run(1, [(edge - 4, b"\xaa" * 8)])
+        graph.coalesce_run(2, [(edge + 2, b"\x05")])
+        table = persist_table(graph, coarse)
+        assert table[0] is not None and table[1] is None
+        for cut in ({0}, {0, 1}, {0, 1, 2}, 0b111):
+            assert_same_image(
+                image_at_cut(graph, cut, coarse),
+                reference_image(graph, _ids(cut), coarse),
+            )
+        image = image_at_cut(graph, {0, 1, 2}, coarse)
+        assert image.read_bytes(edge - 4, 8) == b"\xaa" * 6 + b"\x05\xaa"
 
 
 @pytest.fixture(scope="module")
