@@ -8,6 +8,7 @@ can inspect actual persistent contents.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -55,10 +56,6 @@ class Region:
         """One past the last mapped address."""
         return self.base + self.size
 
-    def contains(self, addr: int, size: int = 1) -> bool:
-        """Return True when [addr, addr+size) lies wholly inside this region."""
-        return self.base <= addr and addr + size <= self.end
-
     def read_bytes(self, addr: int, size: int) -> bytes:
         """Read raw bytes; the caller is responsible for range checks."""
         offset = addr - self.base
@@ -73,13 +70,18 @@ class Region:
 class AddressSpace:
     """The simulated machine's memory: a set of non-overlapping regions.
 
-    Values are stored little-endian.  Word-level `read`/`write` enforce the
-    access rules in :func:`repro.memory.layout.validate_access`; raw
-    `read_bytes`/`write_bytes` only enforce mapping, for bulk inspection.
+    Values are stored little-endian.  Word-level accesses are checked in
+    one place, :meth:`checked_region` (the rules of
+    :func:`repro.memory.layout.validate_access`, the value range, the
+    mapping); `read`/`write` and the simulated machine go through it.
+    Raw `read_bytes`/`write_bytes` only enforce mapping, for bulk
+    inspection.
     """
 
     def __init__(self, regions: Optional[List[Region]] = None) -> None:
         self._regions: List[Region] = []
+        #: Region bases in ascending order, parallel to ``_regions``.
+        self._bases: List[int] = []
         self._by_name: Dict[str, Region] = {}
         for region in regions or []:
             self.add_region(region)
@@ -114,6 +116,7 @@ class AddressSpace:
                 )
         self._regions.append(region)
         self._regions.sort(key=lambda r: r.base)
+        self._bases = [r.base for r in self._regions]
         self._by_name[region.name] = region
 
     def region(self, name: str) -> Region:
@@ -124,11 +127,17 @@ class AddressSpace:
             raise MemoryAccessError(f"no region named {name!r}") from None
 
     def region_of(self, addr: int, size: int = 1) -> Region:
-        """Return the region wholly containing [addr, addr+size)."""
-        for region in self._regions:
-            if region.contains(addr, size):
+        """Return the region wholly containing [addr, addr+size).
+
+        Regions never overlap, so the only candidate is the one with the
+        greatest base at or below ``addr``.
+        """
+        index = bisect_right(self._bases, addr) - 1
+        if index >= 0:
+            region = self._regions[index]
+            if addr + size <= region.end:
                 return region
-            if region.base <= addr < region.end:
+            if addr < region.end:
                 raise MemoryAccessError(
                     f"access at {addr:#x} size {size} runs past region "
                     f"{region.name!r}"
@@ -139,20 +148,29 @@ class AddressSpace:
         """True when ``addr`` lies in a persistent region."""
         return self.region_of(addr).persistent
 
+    def checked_region(
+        self, addr: int, size: int, value: Optional[int] = None
+    ) -> Region:
+        """Validate a word access and return the region it lies in.
+
+        Checks, in this order: the access rules of
+        :func:`~repro.memory.layout.validate_access`, the range of the
+        ``value`` a store writes (when given), then the mapping.  The
+        caller may then use the region's raw byte accessors directly.
+        """
+        layout.validate_access(addr, size)
+        if value is not None:
+            layout.validate_value(value, size)
+        return self.region_of(addr, size)
+
     def read(self, addr: int, size: int) -> int:
         """Load an unsigned little-endian value of 1-8 bytes."""
-        layout.validate_access(addr, size)
-        region = self.region_of(addr, size)
+        region = self.checked_region(addr, size)
         return int.from_bytes(region.read_bytes(addr, size), "little")
 
     def write(self, addr: int, size: int, value: int) -> None:
         """Store an unsigned little-endian value of 1-8 bytes."""
-        layout.validate_access(addr, size)
-        if value < 0 or value >= 1 << (8 * size):
-            raise MemoryAccessError(
-                f"value {value} does not fit in {size} bytes"
-            )
-        region = self.region_of(addr, size)
+        region = self.checked_region(addr, size, value)
         region.write_bytes(addr, value.to_bytes(size, "little"))
 
     def read_bytes(self, addr: int, size: int) -> bytes:

@@ -76,12 +76,21 @@ def validate_access(addr: int, size: int) -> None:
         raise MemoryAccessError(
             f"access size must be in [1, {WORD_SIZE}], got {size}"
         )
-    first, last = block_range(addr, size, WORD_SIZE)
-    if first != last:
+    if addr // WORD_SIZE != (addr + size - 1) // WORD_SIZE:
         raise MemoryAccessError(
             f"access at {addr:#x} size {size} crosses an aligned "
             f"{WORD_SIZE}-byte word boundary"
         )
+
+
+def validate_value(value: int, size: int) -> None:
+    """Validate that a stored value fits ``size`` bytes unsigned.
+
+    Raises:
+        MemoryAccessError: on a negative or over-wide value.
+    """
+    if value < 0 or value >= 1 << (8 * size):
+        raise MemoryAccessError(f"value {value} does not fit in {size} bytes")
 
 
 def words_covering(addr: int, size: int) -> Iterator[Tuple[int, int]]:

@@ -64,7 +64,7 @@ LOCAL_FOOTPRINT = Footprint()
 
 def _range(machine: Machine, addr: int, size: int) -> Range:
     """Build one (addr, size, persistent) range."""
-    return (addr, size, machine.memory.is_persistent(addr))
+    return (addr, size, machine.memory.region_of(addr, size).persistent)
 
 
 def _buffered_writes(machine: Machine, thread: SimThread) -> Tuple[Range, ...]:

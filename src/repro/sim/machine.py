@@ -15,12 +15,12 @@ from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import DeadlockError, SimulationError
-from repro.memory import AddressSpace, FreeListAllocator
-from repro.memory.layout import WORD_SIZE
+from repro.memory import AddressSpace, FreeListAllocator, Region
+from repro.memory.layout import WORD_SIZE, validate_value
 from repro.sim import ops
 from repro.sim.context import ThreadContext
 from repro.sim.scheduler import RandomScheduler, Scheduler
-from repro.trace.events import EventKind, MemoryEvent
+from repro.trace.events import EventKind, machine_event
 from repro.trace.trace import Trace
 
 
@@ -39,6 +39,13 @@ class ThreadState(enum.Enum):
 #: (id = _DRAIN_BASE + thread_id); below it, thread execution steps.
 _DRAIN_BASE = 1 << 20
 
+#: Event kind of each cache-line flush op.
+_FLUSH_OPS = {
+    ops.ClFlush: EventKind.CLFLUSH,
+    ops.ClFlushOpt: EventKind.CLFLUSH_OPT,
+    ops.Clwb: EventKind.CLWB,
+}
+
 
 class SimThread:
     """Bookkeeping for one simulated thread."""
@@ -55,10 +62,12 @@ class SimThread:
         #: Value returned by the thread body once FINISHED.
         self.result: object = None
         #: TSO store buffer: FIFO of entries, one of
-        #: ``("store", addr, size, value, sync)``,
-        #: ``("flush", addr, size, EventKind)`` (clflush/clflushopt/clwb
-        #: travelling behind earlier stores), or
+        #: ``("store", addr, size, value, sync, region)``,
+        #: ``("flush", addr, size, EventKind, region)``
+        #: (clflush/clflushopt/clwb travelling behind earlier stores), or
         #: ``("marker", EventKind)`` (persist barrier / strand / sfence).
+        #: Store and flush entries were validated when buffered and keep
+        #: the region they map to.
         self.store_buffer: list = []
         #: Rebuild recipe (generator function, args, context) — set by
         #: :meth:`Machine.spawn` so restore can re-create the generator.
@@ -135,7 +144,9 @@ class Machine:
           from the own buffer (``info="sb-forward"`` when every byte is
           buffered, ``"sb-mixed"`` when buffered bytes overlay a memory
           read); RMWs and mfences drain first, x86-style; clflush-family
-          ops and sfence travel through the buffer.  The trace records
+          ops and sfence travel through the buffer.  Stores and flushes
+          are validated when they enter the buffer, in program order,
+          so a bad one fails at the same step as on SC.  The trace records
           *memory order*, so analyzing it yields persistency-under-TSO
           semantics directly.
         """
@@ -155,6 +166,7 @@ class Machine:
                 f"'sc' or 'tso'"
             )
         self.consistency = consistency
+        self._tso = consistency == "tso"
         self.scheduler = scheduler if scheduler is not None else RandomScheduler()
         # Let introspecting schedulers (ReplayableScheduler) see machine
         # state at each decision point without threading it through pick().
@@ -162,6 +174,9 @@ class Machine:
         if bind is not None:
             bind(self)
         self.trace = Trace(meta=meta)
+        #: The trace's event list; the machine appends to it directly,
+        #: numbering events densely itself.
+        self._events = self.trace.events
         self._threads: List[SimThread] = []
         self._steps = 0
         #: Write-undo journal: (addr, previous bytes) per memory write,
@@ -183,6 +198,9 @@ class Machine:
         #: by step (:meth:`_relist`), rebuilt on entry to :meth:`run`.
         self._runnable: List[int] = []
         self._runnable_keys: List[int] = []
+        #: The keys in ``_runnable_keys``, for a membership test that
+        #: lets an unchanged entry skip the bisection.
+        self._listed: Set[int] = set()
         #: Watch index: word number -> ids of WAITING threads whose wait
         #: reads that word; :meth:`_mem_write` moves them to ``_woken``.
         self._watchers: Dict[int, Set[int]] = {}
@@ -266,6 +284,7 @@ class Machine:
         """
         self._runnable.clear()
         self._runnable_keys.clear()
+        self._listed.clear()
         self._watchers.clear()
         self._woken.clear()
         for thread in self._threads:
@@ -303,21 +322,26 @@ class Machine:
                     del self._watchers[thread.watch_word]
                 thread.watch_word = None
             listed = state is ThreadState.NEW or state is ThreadState.READY
-        self._list(2 * thread_id, thread_id, listed)
-        drain = _DRAIN_BASE + thread_id
-        self._list(2 * thread_id + 1, drain, bool(thread.store_buffer))
+        key = 2 * thread_id
+        if listed != (key in self._listed):
+            self._list(key, thread_id, listed)
+        draining = bool(thread.store_buffer)
+        if draining != (key + 1 in self._listed):
+            self._list(key + 1, _DRAIN_BASE + thread_id, draining)
 
     def _list(self, key: int, agent: int, listed: bool) -> None:
-        """Make ``agent``'s presence at sort ``key`` match ``listed``."""
+        """Insert or remove ``agent`` at sort ``key``; the caller has
+        checked that its presence differs from ``listed``."""
         keys = self._runnable_keys
         index = bisect_left(keys, key)
-        present = index < len(keys) and keys[index] == key
-        if listed and not present:
+        if listed:
             keys.insert(index, key)
             self._runnable.insert(index, agent)
-        elif present and not listed:
+            self._listed.add(key)
+        else:
             del keys[index]
             del self._runnable[index]
+            self._listed.discard(key)
 
     def _step(self, thread_id: int) -> None:
         """Execute one scheduling step for ``thread_id``."""
@@ -341,45 +365,33 @@ class Machine:
             self._drain_one(thread)
             return
         thread = self._threads[thread_id]
-        if thread.state is ThreadState.NEW:
+        state = thread.state
+        if state is ThreadState.READY:
+            op = thread.pending
+            thread.pending = None
+            if type(op) is ops.WaitUntil:
+                value = self._load(thread, op.addr, op.size, op.sync)
+                if op.predicate(value):
+                    self._advance(thread, value)
+                else:
+                    thread.wait = op
+                    thread.state = ThreadState.WAITING
+                return
+            self._advance(thread, self._execute(thread, op))
+            return
+        if state is ThreadState.NEW:
             self._emit_marker(thread, EventKind.THREAD_BEGIN)
             thread.state = ThreadState.READY
             self._advance(thread, None)
             return
-        if thread.state is ThreadState.WAITING:
+        if state is ThreadState.WAITING:
             wait = thread.wait
-            value, info = self._wait_read(thread, wait)
-            self._emit_access(
-                thread,
-                EventKind.LOAD,
-                wait.addr,
-                wait.size,
-                value,
-                wait.sync,
-                info=info,
-            )
+            value = self._load(thread, wait.addr, wait.size, wait.sync)
             thread.wait = None
             thread.state = ThreadState.READY
             self._advance(thread, value)
             return
-        if thread.state is not ThreadState.READY:
-            raise SimulationError(f"cannot step {thread!r}")
-        op = thread.pending
-        thread.pending = None
-        if isinstance(op, ops.WaitUntil):
-            value, info = self._wait_read(thread, op)
-            self._emit_access(
-                thread, EventKind.LOAD, op.addr, op.size, value, op.sync,
-                info=info,
-            )
-            if op.predicate(value):
-                self._advance(thread, value)
-            else:
-                thread.wait = op
-                thread.state = ThreadState.WAITING
-            return
-        result = self._execute(thread, op)
-        self._advance(thread, result)
+        raise SimulationError(f"cannot step {thread!r}")
 
     def register_state(
         self, capture: Callable[[], object], restore: Callable[[object], None]
@@ -420,13 +432,19 @@ class Machine:
                 thread.state = ThreadState.FINISHED
                 self._emit_marker(thread, EventKind.THREAD_END)
 
-    def _mem_write(self, addr: int, size: int, value: int) -> None:
+    def _mem_write(
+        self, region: Region, addr: int, size: int, value: int
+    ) -> None:
         """All simulated stores funnel through here so the undo journal
-        can capture the overwritten bytes before they are lost."""
+        can capture the overwritten bytes before they are lost.
+
+        The store was validated and mapped to ``region`` when issued
+        (:meth:`AddressSpace.checked_region`); nothing is re-checked.
+        """
         journal = self._journal
         if journal is not None:
-            journal.append((addr, self.memory.read_bytes(addr, size)))
-        self.memory.write(addr, size, value)
+            journal.append((addr, region.read_bytes(addr, size)))
+        region.write_bytes(addr, value.to_bytes(size, "little"))
         watchers = self._watchers.get(addr // WORD_SIZE)
         if watchers:
             self._woken.update(watchers)
@@ -551,13 +569,17 @@ class Machine:
         outlive its buffer.
         """
         entry = thread.store_buffer.pop(0)
-        if entry[0] == "store":
-            _, addr, size, value, sync = entry
-            self._mem_write(addr, size, value)
-            self._emit_access(thread, EventKind.STORE, addr, size, value, sync)
-        elif entry[0] == "flush":
-            _, addr, size, kind = entry
-            self._emit_access(thread, kind, addr, size, 0)
+        tag = entry[0]
+        if tag == "store":
+            _, addr, size, value, sync, region = entry
+            self._mem_write(region, addr, size, value)
+            self._emit_access(
+                thread, EventKind.STORE, addr, size, value,
+                region.persistent, sync,
+            )
+        elif tag == "flush":
+            _, addr, size, kind, region = entry
+            self._emit_access(thread, kind, addr, size, 0, region.persistent)
         else:
             self._emit_marker(thread, entry[1])
         if thread.state is ThreadState.DRAINING and not thread.store_buffer:
@@ -582,7 +604,7 @@ class Machine:
         for entry in thread.store_buffer:  # oldest first: later wins
             if entry[0] != "store":
                 continue
-            _, entry_addr, entry_size, value, _ = entry
+            _, entry_addr, entry_size, value = entry[:4]
             lo = max(addr, entry_addr)
             hi = min(end, entry_addr + entry_size)
             if lo >= hi:
@@ -592,180 +614,192 @@ class Machine:
                 overlay[at - addr] = data[at - entry_addr]
         return overlay
 
-    def _tso_load(self, thread: SimThread, addr: int, size: int):
-        """TSO load semantics: forward byte-wise from the thread's own
-        store buffer over memory; returns ``(value, trace info)``.
+    def _read(
+        self, thread: SimThread, addr: int, size: int
+    ) -> Tuple[int, str, Region]:
+        """What a load of ``[addr, addr+size)`` by ``thread`` observes
+        now; returns ``(value, trace info, region)``.  No side effects.
 
-        ``info`` records the forwarding decision: ``"sb-forward"`` when
-        every byte came from the buffer (the load never touched memory),
-        ``"sb-mixed"`` when buffered bytes were overlaid on a memory
-        read, ``""`` for a pure memory read.  No side effects — partial
-        overlap no longer flushes the buffer, which would strengthen
-        memory order mid-schedule.
+        The access is validated and mapped first, whatever the store
+        buffer holds.  On TSO the load then forwards byte-wise from the
+        thread's own buffer over memory: ``info`` is ``"sb-forward"``
+        when every byte came from the buffer (the load never touched
+        memory), ``"sb-mixed"`` when buffered bytes were overlaid on a
+        memory read, ``""`` for a pure memory read.  Partial overlap
+        does not flush the buffer, which would strengthen memory order
+        mid-schedule.  SC machines never buffer, so they always read
+        memory.
         """
-        overlay = self.buffered_bytes(thread, addr, size)
-        if all(byte is None for byte in overlay):
-            return self.memory.read(addr, size), ""
-        if all(byte is not None for byte in overlay):
-            return (
-                int.from_bytes(bytes(overlay), "little"),
-                "sb-forward",
-            )
-        data = bytearray(self.memory.read_bytes(addr, size))
-        for offset, byte in enumerate(overlay):
-            if byte is not None:
-                data[offset] = byte
-        return int.from_bytes(bytes(data), "little"), "sb-mixed"
+        region = self.memory.checked_region(addr, size)
+        if thread.store_buffer:
+            overlay = self.buffered_bytes(thread, addr, size)
+            if None not in overlay:
+                value = int.from_bytes(bytes(overlay), "little")
+                return value, "sb-forward", region
+            if any(byte is not None for byte in overlay):
+                data = bytearray(region.read_bytes(addr, size))
+                for offset, byte in enumerate(overlay):
+                    if byte is not None:
+                        data[offset] = byte
+                return int.from_bytes(data, "little"), "sb-mixed", region
+        value = int.from_bytes(region.read_bytes(addr, size), "little")
+        return value, "", region
 
     def _visible_value(self, thread: SimThread, addr: int, size: int) -> int:
-        """The value a TSO load at this point would observe (no side
-        effects).  Used by wait-predicate evaluation; shares
-        :meth:`_tso_load` with the actual wait read so the wake decision
-        and the observed value can never disagree."""
-        if self.consistency == "tso":
-            return self._tso_load(thread, addr, size)[0]
-        return self.memory.read(addr, size)
-
-    def _wait_read(self, thread: SimThread, wait: ops.WaitUntil):
-        """Observe a wait's location with TSO forwarding; returns
-        (value, trace info)."""
-        if self.consistency == "tso":
-            return self._tso_load(thread, wait.addr, wait.size)
-        return self.memory.read(wait.addr, wait.size), ""
+        """The value a load by ``thread`` at this point would observe (no
+        side effects).  Used by wait-predicate evaluation; shares
+        :meth:`_read` with the actual wait read so the wake decision and
+        the observed value can never disagree."""
+        return self._read(thread, addr, size)[0]
 
     # -- operation execution -------------------------------------------------
 
+    def _load(
+        self, thread: SimThread, addr: int, size: int, sync: bool
+    ) -> int:
+        """Perform and trace one load (or wait read); returns the value."""
+        value, info, region = self._read(thread, addr, size)
+        self._emit_access(
+            thread, EventKind.LOAD, addr, size, value, region.persistent,
+            sync, info,
+        )
+        return value
+
     def _execute(self, thread: SimThread, op: object) -> object:
-        """Execute one non-wait operation atomically; returns its result."""
-        tso = self.consistency == "tso"
-        if isinstance(op, ops.Load):
-            if tso:
-                value, info = self._tso_load(thread, op.addr, op.size)
-            else:
-                value, info = self.memory.read(op.addr, op.size), ""
-            self._emit_access(
-                thread, EventKind.LOAD, op.addr, op.size, value, op.sync,
-                info=info,
-            )
-            return value
-        if isinstance(op, ops.Store):
-            if tso:
+        """Execute one non-wait operation atomically; returns its result.
+
+        Dispatches on the op's exact type, most frequent ops first.  An
+        access is validated and mapped exactly once, when it executes —
+        on TSO when it enters the store buffer, so a bad store fails at
+        the same step as on SC — and the region found then serves the
+        data read/write, the undo journal and the event's ``persistent``
+        flag.
+        """
+        op_type = type(op)
+        if op_type is ops.Store:
+            addr, size, value = op.addr, op.size, op.value
+            region = self.memory.checked_region(addr, size, value)
+            if self._tso:
                 thread.store_buffer.append(
-                    ("store", op.addr, op.size, op.value, op.sync)
+                    ("store", addr, size, value, op.sync, region)
                 )
                 return None
-            self._mem_write(op.addr, op.size, op.value)
+            self._mem_write(region, addr, size, value)
             self._emit_access(
-                thread, EventKind.STORE, op.addr, op.size, op.value, op.sync
+                thread, EventKind.STORE, addr, size, value,
+                region.persistent, op.sync,
             )
             return None
-        if isinstance(op, (ops.CompareAndSwap, ops.Swap, ops.FetchAdd)) and tso:
-            # Atomics are fences on TSO (x86 semantics).
-            self._flush_buffer(thread)
-        if isinstance(op, ops.CompareAndSwap):
-            observed = self.memory.read(op.addr, op.size)
-            if observed == op.expected:
-                self._mem_write(op.addr, op.size, op.new)
-                self._emit_access(
-                    thread, EventKind.RMW, op.addr, op.size, op.new, op.sync
-                )
-                return True, observed
-            # A failed CAS is traced as a LOAD, but the lock prefix still
-            # fenced (the buffer was flushed above); "rmw-fail" lets the
-            # Px86 analyzers keep its flush-committing effect.
-            self._emit_access(
-                thread, EventKind.LOAD, op.addr, op.size, observed, op.sync,
-                info="rmw-fail",
-            )
-            return False, observed
-        if isinstance(op, ops.Swap):
-            old = self.memory.read(op.addr, op.size)
-            self._mem_write(op.addr, op.size, op.new)
-            self._emit_access(
-                thread, EventKind.RMW, op.addr, op.size, op.new, op.sync
-            )
-            return old
-        if isinstance(op, ops.FetchAdd):
-            old = self.memory.read(op.addr, op.size)
-            new = (old + op.delta) % (1 << (8 * op.size))
-            self._mem_write(op.addr, op.size, new)
-            self._emit_access(
-                thread, EventKind.RMW, op.addr, op.size, new, op.sync
-            )
-            return old
-        if isinstance(op, ops.PersistBarrier):
+        if op_type is ops.Load:
+            return self._load(thread, op.addr, op.size, op.sync)
+        if op_type is ops.PersistBarrier:
             # On TSO the barrier travels through the store buffer with
             # the stores it separates (epoch hardware tags epochs at the
             # core, in program order); emitting it at execute time would
             # let later-draining stores float in front of it in memory
             # order and dissolve the epoch boundary.
-            if tso and thread.store_buffer:
-                thread.store_buffer.append(
-                    ("marker", EventKind.PERSIST_BARRIER)
-                )
-                return None
-            self._emit_marker(thread, EventKind.PERSIST_BARRIER)
+            self._buffered_marker(thread, EventKind.PERSIST_BARRIER)
             return None
-        if isinstance(op, ops.NewStrand):
-            if tso and thread.store_buffer:
-                thread.store_buffer.append(("marker", EventKind.NEW_STRAND))
-                return None
-            self._emit_marker(thread, EventKind.NEW_STRAND)
+        if (
+            op_type is ops.CompareAndSwap
+            or op_type is ops.Swap
+            or op_type is ops.FetchAdd
+        ):
+            return self._atomic(thread, op_type, op)
+        if op_type is ops.NewStrand:
+            self._buffered_marker(thread, EventKind.NEW_STRAND)
             return None
-        if isinstance(op, ops.PersistSync):
-            self._emit_marker(thread, EventKind.PERSIST_SYNC)
-            return None
-        if isinstance(op, ops.Fence):
-            if tso:
-                self._flush_buffer(thread)
-            self._emit_marker(thread, EventKind.FENCE)
-            return None
-        if isinstance(op, (ops.ClFlush, ops.ClFlushOpt, ops.Clwb)):
-            kind = (
-                EventKind.CLFLUSH
-                if isinstance(op, ops.ClFlush)
-                else EventKind.CLFLUSH_OPT
-                if isinstance(op, ops.ClFlushOpt)
-                else EventKind.CLWB
-            )
-            # Flushes are ordered behind earlier stores (they write the
-            # line those stores dirtied), and later stores stay behind
-            # them in the FIFO — so on TSO they travel through the store
-            # buffer.  Loads may still overtake them, matching x86's
-            # weak flush/load ordering.
-            if tso and thread.store_buffer:
-                thread.store_buffer.append(("flush", op.addr, op.size, kind))
-                return None
-            self._emit_access(thread, kind, op.addr, op.size, 0)
-            return None
-        if isinstance(op, ops.SFence):
-            # No store-visibility effect (TSO already orders stores):
-            # sfence only marks where outstanding weak flushes commit,
-            # so like the persist barrier it travels through the buffer
-            # to keep its memory-order position faithful.
-            if tso and thread.store_buffer:
-                thread.store_buffer.append(("marker", EventKind.SFENCE))
-                return None
-            self._emit_marker(thread, EventKind.SFENCE)
-            return None
-        if isinstance(op, ops.Mark):
+        if op_type is ops.Mark:
             self._emit_marker(thread, EventKind.MARK, op.info)
             return None
-        if isinstance(op, ops.Malloc):
+        if op_type is ops.Malloc:
             heap = self.persistent_heap if op.persistent else self.volatile_heap
             addr = heap.malloc(op.size)
             self._emit_marker(
                 thread, EventKind.MALLOC, f"{addr:#x}+{op.size}"
             )
             return addr
-        if isinstance(op, ops.Free):
+        if op_type is ops.Free:
             heap = self.persistent_heap if op.persistent else self.volatile_heap
             heap.free(op.addr)
             self._emit_marker(thread, EventKind.FREE, f"{op.addr:#x}")
             return None
+        kind = _FLUSH_OPS.get(op_type)
+        if kind is not None:
+            # Flushes are ordered behind earlier stores (they write the
+            # line those stores dirtied), and later stores stay behind
+            # them in the FIFO — so on TSO they travel through the store
+            # buffer.  Loads may still overtake them, matching x86's
+            # weak flush/load ordering.
+            region = self.memory.checked_region(op.addr, op.size)
+            if self._tso and thread.store_buffer:
+                thread.store_buffer.append(
+                    ("flush", op.addr, op.size, kind, region)
+                )
+                return None
+            self._emit_access(
+                thread, kind, op.addr, op.size, 0, region.persistent
+            )
+            return None
+        if op_type is ops.SFence:
+            # No store-visibility effect (TSO already orders stores):
+            # sfence only marks where outstanding weak flushes commit,
+            # so like the persist barrier it travels through the buffer
+            # to keep its memory-order position faithful.
+            self._buffered_marker(thread, EventKind.SFENCE)
+            return None
+        if op_type is ops.Fence:
+            if self._tso:
+                self._flush_buffer(thread)
+            self._emit_marker(thread, EventKind.FENCE)
+            return None
+        if op_type is ops.PersistSync:
+            self._emit_marker(thread, EventKind.PERSIST_SYNC)
+            return None
         raise SimulationError(
             f"thread {thread.name} yielded unknown operation {op!r}"
         )
+
+    def _atomic(self, thread: SimThread, op_type: type, op) -> object:
+        """Execute a CAS, swap or fetch-add; returns its result."""
+        if self._tso:
+            # Atomics are fences on TSO (x86 semantics).
+            self._flush_buffer(thread)
+        addr, size = op.addr, op.size
+        region = self.memory.checked_region(addr, size)
+        old = int.from_bytes(region.read_bytes(addr, size), "little")
+        if op_type is ops.CompareAndSwap:
+            if old != op.expected:
+                # A failed CAS is traced as a LOAD, but the lock prefix
+                # still fenced (the buffer was flushed above); "rmw-fail"
+                # lets the Px86 analyzers keep its flush-committing
+                # effect.
+                self._emit_access(
+                    thread, EventKind.LOAD, addr, size, old,
+                    region.persistent, op.sync, "rmw-fail",
+                )
+                return False, old
+            new = op.new
+        elif op_type is ops.Swap:
+            new = op.new
+        else:
+            new = (old + op.delta) % (1 << (8 * size))
+        validate_value(new, size)
+        self._mem_write(region, addr, size, new)
+        self._emit_access(
+            thread, EventKind.RMW, addr, size, new, region.persistent, op.sync
+        )
+        if op_type is ops.CompareAndSwap:
+            return True, old
+        return old
+
+    def _buffered_marker(self, thread: SimThread, kind: EventKind) -> None:
+        """Emit a persist barrier / strand / sfence marker, or on TSO
+        queue it behind the thread's buffered entries."""
+        if self._tso and thread.store_buffer:
+            thread.store_buffer.append(("marker", kind))
+        else:
+            self._emit_marker(thread, kind)
 
     def _emit_access(
         self,
@@ -774,31 +808,25 @@ class Machine:
         addr: int,
         size: int,
         value: int,
+        persistent: bool,
         sync: bool = False,
         info: str = "",
     ) -> None:
-        self.trace.append(
-            MemoryEvent(
-                seq=len(self.trace),
-                thread=thread.thread_id,
-                kind=kind,
-                addr=addr,
-                size=size,
-                value=value,
-                persistent=self.memory.is_persistent(addr),
-                sync=sync,
-                info=info,
+        events = self._events
+        events.append(
+            machine_event(
+                len(events), thread.thread_id, kind, addr, size, value,
+                persistent, sync, info,
             )
         )
 
     def _emit_marker(
         self, thread: SimThread, kind: EventKind, info: str = ""
     ) -> None:
-        self.trace.append(
-            MemoryEvent(
-                seq=len(self.trace),
-                thread=thread.thread_id,
-                kind=kind,
-                info=info,
+        events = self._events
+        events.append(
+            machine_event(
+                len(events), thread.thread_id, kind, 0, 0, 0, False, False,
+                info,
             )
         )

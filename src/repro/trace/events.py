@@ -160,6 +160,44 @@ class MemoryEvent:
         return self.value.to_bytes(self.size, "little")
 
 
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+def machine_event(
+    seq: int,
+    thread: int,
+    kind: EventKind,
+    addr: int,
+    size: int,
+    value: int,
+    persistent: bool,
+    sync: bool,
+    info: str,
+) -> MemoryEvent:
+    """Build an event from fields the simulated machine already checked.
+
+    Skips ``__post_init__``: the machine validates every access and maps
+    its region once, when it executes it, and numbers events densely
+    itself.  Fields are set in declaration order, as the dataclass
+    ``__init__`` sets them, so the instance keeps the compact key-sharing
+    attribute dict of a validated one.  Every other producer (trace
+    loading, columnar decode, :func:`make_access`) goes through the
+    validating ``MemoryEvent(...)``.
+    """
+    event = _new_object(MemoryEvent)
+    _set_field(event, "seq", seq)
+    _set_field(event, "thread", thread)
+    _set_field(event, "kind", kind)
+    _set_field(event, "addr", addr)
+    _set_field(event, "size", size)
+    _set_field(event, "value", value)
+    _set_field(event, "persistent", persistent)
+    _set_field(event, "sync", sync)
+    _set_field(event, "info", info)
+    return event
+
+
 def make_access(
     seq: int,
     thread: int,

@@ -123,3 +123,62 @@ class TestBulkAccess:
         base = space.region("volatile").base
         space.write_bytes(base + 3, b"xyz")
         assert space.read_bytes(base + 3, 3) == b"xyz"
+
+
+def scan_region_of(space, addr, size):
+    """Reference lookup: the linear scan over regions in base order that
+    the bisection replaced; returns the region or the error text."""
+    for region in space.regions:
+        if region.base <= addr and addr + size <= region.end:
+            return region
+        if region.base <= addr < region.end:
+            return (
+                f"access at {addr:#x} size {size} runs past region "
+                f"{region.name!r}"
+            )
+    return f"unmapped address {addr:#x}"
+
+
+class TestRegionLookup:
+    @pytest.fixture
+    def gappy(self):
+        # Adjacent, gapped and added out of base order.
+        return AddressSpace(
+            [
+                Region("c", 0x3000, 0x100, True),
+                Region("a", 0x1000, 0x100, False),
+                Region("b", 0x1100, 0x80, False),
+                Region("d", 0x3200, 0x8, True),
+            ]
+        )
+
+    def test_matches_linear_scan(self, gappy):
+        edges = {0, 0x10}
+        for region in gappy.regions:
+            edges.update({region.base, region.end})
+        addrs = sorted(
+            {edge + delta for edge in edges for delta in range(-9, 10)}
+        )
+        checked = 0
+        for addr in addrs:
+            for size in range(1, 17):
+                expected = scan_region_of(gappy, addr, size)
+                if isinstance(expected, str):
+                    with pytest.raises(MemoryAccessError) as failure:
+                        gappy.region_of(addr, size)
+                    assert str(failure.value) == expected
+                else:
+                    assert gappy.region_of(addr, size) is expected
+                checked += 1
+        assert checked > 1000
+
+    def test_checked_region_order_of_checks(self, space):
+        base = space.region("volatile").base
+        # Access rules first, then the value, then the mapping.
+        with pytest.raises(MemoryAccessError, match="crosses"):
+            space.checked_region(0x14, 8, 1 << 70)
+        with pytest.raises(MemoryAccessError, match="does not fit"):
+            space.checked_region(0x10, 8, 1 << 70)
+        with pytest.raises(MemoryAccessError, match="unmapped"):
+            space.checked_region(0x10, 8, 1)
+        assert space.checked_region(base, 8, 1) is space.region("volatile")

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.errors import DeadlockError, SimulationError
+from repro.errors import DeadlockError, MemoryAccessError, SimulationError
 from repro.memory import layout
 from repro.sim import Machine, RoundRobinScheduler, RandomScheduler
 from repro.trace import EventKind, validate
+
+from tests.sim.test_tso import DrainLastScheduler
 
 
 def make_machine(**kwargs):
@@ -295,3 +297,162 @@ class TestDeterminism:
             return [e.thread for e in machine.run()]
 
         assert build(1) != build(2)
+
+
+def failed_run(consistency, program, persistent_size=None):
+    """Run ``program(ctx, P)`` (P: the persistent region's base) as the
+    only thread, draining store buffers as late as possible; returns
+    ``(completed steps, error text, event kinds traced)`` of the
+    MemoryAccessError it must raise."""
+    machine = Machine(
+        scheduler=DrainLastScheduler(),
+        consistency=consistency,
+        persistent_size=persistent_size,
+    )
+    base = machine.memory.region("persistent").base
+    machine.spawn(program, base)
+    with pytest.raises(MemoryAccessError) as failure:
+        machine.run()
+    return (
+        machine._steps,
+        str(failure.value),
+        [event.kind for event in machine.trace],
+    )
+
+
+class TestAccessValidation:
+    """An access is validated and mapped when it executes, so SC and TSO
+    reject the same bad access at the same step with the same text —
+    a TSO store when it enters the buffer, not when it drains."""
+
+    BAD_STORES = {
+        "word-crossing": (
+            lambda p: (p + 4, 1, 8),
+            "access at 0x80000004 size 8 crosses an aligned 8-byte word "
+            "boundary",
+        ),
+        "unmapped": (lambda p: (0x10, 1, 8), "unmapped address 0x10"),
+        "value-too-large": (
+            lambda p: (p, 1 << 70, 8),
+            f"value {1 << 70} does not fit in 8 bytes",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_STORES))
+    def test_bad_store_fails_at_issue_on_sc_and_tso(self, name):
+        where, text = self.BAD_STORES[name]
+
+        def program(ctx, base):
+            addr, value, size = where(base)
+            yield from ctx.store(addr, value, size)
+            yield from ctx.mark("after")
+
+        sc = failed_run("sc", program)
+        assert sc == (1, text, [EventKind.THREAD_BEGIN])
+        assert failed_run("tso", program) == sc
+
+    def test_bad_store_behind_buffered_store_fails_at_issue(self):
+        def program(ctx, base):
+            yield from ctx.store(base, 1)
+            yield from ctx.store(base + 4, 1, 8)
+
+        sc = failed_run("sc", program)
+        assert sc[:2] == (
+            2,
+            "access at 0x80000004 size 8 crosses an aligned 8-byte word "
+            "boundary",
+        )
+        steps, text, _ = failed_run("tso", program)
+        assert (steps, text) == sc[:2]
+
+    def test_forwarded_load_validates_its_own_range(self):
+        # On TSO every byte of the word-crossing load is buffered, so
+        # the load would forward entirely ("sb-forward") without
+        # touching memory; it must still be rejected, as on SC.
+        def program(ctx, base):
+            yield from ctx.store(base, 1)
+            yield from ctx.store(base + 8, 2)
+            yield from ctx.load(base + 4, 8)
+
+        sc = failed_run("sc", program)
+        assert sc[:2] == (
+            3,
+            "access at 0x80000004 size 8 crosses an aligned 8-byte word "
+            "boundary",
+        )
+        steps, text, kinds = failed_run("tso", program)
+        assert (steps, text) == sc[:2]
+        assert EventKind.LOAD not in kinds
+
+    def test_forwarded_load_of_unmapped_range_rejected(self):
+        def program(ctx, base):
+            yield from ctx.store(base, 1)
+            yield from ctx.load(base, 0)
+
+        sc = failed_run("sc", program)
+        assert sc[:2] == (2, "access size must be in [1, 8], got 0")
+        assert failed_run("tso", program)[:2] == sc[:2]
+
+
+class TestFlushRange:
+    """A flush maps its whole ``[addr, addr+size)`` range, like a load:
+    a flush running past the end of a region is rejected."""
+
+    FLUSHES = {
+        "clflush": EventKind.CLFLUSH,
+        "clflushopt": EventKind.CLFLUSH_OPT,
+        "clwb": EventKind.CLWB,
+    }
+
+    @pytest.mark.parametrize("behind_store", [False, True])
+    @pytest.mark.parametrize("consistency", ["sc", "tso"])
+    @pytest.mark.parametrize("flush", sorted(FLUSHES))
+    def test_flush_past_region_end_rejected(
+        self, flush, consistency, behind_store
+    ):
+        def program(ctx, base):
+            if behind_store:
+                yield from ctx.store(base, 1)
+            yield from getattr(ctx, flush)(base + 8, 8)
+            yield from ctx.mark("after")
+
+        steps, text, kinds = failed_run(
+            consistency, program, persistent_size=12
+        )
+        assert steps == (2 if behind_store else 1)
+        assert text == (
+            "access at 0x80000008 size 8 runs past region 'persistent'"
+        )
+        assert self.FLUSHES[flush] not in kinds
+
+    def test_load_past_region_end_rejected_alike(self):
+        def program(ctx, base):
+            yield from ctx.load(base + 8, 8)
+
+        assert failed_run("sc", program, persistent_size=12) == (
+            1,
+            "access at 0x80000008 size 8 runs past region 'persistent'",
+            [EventKind.THREAD_BEGIN],
+        )
+
+    @pytest.mark.parametrize("consistency", ["sc", "tso"])
+    @pytest.mark.parametrize("flush", sorted(FLUSHES))
+    def test_flush_at_region_end_accepted(self, flush, consistency):
+        machine = Machine(
+            scheduler=DrainLastScheduler(),
+            consistency=consistency,
+            persistent_size=12,
+        )
+        base = machine.memory.region("persistent").base
+
+        def program(ctx):
+            yield from ctx.store(base + 8, 1, 4)
+            yield from getattr(ctx, flush)(base + 8, 4)
+
+        machine.spawn(program)
+        trace = machine.run()
+        flushed, = [e for e in trace if e.is_flush]
+        assert flushed.kind is self.FLUSHES[flush]
+        assert (flushed.addr, flushed.size, flushed.persistent) == (
+            base + 8, 4, True,
+        )
