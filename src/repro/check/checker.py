@@ -26,18 +26,21 @@ Deduplication soundness:
   memo hit that was a violation is *re-recorded* under the current
   model — distinct violation sets per model are preserved exactly.
 
+Cuts are judged by the execution's :class:`~repro.fuzz.judge.CutJudge`,
+and **both deduplications are disabled** unless it is ``image_only``.
 Under a history oracle (``CheckConfig.oracle`` of ``"dl"``/``"bdl"``)
-**both deduplications are disabled**: the durable-linearizability
-verdict depends on *cut membership* (which operations are
-persisted-complete), not only on the failure image's bytes, so equal
-image content does not imply equal verdicts; and equal canonical DAGs
-do not imply equal recorded histories.  Oracle runs therefore image and
-judge every cut of every schedule.
+it is not: the durable-linearizability verdict depends on *cut
+membership* (which operations are persisted-complete), not only on the
+failure image's bytes, so equal image content does not imply equal
+verdicts; and equal canonical DAGs do not imply equal recorded
+histories.  Oracle runs therefore image and judge every cut of every
+schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.analysis import analyze_graph
@@ -52,8 +55,9 @@ from repro.core.recovery import (
 )
 from repro.check.canonical import canonical_dag_key
 from repro.check.engine import Engine, EngineStats
-from repro.errors import FuzzError, RecoveryError
-from repro.histories.oracle import cut_checker, validate_oracle
+from repro.errors import RecoveryError
+from repro.fuzz.judge import CutJudge, Verdict
+from repro.histories.oracle import cut_checker
 from repro.memory.nvram import NvramImage
 from repro.sim.machine import Machine
 from repro.sim.scheduler import Scheduler
@@ -326,16 +330,10 @@ def check_runs(
     project the run's :class:`~repro.histories.oracle.HistorySpec`; the
     program must have been built with operation recording on.  Oracle
     runs disable DAG and cut deduplication (their verdicts depend on
-    cut membership and recorded history, not image bytes alone).
+    cut membership and recorded history, not image bytes alone).  Any
+    exception the checker raises counts as a violation.
     """
     config = config or CheckConfig()
-    validate_oracle(config.oracle)
-    oracle_mode = config.oracle != "invariant"
-    if oracle_mode and history_spec_of is None:
-        raise FuzzError(
-            f"oracle {config.oracle!r} needs a history-spec projection; "
-            f"this program adapter judges cuts by invariant only"
-        )
     engine = Engine(
         run,
         reduction=config.reduction,
@@ -349,64 +347,61 @@ def check_runs(
     for explored in engine.explore():
         trace = trace_of(explored.result)
         base = base_of(explored.result)
-        check = checker_of(explored.result)
-        memo: Dict[str, Optional[str]] = {}
-        # One history judge per execution: persist ids are
-        # model-independent, so the first model's graph attributes
-        # operations for every model of this trace.
-        oracle_check = None
+        check = _any_error_violates(checker_of(explored.result))
+        judge: Optional[CutJudge] = None
+        memo: Dict[str, Optional[Verdict]] = {}
         for model in config.models:
             graph = analyze_graph(trace, model, domain=config.graph_domain).graph
             result.stats.dags_analyzed += 1
             dag_key = canonical_dag_key(graph)
-            if not oracle_mode:
+            if judge is None:
+                # One judge per execution: persist ids are
+                # model-independent, so the first model's graph
+                # attributes operations for every model of this trace.
+                history = None
+                if (
+                    history_spec_of is not None
+                    and config.oracle != "invariant"
+                ):
+                    history = partial(
+                        cut_checker,
+                        trace,
+                        graph,
+                        history_spec_of(explored.result),
+                        config.oracle,
+                    )
+                judge = CutJudge(
+                    check, graph, base, history=history, oracle=config.oracle
+                )
+            if judge.image_only:
                 if dag_key in seen_dags[model]:
                     result.stats.dags_deduped += 1
                     continue
                 seen_dags[model].add(dag_key)
-            if oracle_mode and oracle_check is None:
-                oracle_check = cut_checker(
-                    trace,
-                    graph,
-                    history_spec_of(explored.result),
-                    config.oracle,
-                )
             for cut in _cuts_for(graph, config.max_cuts_per_graph):
                 result.stats.cuts_checked += 1
                 cut_key = cut_content_key(graph, cut)
-                condition: Optional[str] = None
-                if oracle_mode:
-                    # No memo: the DL verdict depends on which persists
-                    # the cut contains, not just the image bytes.
-                    image = image_at_cut(graph, cut, base, check=False)
-                    result.stats.cuts_imaged += 1
-                    failure = oracle_check(cut, image)
-                    error = failure[0] if failure is not None else None
-                    condition = failure[1] if failure is not None else None
-                elif cut_key in memo:
+                if judge.image_only and cut_key in memo:
                     result.stats.cut_memo_hits += 1
-                    error = memo[cut_key]
+                    verdict = memo[cut_key]
                 else:
                     image = image_at_cut(graph, cut, base, check=False)
                     result.stats.cuts_imaged += 1
-                    try:
-                        check(image)
-                        error = None
-                    except Exception as exc:  # noqa: BLE001 - reported, not hidden
-                        error = str(exc)
-                    memo[cut_key] = error
-                if error is not None:
+                    verdict = judge.judge(cut, image).verdict
+                    if judge.image_only:
+                        memo[cut_key] = verdict
+                if verdict is not None:
                     _record(
                         result,
                         CheckViolation(
                             schedule_index=explored.index,
                             model=model,
                             cut=tuple(cut_members(cut)),
-                            error=error,
+                            error=verdict.error,
                             choices=explored.choices,
                             dag_key=dag_key,
                             cut_key=cut_key,
-                            condition=condition,
+                            condition=verdict.condition,
                         ),
                     )
                     if config.stop_at_first:
@@ -418,6 +413,24 @@ def check_runs(
             break
     _fold_engine_stats(result.stats, engine.stats)
     return result
+
+
+def _any_error_violates(
+    check: Callable[[NvramImage], None]
+) -> Callable[[NvramImage], None]:
+    """``check`` re-raising any exception as a same-message
+    :class:`~repro.errors.RecoveryError`: adapters may signal a
+    violation with any exception."""
+
+    def adapted(image: NvramImage) -> None:
+        try:
+            check(image)
+        except RecoveryError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - reported, not hidden
+            raise RecoveryError(str(exc)) from exc
+
+    return adapted
 
 
 def _fold_engine_stats(stats: CheckStats, engine_stats: EngineStats) -> None:

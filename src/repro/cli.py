@@ -506,6 +506,7 @@ def cmd_fuzz_minimize(args: argparse.Namespace) -> int:
         model=case.model,
         cuts="minimal",
         cut_seed=0,
+        faults=case.faults,
         oracle=case.oracle,
         crash_recovery=case.crash_recovery,
     )

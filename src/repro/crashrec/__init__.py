@@ -8,6 +8,7 @@ convergence, and invariant/durability preservation.
 """
 
 from repro.crashrec.harness import (
+    CRASH_ORACLES,
     CrashRecReport,
     CrashRecViolation,
     CrashSchedule,
@@ -18,6 +19,7 @@ from repro.crashrec.harness import (
 )
 
 __all__ = [
+    "CRASH_ORACLES",
     "CrashRecReport",
     "CrashRecViolation",
     "CrashSchedule",

@@ -60,6 +60,9 @@ Planner = Callable[[NvramImage], RepairPlan]
 #: persist ids (within that repair run's DAG) the crash cut kept.
 CrashSchedule = Tuple[Tuple[int, ...], ...]
 
+#: The repair oracles :func:`crash_recovery_check` judges.
+CRASH_ORACLES = ("idempotence", "convergence", "preservation")
+
 #: Checker returning an error string (None when the image passes); the
 #: harness never needs the distinction between invariant styles.
 ImageChecker = Callable[[NvramImage], Optional[str]]

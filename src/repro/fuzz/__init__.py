@@ -9,8 +9,9 @@ at each — with delta-debugging minimization of counterexamples and a
 disk corpus of deterministic, replayable repro files.
 
 Layout: :mod:`~repro.fuzz.targets` registers workloads behind one
-build/run/check interface; :mod:`~repro.fuzz.campaign` samples cases
-and owns the campaign's shard plan, worker, and fold;
+build/run/check interface; :mod:`~repro.fuzz.judge` judges a failure
+cut, for every caller; :mod:`~repro.fuzz.campaign` samples cases and
+owns the campaign's shard plan, worker, and fold;
 :mod:`~repro.fuzz.minimize` shrinks findings; and
 :mod:`~repro.fuzz.corpus` stores and replays them.
 
@@ -48,6 +49,7 @@ from repro.fuzz.corpus import (
     export_check_violations,
     replay_case,
 )
+from repro.fuzz.judge import CutJudge, CutVerdicts, Verdict, validate_axes
 from repro.fuzz.minimize import (
     MinimizeResult,
     MinimizeStats,
@@ -66,6 +68,8 @@ __all__ = [
     "CaseSpec",
     "CaseViolation",
     "Corpus",
+    "CutJudge",
+    "CutVerdicts",
     "Finding",
     "FuzzTarget",
     "MinimizeResult",
@@ -74,6 +78,7 @@ __all__ = [
     "ReproCase",
     "TARGETS",
     "TargetRun",
+    "Verdict",
     "case_from_check",
     "case_tasks",
     "execute_spec",
@@ -93,4 +98,5 @@ __all__ = [
     "sample_specs",
     "shrink_cut",
     "shrink_workload",
+    "validate_axes",
 ]

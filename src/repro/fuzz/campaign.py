@@ -3,20 +3,18 @@
 A campaign fuzzes one target: it samples ``budget`` case specs — each a
 (scheduler kind, scheduler seed, thread count, program size, persistency
 model, cut family, cut seed) tuple — runs every case through the target
-pipeline (build → run under the seeded schedule → persist DAG → recovery
-check at each injected failure cut), and aggregates per-case outcomes
-with event/persist/violation counters.
+pipeline (build → run under the seeded schedule → persist DAG → the
+run's :class:`~repro.fuzz.judge.CutJudge` at each injected failure cut),
+and aggregates per-case outcomes with event/persist/violation counters.
 
 With a fault axis configured (``CampaignConfig.faults``), each case
 additionally carries a serialized :class:`~repro.inject.plan.FaultPlan`
-and every cut image is materialized *faulty* through
-:func:`repro.inject.engine.materialize_faulty`.  Outcomes then classify
-each injected-fault image as **masked** (recovery unaffected),
-**detected** (quarantined with a diagnosis), **undetected** (an
-unhardened target's documented exposure), or — the campaign-failing
-verdict — **silent corruption**: a hardened target returned wrong state
-as good.  Genuine ordering violations (the clean image fails too) stay
-ordinary violations regardless of faults.
+and the judge materializes every cut image *faulty*.  Outcomes then
+count each injected-fault image as **masked**, **detected**,
+**undetected** (an unhardened target's documented exposure), or — the
+campaign-failing verdict — **silent corruption**: a hardened target
+returned wrong state as good.  Genuine ordering violations (the clean
+image fails too) stay ordinary violations regardless of faults.
 
 Cases are independent.  The module owns the campaign's one job form:
 :func:`plan_shards` batches the sampled cases into JSON-safe
@@ -33,19 +31,25 @@ so the finding can be minimized and replayed deterministically.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.analysis import analyze_graph
 from repro.core.recovery import FailureInjector
-from repro.crashrec import CrashRecReport, crash_recovery_check
-from repro.errors import FuzzError, RecoveryError
+from repro.errors import FuzzError
+from repro.fuzz.judge import (
+    ClassKey,
+    CutJudge,
+    CutVerdicts,
+    Verdict,
+    recorded_key,
+    validate_axes,
+)
 from repro.fuzz.targets import TargetRun, make_target
-from repro.histories.oracle import cut_checker, validate_oracle
 from repro.harness.cache import ResultStore
 from repro.harness.parallel import fan_out
 from repro.harness.runner import SEED_SPACE
-from repro.inject.engine import materialize_faulty
 from repro.inject.plan import FAULT_KINDS, FaultPlan
 from repro.sim.scheduler import (
     SCHEDULER_KINDS,
@@ -155,23 +159,14 @@ class CaseSpec:
 
 @dataclass(frozen=True)
 class CaseViolation:
-    """One recovery-invariant violation at one failure cut.
+    """One recorded violation at one failure cut.
 
-    ``silent`` marks the fault-injection verdict "silent corruption": a
-    hardened target's degrading recovery returned state its ground truth
-    refutes, while the clean image at the same cut recovers fine — the
-    injected fault, not the ordering model, produced wrong state that
-    went undetected.
-
-    ``condition`` names the correctness condition the cut broke under a
-    history oracle (``"dl"`` — durable linearizability only, or
-    ``"dl+bdl"`` — its buffered relaxation too); None for invariant-mode
-    violations, which carry no condition semantics.
-
-    ``crash`` names the crash-during-recovery oracle the cut's repair
-    broke (``"idempotence"``, ``"convergence"``, ``"preservation"``) and
-    ``crash_schedule`` the nested-crash cut sequence that exposed it;
-    both are None for ordinary (non-repair) violations.
+    The fields mirror the :class:`~repro.fuzz.judge.Verdict` it records:
+    ``silent`` marks silent corruption under fault injection,
+    ``condition`` the history-oracle condition broken (None for
+    invariant violations), and ``crash``/``crash_schedule`` the repair
+    oracle and nested-crash cut sequence of a repair violation (None
+    for ordinary violations).
     """
 
     cut: Tuple[int, ...]
@@ -247,84 +242,36 @@ class Finding:
     crash: Optional[str] = None
     crash_schedule: Optional[Tuple[Tuple[int, ...], ...]] = None
 
+    @property
+    def class_key(self) -> ClassKey:
+        """The verdict class the minimizer must keep reproducing."""
+        return recorded_key(self.spec.faults, self.condition, self.crash)
+
 
 @dataclass
 class CaseExecution:
-    """A case's program run and persist DAG (parent-process form)."""
+    """A case's program run, persist DAG and cut judge (parent-process
+    form)."""
 
     spec: CaseSpec
     run: TargetRun
     graph: object
     choices: Tuple[int, ...]
-    #: Lazily-built history-oracle cut checker (see
-    #: :func:`oracle_checker_for`); always None for invariant specs.
-    oracle_check: Optional[object] = None
-
-
-def oracle_checker_for(execution: CaseExecution):
-    """The execution's history-oracle cut checker, built once per run.
-
-    Returns None for invariant-oracle specs.  History extraction scans
-    the whole trace, so the checker is cached on the execution — the
-    minimizer probes hundreds of cuts of the same run.
-    """
-    if execution.spec.oracle == "invariant":
-        return None
-    if execution.oracle_check is None:
-        execution.oracle_check = cut_checker(
-            execution.run.trace,
-            execution.graph,
-            execution.run.history_spec,
-            execution.spec.oracle,
-        )
-    return execution.oracle_check
-
-
-def crashrec_check_for(
-    execution: CaseExecution, cut, image
-) -> CrashRecReport:
-    """Judge one cut image's repair through the nested-crash harness.
-
-    Shared by :func:`run_case` and the minimizer so both judge a cut
-    identically: the structure invariant backs the preservation oracle
-    (and, for history-oracle specs, the cut's DL/BDL verdict does too),
-    with the harness's baseline guard skipping preservation when the
-    un-repaired image already fails.
-    """
-    spec = execution.spec
-
-    def invariant(img) -> Optional[str]:
-        try:
-            execution.run.check(img)
-        except RecoveryError as exc:
-            return str(exc)
-        return None
-
-    adapted = None
-    oracle_check = oracle_checker_for(execution)
-    if oracle_check is not None:
-
-        def adapted(img, _cut=cut) -> Optional[str]:
-            failure = oracle_check(_cut, img)
-            return failure[0] if failure is not None else None
-
-    return crash_recovery_check(
-        execution.run.repair,
-        image,
-        spec.model,
-        depth=spec.crash_recovery,
-        check=invariant,
-        oracle_check=adapted,
-    )
+    judge: CutJudge
 
 
 def execute_spec(spec: CaseSpec) -> CaseExecution:
     """Build and run a case's program, recording its schedule.
 
     Returns the executed :class:`~repro.fuzz.targets.TargetRun`, the
-    persist DAG under the spec's model, and the recorded choices.
-    History oracles build with operation recording on so the run carries
-    the history spec the checker needs.
+    persist DAG under the spec's model, the recorded choices, and the
+    run's :class:`~repro.fuzz.judge.CutJudge`.  History oracles build
+    with operation recording on so the run carries the history spec the
+    judge needs.
+
+    Raises:
+        FuzzError: when the spec's oracle, fault and crash axes may not
+            be combined (see :func:`~repro.fuzz.judge.validate_axes`).
     """
     target = make_target(spec.target)
     recorder = ChoiceRecordingScheduler(
@@ -339,8 +286,21 @@ def execute_spec(spec: CaseSpec) -> CaseExecution:
     # The bitset domain also gives the injector mask-based cut
     # enumeration; the frozenset domain ("graph") is the oracle.
     graph = analyze_graph(run.trace, spec.model, domain="bitset").graph
+    judge = CutJudge.for_run(
+        run,
+        graph,
+        spec.model,
+        oracle=spec.oracle,
+        plan=spec.plan(),
+        crash_recovery=spec.crash_recovery or None,
+        hardened=target.hardened,
+    )
     return CaseExecution(
-        spec=spec, run=run, graph=graph, choices=tuple(recorder.choices)
+        spec=spec,
+        run=run,
+        graph=graph,
+        choices=tuple(recorder.choices),
+        judge=judge,
     )
 
 
@@ -364,212 +324,102 @@ def iter_case_images(spec: CaseSpec, injector: FailureInjector) -> Iterator:
 def run_case(
     spec: CaseSpec, index: int = 0, stop_at_first: bool = False
 ) -> CaseOutcome:
-    """Execute one case end-to-end and check every injected cut.
+    """Execute one case end-to-end and judge every injected cut.
 
-    ``stop_at_first`` stops scanning cuts at the first violation (the
-    minimizer's reproduce-check); campaigns scan the whole family so the
-    violation count is meaningful.
+    Each cut goes to the run's :class:`~repro.fuzz.judge.CutJudge`;
+    its verdicts are tallied into the outcome: violations (ordinary,
+    condition-classified under a history oracle, or repair-oracle
+    violations with ``spec.crash_recovery`` > 0) and silent corruption
+    are recorded, undetected faults sampled, and detected/masked faults
+    counted.
 
-    With a fault plan on the spec, every cut image is additionally
-    materialized faulty and each faulted image is classified:
-
-    * **masked** — recovery (and its ground-truth check) succeeds as if
-      the faults never happened;
-    * **detected** — degrading recovery quarantines diagnoses but what
-      it *returns* as good state checks out;
-    * **genuine violation** — the *clean* image at the same cut also
-      fails its plain check: the ordering model, not the fault, is at
-      fault, and the case reports an ordinary violation;
-    * **silent corruption** (hardened targets) / **undetected**
-      (unhardened) — recovery returned wrong state as good and only the
-      clean-image recheck reveals it.  Silent corruption is recorded as
-      a ``silent=True`` violation — the fault campaign's failure
-      verdict; undetected faults are counted as the unhardened target's
-      documented exposure.
-
-    Under a history oracle (``spec.oracle`` of ``"dl"`` or ``"bdl"``)
-    every cut is judged by the recorded operation history instead of the
-    target's ad-hoc invariant, and each violation carries the strongest
-    condition it breaks.  Fault injection composes with the recovery
-    *invariant*, not with history conditions, so a fault plan on a
-    history-oracle spec is rejected.
-
-    With ``spec.crash_recovery`` > 0 every judged cut image (the faulty
-    one when the plan's faults landed — repair must cope with device
-    damage too) additionally goes through the crash-during-recovery
-    harness; repair-oracle failures are recorded as violations carrying
-    their crash oracle and nested-crash schedule.
+    ``stop_at_first`` stops scanning cuts at the first violation;
+    campaigns scan the whole family so the violation count is
+    meaningful.
     """
-    validate_oracle(spec.oracle)
     execution = execute_spec(spec)
-    target = make_target(spec.target)
-    if spec.crash_recovery and not target.repairable:
-        raise FuzzError(
-            f"target {spec.target!r} has no repair procedure (required "
-            f"by crash-recovery mode)"
-        )
-    plan = spec.plan()
-    if plan is not None and spec.oracle != "invariant":
-        raise FuzzError(
-            "fault injection and history oracles are mutually exclusive: "
-            f"case has oracle {spec.oracle!r} and a fault plan"
-        )
-    oracle_check = oracle_checker_for(execution)
     injector = FailureInjector(execution.graph, execution.run.base_image)
-    cuts_checked = 0
-    violation_count = 0
-    violations: List[CaseViolation] = []
-    fault_images = 0
-    faults_injected = 0
-    fault_masked = 0
-    fault_detected = 0
-    fault_undetected = 0
-    silent_violation_count = 0
-    undetected: List[CaseViolation] = []
-    condition_counts: Dict[str, int] = {}
-    crash_repairs = 0
-    crash_nested_cuts = 0
-    crash_counts: Dict[str, int] = {}
-
-    def clean_image_violates(image) -> Optional[str]:
-        """The plain check's error on the clean cut image, if any."""
-        try:
-            execution.run.check(image)
-        except RecoveryError as exc:
-            return str(exc)
-        return None
-
-    def record_violation(
-        cut,
-        error: str,
-        silent: bool,
-        condition: Optional[str] = None,
-        crash: Optional[str] = None,
-        crash_schedule=None,
-    ) -> None:
-        nonlocal violation_count, silent_violation_count
-        violation_count += 1
-        if silent:
-            silent_violation_count += 1
-        if condition is not None:
-            condition_counts[condition] = (
-                condition_counts.get(condition, 0) + 1
-            )
-        if crash is not None:
-            crash_counts[crash] = crash_counts.get(crash, 0) + 1
-        if len(violations) < _MAX_RECORDED_VIOLATIONS:
-            violations.append(
-                CaseViolation(
-                    cut=tuple(sorted(cut)),
-                    error=error,
-                    silent=silent,
-                    condition=condition,
-                    crash=crash,
-                    crash_schedule=crash_schedule,
-                )
-            )
-
-    def judge_crashrec(cut, image) -> bool:
-        """Nested-crash repair oracles on one cut image; True on failure."""
-        nonlocal crash_repairs, crash_nested_cuts
-        report = crashrec_check_for(execution, cut, image)
-        crash_repairs += report.repairs
-        crash_nested_cuts += report.nested_cuts
-        for crash_violation in report.violations:
-            record_violation(
-                cut,
-                crash_violation.error,
-                silent=False,
-                crash=crash_violation.oracle,
-                crash_schedule=crash_violation.schedule,
-            )
-        return bool(report.violations)
-
-    crashrec = spec.crash_recovery > 0 and execution.run.repair is not None
-
-    for cut, image in iter_case_images(spec, injector):
-        cuts_checked += 1
-        faults = []
-        faulty = None
-        if plan is not None:
-            faulty, faults = materialize_faulty(
-                execution.graph, cut, execution.run.base_image, plan
-            )
-        if crashrec:
-            crashed = judge_crashrec(cut, faulty if faults else image)
-            if crashed and stop_at_first:
-                break
-        if oracle_check is not None:
-            failure = oracle_check(cut, image)
-            if failure is not None:
-                error, condition = failure
-                record_violation(
-                    cut, error, silent=False, condition=condition
-                )
-                if stop_at_first:
-                    break
-            continue
-        if not faults:
-            # Clean path: no plan, or the plan's dice injected nothing
-            # (the faulty image is then byte-identical to the clean one).
-            error = clean_image_violates(image)
-            if error is not None:
-                record_violation(cut, error, silent=False)
-                if stop_at_first:
-                    break
-            continue
-
-        fault_images += 1
-        faults_injected += len(faults)
-        checker = execution.run.check_report or execution.run.check
-        try:
-            report = checker(faulty)
-        except RecoveryError as exc:
-            # Recovery produced state the ground truth refutes.  Blame
-            # attribution: if the clean image at this cut also violates,
-            # the ordering model is broken regardless of faults.
-            clean_error = clean_image_violates(image)
-            if clean_error is not None:
-                record_violation(cut, clean_error, silent=False)
-                if stop_at_first:
-                    break
-            elif target.hardened:
-                record_violation(cut, str(exc), silent=True)
-                if stop_at_first:
-                    break
-            else:
-                fault_undetected += 1
-                if len(undetected) < _MAX_RECORDED_UNDETECTED:
-                    undetected.append(
-                        CaseViolation(cut=tuple(sorted(cut)), error=str(exc))
-                    )
-            continue
-        if execution.run.check_report is not None and report.quarantined:
-            fault_detected += len(report.quarantined)
-        else:
-            fault_masked += 1
-
-    return CaseOutcome(
+    outcome = CaseOutcome(
         spec=spec,
         index=index,
         events=len(execution.run.trace),
         persists=injector.persist_count,
-        cuts_checked=cuts_checked,
-        violation_count=violation_count,
-        violations=violations,
-        choices=execution.choices if violation_count else None,
-        fault_images=fault_images,
-        faults_injected=faults_injected,
-        fault_masked=fault_masked,
-        fault_detected=fault_detected,
-        fault_undetected=fault_undetected,
-        silent_violation_count=silent_violation_count,
-        undetected=undetected,
-        condition_counts=condition_counts,
-        crash_repairs=crash_repairs,
-        crash_nested_cuts=crash_nested_cuts,
-        crash_counts=crash_counts,
+        cuts_checked=0,
+        violation_count=0,
     )
+    for cut, image in iter_case_images(spec, injector):
+        outcome.cuts_checked += 1
+        judged = execution.judge.judge(cut, image)
+        if _tally(outcome, cut, judged, stop_at_first):
+            break
+    if outcome.violation_count:
+        outcome.choices = execution.choices
+    return outcome
+
+
+def _tally(
+    outcome: CaseOutcome,
+    cut: Iterable[int],
+    judged: CutVerdicts,
+    stop_at_first: bool,
+) -> bool:
+    """Fold one cut's verdicts into ``outcome``; True to stop scanning.
+
+    Repair-oracle violations come first; with ``stop_at_first`` they
+    end the scan before the cut's own verdict is counted.
+    """
+    outcome.crash_repairs += judged.repairs
+    outcome.crash_nested_cuts += judged.nested_cuts
+    for verdict in judged.crash:
+        _record(outcome, cut, verdict)
+    if stop_at_first and judged.crash:
+        return True
+    if judged.faults:
+        outcome.fault_images += 1
+        outcome.faults_injected += judged.faults
+    verdict = judged.verdict
+    if verdict is None:
+        return False
+    if verdict.kind == "masked":
+        outcome.fault_masked += 1
+    elif verdict.kind == "detected":
+        outcome.fault_detected += len(verdict.report.quarantined)
+    elif verdict.kind == "undetected":
+        outcome.fault_undetected += 1
+        if len(outcome.undetected) < _MAX_RECORDED_UNDETECTED:
+            outcome.undetected.append(
+                CaseViolation(cut=tuple(sorted(cut)), error=verdict.error)
+            )
+    else:
+        _record(outcome, cut, verdict)
+        return stop_at_first
+    return False
+
+
+def _record(
+    outcome: CaseOutcome, cut: Iterable[int], verdict: Verdict
+) -> None:
+    """Count one violation exactly; keep the first few in full."""
+    outcome.violation_count += 1
+    if verdict.kind == "silent":
+        outcome.silent_violation_count += 1
+    if verdict.condition is not None:
+        counts = outcome.condition_counts
+        counts[verdict.condition] = counts.get(verdict.condition, 0) + 1
+    if verdict.crash is not None:
+        counts = outcome.crash_counts
+        counts[verdict.crash] = counts.get(verdict.crash, 0) + 1
+    if len(outcome.violations) < _MAX_RECORDED_VIOLATIONS:
+        outcome.violations.append(
+            CaseViolation(
+                cut=tuple(sorted(cut)),
+                error=verdict.error,
+                silent=verdict.kind == "silent",
+                condition=verdict.condition,
+                crash=verdict.crash,
+                crash_schedule=verdict.schedule,
+            )
+        )
 
 
 def _schedule_to_wire(schedule) -> Optional[List[List[int]]]:
@@ -739,28 +589,14 @@ class CampaignConfig:
                     f"unknown fault kind {kind!r}; expected one of "
                     f"{FAULT_KINDS}"
                 )
-        validate_oracle(self.oracle)
-        if self.oracle != "invariant":
-            if not target.recordable:
-                raise FuzzError(
-                    f"target {self.target!r} does not record operation "
-                    f"histories (required by the dl/bdl oracles)"
-                )
-            if self.faults:
-                raise FuzzError(
-                    "fault injection and history oracles are mutually "
-                    "exclusive: drop --faults or use the invariant oracle"
-                )
-        if self.crash_recovery < 0:
-            raise FuzzError(
-                f"crash-recovery depth must be non-negative, got "
-                f"{self.crash_recovery}"
-            )
-        if self.crash_recovery and not target.repairable:
-            raise FuzzError(
-                f"target {self.target!r} has no repair procedure "
-                f"(required by --crash-recovery)"
-            )
+        validate_axes(
+            self.oracle,
+            recordable=target.recordable,
+            repairable=target.repairable,
+            faults=bool(self.faults),
+            crash_recovery=self.crash_recovery or None,
+            target=self.target,
+        )
 
     def describe(self) -> Dict[str, object]:
         """JSON dict of everything that determines sampled outcomes.
@@ -783,6 +619,19 @@ class CampaignConfig:
         }
 
 
+def _total(name: str, doc: str, per_key: bool = False) -> property:
+    """A campaign total: every outcome's ``name`` counter summed, key by
+    key for ``per_key`` tallies."""
+
+    def total(self: "CampaignResult"):
+        values = [getattr(outcome, name) for outcome in self.outcomes]
+        if not per_key:
+            return sum(values)
+        return dict(sum(map(Counter, values), Counter()))
+
+    return property(total, doc=doc)
+
+
 @dataclass
 class CampaignResult:
     """Aggregated outcomes of one campaign."""
@@ -800,83 +649,51 @@ class CampaignResult:
         """Cases with at least one recovery violation."""
         return sum(1 for outcome in self.outcomes if outcome.violation_count)
 
-    @property
-    def violations(self) -> int:
-        """Total (cut, invariant) violations across all cases."""
-        return sum(outcome.violation_count for outcome in self.outcomes)
-
-    @property
-    def cuts_checked(self) -> int:
-        """Total failure cuts materialised and checked."""
-        return sum(outcome.cuts_checked for outcome in self.outcomes)
-
-    @property
-    def fault_images(self) -> int:
-        """Cut images where at least one fault actually landed."""
-        return sum(outcome.fault_images for outcome in self.outcomes)
-
-    @property
-    def faults_injected(self) -> int:
-        """Total faults injected across the campaign."""
-        return sum(outcome.faults_injected for outcome in self.outcomes)
-
-    @property
-    def fault_masked(self) -> int:
-        """Faulted images recovery shrugged off."""
-        return sum(outcome.fault_masked for outcome in self.outcomes)
-
-    @property
-    def fault_detected(self) -> int:
-        """Diagnoses quarantined by degrading recovery."""
-        return sum(outcome.fault_detected for outcome in self.outcomes)
-
-    @property
-    def fault_undetected(self) -> int:
-        """Mis-recoveries on unhardened targets (documented exposure)."""
-        return sum(outcome.fault_undetected for outcome in self.outcomes)
-
-    @property
-    def silent_corruptions(self) -> int:
-        """Silent-corruption violations — the fault campaign's failure
-        verdict: a hardened target returned wrong state as good."""
-        return sum(
-            outcome.silent_violation_count for outcome in self.outcomes
-        )
-
-    @property
-    def condition_counts(self) -> Dict[str, int]:
-        """Total violations per broken condition ("dl", "dl+bdl").
-
-        Empty for invariant-oracle campaigns, which carry no condition
-        semantics.
-        """
-        totals: Dict[str, int] = {}
-        for outcome in self.outcomes:
-            for condition, count in outcome.condition_counts.items():
-                totals[condition] = totals.get(condition, 0) + count
-        return totals
-
-    @property
-    def crash_repairs(self) -> int:
-        """Repair executions across all crash-recovery explorations."""
-        return sum(outcome.crash_repairs for outcome in self.outcomes)
-
-    @property
-    def crash_nested_cuts(self) -> int:
-        """Nested crash cuts of repair runs explored."""
-        return sum(outcome.crash_nested_cuts for outcome in self.outcomes)
-
-    @property
-    def crash_counts(self) -> Dict[str, int]:
-        """Total violations per crash-recovery oracle.
-
-        Empty unless the campaign ran with ``crash_recovery`` > 0.
-        """
-        totals: Dict[str, int] = {}
-        for outcome in self.outcomes:
-            for oracle, count in outcome.crash_counts.items():
-                totals[oracle] = totals.get(oracle, 0) + count
-        return totals
+    violations = _total(
+        "violation_count", "Total (cut, invariant) violations in all cases."
+    )
+    cuts_checked = _total(
+        "cuts_checked", "Total failure cuts materialised and checked."
+    )
+    fault_images = _total(
+        "fault_images", "Cut images where at least one fault actually landed."
+    )
+    faults_injected = _total(
+        "faults_injected", "Total faults injected across the campaign."
+    )
+    fault_masked = _total(
+        "fault_masked", "Faulted images recovery shrugged off."
+    )
+    fault_detected = _total(
+        "fault_detected", "Diagnoses quarantined by degrading recovery."
+    )
+    fault_undetected = _total(
+        "fault_undetected",
+        "Mis-recoveries on unhardened targets (documented exposure).",
+    )
+    silent_corruptions = _total(
+        "silent_violation_count",
+        "Silent-corruption violations — the fault campaign's failure "
+        "verdict: a hardened target returned wrong state as good.",
+    )
+    condition_counts = _total(
+        "condition_counts",
+        'Total violations per broken condition ("dl", "dl+bdl"); empty for '
+        "invariant-oracle campaigns, which carry no condition semantics.",
+        per_key=True,
+    )
+    crash_repairs = _total(
+        "crash_repairs", "Repair executions across all crash explorations."
+    )
+    crash_nested_cuts = _total(
+        "crash_nested_cuts", "Nested crash cuts of repair runs explored."
+    )
+    crash_counts = _total(
+        "crash_counts",
+        "Total violations per crash-recovery oracle; empty unless the "
+        "campaign ran with ``crash_recovery`` > 0.",
+        per_key=True,
+    )
 
     @property
     def crash_violations(self) -> int:

@@ -12,13 +12,13 @@ leave complete entries either way.
 Replay is policy-independent: the recorded choices drive a
 :class:`~repro.sim.scheduler.ReplayScheduler`, so the exact execution is
 reproduced even if scheduler implementations change; the cut is then
-re-applied and the target's recovery invariant re-checked.  A case
-carrying a fault plan (:mod:`repro.inject`) re-materializes the *same*
-faulty image — the engine is fully seeded — and re-runs the degrading
-checker, so the replayed :class:`~repro.inject.report.RecoveryReport`
-is identical to the original.  A repro that no longer reproduces (e.g.
-the workload changed underneath it) reports a stale-entry diagnosis
-rather than crashing.
+re-applied and re-judged by the same :class:`~repro.fuzz.judge.CutJudge`
+the campaign uses.  A case carrying a fault plan (:mod:`repro.inject`)
+re-materializes the *same* faulty image — the engine is fully seeded —
+so the replayed :class:`~repro.inject.report.RecoveryReport` is
+identical to the original.  A repro that no longer reproduces (e.g. the
+workload changed underneath it) reports a stale-entry diagnosis rather
+than crashing.
 """
 
 from __future__ import annotations
@@ -32,13 +32,17 @@ if TYPE_CHECKING:  # layering: fuzz only needs the violation's fields
     from repro.check.checker import CheckViolation
 
 from repro.core.analysis import analyze_graph
-from repro.core.recovery import image_at_cut, is_consistent_cut
-from repro.crashrec import crash_recovery_check
-from repro.errors import FuzzError, RecoveryError, SimulationError
+from repro.core.recovery import is_consistent_cut
+from repro.errors import FuzzError, SimulationError
+from repro.fuzz.judge import (
+    FAILING,
+    ClassKey,
+    CutJudge,
+    recorded_key,
+    validate_axes,
+)
 from repro.fuzz.targets import make_target
 from repro.harness.cache import atomic_write, content_digest, quarantine_file
-from repro.histories.oracle import cut_checker
-from repro.inject.engine import materialize_faulty
 from repro.inject.plan import FaultPlan
 from repro.inject.report import RecoveryReport
 from repro.sim.scheduler import ReplayScheduler, make_scheduler
@@ -87,6 +91,12 @@ class ReproCase:
     crash_schedule: Optional[Tuple[Tuple[int, ...], ...]] = None
     crash_recovery: int = 0
 
+    def plan(self) -> Optional[FaultPlan]:
+        """The case's fault plan, decoded, or None for a clean case."""
+        if self.faults is None:
+            return None
+        return FaultPlan.from_json(self.faults)
+
     def describe(self) -> Dict[str, object]:
         """JSON dict representation (exactly what is written to disk)."""
         return {
@@ -119,10 +129,12 @@ class ReproCase:
 
         ``faults``, ``oracle``, ``condition`` and the ``crash*`` fields
         may be absent (entries written before the fields existed load as
-        clean invariant cases).
+        clean invariant cases).  The axes are held to the rules a
+        campaign is (see :func:`~repro.fuzz.judge.validate_axes`).
 
         Raises:
-            FuzzError: on a malformed or wrong-version payload.
+            FuzzError: on a malformed or wrong-version payload, an
+                unknown target, or axes a campaign would reject.
         """
         try:
             if payload["version"] != CORPUS_FORMAT_VERSION:
@@ -134,7 +146,7 @@ class ReproCase:
             condition = payload.get("condition")
             crash = payload.get("crash")
             schedule = payload.get("crash_schedule")
-            return cls(
+            case = cls(
                 target=str(payload["target"]),
                 threads=int(payload["threads"]),
                 ops=int(payload["ops"]),
@@ -161,6 +173,23 @@ class ReproCase:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise FuzzError(f"malformed repro payload: {exc}") from exc
+        target = make_target(case.target)
+        repair = case.crash is not None or case.crash_recovery != 0
+        validate_axes(
+            case.oracle,
+            recordable=target.recordable,
+            repairable=target.repairable,
+            faults=case.faults is not None,
+            crash_recovery=case.crash_recovery if repair else None,
+            crash=case.crash,
+            target=case.target,
+        )
+        return case
+
+    @property
+    def class_key(self) -> ClassKey:
+        """The verdict class replay must get back to reproduce."""
+        return recorded_key(self.faults, self.condition, self.crash)
 
     def key(self) -> str:
         """Content digest identifying this case (names its corpus file)."""
@@ -186,23 +215,21 @@ class ReplayResult:
 
 
 def replay_case(case: ReproCase) -> ReplayResult:
-    """Re-execute a repro case and re-check its failure cut.
+    """Re-execute a repro case and re-judge its failure cut.
 
     The recorded choices drive a :class:`ReplayScheduler` (falling back
     to the original seeded scheduler when a case carries none), the
-    persist DAG is rebuilt under the case's model, and the cut's image
-    is handed to the target's recovery checker.  With a fault plan the
-    image is re-materialized faulty (bit-identically — every injection
-    decision is seeded) and the degrading checker re-run.  A history
-    oracle case rebuilds the program with operation recording on and
-    re-judges the cut with the same oracle; reproducing under a
-    *different* condition than recorded counts as stale.  A
-    crash-during-recovery case re-explores nested crashes of the
-    target's repair procedure at the recorded cut (on the re-faulted
-    image when a fault plan rides along) and reproduces exactly when the
-    recorded repair oracle breaks again; breaking only a different
-    repair oracle counts as stale.  ``reproduced`` is True exactly when
-    the checker raises the violation again.
+    persist DAG is rebuilt under the case's model (with operation
+    recording on for a history oracle), and the run's
+    :class:`~repro.fuzz.judge.CutJudge` judges the recorded cut — on
+    the bit-identically re-faulted image when a fault plan rides along,
+    and exploring nested crashes of repair for a repair-oracle case.
+
+    ``reproduced`` is True exactly when a verdict of the case's class
+    key comes back.  A different failing verdict of the same family (a
+    different condition, verdict kind, or repair oracle) reports the
+    repro stale, as does a schedule, cut or axis that no longer fits
+    the rebuilt run.
     """
     target = make_target(case.target)
     if case.choices:
@@ -218,133 +245,64 @@ def replay_case(case: ReproCase) -> ReplayResult:
         )
     except SimulationError as exc:
         return ReplayResult(
-            reproduced=False,
-            detail=f"stale repro: recorded schedule no longer applies ({exc})",
+            False, f"stale repro: recorded schedule no longer applies ({exc})"
         )
     graph = analyze_graph(run.trace, case.model).graph
     if not is_consistent_cut(graph, case.cut):
         return ReplayResult(
-            reproduced=False,
-            detail=(
-                "stale repro: recorded cut is not a consistent cut of the "
-                "rebuilt persist DAG"
-            ),
+            False,
+            "stale repro: recorded cut is not a consistent cut of the "
+            "rebuilt persist DAG",
         )
-    if case.crash is not None:
-        if run.repair is None:
-            return ReplayResult(
-                reproduced=False,
-                detail=(
-                    "stale repro: target no longer exposes a repair "
-                    "procedure"
-                ),
-            )
-        if case.faults is not None:
-            plan = FaultPlan.from_json(case.faults)
-            image, _ = materialize_faulty(
-                graph, case.cut, run.base_image, plan
-            )
-        else:
-            image = image_at_cut(graph, case.cut, run.base_image, check=False)
-
-        def invariant(img):
-            try:
-                run.check(img)
-            except RecoveryError as exc:
-                return str(exc)
-            return None
-
-        oracle_check = None
-        if case.oracle != "invariant":
-            cut_check = cut_checker(
-                run.trace, graph, run.history_spec, case.oracle
-            )
-
-            def oracle_check(img, _cut=case.cut):
-                failure = cut_check(_cut, img)
-                return failure[0] if failure is not None else None
-
-        report = crash_recovery_check(
-            run.repair,
-            image,
+    try:
+        judge = CutJudge.for_run(
+            run,
+            graph,
             case.model,
-            depth=case.crash_recovery,
-            check=invariant,
-            oracle_check=oracle_check,
+            oracle=case.oracle,
+            plan=case.plan(),
+            crash_recovery=None if case.crash is None else case.crash_recovery,
+            hardened=target.hardened,
         )
-        matching = [
-            violation
-            for violation in report.violations
-            if violation.oracle == case.crash
-        ]
-        if matching:
-            return ReplayResult(reproduced=True, detail=matching[0].error)
-        if report.violations:
-            others = ", ".join(
-                sorted({v.oracle for v in report.violations})
-            )
+    except FuzzError as exc:
+        return ReplayResult(False, f"stale repro: {exc}")
+    judged = judge.judge(case.cut)
+    match = judged.find(case.class_key)
+    if match is not None:
+        return ReplayResult(True, match.error, condition=match.condition)
+    held = "at the recorded cut"
+    if case.crash is not None:
+        others = ", ".join(sorted({verdict.crash for verdict in judged.crash}))
+        if others:
             return ReplayResult(
-                reproduced=False,
-                detail=(
-                    f"stale repro: repair now breaks {others}, not the "
-                    f"recorded {case.crash} oracle"
-                ),
+                False,
+                f"stale repro: repair now breaks {others}, not the recorded "
+                f"{case.crash} oracle",
             )
-        return ReplayResult(
-            reproduced=False,
-            detail=(
-                f"the {case.crash} repair oracle held at the recorded cut"
-            ),
-        )
+        return ReplayResult(False, f"the {case.crash} repair oracle held {held}")
+    verdict = judged.verdict
     if case.oracle != "invariant":
-        check = cut_checker(run.trace, graph, run.history_spec, case.oracle)
-        image = image_at_cut(graph, case.cut, run.base_image, check=False)
-        failure = check(case.cut, image)
-        if failure is None:
-            return ReplayResult(
-                reproduced=False,
-                detail=(
-                    f"the {case.oracle} oracle held at the recorded cut"
-                ),
-            )
-        error, condition = failure
-        if case.condition is not None and condition != case.condition:
-            return ReplayResult(
-                reproduced=False,
-                detail=(
-                    f"stale repro: cut now breaks condition {condition!r}, "
-                    f"not the recorded {case.condition!r}"
-                ),
-                condition=condition,
-            )
+        if verdict is None:
+            return ReplayResult(False, f"the {case.oracle} oracle held {held}")
         return ReplayResult(
-            reproduced=True, detail=error, condition=condition
+            False,
+            f"stale repro: cut now breaks condition {verdict.condition!r}, "
+            f"not the recorded {case.condition!r}",
+            condition=verdict.condition,
+        )
+    if verdict is not None and verdict.kind in FAILING:
+        return ReplayResult(
+            False,
+            f"stale repro: cut now judges {verdict.kind}, not the recorded "
+            f"{case.class_key[0]}",
         )
     if case.faults is not None:
-        plan = FaultPlan.from_json(case.faults)
-        image, _ = materialize_faulty(graph, case.cut, run.base_image, plan)
-        checker = run.check_report or run.check
-        try:
-            report = checker(image)
-        except RecoveryError as exc:
-            return ReplayResult(reproduced=True, detail=str(exc))
         return ReplayResult(
-            reproduced=False,
-            detail=(
-                "degrading recovery handled the injected faults at the "
-                "recorded cut"
-            ),
-            report=report if isinstance(report, RecoveryReport) else None,
+            False,
+            f"degrading recovery handled the injected faults {held}",
+            report=None if verdict is None else verdict.report,
         )
-    image = image_at_cut(graph, case.cut, run.base_image, check=False)
-    try:
-        run.check(image)
-    except RecoveryError as exc:
-        return ReplayResult(reproduced=True, detail=str(exc))
-    return ReplayResult(
-        reproduced=False,
-        detail="recovery invariant held at the recorded cut",
-    )
+    return ReplayResult(False, f"recovery invariant held {held}")
 
 
 def case_from_check(

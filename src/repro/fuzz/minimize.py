@@ -10,7 +10,7 @@ candidate shrink and keeping only changes that still violate:
    target's floor (halving first, then decrementing), then reduce the
    thread count the same way.  Each candidate re-runs the full pipeline
    under the same seeded scheduler; a candidate "reproduces" when any
-   cut of the spec's family still violates the recovery invariant.
+   cut of the spec's family still yields the finding's verdict class.
 2. **Cut shrink** — on the final workload, restart from the smallest
    violating per-persist *minimal cut* (the persist and its ancestors,
    nothing else), then greedily remove persists: dropping a persist
@@ -21,18 +21,13 @@ The result is a :class:`~repro.fuzz.corpus.ReproCase` carrying the
 shrunk spec, the recorded schedule choices of its final run, and the
 minimal violating cut — deterministic to replay by construction.
 
-History-oracle findings (``--oracle dl``/``bdl``) shrink against the
-same oracle with the violated *condition* pinned: a candidate that
-still violates, but under a different condition than the original
-finding, is rejected, and the final (spec, cut) is re-judged once more
-— a classification change there fails loudly instead of silently
-relabeling the bug.
-
-Crash-during-recovery findings (``--crash-recovery``) are pinned the
-same way on their *crash oracle* (idempotence, convergence,
-preservation): every candidate must still break that exact repair
-oracle, and the final re-judge records the minimized nested-crash
-schedule the corpus replays.
+Every judgement goes through the run's
+:class:`~repro.fuzz.judge.CutJudge`, pinned to the finding's class key
+``(kind, condition, crash)``: a candidate that still fails, but under a
+different history-oracle condition (``--oracle dl``/``bdl``), repair
+oracle (``--crash-recovery``) or verdict kind, is rejected — shrinking
+never relabels the bug.  The final cut's verdict supplies the repro's
+error, condition and nested-crash schedule.
 """
 
 from __future__ import annotations
@@ -40,22 +35,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from repro.core.recovery import FailureInjector, image_at_cut, minimal_cut
-from repro.errors import FuzzError, RecoveryError
+from repro.core.recovery import FailureInjector, minimal_cut
+from repro.errors import FuzzError
 from repro.fuzz.campaign import (
     CampaignResult,
     CaseExecution,
     CaseSpec,
     Finding,
-    crashrec_check_for,
     execute_spec,
     iter_case_images,
-    oracle_checker_for,
-    run_case,
 )
 from repro.fuzz.corpus import Corpus, ReproCase
+from repro.fuzz.judge import ClassKey, Verdict
 from repro.fuzz.targets import make_target
-from repro.inject.engine import materialize_faulty
+
+#: The class key of an ordinary invariant violation.
+ORDINARY: ClassKey = ("violation", None, None)
 
 
 @dataclass
@@ -74,37 +69,29 @@ class MinimizeResult:
     stats: MinimizeStats
 
 
-def _reproduces(
-    spec: CaseSpec,
-    stats: MinimizeStats,
-    condition: Optional[str] = None,
-    crash: Optional[str] = None,
-) -> bool:
-    """Does any cut of ``spec``'s family still violate its oracle?
+def _first_match(
+    execution: CaseExecution,
+    key: ClassKey,
+    stats: Optional[MinimizeStats] = None,
+) -> Optional[Tuple[frozenset, Verdict]]:
+    """The first cut of the spec's own family yielding ``key``, if any.
 
-    With ``condition`` set (a history-oracle finding), only violations
-    of that exact condition count — shrinking must preserve the
-    classification, so the whole cut family is scanned and the
-    condition tally consulted instead of stopping at the first
-    violation of any kind.  ``crash`` pins a crash-during-recovery
-    finding to its repair oracle the same way; conversely, an ordinary
-    finding on a crash-recovery spec must keep reproducing *without*
-    counting repair violations.
+    Counts every cut judged in ``stats`` when one is given.
     """
+    injector = FailureInjector(execution.graph, execution.run.base_image)
+    for cut, image in iter_case_images(execution.spec, injector):
+        if stats is not None:
+            stats.cut_checks += 1
+        verdict = execution.judge.judge(cut, image).find(key)
+        if verdict is not None:
+            return frozenset(cut), verdict
+    return None
+
+
+def _reproduces(spec: CaseSpec, stats: MinimizeStats, key: ClassKey) -> bool:
+    """Does any cut of ``spec``'s family still yield class ``key``?"""
     stats.runs += 1
-    if crash is not None:
-        outcome = run_case(spec)
-        return outcome.crash_counts.get(crash, 0) > 0
-    if condition is None:
-        if spec.crash_recovery:
-            outcome = run_case(spec)
-            return outcome.violation_count > sum(
-                outcome.crash_counts.values()
-            )
-        outcome = run_case(spec, stop_at_first=True)
-        return outcome.violation_count > 0
-    outcome = run_case(spec)
-    return outcome.condition_counts.get(condition, 0) > 0
+    return _first_match(execute_spec(spec), key) is not None
 
 
 def _shrunk_candidates(value: int, floor: int) -> Iterable[int]:
@@ -119,20 +106,19 @@ def _shrunk_candidates(value: int, floor: int) -> Iterable[int]:
 def shrink_workload(
     spec: CaseSpec,
     stats: Optional[MinimizeStats] = None,
-    condition: Optional[str] = None,
-    crash: Optional[str] = None,
+    key: ClassKey = ORDINARY,
 ) -> CaseSpec:
     """Stage 1: shrink ops then threads while the case still reproduces.
 
-    ``condition`` pins the history-oracle classification and ``crash``
-    the crash-during-recovery oracle: candidates that still violate,
-    but under a different classification, are rejected.
+    A candidate reproduces when a cut of its family still yields a
+    verdict of class ``key``; candidates that still fail, but under a
+    different class, are rejected.
 
     Raises:
         FuzzError: when ``spec`` does not reproduce to begin with.
     """
     stats = stats if stats is not None else MinimizeStats()
-    if not _reproduces(spec, stats, condition, crash):
+    if not _reproduces(spec, stats, key):
         raise FuzzError(
             f"case does not reproduce; nothing to minimize: {spec}"
         )
@@ -151,140 +137,44 @@ def shrink_workload(
                 candidate = CaseSpec(
                     **{**current.describe(), fieldname: candidate_value}
                 )
-                if _reproduces(candidate, stats, condition, crash):
+                if _reproduces(candidate, stats, key):
                     current = candidate
                     progress = True
                     break
     return current
 
 
-def _check_cut(
-    execution: CaseExecution,
-    cut: Iterable[int],
-    image=None,
-    condition: Optional[str] = None,
-    crash: Optional[str] = None,
-) -> Optional[str]:
-    """The recovery error at ``cut``, or None when the invariant holds.
-
-    A clean spec checks the (possibly pre-materialized) cut image with
-    the plain checker.  A fault-plan spec re-materializes the cut
-    *faulty* — the engine is seeded, so the same faults land — and runs
-    the degrading checker: the minimizer's violation predicate is then
-    "degrading recovery returned wrong state as good", the same raise
-    the campaign classified as silent corruption.  A history-oracle
-    spec judges the cut with its oracle; with ``condition`` set, a
-    violation of a *different* condition counts as not violating (the
-    shrink must preserve the classification).  With ``crash`` set the
-    cut is judged by the nested-crash harness instead, and only
-    violations of that exact repair oracle count.
-    """
-    if crash is not None:
-        plan = execution.spec.plan()
-        if plan is not None:
-            image, _ = materialize_faulty(
-                execution.graph, cut, execution.run.base_image, plan
-            )
-        elif image is None:
-            image = image_at_cut(
-                execution.graph, cut, execution.run.base_image, check=False
-            )
-        report = crashrec_check_for(execution, cut, image)
-        for violation in report.violations:
-            if violation.oracle == crash:
-                return violation.error
-        return None
-    oracle_check = oracle_checker_for(execution)
-    if oracle_check is not None:
-        if image is None:
-            image = image_at_cut(
-                execution.graph, cut, execution.run.base_image, check=False
-            )
-        failure = oracle_check(cut, image)
-        if failure is None:
-            return None
-        error, found = failure
-        if condition is not None and found != condition:
-            return None
-        return error
-    plan = execution.spec.plan()
-    if plan is None:
-        if image is None:
-            image = image_at_cut(
-                execution.graph, cut, execution.run.base_image, check=False
-            )
-        checker = execution.run.check
-    else:
-        image, _ = materialize_faulty(
-            execution.graph, cut, execution.run.base_image, plan
-        )
-        checker = execution.run.check_report or execution.run.check
-    try:
-        checker(image)
-    except RecoveryError as exc:
-        return str(exc)
-    return None
-
-
-def _violates_at(
-    execution: CaseExecution,
-    cut: Iterable[int],
-    stats: MinimizeStats,
-    condition: Optional[str] = None,
-    crash: Optional[str] = None,
-) -> Optional[str]:
-    """Counted wrapper around :func:`_check_cut`."""
-    stats.cut_checks += 1
-    return _check_cut(execution, cut, condition=condition, crash=crash)
-
-
-def _first_violating_cut(
-    execution: CaseExecution,
-    stats: MinimizeStats,
-    condition: Optional[str] = None,
-    crash: Optional[str] = None,
-) -> Tuple[frozenset, str]:
-    """The first violating cut of the spec's own family.
-
-    Raises:
-        FuzzError: when no cut of the family violates (the caller must
-            pass a spec that reproduces).
-    """
-    injector = FailureInjector(execution.graph, execution.run.base_image)
-    for cut, image in iter_case_images(execution.spec, injector):
-        stats.cut_checks += 1
-        error = _check_cut(
-            execution, cut, image=image, condition=condition, crash=crash
-        )
-        if error is not None:
-            return frozenset(cut), error
-    raise FuzzError(
-        f"spec stopped reproducing during cut minimization: "
-        f"{execution.spec}"
-    )
-
-
 def shrink_cut(
     execution: CaseExecution,
     stats: Optional[MinimizeStats] = None,
     max_checks: int = 600,
-    condition: Optional[str] = None,
-    crash: Optional[str] = None,
-) -> Tuple[frozenset, str]:
+    key: ClassKey = ORDINARY,
+) -> Tuple[frozenset, Verdict]:
     """Stage 2: shrink toward a minimal consistent cut still violating.
 
-    Starts from the first violating cut of the spec's family, restarts
-    from the smallest violating per-persist minimal cut inside it, then
-    greedily removes persists (each with its in-cut descendants, so
-    every candidate stays downward-closed).  ``max_checks`` bounds the
-    total invariant evaluations; the best cut so far is returned when
-    the budget runs out.  ``condition`` pins the history-oracle
-    classification and ``crash`` the repair oracle every kept cut must
-    reproduce.
+    Starts from the first cut of the spec's family yielding class
+    ``key``, restarts from the smallest such per-persist minimal cut
+    inside it, then greedily removes persists (each with its in-cut
+    descendants, so every candidate stays downward-closed).
+    ``max_checks`` bounds the total cut judgements; the best cut so far
+    is returned when the budget runs out, with its verdict.
+
+    Raises:
+        FuzzError: when no cut of the family yields ``key``.
     """
     stats = stats if stats is not None else MinimizeStats()
     graph = execution.graph
-    cut, error = _first_violating_cut(execution, stats, condition, crash)
+    found = _first_match(execution, key, stats)
+    if found is None:
+        raise FuzzError(
+            f"spec stopped reproducing during cut minimization: "
+            f"{execution.spec}"
+        )
+    cut, verdict = found
+
+    def check(candidate) -> Optional[Verdict]:
+        stats.cut_checks += 1
+        return execution.judge.judge(candidate).find(key)
 
     # Restart from the most adversarial single-persist explanation.
     by_size = sorted(cut, key=lambda pid: (len(minimal_cut(graph, pid)), pid))
@@ -293,10 +183,10 @@ def shrink_cut(
         if len(candidate) >= len(cut):
             break
         if stats.cut_checks >= max_checks:
-            return cut, error
-        found = _violates_at(execution, candidate, stats, condition, crash)
-        if found is not None:
-            cut, error = candidate, found
+            return cut, verdict
+        shrunk = check(candidate)
+        if shrunk is not None:
+            cut, verdict = candidate, shrunk
             break
 
     # Greedy removal: drop a persist plus its in-cut descendants.
@@ -312,14 +202,12 @@ def shrink_cut(
                 continue
             if stats.cut_checks >= max_checks:
                 break
-            found = _violates_at(
-                execution, candidate, stats, condition, crash
-            )
-            if found is not None:
-                cut, error = candidate, found
+            shrunk = check(candidate)
+            if shrunk is not None:
+                cut, verdict = candidate, shrunk
                 progress = True
                 break
-    return cut, error
+    return cut, verdict
 
 
 def minimize_finding(
@@ -327,77 +215,20 @@ def minimize_finding(
 ) -> MinimizeResult:
     """Minimize one campaign finding into a replayable repro case.
 
-    Shrinks the workload, then the cut, then re-executes the final spec
-    once to record the schedule choices the corpus replays.
-
-    A history-oracle finding's condition classification is pinned
-    through every shrink stage and re-validated once more on the final
-    (spec, cut): the shrunk repro must violate the *same* condition as
-    the original finding.  A crash-during-recovery finding is pinned on
-    its repair oracle the same way; the final re-judge records the
-    minimized nested-crash schedule.
+    Shrinks the workload, then the cut, both pinned to the finding's
+    class key (kind, condition, repair oracle), then records the
+    schedule choices of the final run and the final cut's verdict — its
+    error, condition and nested-crash schedule — for the corpus.
 
     Raises:
-        FuzzError: when the finding does not reproduce, or when the
-            final re-validation shows the minimized repro violating a
-            different condition or repair oracle than the finding (a
-            minimizer bug — the shrink stages are pinned).
+        FuzzError: when the finding does not reproduce.
     """
+    key = finding.class_key
     stats = MinimizeStats()
-    spec = shrink_workload(
-        finding.spec, stats, condition=finding.condition,
-        crash=finding.crash,
-    )
+    spec = shrink_workload(finding.spec, stats, key)
     execution = execute_spec(spec)
     stats.runs += 1
-    cut, error = shrink_cut(
-        execution, stats, max_checks=max_cut_checks,
-        condition=finding.condition, crash=finding.crash,
-    )
-    condition = finding.condition
-    crash_schedule = finding.crash_schedule
-    if finding.crash is not None:
-        plan = spec.plan()
-        if plan is not None:
-            image, _ = materialize_faulty(
-                execution.graph, cut, execution.run.base_image, plan
-            )
-        else:
-            image = image_at_cut(
-                execution.graph, cut, execution.run.base_image, check=False
-            )
-        report = crashrec_check_for(execution, cut, image)
-        matching = [
-            violation
-            for violation in report.violations
-            if violation.oracle == finding.crash
-        ]
-        if not matching:
-            raise FuzzError(
-                "minimization lost the violation: the shrunk cut "
-                f"satisfies the {finding.crash} repair oracle"
-            )
-        error = matching[0].error
-        crash_schedule = matching[0].schedule
-    oracle_check = oracle_checker_for(execution)
-    if oracle_check is not None and finding.crash is None:
-        image = image_at_cut(
-            execution.graph, cut, execution.run.base_image, check=False
-        )
-        failure = oracle_check(cut, image)
-        if failure is None:
-            raise FuzzError(
-                "minimization lost the violation: the shrunk cut "
-                f"satisfies the {spec.oracle} oracle"
-            )
-        error, final_condition = failure
-        if condition is not None and final_condition != condition:
-            raise FuzzError(
-                "minimization changed the violated condition: the "
-                f"finding broke {condition!r} but the shrunk repro "
-                f"breaks {final_condition!r}"
-            )
-        condition = final_condition
+    cut, verdict = shrink_cut(execution, stats, max_cut_checks, key)
     case = ReproCase(
         target=spec.target,
         threads=spec.threads,
@@ -407,13 +238,13 @@ def minimize_finding(
         model=spec.model,
         cut=tuple(sorted(cut)),
         choices=execution.choices,
-        error=error,
+        error=verdict.error,
         minimized=True,
         faults=spec.faults,
         oracle=spec.oracle,
-        condition=condition,
-        crash=finding.crash,
-        crash_schedule=crash_schedule,
+        condition=verdict.condition,
+        crash=verdict.crash,
+        crash_schedule=verdict.schedule,
         crash_recovery=spec.crash_recovery,
     )
     return MinimizeResult(case=case, stats=stats)

@@ -154,3 +154,68 @@ class TestReplay:
         )
         replay = replay_case(fixed)
         assert not replay.reproduced
+
+
+def _torn_plan() -> str:
+    from repro.inject.plan import FaultPlan
+
+    return FaultPlan.for_kind("torn", seed=1).to_json()
+
+
+#: Payload edits that combine axes a campaign rejects, with the message
+#: each must be rejected with on load.
+AXIS_EDITS = {
+    "faults-with-history-oracle": (
+        {"oracle": "dl", "condition": "dl+bdl", "faults": _torn_plan()},
+        "mutually exclusive",
+    ),
+    "negative-crash-depth": ({"crash_recovery": -1}, "non-negative"),
+    "misspelled-crash-oracle": (
+        {"crash": "idempotance", "crash_recovery": 2},
+        "unknown crash oracle",
+    ),
+    "unknown-oracle": ({"oracle": "dlx"}, "unknown oracle"),
+    "crash-without-repair": (
+        {"target": "publish-pair", "crash": "idempotence"},
+        "no repair procedure",
+    ),
+}
+
+
+class TestAxisValidation:
+    """Corpus entries are held to the axis rules campaigns are."""
+
+    @pytest.mark.parametrize("edit", sorted(AXIS_EDITS))
+    def test_load_rejects_combinations_campaigns_reject(
+        self, tmp_path, minimized_case, edit
+    ):
+        fields, message = AXIS_EDITS[edit]
+        path = tmp_path / "edited.repro.json"
+        path.write_text(json.dumps({**minimized_case.describe(), **fields}))
+        with pytest.raises(FuzzError, match=message):
+            Corpus(tmp_path).load(path)
+
+    def test_replay_all_quarantines_rejected_entries(
+        self, tmp_path, minimized_case
+    ):
+        corpus = Corpus(tmp_path)
+        good = corpus.add(minimized_case)
+        fields, _ = AXIS_EDITS["faults-with-history-oracle"]
+        bad = tmp_path / "edited.repro.json"
+        bad.write_text(json.dumps({**minimized_case.describe(), **fields}))
+        with pytest.warns(RuntimeWarning, match="quarantin"):
+            results = corpus.replay_all()
+        assert [path for path, _ in results] == [good]
+        assert bad.with_name(bad.name + ".quarantined").exists()
+
+    def test_cli_replay_exits_2_on_rejected_entry(
+        self, tmp_path, minimized_case, capsys
+    ):
+        from repro.cli import main
+
+        fields, _ = AXIS_EDITS["negative-crash-depth"]
+        path = tmp_path / "edited.repro.json"
+        path.write_text(json.dumps({**minimized_case.describe(), **fields}))
+        code = main(["fuzz", "replay", "--corpus-dir", str(tmp_path)])
+        assert code == 2
+        assert "non-negative" in capsys.readouterr().err

@@ -333,6 +333,32 @@ class TestFuzz:
         assert code == 0
         assert "minimized" in out
 
+    def test_minimize_keeps_the_fault_plan(self, tmp_path, capsys):
+        import json
+
+        corpus_dir = tmp_path / "corpus"
+        code = main(
+            [
+                "crashrec", "--target", "log-repair-buggy",
+                "--depth", "2", "--budget", "4", "--seed", "0",
+                "--faults", "corrupt", "--corpus-dir", str(corpus_dir),
+            ]
+        )
+        assert code == 1
+        capsys.readouterr()
+        entry = sorted(corpus_dir.glob("*.repro.json"))[0]
+        assert json.loads(entry.read_text())["faults"] is not None
+        code = main(
+            ["fuzz", "minimize", str(entry), "--corpus-dir", str(corpus_dir)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        for path in corpus_dir.glob("*.repro.json"):
+            assert json.loads(path.read_text())["faults"] is not None, path
+        code = main(["fuzz", "replay", "--corpus-dir", str(corpus_dir)])
+        assert code == 0
+        assert "0 stale" in capsys.readouterr().out
+
     def test_unknown_target_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["fuzz", "run", "--target", "ext4"])
