@@ -11,6 +11,7 @@ interleaving, the differential partner the DPOR mode is tested against.
 from repro.check.canonical import canonical_dag_key, canonical_ids
 from repro.check.checker import (
     DEFAULT_MODELS,
+    GRAPH_DOMAINS,
     CheckConfig,
     CheckResult,
     CheckStats,
@@ -57,6 +58,7 @@ __all__ = [
     "check_runs",
     "check_target",
     "DEFAULT_MODELS",
+    "GRAPH_DOMAINS",
     "ShardMerge",
     "ShardReport",
     "check_shard_worker",

@@ -22,9 +22,37 @@ colliding schedule.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.lattice import GraphDomain
+
+
+def _node_records(graph: GraphDomain) -> List[Tuple[Tuple[int, int], bytes]]:
+    """Per-pid ``(canonical name, encoded record)``, extended on demand.
+
+    A node's record — its name, its writes, its frontier's names —
+    depends only on it and lower pids, so the list lives on the graph
+    (``node_records``, which the graph cuts back when a store coalesces
+    into a node or the graph is truncated) and only new nodes are
+    encoded: after an analyzer rewind, a key costs the nodes the new
+    suffix added plus one sort and hash.
+    """
+    records = graph.node_records
+    nodes = graph.nodes
+    if len(records) < len(nodes):
+        per_thread: Dict[int, int] = {}
+        for (thread, k), _ in records:
+            per_thread[thread] = k + 1
+        for node in nodes[len(records):]:
+            k = per_thread.get(node.thread, 0)
+            per_thread[node.thread] = k + 1
+            name = (node.thread, k)
+            writes = tuple(
+                (addr, bytes(data).hex()) for addr, data in node.writes
+            )
+            deps = tuple(sorted(records[dep][0] for dep in node.deps))
+            records.append((name, repr((name, writes, deps)).encode("utf-8")))
+    return records
 
 
 def canonical_ids(graph: GraphDomain) -> Dict[int, Tuple[int, int]]:
@@ -33,13 +61,7 @@ def canonical_ids(graph: GraphDomain) -> Dict[int, Tuple[int, int]]:
     ``k`` counts the persists of the node's thread in pid order, which
     is trace order and therefore program order within one thread.
     """
-    per_thread: Dict[int, int] = {}
-    names: Dict[int, Tuple[int, int]] = {}
-    for node in graph.nodes:
-        k = per_thread.get(node.thread, 0)
-        per_thread[node.thread] = k + 1
-        names[node.pid] = (node.thread, k)
-    return names
+    return {pid: name for pid, (name, _) in enumerate(_node_records(graph))}
 
 
 def canonical_dag_key(graph: GraphDomain) -> str:
@@ -52,16 +74,8 @@ def canonical_dag_key(graph: GraphDomain) -> str:
     by equivalent interleavings means they order and write persistent
     memory identically.
     """
-    names = canonical_ids(graph)
-    records = []
-    for node in graph.nodes:
-        writes = tuple(
-            (addr, bytes(data).hex()) for addr, data in node.writes
-        )
-        deps = tuple(sorted(names[dep] for dep in node.deps))
-        records.append((names[node.pid], writes, deps))
-    records.sort()
     digest = hashlib.sha256()
-    for name, writes, deps in records:
-        digest.update(repr((name, writes, deps)).encode("utf-8"))
+    # Canonical names are unique, so sorting the records sorts by name.
+    for _, record in sorted(_node_records(graph)):
+        digest.update(record)
     return digest.hexdigest()

@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.analysis import analyze_graph
+from repro.core.analysis import PrefixSharedAnalysis
+from repro.core.model import MODELS
 from repro.core.recovery import (
     cut_content_key,
     cut_members,
@@ -55,7 +56,7 @@ from repro.core.recovery import (
 )
 from repro.check.canonical import canonical_dag_key
 from repro.check.engine import Engine, EngineStats
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, ReproError
 from repro.fuzz.judge import CutJudge, Verdict
 from repro.histories.oracle import cut_checker
 from repro.memory.nvram import NvramImage
@@ -67,6 +68,9 @@ DEFAULT_MODELS = ("strict", "epoch", "strand")
 
 #: Occurrence records kept per result; distinct violations are unbounded.
 MAX_RECORDED_VIOLATIONS = 1_000
+
+#: Analysis domains that build persist DAGs (the checker's choices).
+GRAPH_DOMAINS = ("bitset", "graph")
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,25 @@ class CheckConfig:
     replay: Optional[str] = None
     graph_domain: str = "bitset"
     oracle: str = "invariant"
+
+    def validate(self) -> None:
+        """Raise :class:`~repro.errors.ReproError` on unusable models or
+        domain, before any schedule runs."""
+        if not self.models:
+            raise ReproError("at least one persistency model is required")
+        for model in self.models:
+            if model not in MODELS:
+                raise ReproError(
+                    f"unknown persistency model {model!r}; expected one of "
+                    f"{sorted(MODELS)}"
+                )
+        if len(set(self.models)) != len(self.models):
+            raise ReproError(f"duplicate persistency models in {self.models}")
+        if self.graph_domain not in GRAPH_DOMAINS:
+            raise ReproError(
+                f"graph_domain {self.graph_domain!r} cannot build persist "
+                f"DAGs; expected one of {GRAPH_DOMAINS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -334,6 +357,7 @@ def check_runs(
     exception the checker raises counts as a violation.
     """
     config = config or CheckConfig()
+    config.validate()
     engine = Engine(
         run,
         reduction=config.reduction,
@@ -343,15 +367,17 @@ def check_runs(
     )
     result = CheckResult(stats=CheckStats())
     seen_dags: Dict[str, Set[str]] = {model: set() for model in config.models}
+    analysis = PrefixSharedAnalysis(config.models, (config.graph_domain,))
     stop = False
     for explored in engine.explore():
         trace = trace_of(explored.result)
+        graphs = analysis.advance(trace, explored.shared_events)
         base = base_of(explored.result)
         check = _any_error_violates(checker_of(explored.result))
         judge: Optional[CutJudge] = None
         memo: Dict[str, Optional[Verdict]] = {}
         for model in config.models:
-            graph = analyze_graph(trace, model, domain=config.graph_domain).graph
+            graph = graphs[model, config.graph_domain]
             result.stats.dags_analyzed += 1
             dag_key = canonical_dag_key(graph)
             if judge is None:

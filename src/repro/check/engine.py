@@ -179,11 +179,18 @@ class EngineStats:
 
 @dataclass
 class ExploredRun:
-    """One complete execution produced by :meth:`Engine.explore`."""
+    """One complete execution produced by :meth:`Engine.explore`.
+
+    ``shared_events`` counts the leading trace events this run shares
+    with the previously yielded one: the shallowest restore point since
+    that yield (sleep-set-blocked runs in between included), so always
+    0 under ``replay="reexecute"`` and for the first run.
+    """
 
     index: int
     result: object
     choices: Tuple[int, ...]
+    shared_events: int
 
 
 @dataclass
@@ -270,6 +277,9 @@ class Engine:
         # Prefix-sharing state: the one retained machine + scheduler.
         self._machine = None
         self._scheduler: Optional[ReplayableScheduler] = None
+        # Shallowest restored trace length since the last yield (None
+        # until the next restore; the first run shares nothing).
+        self._kept: Optional[int] = 0
         # Per-execution state.
         self._depth = 0
         self._pending_sleep: Set[int] = set()
@@ -313,10 +323,12 @@ class Engine:
                     branching_max=self.stats.branching_max,
                     nodes=self.stats.nodes,
                 )
+            shared, self._kept = self._kept or 0, None
             yield ExploredRun(
                 index=self.stats.schedules - 1,
                 result=result,
                 choices=choices,
+                shared_events=shared,
             )
 
     # -- one execution ------------------------------------------------------
@@ -373,6 +385,9 @@ class Engine:
             node = self._stack[-1]
             depth = len(self._stack) - 1
             machine.restore(node.snap)
+            kept = node.snap.trace_len
+            if self._kept is None or kept < self._kept:
+                self._kept = kept
             scheduler.truncate(depth)
             self._depth = depth
             self._restore_tables(node.tables)

@@ -44,6 +44,7 @@ from typing import List, Optional
 
 from repro.check import (
     DEFAULT_MODELS,
+    GRAPH_DOMAINS,
     REDUCTIONS,
     REPLAYS,
     CheckConfig,
@@ -51,7 +52,6 @@ from repro.check import (
     check_target_sharded,
 )
 from repro.core import (
-    DOMAINS,
     AnalysisConfig,
     FailureInjector,
     analyze,
@@ -622,6 +622,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         graph_domain=args.domain,
         oracle=args.oracle,
     )
+    config.validate()
     reports = []
     if args.jobs and args.jobs > 1:
         result, reports = check_target_sharded(
@@ -1240,7 +1241,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: share when the target supports it)",
     )
     check_parser.add_argument(
-        "--domain", choices=sorted(DOMAINS), default="bitset",
+        "--domain", choices=GRAPH_DOMAINS, default="bitset",
         help="persist-DAG analysis domain; 'graph' is the frozenset "
         "reference oracle, 'bitset' the packed-integer fast path",
     )
@@ -1327,7 +1328,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare every registered model (including bpfs)",
     )
     litmus_run.add_argument(
-        "--domain", choices=("bitset", "graph"), default="bitset",
+        "--domain", choices=GRAPH_DOMAINS, default="bitset",
         help="dependency domain for the persist DAG (default bitset; the "
         "level domain cannot materialise DAGs)",
     )

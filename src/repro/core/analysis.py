@@ -21,18 +21,23 @@ on the way in.  The loop dispatches on integer kind codes, batches
 maximal same-block persistent-store runs into one domain call, and —
 with a ``node_sink`` — retires sealed persists' write payloads so
 resident memory is bounded by the dependence frontier, not by trace
-length.  Two entry points share it:
+length.  Three entry points share it:
 
 * :func:`analyze` — one-shot over an in-memory trace;
 * :class:`StreamingAnalyzer` — resumable: feed chunks, whole traces, or
   event iterables in trace order, then
-  :meth:`~StreamingAnalyzer.finish`.
+  :meth:`~StreamingAnalyzer.finish`; built ``rewindable``, the loop
+  journals its changes and :meth:`~StreamingAnalyzer.rewind` undoes
+  them back to any earlier event count;
+* :class:`PrefixSharedAnalysis` — DAGs of a stream of traces that share
+  prefixes (the model checker's explored runs), analyzing only each
+  trace's new suffix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.bitgraph import BitsetGraphDomain
 from repro.core.lattice import (
@@ -202,6 +207,15 @@ class StreamingAnalyzer:
     by the pending frontier — the in-memory graph keeps its structure
     (deps, levels, critical path) but no longer supports recovery
     imaging.  Ignored on the level domain, which has no nodes.
+
+    ``rewindable``: keep an undo journal so :meth:`rewind` can return
+    the analyzer to its state after any earlier event count — how the
+    model checker analyzes only what each schedule adds to the prefix
+    it shares with the previous one.  Needs a DAG domain, a model that
+    exposes :meth:`~repro.core.model.PersistencyModel.thread_state`,
+    and no ``node_sink`` (sealing is irreversible).  The journal holds
+    a few entries per event fed, and a journaling loop does not batch
+    same-block runs.
     """
 
     def __init__(
@@ -210,6 +224,7 @@ class StreamingAnalyzer:
         config: Optional[AnalysisConfig] = None,
         domain: Union[str, DependencyDomain, None] = None,
         node_sink: Optional[Callable[[PersistNode], None]] = None,
+        rewindable: bool = False,
     ) -> None:
         if isinstance(model, str):
             model = make_model(model)
@@ -236,17 +251,89 @@ class StreamingAnalyzer:
         self._barriers = 0
         self._strands = 0
         self._finished = False
+        #: Undo journal (rewindable analyzers only): ``(target, key,
+        #: old)`` entries restoring a dict entry (``old`` is ``_ABSENT``
+        #: for a missing key) or, with key ``_WRITES``, the write count
+        #: of node ``target``; ``_marks[i]`` is the journal length, node
+        #: count and counters before event ``i``.
+        self._journal: Optional[list] = None
+        self._marks: List[tuple] = []
+        if rewindable:
+            if self._graph is None:
+                raise AnalysisError("a rewindable analysis needs a DAG domain")
+            if node_sink is not None:
+                raise AnalysisError(
+                    "a rewindable analysis cannot take a node_sink: "
+                    "sealed nodes cannot be unsealed"
+                )
+            try:
+                self._model_state = model.thread_state()
+            except NotImplementedError:
+                raise AnalysisError(
+                    f"model {model.name!r} does not expose its thread "
+                    f"state, so it cannot be rewound"
+                ) from None
+            self._journal = []
 
     @property
     def events_fed(self) -> int:
         """Number of events consumed so far."""
         return self._events
 
+    def rewind(self, events: int) -> "StreamingAnalyzer":
+        """Return to exactly the state after the first ``events`` events.
+
+        Undoes the frontier dicts, the model's thread state, the
+        counters and the persist DAG (nodes past the kept ones are
+        dropped; ``_version`` still grows, so caches stamped on the
+        graph miss).  Feeding the same events again then gives the same
+        analyzer as one that never went past ``events``.  Raises
+        :class:`~repro.errors.AnalysisError` unless the analyzer is
+        rewindable, unfinished and ``0 <= events <= events_fed``.
+        """
+        if self._journal is None:
+            raise AnalysisError(
+                "rewind needs a StreamingAnalyzer built with rewindable=True"
+            )
+        if self._finished:
+            raise AnalysisError("cannot rewind a finished StreamingAnalyzer")
+        if not 0 <= events <= self._events:
+            raise AnalysisError(
+                f"cannot rewind to event {events}: {self._events} fed"
+            )
+        if events == self._events:
+            return self
+        (
+            kept,
+            nodes,
+            self._persist_stores,
+            self._coalesced,
+            self._barriers,
+            self._strands,
+        ) = self._marks[events]
+        journal = self._journal
+        graph = self._graph
+        for target, key, old in reversed(journal[kept:]):
+            if key is _WRITES:
+                del graph.nodes[target].writes[old:]
+                del graph.node_records[target:]
+            elif old is _ABSENT:
+                target.pop(key, None)
+            else:
+                target[key] = old
+        del journal[kept:]
+        del self._marks[events:]
+        graph.truncate(nodes)
+        self._events = events
+        return self
+
     def _seal(self, token: int) -> None:
         """Emit a no-longer-coalescible DAG node and drop its payload."""
-        node = self._graph.nodes[token]
+        graph = self._graph
+        node = graph.nodes[token]
         self._node_sink(node)
         node.writes.clear()
+        del graph.node_records[token:]
 
     # -- feeding ------------------------------------------------------------
 
@@ -314,6 +401,12 @@ class StreamingAnalyzer:
         absorb_is_join``), so re-absorbing the unchanged token value is a
         no-op.  The whole tail therefore commits as one
         ``coalesce_run`` + counter bump, with no per-event domain calls.
+
+        A rewindable analyzer journals here: before each event it marks
+        the journal length, node count and counters, and before each
+        mutation it logs the old dict entry (frontier dicts, the event
+        thread's model state) or node write count.  Journaling skips
+        run batching, so each event's changes stay separable.
         """
         n = len(chunk)
         if not n:
@@ -331,6 +424,13 @@ class StreamingAnalyzer:
         # coalescing every run store creates its own chained persist, so
         # there is nothing to batch.
         batch_runs = coalescing and model.absorb_is_join
+        journal = self._journal
+        if journal is not None:
+            batch_runs = False
+            log = journal.append
+            mark = self._marks.append
+            model_state = self._model_state
+            nodes = self._graph.nodes
 
         join = domain.join
         leq = domain.leq
@@ -416,6 +516,20 @@ class StreamingAnalyzer:
         i = 0
         while i < n:
             code = kinds[i]
+            if journal is not None:
+                mark(
+                    (
+                        len(journal),
+                        len(nodes),
+                        persist_stores,
+                        coalesced,
+                        barriers,
+                        strands,
+                    )
+                )
+                thread = threads[i]
+                for state in model_state:
+                    log((state, thread, state.get(thread, _ABSENT)))
             if code == CODE_STORE or code == CODE_LOAD or code == CODE_RMW:
                 thread = threads[i]
                 info = info_get(i, "") if infos else ""
@@ -448,6 +562,8 @@ class StreamingAnalyzer:
                         and token is not None
                         and leq(observed, token)
                     ):
+                        if journal is not None:
+                            log((token, _WRITES, len(nodes[token].writes)))
                         if needs_payload:
                             do_coalesce(
                                 token,
@@ -478,11 +594,23 @@ class StreamingAnalyzer:
                             if needs_payload
                             else _NO_PAYLOAD,
                         )
+                        if journal is not None:
+                            log((pending, pblock, pending.get(pblock, _ABSENT)))
+                            log(
+                                (
+                                    block_writes,
+                                    pblock,
+                                    block_writes.get(pblock, _ABSENT),
+                                )
+                            )
                         pending[pblock] = token
                         block_writes[pblock] = block_writes.get(pblock, 0) + 1
                     value_after = value_of(token)
 
                 if tracked:
+                    if journal is not None:
+                        log((write_dep, tblock, write_dep.get(tblock, _ABSENT)))
+                        log((read_dep, tblock, read_dep.get(tblock, _ABSENT)))
                     if store_like:
                         write_dep[tblock] = value_after
                         read_dep.pop(tblock, None)
@@ -582,6 +710,60 @@ class StreamingAnalyzer:
 #: Placeholder event for level-domain persists: the domain never touches
 #: the event, so the loop avoids building one per persist.
 _NO_PAYLOAD = None
+
+#: Journal markers: a dict entry that did not exist, and (in the key
+#: slot) a node's write count.
+_ABSENT = object()
+_WRITES = object()
+
+
+class PrefixSharedAnalysis:
+    """Persist DAGs of a stream of traces, analyzing only what each adds.
+
+    Holds one rewindable :class:`StreamingAnalyzer` per ``(model,
+    domain)``.  :meth:`advance` takes the next trace plus how many
+    leading events it shares with the previous one (the check engine's
+    :attr:`~repro.check.engine.ExploredRun.shared_events`), rewinds
+    every analyzer to that point, encodes the new suffix into chunks
+    once and feeds each chunk to every analyzer.  A trace sharing no
+    events starts fresh analyzers.  Each DAG equals what
+    :func:`analyze_graph` builds from scratch (no coalescing) for the
+    same trace, model and domain, and stays valid until the next
+    :meth:`advance`.
+    """
+
+    def __init__(self, models: Sequence[str], domains: Sequence[str]) -> None:
+        self._keys = [(model, domain) for model in models for domain in domains]
+        self._analyzers: List[StreamingAnalyzer] = []
+
+    def advance(
+        self, trace: Trace, shared: int
+    ) -> Dict[Tuple[str, str], GraphDomain]:
+        """The DAGs of ``trace``, keyed by ``(model, domain)``; its first
+        ``shared`` events must equal the previous trace's."""
+        analyzers = self._analyzers
+        keep = min(shared, analyzers[0].events_fed) if analyzers else 0
+        if keep:
+            for analyzer in analyzers:
+                analyzer.rewind(keep)
+        else:
+            analyzers[:] = [
+                StreamingAnalyzer(
+                    model,
+                    AnalysisConfig(coalescing=False),
+                    domain,
+                    rewindable=True,
+                )
+                for model, domain in self._keys
+            ]
+        for chunk in chunks_from_events(
+            trace.events[keep:], DEFAULT_CHUNK_EVENTS, base_seq=keep
+        ):
+            for analyzer in analyzers:
+                analyzer.feed(chunk)
+        return {
+            key: analyzer.domain for key, analyzer in zip(self._keys, analyzers)
+        }
 
 
 def analyze(

@@ -134,6 +134,20 @@ class BitsetGraphDomain(GraphDomain):
         self._invalidate()
         return pid
 
+    def truncate(self, count: int) -> None:
+        hist = self._hist
+        for level in self._levels[count:]:
+            left = hist[level] - 1
+            if left:
+                hist[level] = left
+            else:
+                del hist[level]
+        self._max_level = max(hist, default=0)
+        del self._levels[count:]
+        del self._anc[count:]
+        del self.dep_masks[count:]
+        super().truncate(count)
+
     def critical_path(self) -> int:
         return self._max_level
 

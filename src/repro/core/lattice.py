@@ -190,6 +190,11 @@ class GraphDomain(DependencyDomain):
         self._levels_cache: Optional[List[int]] = None
         self._hist_cache: Optional[Dict[int, int]] = None
         self._edge_cache: Optional[int] = None
+        #: Records derived per node from it and lower pids (the
+        #: canonical DAG key's, see :mod:`repro.check.canonical`), valid
+        #: for ``nodes[:len]``: cut back from a node whose writes change
+        #: and on :meth:`truncate`.
+        self.node_records: List[object] = []
 
     def _invalidate(self) -> None:
         self._version += 1
@@ -252,10 +257,27 @@ class GraphDomain(DependencyDomain):
 
     def coalesce(self, token: int, event: MemoryEvent) -> None:
         self.nodes[token].writes.append((event.addr, event.data_bytes()))
+        del self.node_records[token:]
         self._invalidate()
 
     def coalesce_run(self, token: int, writes: List[Tuple[int, bytes]]) -> None:
         self.nodes[token].writes.extend(writes)
+        del self.node_records[token:]
+        self._invalidate()
+
+    def truncate(self, count: int) -> None:
+        """Drop every persist with pid ``count`` or above.
+
+        The rewind half of a rewindable
+        :class:`~repro.core.analysis.StreamingAnalyzer`: afterwards the
+        graph equals the one built from the persists below ``count``.
+        ``_version`` still grows, so stamped caches miss.
+        """
+        closure = self._closure
+        for pid in range(count, len(self.nodes)):
+            closure.pop(pid, None)
+        del self.nodes[count:]
+        del self.node_records[count:]
         self._invalidate()
 
     def value_of(self, token: int) -> FrozenSet[int]:

@@ -20,7 +20,7 @@ persistency semantics of Khyzha & Lahav, "Taming x86-TSO Persistency"
 from __future__ import annotations
 
 import abc
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.core.lattice import DependencyDomain
 
@@ -57,6 +57,18 @@ class PersistencyModel(abc.ABC):
     def reset(self, domain: DependencyDomain) -> None:
         """Bind a dependency domain and clear all per-thread state."""
         self._domain = domain
+
+    def thread_state(self) -> Tuple[Dict[int, object], ...]:
+        """The dicts, keyed by thread, that hold all mutable model state.
+
+        Every hook for ``thread`` may change only those dicts' entries
+        for ``thread``; a rewindable
+        :class:`~repro.core.analysis.StreamingAnalyzer` journals them
+        before each hook call.  Valid until the next :meth:`reset`.
+        Models keeping state elsewhere leave this unimplemented and
+        cannot be rewound.
+        """
+        raise NotImplementedError
 
     @abc.abstractmethod
     def thread_in(self, thread: int):
@@ -105,6 +117,9 @@ class StrictPersistency(PersistencyModel):
         super().reset(domain)
         self._observed: Dict[int, object] = {}
 
+    def thread_state(self) -> Tuple[Dict[int, object], ...]:
+        return (self._observed,)
+
     def thread_in(self, thread: int):
         return self._observed.get(thread, self._domain.bottom)
 
@@ -133,6 +148,9 @@ class EpochPersistency(PersistencyModel):
         super().reset(domain)
         self._committed: Dict[int, object] = {}
         self._epoch_acc: Dict[int, object] = {}
+
+    def thread_state(self) -> Tuple[Dict[int, object], ...]:
+        return (self._committed, self._epoch_acc)
 
     def thread_in(self, thread: int):
         return self._committed.get(thread, self._domain.bottom)
@@ -219,6 +237,9 @@ class Px86Persistency(PersistencyModel):
         self._committed: Dict[int, object] = {}
         #: Weak-flush deps awaiting the next sfence/mfence/RMW.
         self._pending: Dict[int, object] = {}
+
+    def thread_state(self) -> Tuple[Dict[int, object], ...]:
+        return (self._committed, self._pending)
 
     def thread_in(self, thread: int):
         return self._committed.get(thread, self._domain.bottom)

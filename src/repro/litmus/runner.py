@@ -3,7 +3,8 @@
 For each program the runner explores the TSO schedule space once (DPOR
 via the check engine, prefix-sharing replay), then analyzes every
 explored schedule under each requested persistency model and dependency
-domain.  An *outcome* is the pair
+domain (only the events a schedule adds to the prefix it shares with
+the previous one).  An *outcome* is the pair
 
     (regs, mem)
 
@@ -29,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.check.canonical import canonical_dag_key
 from repro.check.engine import Engine
-from repro.core.analysis import analyze_graph
+from repro.core.analysis import PrefixSharedAnalysis
 from repro.core.recovery import enumerate_cuts
 from repro.errors import RecoveryError
 from repro.litmus.corpus import corpus_by_name
@@ -111,12 +112,14 @@ def run_program(
     }
     schedules = 0
     cut_limit_exceeded: Set[str] = set()
+    analysis = PrefixSharedAnalysis(models, domains)
     for run in engine.explore():
         trace, regs = run.result
         schedules += 1
+        graphs = analysis.advance(trace, run.shared_events)
         for model in models:
             for domain in domains:
-                graph = analyze_graph(trace, model, domain=domain).graph
+                graph = graphs[model, domain]
                 key = (canonical_dag_key(graph), regs)
                 if key in seen[(model, domain)]:
                     continue

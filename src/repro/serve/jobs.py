@@ -174,7 +174,7 @@ def validate_spec(spec: object) -> Dict[str, object]:
             for key in ("target", "threads", "ops"):
                 if key not in spec:
                     raise ServeError(f"check job spec is missing {key!r}")
-            _check_config(spec)
+            _check_config(spec).validate()
             from repro.fuzz.targets import make_target
 
             make_target(str(spec["target"]))
