@@ -44,7 +44,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.analysis import PrefixSharedAnalysis
-from repro.core.model import MODELS
+from repro.core.model import MODEL_CHOICES, validate_models
 from repro.core.recovery import (
     cut_content_key,
     cut_members,
@@ -55,11 +55,12 @@ from repro.core.recovery import (
     minimal_cut_mask,
 )
 from repro.check.canonical import canonical_dag_key
-from repro.check.engine import Engine, EngineStats
+from repro.check.engine import REDUCTIONS, REPLAYS, Engine, EngineStats
 from repro.errors import RecoveryError, ReproError
 from repro.fuzz.judge import CutJudge, Verdict
-from repro.histories.oracle import cut_checker
+from repro.histories.oracle import ORACLES, cut_checker
 from repro.memory.nvram import NvramImage
+from repro.schema import decode_keys, encode, option, options
 from repro.sim.machine import Machine
 from repro.sim.scheduler import Scheduler
 
@@ -75,48 +76,86 @@ GRAPH_DOMAINS = ("bitset", "graph")
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Knobs of one model-checking run.
+    """Knobs of one model-checking run (the ``repro check`` flags and
+    the check job spec, see :mod:`repro.schema`).
 
-    ``replay`` selects the engine's re-execution strategy (one of
-    :data:`repro.check.engine.REPLAYS`; ``None`` lets the engine pick
-    prefix-sharing whenever the program supports it).  ``graph_domain``
-    names the persist-DAG domain used for analysis — ``"bitset"`` (the
-    packed-integer kernel) and ``"graph"`` (the frozenset reference)
-    produce byte-identical results; the former is just faster.
-    ``oracle`` selects the per-cut judge: the target's ad-hoc recovery
-    invariant (``"invariant"``) or the operation-history conditions
-    (``"dl"``/``"bdl"``, recordable targets only) — history oracles
-    disable DAG/cut deduplication (see the module docstring).
+    ``replay`` None lets the engine pick prefix-sharing whenever the
+    program supports it.  The ``"bitset"`` and ``"graph"`` domains
+    produce byte-identical results; the former is just faster.  History
+    oracles (``"dl"``/``"bdl"``, recordable targets only) disable
+    DAG/cut deduplication (see the module docstring).  ``reduction``,
+    ``replay``, ``graph_domain`` and ``forced_prefix`` are not
+    shardable: prefix shards run DPOR with the defaults.
     """
 
-    models: Tuple[str, ...] = DEFAULT_MODELS
-    max_schedules: Optional[int] = 20_000
-    max_cuts_per_graph: int = 4_096
-    stop_at_first: bool = False
-    reduction: str = "dpor"
-    forced_prefix: Tuple[int, ...] = ()
-    replay: Optional[str] = None
-    graph_domain: str = "bitset"
-    oracle: str = "invariant"
+    models: Tuple[str, ...] = option(
+        DEFAULT_MODELS, many=True, choices=MODEL_CHOICES,
+        noun="persistency model", flag="--model",
+        cli={"dest": "models", "action": "append", "nargs": None},
+        help="persistency model to check (repeatable; default: "
+        + " ".join(DEFAULT_MODELS) + ")",
+    )
+    max_schedules: Optional[int] = option(
+        20_000, type=int, optional=True,
+        help="abort (exit 2) past this many explored schedules",
+    )
+    max_cuts_per_graph: int = option(
+        4_096, type=int, key="max_cuts", flag="--max-cuts",
+        help="per-DAG cut budget before falling back to minimal cuts",
+    )
+    stop_at_first: bool = option(
+        False, type=bool,
+        help="stop at the first violation instead of collecting all",
+    )
+    reduction: str = option(
+        "dpor", choices=REDUCTIONS, shardable=False,
+        help="'none' disables DPOR (exhaustive enumeration)",
+    )
+    forced_prefix: Tuple[int, ...] = option(
+        (), type=int, many=True, flag=None, shardable=False
+    )
+    replay: Optional[str] = option(
+        None, choices=tuple(sorted(REPLAYS)), optional=True, shardable=False,
+        help="backtracking strategy: 'share' restores the deepest common "
+        "prefix from a snapshot, 'reexecute' replays from step 0 "
+        "(default: share when the target supports it)",
+    )
+    graph_domain: str = option(
+        "bitset", choices=GRAPH_DOMAINS, noun="graph domain",
+        flag="--domain", shardable=False,
+        help="persist-DAG analysis domain; 'graph' is the frozenset "
+        "reference oracle, 'bitset' the packed-integer fast path",
+    )
+    oracle: str = option(
+        "invariant", choices=ORACLES, noun="oracle",
+        help="per-cut judge: the target's recovery invariant, durable "
+        "linearizability (dl), or buffered durable linearizability "
+        "(bdl); dl/bdl disable DAG/cut deduplication (verdicts depend "
+        "on cut membership, not image bytes)",
+    )
 
     def validate(self) -> None:
         """Raise :class:`~repro.errors.ReproError` on unusable models or
         domain, before any schedule runs."""
-        if not self.models:
-            raise ReproError("at least one persistency model is required")
-        for model in self.models:
-            if model not in MODELS:
-                raise ReproError(
-                    f"unknown persistency model {model!r}; expected one of "
-                    f"{sorted(MODELS)}"
-                )
-        if len(set(self.models)) != len(self.models):
-            raise ReproError(f"duplicate persistency models in {self.models}")
+        validate_models(self.models)
         if self.graph_domain not in GRAPH_DOMAINS:
             raise ReproError(
                 f"graph_domain {self.graph_domain!r} cannot build persist "
                 f"DAGs; expected one of {GRAPH_DOMAINS}"
             )
+
+    def check_shardable(self) -> None:
+        """Raise :class:`~repro.errors.ReproError` when a field marked
+        not shardable is off its default: prefix shards run DPOR with
+        the default replay and domain, and pin their own prefix."""
+        for opt in options(CheckConfig).values():
+            value = getattr(self, opt.name)
+            if not opt.shardable and value != opt.default:
+                raise ReproError(
+                    f"{opt.flag or opt.name} {value} is not supported with "
+                    f"--jobs > 1 (shards run DPOR with the default replay "
+                    f"and domain)"
+                )
 
 
 @dataclass(frozen=True)
@@ -130,14 +169,14 @@ class CheckViolation:
     ``"dl+bdl"``; None under the invariant oracle).
     """
 
-    schedule_index: int
-    model: str
-    cut: Tuple[int, ...]
-    error: str
-    choices: Tuple[int, ...]
-    dag_key: str
-    cut_key: str
-    condition: Optional[str] = None
+    schedule_index: int = option(type=int)
+    model: str = option()
+    cut: Tuple[int, ...] = option(type=int, many=True)
+    error: str = option()
+    choices: Tuple[int, ...] = option(type=int, many=True)
+    dag_key: str = option()
+    cut_key: str = option()
+    condition: Optional[str] = option(None, optional=True)
 
     def key(self) -> Tuple[str, str, str, str]:
         """Deduplication identity (model, dag, cut content, error)."""
@@ -145,31 +184,12 @@ class CheckViolation:
 
     def describe(self) -> Dict[str, object]:
         """JSON-safe record (shard wire format / corpus export input)."""
-        return {
-            "schedule_index": self.schedule_index,
-            "model": self.model,
-            "cut": list(self.cut),
-            "error": self.error,
-            "choices": list(self.choices),
-            "dag_key": self.dag_key,
-            "cut_key": self.cut_key,
-            "condition": self.condition,
-        }
+        return encode(self)
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "CheckViolation":
         """Rebuild a violation from :meth:`describe` output."""
-        condition = payload.get("condition")
-        return cls(
-            schedule_index=int(payload["schedule_index"]),
-            model=str(payload["model"]),
-            cut=tuple(int(pid) for pid in payload["cut"]),
-            error=str(payload["error"]),
-            choices=tuple(int(c) for c in payload["choices"]),
-            dag_key=str(payload["dag_key"]),
-            cut_key=str(payload["cut_key"]),
-            condition=None if condition is None else str(condition),
-        )
+        return cls(**decode_keys(options(cls), payload))
 
 
 @dataclass

@@ -33,6 +33,7 @@ from repro.check.checker import (
 )
 from repro.errors import ReproError
 from repro.harness.parallel import fan_out
+from repro.schema import decode, encode
 from repro.sim.scheduler import ReplayableScheduler, Scheduler
 
 
@@ -93,6 +94,11 @@ def enumerate_prefixes(
     return complete + frontier
 
 
+#: Shard task keys beyond the config's spec: the target coordinates,
+#: the pinned prefix, and the ``kind`` a serve plan adds.
+_TASK_KEYS = ("kind", "target", "threads", "ops", "prefix")
+
+
 @dataclass
 class ShardReport:
     """Per-shard statistics surfaced next to the merged result."""
@@ -120,6 +126,7 @@ def shard_tasks(
     """
     from repro.fuzz.targets import make_target
 
+    config.check_shardable()
     fuzz_target = make_target(target)
     # The probe must run the exact program the shards re-explore:
     # history recording adds marker steps, shifting every choice point.
@@ -130,18 +137,10 @@ def shard_tasks(
         ),
         shard_depth,
     )
+    spec = encode(config)
     return [
-        {
-            "target": target,
-            "threads": threads,
-            "ops": ops,
-            "models": list(config.models),
-            "prefix": list(prefix),
-            "max_schedules": config.max_schedules,
-            "max_cuts": config.max_cuts_per_graph,
-            "stop_at_first": config.stop_at_first,
-            "oracle": config.oracle,
-        }
+        {"target": target, "threads": threads, "ops": ops, **spec,
+         "prefix": list(prefix)}
         for prefix in prefixes
     ]
 
@@ -213,15 +212,11 @@ def check_shard_worker(task: Dict[str, object]) -> Dict[str, object]:
     violations.  An exploration-limit overrun is reported in-band (the
     ``error`` field) so the merge can fail loudly with shard context.
     """
-    config = CheckConfig(
-        models=tuple(str(m) for m in task["models"]),
-        max_schedules=(
-            None if task["max_schedules"] is None else int(task["max_schedules"])
-        ),
-        max_cuts_per_graph=int(task["max_cuts"]),
-        stop_at_first=bool(task["stop_at_first"]),
+    config = decode(
+        CheckConfig,
+        task,
+        extra=_TASK_KEYS,
         forced_prefix=tuple(int(c) for c in task["prefix"]),
-        oracle=str(task.get("oracle", "invariant")),
     )
     try:
         result = check_target(

@@ -43,10 +43,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.check import (
-    DEFAULT_MODELS,
     GRAPH_DOMAINS,
-    REDUCTIONS,
-    REPLAYS,
     CheckConfig,
     check_target,
     check_target_sharded,
@@ -59,12 +56,10 @@ from repro.core import (
     find_persist_epoch_races,
     graph_to_dot,
 )
-from repro.core.model import MODELS
+from repro.core.model import MODEL_CHOICES, MODELS
 from repro.errors import RecoveryError, ReproError
 from repro.litmus import (
-    DEFAULT_CUT_LIMIT,
-    DEFAULT_MAX_SCHEDULES,
-    DEFAULT_MODELS as LITMUS_MODELS,
+    LitmusConfig,
     corpus_by_name,
     default_corpus,
     generate_programs,
@@ -92,46 +87,26 @@ from repro.harness.cache import ResultStore
 from repro.fuzz import (
     TARGETS,
     CampaignConfig,
-    CaseSpec,
     Corpus,
-    Finding,
     export_check_violations,
     minimize_finding,
     minimize_findings,
     replay_case,
     run_campaign,
 )
-from repro.histories import ORACLES
-from repro.queue import run_insert_workload, verify_recovery
+from repro.fuzz.targets import TARGET_CHOICES
+from repro.queue import WorkloadConfig, run_insert_workload, verify_recovery
 from repro.queue.cwl import INSERT_MARK
+from repro.schema import add_arguments, from_args
 from repro.serve import (
+    JOB_KEYS,
     ServeConfig,
     default_socket,
     request,
     serve_forever,
     wait_for_job,
 )
-from repro.sim import SCHEDULER_KINDS
 from repro.trace import load_file, save_file, validate
-
-
-def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--design", choices=("cwl", "2lc"), default="cwl")
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument(
-        "--inserts", type=int, default=100, help="inserts per thread"
-    )
-    parser.add_argument("--entry-size", type=int, default=100)
-    parser.add_argument("--racing", action="store_true")
-    parser.add_argument(
-        "--lock", choices=("mcs", "ticket", "test_and_set"), default="mcs"
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--paper-faithful",
-        action="store_true",
-        help="2LC exactly as printed in Algorithm 1 (recovery-unsafe)",
-    )
 
 
 def _add_harness_arguments(parser: argparse.ArgumentParser) -> None:
@@ -165,22 +140,9 @@ def _add_harness_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _run_workload(args: argparse.Namespace):
-    return run_insert_workload(
-        design=args.design,
-        threads=args.threads,
-        inserts_per_thread=args.inserts,
-        entry_size=args.entry_size,
-        racing=args.racing,
-        lock_kind=args.lock,
-        seed=args.seed,
-        paper_faithful=args.paper_faithful,
-    )
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     """Run a queue workload and save its trace."""
-    result = _run_workload(args)
+    result = run_insert_workload(from_args(args))
     validate(result.trace)
     save_file(result.trace, args.output)
     stats = result.trace.stats()
@@ -299,7 +261,7 @@ def cmd_dot(args: argparse.Namespace) -> int:
 
 def cmd_inject(args: argparse.Namespace) -> int:
     """Run failure injection against a fresh queue workload."""
-    result = _run_workload(args)
+    result = run_insert_workload(from_args(args))
     graph = analyze_graph(result.trace, args.model).graph
     injector = FailureInjector(graph, result.base_image)
     violations = checked = 0
@@ -415,20 +377,7 @@ def cmd_fuzz_run(args: argparse.Namespace) -> int:
     preservation; repair violations minimize and replay like any other
     finding, with the nested-crash schedule pinned in the repro file.
     """
-    config = CampaignConfig(
-        target=args.target,
-        budget=args.budget,
-        models=tuple(args.models or ("epoch", "strand")),
-        schedulers=tuple(args.schedulers or SCHEDULER_KINDS),
-        seed=args.seed,
-        jobs=args.jobs,
-        cut_samples=args.cut_samples,
-        faults=tuple(args.faults or ()),
-        oracle=args.oracle,
-        crash_recovery=args.crash_recovery,
-        task_timeout=args.task_timeout,
-        task_retries=args.task_retries,
-    )
+    config = from_args(args)
     result = run_campaign(
         config, store=ResultStore(args.checkpoint) if args.checkpoint else None
     )
@@ -439,20 +388,24 @@ def cmd_fuzz_run(args: argparse.Namespace) -> int:
             result, corpus, limit=args.minimize_limit
         )
         for outcome in minimized:
-            case = outcome.case
-            if case.crash is not None:
-                tag = f" breaks-repair={case.crash}"
-            elif case.condition:
-                tag = f" breaks={case.condition}"
-            else:
-                tag = ""
-            print(
-                f"minimized [{case.model}] threads={case.threads} "
-                f"ops={case.ops} |cut|={len(case.cut)}{tag} "
-                f"-> {corpus.path_for(case)}"
-            )
-            print(f"  {case.error}")
+            _print_minimized(outcome.case, corpus)
     return 1 if result.violations else 0
+
+
+def _print_minimized(case, corpus: Corpus) -> None:
+    """Report one minimized campaign finding and its corpus path."""
+    if case.crash is not None:
+        tag = f" breaks-repair={case.crash}"
+    elif case.condition:
+        tag = f" breaks={case.condition}"
+    else:
+        tag = ""
+    print(
+        f"minimized [{case.model}] threads={case.threads} "
+        f"ops={case.ops} |cut|={len(case.cut)}{tag} "
+        f"-> {corpus.path_for(case)}"
+    )
+    print(f"  {case.error}")
 
 
 def _replay_paths(args: argparse.Namespace) -> List[Path]:
@@ -497,29 +450,7 @@ def cmd_fuzz_minimize(args: argparse.Namespace) -> int:
     """
     corpus = Corpus(args.corpus_dir)
     case = corpus.load(args.path)
-    spec = CaseSpec(
-        target=case.target,
-        threads=case.threads,
-        ops=case.ops,
-        sched=case.sched,
-        sched_seed=case.sched_seed,
-        model=case.model,
-        cuts="minimal",
-        cut_seed=0,
-        faults=case.faults,
-        oracle=case.oracle,
-        crash_recovery=case.crash_recovery,
-    )
-    finding = Finding(
-        spec=spec,
-        cut=case.cut,
-        error=case.error,
-        choices=case.choices,
-        condition=case.condition,
-        crash=case.crash,
-        crash_schedule=case.crash_schedule,
-    )
-    outcome = minimize_finding(finding)
+    outcome = minimize_finding(case.to_finding())
     path = corpus.add(outcome.case)
     minimized = outcome.case
     tag = f" breaks={minimized.condition}" if minimized.condition else ""
@@ -551,20 +482,7 @@ def cmd_crashrec(args: argparse.Namespace) -> int:
     violations are expected (those still appear in the summary but do
     not fail the audit).
     """
-    config = CampaignConfig(
-        target=args.target,
-        budget=args.budget,
-        models=tuple(args.models or ("epoch", "strand")),
-        schedulers=tuple(args.schedulers or SCHEDULER_KINDS),
-        seed=args.seed,
-        jobs=args.jobs,
-        cut_samples=args.cut_samples,
-        faults=tuple(args.faults or ()),
-        oracle=args.oracle,
-        crash_recovery=args.depth,
-        task_timeout=args.task_timeout,
-        task_retries=args.task_retries,
-    )
+    config = from_args(args)
     result = run_campaign(config)
     print(result.summary())
     crash_findings = [f for f in result.findings if f.crash is not None]
@@ -576,14 +494,8 @@ def cmd_crashrec(args: argparse.Namespace) -> int:
             if key in seen or len(seen) >= args.minimize_limit:
                 continue
             seen.add(key)
-            outcome = minimize_finding(finding)
-            case = outcome.case
-            print(
-                f"minimized [{case.model}] threads={case.threads} "
-                f"ops={case.ops} |cut|={len(case.cut)} "
-                f"breaks-repair={case.crash} -> {corpus.path_for(case)}"
-            )
-            print(f"  {case.error}")
+            case = minimize_finding(finding).case
+            _print_minimized(case, corpus)
             corpus.add(case)
     return 1 if result.crash_violations else 0
 
@@ -601,28 +513,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     Returns 1 when violations were found, 0 on a verified-clean target,
     2 on an exploration-limit overrun or other error.
     """
-    if args.jobs and args.jobs > 1:
-        for flag, value, default in (
-            ("--reduction", args.reduction, "dpor"),
-            ("--replay", args.replay, None),
-            ("--domain", args.domain, "bitset"),
-        ):
-            if value != default:
-                raise ReproError(
-                    f"{flag} {value} is not supported with --jobs > 1 "
-                    f"(shards run DPOR with the default replay and domain)"
-                )
-    config = CheckConfig(
-        models=tuple(args.models or DEFAULT_MODELS),
-        max_schedules=args.max_schedules,
-        max_cuts_per_graph=args.max_cuts,
-        stop_at_first=args.stop_at_first,
-        reduction=args.reduction,
-        replay=args.replay,
-        graph_domain=args.domain,
-        oracle=args.oracle,
-    )
-    config.validate()
+    config = from_args(args)
     reports = []
     if args.jobs and args.jobs > 1:
         result, reports = check_target_sharded(
@@ -725,23 +616,17 @@ def cmd_litmus_run(args: argparse.Namespace) -> int:
     bitset-vs-frozenset domain mismatch is an implementation bug and
     exits 1.
     """
+    presets = {}
     if args.all_models:
-        models = sorted(MODELS)
-    else:
-        models = list(args.models or LITMUS_MODELS)
-    domains = ("bitset", "graph") if args.cross_domains else (args.domain,)
-    programs = _litmus_corpus(args)
-    report = run_corpus(
-        programs,
-        models,
-        domains=domains,
-        max_schedules=args.max_schedules,
-        cut_limit=args.cut_limit,
-    )
+        presets["models"] = MODEL_CHOICES
+    if args.cross_domains:
+        presets["domains"] = GRAPH_DOMAINS
+    config = from_args(args, **presets)
+    report = run_corpus(_litmus_corpus(args), config)
     summary = report["summary"]
     for row in report["programs"]:
         allowed = " ".join(
-            f"{model}={row['allowed'][model]}" for model in models
+            f"{model}={row['allowed'][model]}" for model in config.models
         )
         truncated = (
             f" cut-limit-exceeded={','.join(row['cut_limit_exceeded'])}"
@@ -817,15 +702,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     SIGINT or the `shutdown` op; `kill -9` is survivable: restart and
     interrupted jobs resume from their journaled state.
     """
-    config = ServeConfig(
-        state_dir=Path(args.state_dir),
-        workers=args.workers,
-        socket_path=Path(args.socket) if args.socket else None,
-        max_jobs_per_tenant=args.max_jobs_per_tenant,
-        rate=args.rate,
-        burst=args.burst,
-        task_timeout=args.task_timeout,
-        task_retries=args.task_retries,
+    config = from_args(
+        args, state_dir=Path(args.state_dir), socket_path=args.socket
     )
     print(
         f"serving on {config.socket_path} "
@@ -970,6 +848,21 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def _add_minimize_arguments(
+    parser: argparse.ArgumentParser, findings: str, per: str
+) -> None:
+    """The corpus flags shared by ``fuzz run`` and ``crashrec``."""
+    parser.add_argument("--corpus-dir", default=".repro-corpus")
+    parser.add_argument(
+        "--minimize-limit", type=int, default=3,
+        help=f"{findings} minimized into the corpus (one per {per})",
+    )
+    parser.add_argument(
+        "--no-minimize", action="store_true",
+        help=f"report {findings} without minimizing into the corpus",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -979,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     run_parser = commands.add_parser("run", help=cmd_run.__doc__)
-    _add_workload_arguments(run_parser)
+    add_arguments(run_parser, WorkloadConfig)
     run_parser.add_argument("-o", "--output", required=True)
     run_parser.set_defaults(handler=cmd_run)
 
@@ -1034,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
     dot_parser.set_defaults(handler=cmd_dot)
 
     inject_parser = commands.add_parser("inject", help=cmd_inject.__doc__)
-    _add_workload_arguments(inject_parser)
+    add_arguments(inject_parser, WorkloadConfig)
     inject_parser.add_argument(
         "--model", choices=sorted(MODELS), default="epoch"
     )
@@ -1066,67 +959,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     fuzz_run = fuzz_commands.add_parser("run", help=cmd_fuzz_run.__doc__)
-    fuzz_run.add_argument(
-        "--target", required=True, choices=sorted(TARGETS)
-    )
-    fuzz_run.add_argument(
-        "--budget", type=int, default=200, help="cases to sample and run"
-    )
-    fuzz_run.add_argument(
-        "--models", nargs="+", choices=sorted(MODELS), default=None,
-        help="persistency models to sample (default: epoch strand)",
-    )
-    fuzz_run.add_argument(
-        "--schedulers", nargs="+", choices=SCHEDULER_KINDS, default=None,
-        help="scheduler kinds to sample (default: all)",
-    )
-    fuzz_run.add_argument("--seed", type=int, default=0)
-    fuzz_run.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the campaign (1 = serial)",
-    )
-    fuzz_run.add_argument("--corpus-dir", default=".repro-corpus")
-    fuzz_run.add_argument("--cut-samples", type=int, default=32)
-    fuzz_run.add_argument(
-        "--faults", nargs="+", choices=("torn", "dropped", "corrupt"),
-        default=None,
-        help="inject device faults of these kinds into every cut image",
-    )
-    fuzz_run.add_argument(
-        "--oracle", choices=ORACLES, default="invariant",
-        help="per-cut judge: the target's recovery invariant, durable "
-        "linearizability (dl), or buffered durable linearizability "
-        "(bdl); dl/bdl record operation histories and classify each "
-        "violation by the strongest condition it breaks",
-    )
-    fuzz_run.add_argument(
-        "--crash-recovery", type=int, default=0, metavar="DEPTH",
-        help="crash the target's repair procedure at cuts of its own "
-        "persist DAG up to DEPTH levels deep and judge idempotence, "
-        "convergence, and preservation (0 = off; requires a repairable "
-        "target)",
-    )
+    add_arguments(fuzz_run, CampaignConfig)
     fuzz_run.add_argument(
         "--checkpoint", default=None, metavar="DIR",
         help="store each completed case in a result store here; "
         "rerunning resumes",
     )
-    fuzz_run.add_argument(
-        "--task-timeout", type=float, default=None,
-        help="per-case wall-clock timeout in seconds (pool mode only)",
-    )
-    fuzz_run.add_argument(
-        "--task-retries", type=int, default=0,
-        help="retries before a case is recorded as failed",
-    )
-    fuzz_run.add_argument(
-        "--minimize-limit", type=int, default=3,
-        help="findings minimized into the corpus (one per model)",
-    )
-    fuzz_run.add_argument(
-        "--no-minimize", action="store_true",
-        help="report violations without minimizing into the corpus",
-    )
+    _add_minimize_arguments(fuzz_run, "findings", "model")
     fuzz_run.set_defaults(handler=cmd_fuzz_run)
 
     fuzz_replay = fuzz_commands.add_parser(
@@ -1149,124 +988,42 @@ def build_parser() -> argparse.ArgumentParser:
     crashrec_parser = commands.add_parser(
         "crashrec", help=cmd_crashrec.__doc__
     )
-    crashrec_parser.add_argument(
-        "--target", required=True,
-        choices=sorted(
-            name for name, target in TARGETS.items() if target.repairable
-        ),
+    add_arguments(
+        crashrec_parser,
+        CampaignConfig,
+        target={"choices": tuple(
+            name for name in TARGET_CHOICES if TARGETS[name].repairable
+        )},
+        budget={"default": 50},
+        cut_samples={"default": 16},
+        crash_recovery={
+            "flag": "--depth",
+            "default": 2,
+            "metavar": None,
+            "help": "nested-crash levels inside repair (0 judges only "
+            "the crash-free repair)",
+        },
     )
-    crashrec_parser.add_argument(
-        "--depth", type=int, default=2,
-        help="nested-crash levels inside repair (0 judges only the "
-        "crash-free repair)",
-    )
-    crashrec_parser.add_argument(
-        "--budget", type=int, default=50, help="cases to sample and run"
-    )
-    crashrec_parser.add_argument(
-        "--models", nargs="+", choices=sorted(MODELS), default=None,
-        help="persistency models to sample (default: epoch strand)",
-    )
-    crashrec_parser.add_argument(
-        "--schedulers", nargs="+", choices=SCHEDULER_KINDS, default=None,
-        help="scheduler kinds to sample (default: all)",
-    )
-    crashrec_parser.add_argument("--seed", type=int, default=0)
-    crashrec_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the campaign (1 = serial)",
-    )
-    crashrec_parser.add_argument("--corpus-dir", default=".repro-corpus")
-    crashrec_parser.add_argument("--cut-samples", type=int, default=16)
-    crashrec_parser.add_argument(
-        "--faults", nargs="+", choices=("torn", "dropped", "corrupt"),
-        default=None,
-        help="repair the faulty image: inject device faults of these "
-        "kinds before running repair",
-    )
-    crashrec_parser.add_argument(
-        "--oracle", choices=ORACLES, default="invariant",
-        help="preservation baseline: the target's invariant, or durable "
-        "(dl) / buffered durable (bdl) linearizability of the recorded "
-        "history",
-    )
-    crashrec_parser.add_argument(
-        "--task-timeout", type=float, default=None,
-        help="per-case wall-clock timeout in seconds (pool mode only)",
-    )
-    crashrec_parser.add_argument(
-        "--task-retries", type=int, default=0,
-        help="retries before a case is recorded as failed",
-    )
-    crashrec_parser.add_argument(
-        "--minimize-limit", type=int, default=3,
-        help="repair findings minimized into the corpus (one per "
-        "model x oracle)",
-    )
-    crashrec_parser.add_argument(
-        "--no-minimize", action="store_true",
-        help="report repair violations without minimizing into the corpus",
+    _add_minimize_arguments(
+        crashrec_parser, "repair findings", "model x oracle"
     )
     crashrec_parser.set_defaults(handler=cmd_crashrec)
 
     check_parser = commands.add_parser("check", help=cmd_check.__doc__)
-    check_parser.add_argument(
-        "--target", required=True, choices=sorted(TARGETS)
-    )
-    check_parser.add_argument("--threads", type=int, default=2)
-    check_parser.add_argument(
-        "--ops", type=int, default=1, help="operations per thread"
-    )
-    check_parser.add_argument(
-        "--model", dest="models", action="append", choices=sorted(MODELS),
-        help="persistency model to check (repeatable; default: "
-        + " ".join(DEFAULT_MODELS) + ")",
-    )
-    check_parser.add_argument(
-        "--max-schedules", type=int, default=20_000,
-        help="abort (exit 2) past this many explored schedules",
-    )
-    check_parser.add_argument(
-        "--max-cuts", type=int, default=4_096,
-        help="per-DAG cut budget before falling back to minimal cuts",
-    )
-    check_parser.add_argument(
-        "--reduction", choices=REDUCTIONS, default="dpor",
-        help="'none' disables DPOR (exhaustive enumeration)",
-    )
-    check_parser.add_argument(
-        "--replay", choices=sorted(REPLAYS), default=None,
-        help="backtracking strategy: 'share' restores the deepest common "
-        "prefix from a snapshot, 'reexecute' replays from step 0 "
-        "(default: share when the target supports it)",
-    )
-    check_parser.add_argument(
-        "--domain", choices=GRAPH_DOMAINS, default="bitset",
-        help="persist-DAG analysis domain; 'graph' is the frozenset "
-        "reference oracle, 'bitset' the packed-integer fast path",
+    add_arguments(
+        check_parser,
+        CheckConfig,
+        extra=JOB_KEYS["check"],
+        threads={"default": 2},
+        ops={"default": 1},
     )
     check_parser.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes (above 1: prefix-sharded exploration)",
     )
     check_parser.add_argument(
-        "--shard-depth", type=int, default=2,
-        help="choice-prefix depth that partitions the schedule tree",
-    )
-    check_parser.add_argument(
         "--stats", action="store_true",
         help="print engine and per-shard counters to stderr",
-    )
-    check_parser.add_argument(
-        "--stop-at-first", action="store_true",
-        help="stop at the first violation instead of collecting all",
-    )
-    check_parser.add_argument(
-        "--oracle", choices=ORACLES, default="invariant",
-        help="per-cut judge: the target's recovery invariant, durable "
-        "linearizability (dl), or buffered durable linearizability "
-        "(bdl); dl/bdl disable DAG/cut deduplication (verdicts depend "
-        "on cut membership, not image bytes)",
     )
     check_parser.add_argument("--corpus-dir", default=".repro-corpus")
     check_parser.add_argument(
@@ -1317,32 +1074,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--program", action="append", default=None,
         help="run only the named program(s) (default: whole corpus)",
     )
-    litmus_run.add_argument(
-        "--model", dest="models", action="append", choices=sorted(MODELS),
-        default=None,
-        help="persistency model(s) to compare (default: strict epoch "
-        "strand px86 dpox86)",
-    )
+    add_arguments(litmus_run, LitmusConfig)
     litmus_run.add_argument(
         "--all-models", action="store_true",
         help="compare every registered model (including bpfs)",
     )
     litmus_run.add_argument(
-        "--domain", choices=GRAPH_DOMAINS, default="bitset",
-        help="dependency domain for the persist DAG (default bitset; the "
-        "level domain cannot materialise DAGs)",
-    )
-    litmus_run.add_argument(
         "--cross-domains", action="store_true",
         help="run bitset AND frozenset domains, flag any outcome mismatch",
-    )
-    litmus_run.add_argument(
-        "--max-schedules", type=int, default=DEFAULT_MAX_SCHEDULES,
-        help="DPOR schedule budget per program",
-    )
-    litmus_run.add_argument(
-        "--cut-limit", type=int, default=DEFAULT_CUT_LIMIT,
-        help="consistent-cut budget per persist DAG",
     )
     litmus_run.add_argument(
         "-o", "--out", default=None,
@@ -1367,30 +1106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_parser = commands.add_parser("serve", help=cmd_serve.__doc__)
     serve_client_args(serve_parser)
-    serve_parser.add_argument(
-        "--workers", type=int, default=2,
-        help="worker processes executing shards (default 2)",
-    )
-    serve_parser.add_argument(
-        "--max-jobs-per-tenant", type=int, default=8,
-        help="active-job admission cap per tenant (default 8)",
-    )
-    serve_parser.add_argument(
-        "--rate", type=float, default=50.0,
-        help="token-bucket refill rate, shards/second/tenant (default 50)",
-    )
-    serve_parser.add_argument(
-        "--burst", type=float, default=100.0,
-        help="token-bucket capacity per tenant (default 100)",
-    )
-    serve_parser.add_argument(
-        "--task-timeout", type=float, default=None,
-        help="per-shard wall-clock budget in seconds (default none)",
-    )
-    serve_parser.add_argument(
-        "--task-retries", type=int, default=0,
-        help="retries per failed/timed-out shard (default 0)",
-    )
+    add_arguments(serve_parser, ServeConfig)
     serve_parser.set_defaults(handler=cmd_serve)
 
     submit_parser = commands.add_parser("submit", help=cmd_submit.__doc__)

@@ -20,9 +20,10 @@ persistency semantics of Khyzha & Lahav, "Taming x86-TSO Persistency"
 from __future__ import annotations
 
 import abc
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple, Type
 
 from repro.core.lattice import DependencyDomain
+from repro.errors import ReproError
 
 
 class PersistencyModel(abc.ABC):
@@ -300,6 +301,27 @@ MODELS = {
     "px86": Px86Persistency,
     "dpox86": DPOx86Persistency,
 }
+
+
+#: Registered model names, sorted (the CLI and spec choices).
+MODEL_CHOICES = tuple(sorted(MODELS))
+
+
+def validate_models(
+    models: Sequence[str], error: Type[ReproError] = ReproError
+) -> None:
+    """Raise ``error`` unless ``models`` lists one or more distinct
+    registered persistency models (shared by every engine config)."""
+    if not models:
+        raise error("at least one persistency model is required")
+    for model in models:
+        if model not in MODELS:
+            raise error(
+                f"unknown persistency model {model!r}; expected one of "
+                f"{sorted(MODELS)}"
+            )
+    if len(set(models)) != len(models):
+        raise error(f"duplicate persistency models in {tuple(models)}")
 
 
 def make_model(name: str) -> PersistencyModel:

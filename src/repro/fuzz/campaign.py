@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.analysis import analyze_graph
+from repro.core.model import MODEL_CHOICES, validate_models
 from repro.core.recovery import FailureInjector
 from repro.errors import FuzzError
 from repro.fuzz.judge import (
@@ -46,11 +47,13 @@ from repro.fuzz.judge import (
     recorded_key,
     validate_axes,
 )
-from repro.fuzz.targets import TargetRun, make_target
+from repro.fuzz.targets import TARGET_CHOICES, TargetRun, make_target
 from repro.harness.cache import ResultStore
 from repro.harness.parallel import fan_out
 from repro.harness.runner import SEED_SPACE
+from repro.histories.oracle import ORACLES
 from repro.inject.plan import FAULT_KINDS, FaultPlan
+from repro.schema import encode, option
 from repro.sim.scheduler import (
     SCHEDULER_KINDS,
     ChoiceRecordingScheduler,
@@ -122,20 +125,7 @@ class CaseSpec:
 
     def describe(self) -> Dict[str, object]:
         """JSON dict representation (wire format for workers/corpus)."""
-        return {
-            "target": self.target,
-            "threads": self.threads,
-            "ops": self.ops,
-            "sched": self.sched,
-            "sched_seed": self.sched_seed,
-            "model": self.model,
-            "cuts": self.cuts,
-            "cut_seed": self.cut_seed,
-            "cut_samples": self.cut_samples,
-            "faults": self.faults,
-            "oracle": self.oracle,
-            "crash_recovery": self.crash_recovery,
-        }
+        return asdict(self)
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "CaseSpec":
@@ -559,26 +549,58 @@ class CampaignConfig:
     planned shards (and therefore from result-store keys).
     """
 
-    target: str
-    budget: int = 200
-    models: Sequence[str] = ("epoch", "strand")
-    schedulers: Sequence[str] = SCHEDULER_KINDS
-    seed: int = 0
-    jobs: Optional[int] = None
-    cut_samples: int = 32
-    faults: Sequence[str] = ()
-    oracle: str = "invariant"
-    crash_recovery: int = 0
-    task_timeout: Optional[float] = None
-    task_retries: int = 0
+    target: str = option(choices=TARGET_CHOICES, noun="fuzz target")
+    budget: int = option(200, type=int, help="cases to sample and run")
+    models: Sequence[str] = option(
+        ("epoch", "strand"), many=True, choices=MODEL_CHOICES,
+        noun="persistency model",
+        help="persistency models to sample (default: epoch strand)",
+    )
+    schedulers: Sequence[str] = option(
+        SCHEDULER_KINDS, many=True, choices=SCHEDULER_KINDS,
+        noun="scheduler kind", help="scheduler kinds to sample (default: all)",
+    )
+    seed: int = option(0, type=int)
+    jobs: Optional[int] = option(
+        None, type=int, optional=True, key=None, cli={"default": 1},
+        help="worker processes for the campaign (1 = serial)",
+    )
+    cut_samples: int = option(32, type=int)
+    faults: Sequence[str] = option(
+        (), many=True, choices=FAULT_KINDS, noun="fault kind",
+        help="inject device faults of these kinds into every cut image "
+        "(before repair runs, under crash recovery)",
+    )
+    oracle: str = option(
+        "invariant", choices=ORACLES, noun="oracle",
+        help="per-cut judge (and repair preservation baseline): the "
+        "target's recovery invariant, durable linearizability (dl), or "
+        "buffered durable linearizability (bdl); dl/bdl record "
+        "operation histories and classify each violation by the "
+        "strongest condition it breaks",
+    )
+    crash_recovery: int = option(
+        0, type=int, cli={"metavar": "DEPTH"},
+        help="crash the target's repair procedure at cuts of its own "
+        "persist DAG up to DEPTH levels deep and judge idempotence, "
+        "convergence, and preservation (0 = off; requires a repairable "
+        "target)",
+    )
+    task_timeout: Optional[float] = option(
+        None, type=float, optional=True, key=None,
+        help="per-case wall-clock timeout in seconds (pool mode only)",
+    )
+    task_retries: int = option(
+        0, type=int, key=None,
+        help="retries before a case is recorded as failed",
+    )
 
     def validate(self) -> None:
         """Raise on unusable parameters."""
         target = make_target(self.target)
         if self.budget <= 0:
             raise FuzzError(f"budget must be positive, got {self.budget}")
-        if not self.models:
-            raise FuzzError("at least one persistency model is required")
+        validate_models(self.models, FuzzError)
         if not self.schedulers:
             raise FuzzError("at least one scheduler kind is required")
         for kind in self.schedulers:
@@ -602,21 +624,11 @@ class CampaignConfig:
         """JSON dict of everything that determines sampled outcomes.
 
         Execution-shape knobs (``jobs``, ``task_timeout``,
-        ``task_retries``) are deliberately absent: this dict is also a
-        valid ``repro serve`` fuzz job spec, and results stored by a
-        serial run must resume a parallel one and vice versa.
+        ``task_retries``) carry no spec key, so they are absent: this
+        dict is also a valid ``repro serve`` fuzz job spec, and results
+        stored by a serial run must resume a parallel one and vice versa.
         """
-        return {
-            "target": self.target,
-            "budget": self.budget,
-            "models": list(self.models),
-            "schedulers": list(self.schedulers),
-            "seed": self.seed,
-            "cut_samples": self.cut_samples,
-            "faults": list(self.faults),
-            "oracle": self.oracle,
-            "crash_recovery": self.crash_recovery,
-        }
+        return encode(self)
 
 
 def _total(name: str, doc: str, per_key: bool = False) -> property:

@@ -24,7 +24,7 @@ than crashing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -33,11 +33,13 @@ if TYPE_CHECKING:  # layering: fuzz only needs the violation's fields
 
 from repro.core.analysis import analyze_graph
 from repro.core.recovery import is_consistent_cut
-from repro.errors import FuzzError, SimulationError
+from repro.errors import FuzzError, ReproError, SimulationError
+from repro.fuzz.campaign import CaseSpec, Finding
 from repro.fuzz.judge import (
     FAILING,
     ClassKey,
     CutJudge,
+    Verdict,
     recorded_key,
     validate_axes,
 )
@@ -45,12 +47,23 @@ from repro.fuzz.targets import make_target
 from repro.harness.cache import atomic_write, content_digest, quarantine_file
 from repro.inject.plan import FaultPlan
 from repro.inject.report import RecoveryReport
+from repro.schema import decode, encode, option
 from repro.sim.scheduler import ReplayScheduler, make_scheduler
 
 _PathLike = Union[str, Path]
 
 #: Bump when the repro file format changes; old entries fail to load.
 CORPUS_FORMAT_VERSION = 1
+
+
+def _shared(source: object, cls: type) -> Dict[str, object]:
+    """``source``'s values of the fields it shares (by name) with
+    ``cls`` — every case axis (target, schedule, model, faults, oracle,
+    crash depth, ...) crosses a conversion without being listed here."""
+    names = {f.name for f in fields(source)}
+    return {
+        f.name: getattr(source, f.name) for f in fields(cls) if f.name in names
+    }
 
 
 @dataclass(frozen=True)
@@ -74,22 +87,22 @@ class ReproCase:
     depth to replay at.
     """
 
-    target: str
-    threads: int
-    ops: int
-    sched: str
-    sched_seed: int
-    model: str
-    cut: Tuple[int, ...]
-    choices: Tuple[int, ...]
-    error: str
-    minimized: bool = False
-    faults: Optional[str] = None
-    oracle: str = "invariant"
-    condition: Optional[str] = None
-    crash: Optional[str] = None
+    target: str = option()
+    threads: int = option(type=int)
+    ops: int = option(type=int)
+    sched: str = option()
+    sched_seed: int = option(type=int)
+    model: str = option()
+    cut: Tuple[int, ...] = option(type=int, many=True)
+    choices: Tuple[int, ...] = option(type=int, many=True)
+    error: str = option()
+    minimized: bool = option(False, type=bool)
+    faults: Optional[str] = option(None, optional=True)
+    oracle: str = option("invariant")
+    condition: Optional[str] = option(None, optional=True)
+    crash: Optional[str] = option(None, optional=True)
     crash_schedule: Optional[Tuple[Tuple[int, ...], ...]] = None
-    crash_recovery: int = 0
+    crash_recovery: int = option(0, type=int)
 
     def plan(self) -> Optional[FaultPlan]:
         """The case's fault plan, decoded, or None for a clean case."""
@@ -97,30 +110,43 @@ class ReproCase:
             return None
         return FaultPlan.from_json(self.faults)
 
+    @classmethod
+    def from_verdict(
+        cls,
+        spec: CaseSpec,
+        cut: Iterable[int],
+        choices: Tuple[int, ...],
+        verdict: Verdict,
+    ) -> "ReproCase":
+        """The minimized case of ``spec``'s run: its recorded ``choices``
+        and ``cut``, and the cut's verdict (error, condition, repair
+        oracle and nested-crash schedule)."""
+        return cls(
+            cut=tuple(sorted(cut)),
+            choices=choices,
+            error=verdict.error,
+            minimized=True,
+            condition=verdict.condition,
+            crash=verdict.crash,
+            crash_schedule=verdict.schedule,
+            **_shared(spec, cls),
+        )
+
+    def to_finding(self) -> Finding:
+        """The campaign finding this case re-minimizes from: its spec
+        with the adversarial minimal-cut family, and its verdict."""
+        spec = CaseSpec(cuts="minimal", cut_seed=0, **_shared(self, CaseSpec))
+        return Finding(spec=spec, **_shared(self, Finding))
+
     def describe(self) -> Dict[str, object]:
         """JSON dict representation (exactly what is written to disk)."""
+        schedule = self.crash_schedule
         return {
             "version": CORPUS_FORMAT_VERSION,
-            "target": self.target,
-            "threads": self.threads,
-            "ops": self.ops,
-            "sched": self.sched,
-            "sched_seed": self.sched_seed,
-            "model": self.model,
-            "cut": list(self.cut),
-            "choices": list(self.choices),
-            "error": self.error,
-            "minimized": self.minimized,
-            "faults": self.faults,
-            "oracle": self.oracle,
-            "condition": self.condition,
-            "crash": self.crash,
+            **encode(self),
             "crash_schedule": (
-                None
-                if self.crash_schedule is None
-                else [list(level) for level in self.crash_schedule]
+                None if schedule is None else [list(cut) for cut in schedule]
             ),
-            "crash_recovery": self.crash_recovery,
         }
 
     @classmethod
@@ -129,8 +155,7 @@ class ReproCase:
 
         ``faults``, ``oracle``, ``condition`` and the ``crash*`` fields
         may be absent (entries written before the fields existed load as
-        clean invariant cases).  The axes are held to the rules a
-        campaign is (see :func:`~repro.fuzz.judge.validate_axes`).
+        clean invariant cases).
 
         Raises:
             FuzzError: on a malformed or wrong-version payload, an
@@ -142,49 +167,36 @@ class ReproCase:
                     f"repro format version {payload['version']} is not "
                     f"{CORPUS_FORMAT_VERSION}"
                 )
-            faults = payload.get("faults")
-            condition = payload.get("condition")
-            crash = payload.get("crash")
             schedule = payload.get("crash_schedule")
-            case = cls(
-                target=str(payload["target"]),
-                threads=int(payload["threads"]),
-                ops=int(payload["ops"]),
-                sched=str(payload["sched"]),
-                sched_seed=int(payload["sched_seed"]),
-                model=str(payload["model"]),
-                cut=tuple(int(pid) for pid in payload["cut"]),
-                choices=tuple(int(c) for c in payload["choices"]),
-                error=str(payload["error"]),
-                minimized=bool(payload["minimized"]),
-                faults=None if faults is None else str(faults),
-                oracle=str(payload.get("oracle", "invariant")),
-                condition=None if condition is None else str(condition),
-                crash=None if crash is None else str(crash),
-                crash_schedule=(
-                    None
-                    if schedule is None
-                    else tuple(
-                        tuple(int(pid) for pid in level)
-                        for level in schedule
-                    )
-                ),
-                crash_recovery=int(payload.get("crash_recovery", 0)),
+            if schedule is not None:
+                schedule = tuple(
+                    tuple(int(pid) for pid in cut) for cut in schedule
+                )
+            return decode(
+                cls,
+                payload,
+                extra=("version", "crash_schedule"),
+                crash_schedule=schedule,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except FuzzError:
+            raise
+        except (KeyError, TypeError, ValueError, ReproError) as exc:
             raise FuzzError(f"malformed repro payload: {exc}") from exc
-        target = make_target(case.target)
-        repair = case.crash is not None or case.crash_recovery != 0
+
+    def validate(self) -> None:
+        """Hold the case's axes to the rules a campaign is held to (see
+        :func:`~repro.fuzz.judge.validate_axes`); raises FuzzError."""
+        target = make_target(self.target)
+        repair = self.crash is not None or self.crash_recovery != 0
         validate_axes(
-            case.oracle,
+            self.oracle,
             recordable=target.recordable,
             repairable=target.repairable,
-            faults=case.faults is not None,
-            crash_recovery=case.crash_recovery if repair else None,
-            crash=case.crash,
-            target=case.target,
+            faults=self.faults is not None,
+            crash_recovery=self.crash_recovery if repair else None,
+            crash=self.crash,
+            target=self.target,
         )
-        return case
 
     @property
     def class_key(self) -> ClassKey:

@@ -229,24 +229,7 @@ def minimize_finding(
     execution = execute_spec(spec)
     stats.runs += 1
     cut, verdict = shrink_cut(execution, stats, max_cut_checks, key)
-    case = ReproCase(
-        target=spec.target,
-        threads=spec.threads,
-        ops=spec.ops,
-        sched=spec.sched,
-        sched_seed=spec.sched_seed,
-        model=spec.model,
-        cut=tuple(sorted(cut)),
-        choices=execution.choices,
-        error=verdict.error,
-        minimized=True,
-        faults=spec.faults,
-        oracle=spec.oracle,
-        condition=verdict.condition,
-        crash=verdict.crash,
-        crash_schedule=verdict.schedule,
-        crash_recovery=spec.crash_recovery,
-    )
+    case = ReproCase.from_verdict(spec, cut, execution.choices, verdict)
     return MinimizeResult(case=case, stats=stats)
 
 

@@ -1042,6 +1042,10 @@ TARGETS: Dict[str, FuzzTarget] = {
 }
 
 
+#: Registered target names, sorted (the CLI and spec choices).
+TARGET_CHOICES = tuple(sorted(TARGETS))
+
+
 def make_target(name: str) -> FuzzTarget:
     """Look up a registered target by name.
 

@@ -18,6 +18,7 @@ from repro.litmus.runner import (
     DEFAULT_CUT_LIMIT,
     DEFAULT_MAX_SCHEDULES,
     DEFAULT_MODELS,
+    LitmusConfig,
     program_task,
     run_corpus,
     run_program,
@@ -33,6 +34,7 @@ __all__ = [
     "DEFAULT_CUT_LIMIT",
     "DEFAULT_MAX_SCHEDULES",
     "DEFAULT_MODELS",
+    "LitmusConfig",
     "LitmusError",
     "LitmusProgram",
     "corpus_by_name",

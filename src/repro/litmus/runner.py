@@ -26,15 +26,19 @@ The module also owns the litmus job form every executor runs: one
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 from repro.check.canonical import canonical_dag_key
+from repro.check.checker import GRAPH_DOMAINS
 from repro.check.engine import Engine
 from repro.core.analysis import PrefixSharedAnalysis
+from repro.core.model import MODEL_CHOICES, validate_models
 from repro.core.recovery import enumerate_cuts
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, ReproError
 from repro.litmus.corpus import corpus_by_name
 from repro.litmus.program import CELL_SIZE, LitmusProgram
+from repro.schema import decode, encode, option
 from repro.sim.scheduler import Scheduler
 
 #: An outcome: (per-thread register tuples, per-location persisted values).
@@ -46,6 +50,50 @@ DEFAULT_MODELS = ("strict", "epoch", "strand", "px86", "dpox86")
 DEFAULT_MAX_SCHEDULES = 20_000
 #: Default bound on enumerated cuts per persist DAG.
 DEFAULT_CUT_LIMIT = 50_000
+
+
+@dataclass(frozen=True)
+class LitmusConfig:
+    """What a litmus run compares: the models and dependency domains
+    each program is analyzed under, and the per-program bounds.
+
+    The one description of a litmus job — ``repro litmus run`` flags,
+    ``repro serve`` litmus specs and :func:`program_task` shard tasks
+    (see :mod:`repro.schema`).
+    """
+
+    models: Tuple[str, ...] = option(
+        DEFAULT_MODELS, many=True, choices=MODEL_CHOICES,
+        noun="persistency model", flag="--model",
+        cli={"dest": "models", "action": "append", "nargs": None},
+        help="persistency model(s) to compare (default: strict epoch "
+        "strand px86 dpox86)",
+    )
+    domains: Tuple[str, ...] = option(
+        ("bitset",), many=True, choices=GRAPH_DOMAINS,
+        noun="dependency domain", flag="--domain",
+        cli={"nargs": None, "default": "bitset"},
+        help="dependency domain for the persist DAG (default bitset; the "
+        "level domain cannot materialise DAGs)",
+    )
+    max_schedules: int = option(
+        DEFAULT_MAX_SCHEDULES, type=int,
+        help="DPOR schedule budget per program",
+    )
+    cut_limit: int = option(
+        DEFAULT_CUT_LIMIT, type=int,
+        help="consistent-cut budget per persist DAG",
+    )
+
+    def validate(self) -> None:
+        """Raise :class:`~repro.errors.ReproError` on unusable models or
+        domains."""
+        validate_models(self.models)
+        if not self.domains or not set(self.domains) <= set(GRAPH_DOMAINS):
+            raise ReproError(
+                f"litmus domains {self.domains!r} must be one or more of "
+                f"{GRAPH_DOMAINS}"
+            )
 
 
 class _LitmusCheckProgram:
@@ -228,45 +276,26 @@ def _disagreements(
     return rows
 
 
-def program_task(
-    name: str,
-    models: Sequence[str] = DEFAULT_MODELS,
-    domains: Sequence[str] = ("bitset",),
-    max_schedules: int = DEFAULT_MAX_SCHEDULES,
-    cut_limit: int = DEFAULT_CUT_LIMIT,
-) -> dict:
+def program_task(name: str, config: LitmusConfig = LitmusConfig()) -> dict:
     """The JSON-safe task running one named corpus program."""
-    return {
-        "kind": "litmus",
-        "program": name,
-        "models": list(models),
-        "domains": list(domains),
-        "max_schedules": int(max_schedules),
-        "cut_limit": int(cut_limit),
-    }
+    return {"kind": "litmus", "program": name, **encode(config)}
 
 
 def run_program_task(task: dict) -> dict:
     """Worker entry point: run one :func:`program_task`; returns
     ``{"kind": "litmus", "report": ...}``."""
-    report = run_program(
-        corpus_by_name()[str(task["program"])],
-        [str(model) for model in task["models"]],
-        domains=tuple(str(domain) for domain in task["domains"]),
-        max_schedules=int(task["max_schedules"]),
-        cut_limit=int(task["cut_limit"]),
-    )
+    config = decode(LitmusConfig, task, extra=("kind", "program"))
+    program = corpus_by_name()[str(task["program"])]
+    report = run_program(program, **asdict(config))
     return {"kind": "litmus", "report": report}
 
 
-def summarize_reports(
-    reports: Sequence[dict], models: Sequence[str], domains: Sequence[str]
-) -> dict:
+def summarize_reports(reports: Sequence[dict], config: LitmusConfig) -> dict:
     """The corpus summary of per-program reports (pinnable counts)."""
     return {
         "programs": len(reports),
-        "models": list(models),
-        "domains": list(domains),
+        "models": list(config.models),
+        "domains": list(config.domains),
         "schedules": sum(r["schedules"] for r in reports),
         "allowed": sum(sum(r["allowed"].values()) for r in reports),
         "forbidden": sum(sum(r["forbidden"].values()) for r in reports),
@@ -307,24 +336,20 @@ def summary_lines(summary: dict) -> List[str]:
 
 def run_corpus(
     programs: Sequence[LitmusProgram],
-    models: Sequence[str],
-    domains: Sequence[str] = ("bitset",),
-    max_schedules: int = DEFAULT_MAX_SCHEDULES,
-    cut_limit: int = DEFAULT_CUT_LIMIT,
+    config: Union[LitmusConfig, Sequence[str]] = LitmusConfig(),
+    **fields: object,
 ) -> dict:
-    """Run a corpus; returns the full differential report dict."""
-    reports = [
-        run_program(
-            program,
-            models,
-            domains=domains,
-            max_schedules=max_schedules,
-            cut_limit=cut_limit,
-        )
-        for program in programs
-    ]
+    """Run a corpus; returns the full differential report dict.
+
+    ``config`` is a :class:`LitmusConfig`, or the models of one whose
+    other fields are given as keywords.
+    """
+    if not isinstance(config, LitmusConfig):
+        config = LitmusConfig(tuple(config), **fields)
+    config.validate()
+    reports = [run_program(program, **asdict(config)) for program in programs]
     return {
-        "summary": summarize_reports(reports, models, domains),
+        "summary": summarize_reports(reports, config),
         "programs": reports,
     }
 

@@ -22,8 +22,10 @@ from repro.queue.layout import (
     record_size,
 )
 from repro.queue.tlc import make_tlc
+from repro.schema import option
 from repro.sim.machine import Machine
 from repro.sim.scheduler import RandomScheduler, Scheduler
+from repro.sim.sync import LOCK_KINDS
 from repro.trace.trace import Trace
 
 #: Queue design registry: name -> factory with the shared signature.
@@ -35,17 +37,23 @@ DESIGNS: Dict[str, Callable] = {
 
 @dataclass
 class WorkloadConfig:
-    """Parameters of one insert workload run."""
+    """Parameters of one insert workload run (the described fields are
+    the ``repro run``/``inject`` flags, see :mod:`repro.schema`)."""
 
-    design: str = "cwl"
-    threads: int = 1
-    inserts_per_thread: int = 100
-    entry_size: int = 100
-    racing: bool = False
-    lock_kind: str = "mcs"
-    paper_faithful: bool = False
+    design: str = option("cwl", choices=tuple(DESIGNS))
+    threads: int = option(1, type=int)
+    inserts_per_thread: int = option(
+        100, type=int, flag="--inserts", help="inserts per thread"
+    )
+    entry_size: int = option(100, type=int)
+    racing: bool = option(False, type=bool)
+    lock_kind: str = option("mcs", choices=tuple(LOCK_KINDS), flag="--lock")
+    paper_faithful: bool = option(
+        False, type=bool,
+        help="2LC exactly as printed in Algorithm 1 (recovery-unsafe)",
+    )
     insert_alignment: int = 64
-    seed: int = 0
+    seed: int = option(0, type=int)
     #: Queue capacity in bytes; None sizes it to hold every insert.
     capacity: Optional[int] = None
     #: Place the queue in volatile memory (non-recoverable baseline).

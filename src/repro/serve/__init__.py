@@ -31,6 +31,8 @@ from repro.serve.api import (
     wait_for_job,
 )
 from repro.serve.jobs import (
+    JOB_CONFIGS,
+    JOB_KEYS,
     JOB_KINDS,
     JOB_STATES,
     TERMINAL_STATES,
@@ -46,6 +48,8 @@ from repro.serve.queue import JobQueue, TokenBucket, WorkStealingScheduler
 from repro.serve.workers import WorkerPool, execute_shard
 
 __all__ = [
+    "JOB_CONFIGS",
+    "JOB_KEYS",
     "JOB_KINDS",
     "JOB_STATES",
     "TERMINAL_STATES",

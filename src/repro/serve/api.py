@@ -42,6 +42,7 @@ from typing import Dict, Optional, Union
 
 from repro.errors import ServeError
 from repro.harness.parallel import RetryPolicy
+from repro.schema import option
 from repro.serve.jobs import JobRecord
 from repro.serve.queue import JobQueue, WorkStealingScheduler
 from repro.serve.workers import WorkerPool
@@ -60,16 +61,32 @@ def default_socket(state_dir: _PathLike) -> Path:
 
 @dataclass
 class ServeConfig:
-    """Daemon configuration (mirrors the ``repro serve`` flags)."""
+    """Daemon configuration (the described fields are the ``repro
+    serve`` flags, see :mod:`repro.schema`)."""
 
     state_dir: Path
-    workers: int = 2
+    workers: int = option(
+        2, type=int, help="worker processes executing shards (default 2)"
+    )
     socket_path: Optional[Path] = None
-    max_jobs_per_tenant: int = 8
-    rate: float = 50.0
-    burst: float = 100.0
-    task_timeout: Optional[float] = None
-    task_retries: int = 0
+    max_jobs_per_tenant: int = option(
+        8, type=int, help="active-job admission cap per tenant (default 8)"
+    )
+    rate: float = option(
+        50.0, type=float,
+        help="token-bucket refill rate, shards/second/tenant (default 50)",
+    )
+    burst: float = option(
+        100.0, type=float,
+        help="token-bucket capacity per tenant (default 100)",
+    )
+    task_timeout: Optional[float] = option(
+        None, type=float, optional=True,
+        help="per-shard wall-clock budget in seconds (default none)",
+    )
+    task_retries: int = option(
+        0, type=int, help="retries per failed/timed-out shard (default 0)"
+    )
     #: Idle worker-slot poll interval (seconds).
     poll_interval: float = 0.05
 
@@ -78,6 +95,11 @@ class ServeConfig:
         if self.socket_path is None:
             self.socket_path = default_socket(self.state_dir)
         self.socket_path = Path(self.socket_path)
+
+    def validate(self) -> None:
+        """Raise :class:`ServeError` when the daemon could run no shard."""
+        if self.workers < 1:
+            raise ServeError(f"workers must be at least 1, got {self.workers}")
 
     def policy(self) -> RetryPolicy:
         """The worker pool's retry contract (fan_out semantics)."""

@@ -37,15 +37,16 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.check import CheckConfig, ShardMerge, shard_tasks
 from repro.errors import ReproError, ServeError
 from repro.fuzz.campaign import CampaignConfig, fold_shards, plan_shards
+from repro.fuzz.targets import TARGET_CHOICES
 from repro.harness.cache import atomic_write, content_digest, quarantine_file
+from repro.litmus.corpus import corpus_by_name
 from repro.litmus.runner import (
-    DEFAULT_CUT_LIMIT,
-    DEFAULT_MAX_SCHEDULES,
-    DEFAULT_MODELS as _LITMUS_DEFAULT_MODELS,
+    LitmusConfig,
     program_task,
     summarize_reports,
     summary_lines,
 )
+from repro.schema import Option, decode, decode_keys, options_of
 
 _PathLike = Union[str, Path]
 
@@ -69,98 +70,47 @@ TERMINAL_STATES = ("done", "failed", "cancelled")
 #: Bump when the journal encoding changes; old records stop resuming.
 JOB_FORMAT_VERSION = 1
 
-#: Spec keys accepted per kind (beyond the mandatory ``kind``).
-_CHECK_KEYS = frozenset(
-    {
-        "target",
-        "threads",
-        "ops",
-        "models",
-        "max_schedules",
-        "max_cuts",
-        "stop_at_first",
-        "oracle",
-        "shard_depth",
-    }
-)
-_FUZZ_KEYS = frozenset(
-    {
-        "target",
-        "budget",
-        "models",
-        "schedulers",
-        "seed",
-        "cut_samples",
-        "faults",
-        "oracle",
-        "crash_recovery",
-        "batch",
-    }
-)
-_LITMUS_KEYS = frozenset(
-    {"programs", "models", "domains", "max_schedules", "cut_limit"}
-)
 
+#: The engine config each job kind describes (its spec-keyed fields).
+JOB_CONFIGS = {
+    "check": CheckConfig, "fuzz": CampaignConfig, "litmus": LitmusConfig
+}
 
-def _reject_unknown(spec: Dict[str, object], allowed: frozenset) -> None:
-    unknown = sorted(set(spec) - allowed - {"kind"})
-    if unknown:
-        raise ServeError(
-            f"unknown {spec['kind']} job spec key(s): {', '.join(unknown)}"
-        )
-
-
-def _check_config(spec: Dict[str, object]) -> CheckConfig:
-    defaults = CheckConfig()
-    return CheckConfig(
-        models=tuple(spec.get("models", defaults.models)),
-        max_schedules=spec.get("max_schedules", defaults.max_schedules),
-        max_cuts_per_graph=int(
-            spec.get("max_cuts", defaults.max_cuts_per_graph)
+#: Job-level spec keys per kind, beyond the engine config's.  A check
+#: job's config keys are its shardable fields only.
+JOB_KEYS: Dict[str, Dict[str, Option]] = {
+    "check": options_of(
+        target=Option(choices=TARGET_CHOICES, noun="fuzz target"),
+        threads=Option(int),
+        ops=Option(int, help="operations per thread"),
+        shard_depth=Option(
+            int, default=2,
+            help="choice-prefix depth that partitions the schedule tree",
         ),
-        stop_at_first=bool(spec.get("stop_at_first", False)),
-        oracle=str(spec.get("oracle", "invariant")),
-    )
-
-
-def _campaign_config(spec: Dict[str, object]) -> CampaignConfig:
-    defaults = CampaignConfig(target=str(spec["target"]))
-    return CampaignConfig(
-        target=str(spec["target"]),
-        budget=int(spec.get("budget", defaults.budget)),
-        models=tuple(spec.get("models", defaults.models)),
-        schedulers=tuple(spec.get("schedulers", defaults.schedulers)),
-        seed=int(spec.get("seed", 0)),
-        cut_samples=int(spec.get("cut_samples", defaults.cut_samples)),
-        faults=tuple(spec.get("faults", ())),
-        oracle=str(spec.get("oracle", "invariant")),
-        crash_recovery=int(spec.get("crash_recovery", 0)),
-    )
-
-
-def _litmus_programs(spec: Dict[str, object]):
-    from repro.litmus.corpus import corpus_by_name
-
-    by_name = corpus_by_name()
-    names = spec.get("programs")
-    if names is None:
-        return list(by_name)
-    missing = [name for name in names if name not in by_name]
-    if missing:
-        raise ServeError(
-            f"unknown litmus program(s): {', '.join(sorted(missing))}"
-        )
-    return [str(name) for name in names]
+    ),
+    "fuzz": options_of(batch=Option(int, default=1)),
+    "litmus": options_of(
+        programs=Option(many=True, optional=True, default=None)
+    ),
+}
 
 
 def validate_spec(spec: object) -> Dict[str, object]:
     """Validate a submitted job spec; returns it unchanged.
 
     Raises :class:`ServeError` on a malformed spec — unknown kind,
-    unknown keys, or per-kind configuration the batch engines reject
-    (unknown target, bad oracle, ...).  Validation runs at submit time
-    so a bad spec fails the ``submit`` request, not the job.
+    unknown keys, wrongly typed values, or configuration the batch
+    engines reject (unknown target, model or oracle, ...).  Validation
+    runs at submit time so a bad spec fails the ``submit`` request, not
+    the job.
     """
+    _decode(spec)
+    return spec
+
+
+def _decode(spec: object):
+    """``(engine config, job-level values)`` of a spec; raises
+    :class:`ServeError` on a malformed one."""
     if not isinstance(spec, dict):
         raise ServeError("job spec must be a JSON object")
     kind = spec.get("kind")
@@ -169,30 +119,23 @@ def validate_spec(spec: object) -> Dict[str, object]:
             f"unknown job kind {kind!r}; expected one of {JOB_KINDS}"
         )
     try:
-        if kind == "check":
-            _reject_unknown(spec, _CHECK_KEYS)
-            for key in ("target", "threads", "ops"):
-                if key not in spec:
-                    raise ServeError(f"check job spec is missing {key!r}")
-            _check_config(spec).validate()
-            from repro.fuzz.targets import make_target
-
-            make_target(str(spec["target"]))
-        elif kind == "fuzz":
-            _reject_unknown(spec, _FUZZ_KEYS)
-            if "target" not in spec:
-                raise ServeError("fuzz job spec is missing 'target'")
-            if int(spec.get("batch", 1)) <= 0:
-                raise ServeError("fuzz job batch size must be positive")
-            _campaign_config(spec).validate()
-        else:
-            _reject_unknown(spec, _LITMUS_KEYS)
-            _litmus_programs(spec)
-    except ServeError:
-        raise
+        job = decode_keys(JOB_KEYS[kind], spec)
+        config = decode(
+            JOB_CONFIGS[kind], spec, extra=["kind", *JOB_KEYS[kind]]
+        )
     except ReproError as exc:
         raise ServeError(f"invalid {kind} job spec: {exc}") from exc
-    return spec
+    if kind == "fuzz" and job["batch"] <= 0:
+        raise ServeError("fuzz job batch size must be positive")
+    if kind == "litmus":
+        names, by_name = job["programs"], corpus_by_name()
+        missing = sorted(set(names or ()) - set(by_name))
+        if missing:
+            raise ServeError(
+                f"unknown litmus program(s): {', '.join(missing)}"
+            )
+        job["programs"] = list(by_name if names is None else names)
+    return config, job
 
 
 def plan_job(spec: Dict[str, object]) -> List[Dict[str, object]]:
@@ -205,32 +148,19 @@ def plan_job(spec: Dict[str, object]) -> List[Dict[str, object]]:
     restarted daemon re-plans a job into byte-identical tasks and every
     already-computed shard resolves from the store.
     """
+    config, job = _decode(spec)
     kind = spec["kind"]
     if kind == "check":
         tasks = shard_tasks(
-            str(spec["target"]),
-            int(spec["threads"]),
-            int(spec["ops"]),
-            _check_config(spec),
-            shard_depth=int(spec.get("shard_depth", 2)),
+            job["target"], job["threads"], job["ops"], config,
+            shard_depth=job["shard_depth"],
         )
         for task in tasks:
             task["kind"] = "check"
         return tasks
     if kind == "fuzz":
-        return plan_shards(
-            _campaign_config(spec), batch=int(spec.get("batch", 1))
-        )
-    return [
-        program_task(
-            name,
-            spec.get("models", _LITMUS_DEFAULT_MODELS),
-            domains=spec.get("domains", ("bitset",)),
-            max_schedules=spec.get("max_schedules", DEFAULT_MAX_SCHEDULES),
-            cut_limit=spec.get("cut_limit", DEFAULT_CUT_LIMIT),
-        )
-        for name in _litmus_programs(spec)
-    ]
+        return plan_shards(config, batch=job["batch"])
+    return [program_task(name, config) for name in job["programs"]]
 
 
 def merge_job(
@@ -248,6 +178,7 @@ def merge_job(
             (exploration-limit overrun) — the job fails, like the
             sharded CLI run would.
     """
+    config, _ = _decode(spec)
     kind = spec["kind"]
     if kind == "check":
         merge = ShardMerge()
@@ -265,7 +196,7 @@ def merge_job(
             "text": "\n".join(result.summary_lines()),
         }
     if kind == "fuzz":
-        result = fold_shards(_campaign_config(spec), payloads)
+        result = fold_shards(config, payloads)
         return {
             "kind": "fuzz",
             "violations": result.violations,
@@ -277,9 +208,7 @@ def merge_job(
             "text": result.summary(),
         }
     summary = summarize_reports(
-        [payload["report"] for payload in payloads],
-        spec.get("models", _LITMUS_DEFAULT_MODELS),
-        spec.get("domains", ("bitset",)),
+        [payload["report"] for payload in payloads], config
     )
     return {
         "kind": "litmus",

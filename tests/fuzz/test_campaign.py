@@ -165,3 +165,21 @@ class TestCampaign:
         summary = result.summary()
         assert "counter" in summary
         assert "violation" in summary
+
+
+class TestCampaignModels:
+    """Campaign models are checked by the helper every engine config
+    shares; an unknown one used to validate and then fail every case."""
+
+    def test_unknown_model_fails_before_any_case_runs(self):
+        config = CampaignConfig(target="minifs", budget=2, models=("nosuch",))
+        with pytest.raises(FuzzError, match="unknown persistency model"):
+            run_campaign(config)
+
+    @pytest.mark.parametrize(
+        "models, message",
+        [((), "at least one"), (("epoch", "epoch"), "duplicate")],
+    )
+    def test_empty_and_duplicate_models_rejected(self, models, message):
+        with pytest.raises(FuzzError, match=message):
+            CampaignConfig(target="minifs", models=models).validate()

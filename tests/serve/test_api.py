@@ -144,6 +144,30 @@ def test_protocol_errors(daemon):
     assert "malformed request" in reply["error"]
 
 
+def test_malformed_spec_values_answer_and_daemon_keeps_serving(daemon):
+    # A wrongly typed value used to kill the request handler, so the
+    # client read no reply at all.  It must get {"ok": false} naming
+    # the key, and the daemon must keep answering.
+    _, sock = daemon
+    cases = [
+        ({"kind": "fuzz", "target": "minifs", "budget": "abc"}, "budget"),
+        ({"kind": "fuzz", "target": "minifs", "batch": "x"}, "batch"),
+        ({"kind": "check", "target": "queue-cwl", "threads": "x", "ops": 1},
+         "threads"),
+    ]
+    for spec, key in cases:
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
+            client.settimeout(10)
+            client.connect(str(sock))
+            line = {"op": "submit", "tenant": "eve", "spec": spec}
+            client.sendall((json.dumps(line) + "\n").encode("utf-8"))
+            reply = json.loads(client.makefile("rb").readline())
+        assert reply["ok"] is False
+        assert f"'{key}' must be an integer" in reply["error"]
+        assert request(sock, {"op": "ping"})["ok"]
+    assert request(sock, {"op": "jobs"})["jobs"] == []
+
+
 def test_kill_dash_nine_then_resume_completes(tmp_path):
     """A SIGKILLed daemon restarts, re-plans, and finishes its jobs."""
     state_dir = tmp_path / "state"

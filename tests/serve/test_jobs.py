@@ -27,6 +27,36 @@ FUZZ_SPEC = {
     "seed": 0,
 }
 
+LITMUS_SPEC = {"kind": "litmus", "programs": ["mp-clflush"]}
+
+MALFORMED_SPECS = [
+    ({**FUZZ_SPEC, "models": ["nosuch"]}, "unknown persistency model 'nosuch'"),
+    ({**CHECK_SPEC, "models": ["nosuch"]}, "unknown persistency model 'nosuch'"),
+    ({**LITMUS_SPEC, "models": ["nosuch"]}, "unknown persistency model 'nosuch'"),
+    ({**FUZZ_SPEC, "models": "epoch"}, "'models' must be a list"),
+    ({**CHECK_SPEC, "models": "epoch"}, "'models' must be a list"),
+    ({**LITMUS_SPEC, "models": "epoch"}, "'models' must be a list"),
+    ({**LITMUS_SPEC, "domains": ["level"]}, "unknown dependency domain 'level'"),
+    ({**LITMUS_SPEC, "domains": "bitset"}, "'domains' must be a list"),
+    ({**LITMUS_SPEC, "programs": "mp-clflush"}, "'programs' must be a list"),
+    ({**CHECK_SPEC, "stop_at_first": "false"}, "'stop_at_first' must be a boolean"),
+    ({**CHECK_SPEC, "stop_at_first": 0}, "'stop_at_first' must be a boolean"),
+    ({**CHECK_SPEC, "max_schedules": "abc"}, "'max_schedules' must be an integer"),
+    ({**LITMUS_SPEC, "max_schedules": "abc"}, "'max_schedules' must be an integer"),
+    ({**LITMUS_SPEC, "cut_limit": 1.5}, "'cut_limit' must be an integer"),
+    ({**FUZZ_SPEC, "budget": "abc"}, "'budget' must be an integer"),
+    ({**FUZZ_SPEC, "seed": "0"}, "'seed' must be an integer"),
+    ({**FUZZ_SPEC, "crash_recovery": True}, "'crash_recovery' must be an integer"),
+    ({**FUZZ_SPEC, "batch": "x"}, "'batch' must be an integer"),
+    ({**CHECK_SPEC, "threads": 2.0}, "'threads' must be an integer"),
+    ({**CHECK_SPEC, "threads": "x"}, "'threads' must be an integer"),
+    ({**CHECK_SPEC, "oracle": "nope"}, "unknown oracle 'nope'"),
+    ({**CHECK_SPEC, "target": "ext4"}, "unknown fuzz target 'ext4'"),
+    # Not shardable, so not a check job key.
+    ({**CHECK_SPEC, "reduction": "none"}, "unknown key.*reduction"),
+    ({**CHECK_SPEC, "prefix": [0]}, "unknown key.*prefix"),
+]
+
 
 class TestValidateSpec:
     def test_valid_specs_pass_through(self):
@@ -63,6 +93,13 @@ class TestValidateSpec:
     def test_bad_batch_rejected(self):
         with pytest.raises(ServeError, match="batch"):
             validate_spec({**FUZZ_SPEC, "batch": 0})
+
+    @pytest.mark.parametrize("spec, message", MALFORMED_SPECS)
+    def test_malformed_spec_rejected_at_submit(self, spec, message):
+        # Everything the engines would reject at run time fails the
+        # submit instead, as a ServeError naming the key.
+        with pytest.raises(ServeError, match=message):
+            validate_spec(spec)
 
 
 class TestPlanJob:
@@ -208,3 +245,68 @@ class TestJobRecord:
         record.shards_done = 2
         eta = record.eta_seconds()
         assert eta is not None and eta > 0
+
+
+# -- plan pins ----------------------------------------------------------------
+#
+# sha256 of each spec's ``plan_job`` task list (canonical JSON, the
+# encoding ``shard_key`` digests), recorded before the spec codec
+# replaced the hand-kept key sets.  Equal digests mean every task dict,
+# and so every shard's store key, is unchanged.
+
+PINNED_PLAN_SPECS = {
+    "ci-check": {"kind": "check", "target": "queue-cwl", "threads": 2,
+                 "ops": 1},
+    "ci-fuzz": {"kind": "fuzz", "target": "queue-2lc-faithful",
+                "budget": 8, "seed": 0},
+    "ci-resume": {"kind": "fuzz", "target": "queue-2lc-faithful",
+                  "budget": 256, "seed": 1},
+    "doc-check": {"kind": "check", "target": "queue-cwl", "threads": 2,
+                  "ops": 1, "models": ["epoch", "strand"],
+                  "max_schedules": 20000, "max_cuts": 200000,
+                  "stop_at_first": False, "oracle": "invariant",
+                  "shard_depth": 2},
+    "doc-fuzz": {"kind": "fuzz", "target": "queue-2lc-faithful",
+                 "budget": 200, "seed": 0, "models": ["epoch", "strand"],
+                 "schedulers": ["random"], "cut_samples": 32, "faults": [],
+                 "oracle": "invariant", "crash_recovery": 0, "batch": 1},
+    "doc-litmus": {"kind": "litmus", "programs": ["mp-clflush", "sb-mfence"],
+                   "models": ["strict", "epoch", "strand", "px86", "dpox86"],
+                   "domains": ["bitset"], "max_schedules": 20000,
+                   "cut_limit": 50000},
+    "fuzz-faults": {"kind": "fuzz", "target": "queue-2lc", "budget": 7,
+                    "seed": 3, "faults": ["torn", "corrupt"],
+                    "crash_recovery": 1, "batch": 3},
+    "fuzz-oracle": {"kind": "fuzz", "target": "queue-2lc", "budget": 7,
+                    "seed": 3, "oracle": "dl", "crash_recovery": 1,
+                    "batch": 3},
+    "litmus-default": {"kind": "litmus"},
+}
+
+PINNED_PLAN_SHA256 = {
+    "ci-check": "65dfcf61f6909fabb2354936754677d87593feb87584a51024dfda1511234450",
+    "ci-fuzz": "d2f47a5133bad8eb9d19a50efbf8b3c17f7600faf0f7b74d7149b14dc5523c2f",
+    "ci-resume": "4c8ab750e61bd26bc80d53cde24f511264b85dc167d814e3eb21bccbd138312e",
+    "doc-check": "b1ac3035c60c0774c6166815455ed147de5b25b4fbe5609ab629afb20d770f1c",
+    "doc-fuzz": "c84d550b7666e893b82f17d79742bad80aa585dae9db5f3b534a51ba7392e2ef",
+    "doc-litmus": "dd67063a5fea209939ce740f534dffa25e21d56aead3080a9a894ab57dc62eba",
+    "fuzz-faults": "b30af90fea2ccd0b177ea2d2602b26ace7205525ce56a68401b6f132dd28d3cb",
+    "fuzz-oracle": "820b9743f6aa4e52f907c84bb57444bcd4ffdef379b4ba5d81439c1f7407d3fa",
+    "litmus-default": "e8ac0725da1dfbda2ac3345e3d69045c31b80d44b999ba565a54df628178f166",
+}
+
+
+def plan_digest(spec):
+    import hashlib
+
+    canonical = json.dumps(plan_job(spec), sort_keys=True,
+                           separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class TestPlanPins:
+    @pytest.mark.parametrize("name", sorted(PINNED_PLAN_SPECS))
+    def test_plan_is_byte_identical_to_the_pin(self, name):
+        spec = PINNED_PLAN_SPECS[name]
+        assert validate_spec(spec) is spec
+        assert plan_digest(spec) == PINNED_PLAN_SHA256[name]
