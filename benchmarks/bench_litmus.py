@@ -12,7 +12,7 @@ changed, not noise.
 import json
 
 from repro.core.model import MODELS
-from repro.litmus import default_corpus, run_corpus
+from repro.litmus import LitmusConfig, default_corpus, run_corpus
 
 #: The smoke-litmus pins (re-derive with
 #: ``repro litmus run --all-models --cross-domains`` after any corpus
@@ -31,8 +31,7 @@ EXPECTED = {
 def run_sweep():
     return run_corpus(
         default_corpus(),
-        sorted(MODELS),
-        domains=("bitset", "graph"),
+        LitmusConfig(tuple(sorted(MODELS)), domains=("bitset", "graph")),
     )
 
 

@@ -28,8 +28,15 @@ non-recoverable run, the paper's baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterable, List, Union
 
+from repro.trace.columnar import (
+    CODE_LOAD,
+    CODE_RMW,
+    CODE_STORE,
+    ColumnarChunk,
+    chunks_from_events,
+)
 from repro.trace.trace import Trace
 
 #: Conflict granularity for the makespan model (a cache word).
@@ -58,7 +65,9 @@ class InstructionCostModel:
         """Execution time of ``events`` on one thread, in seconds."""
         return events * self.seconds_per_event
 
-    def event_times(self, trace: Trace) -> List[float]:
+    def event_times(
+        self, source: Union[Trace, Iterable[ColumnarChunk]]
+    ) -> List[float]:
         """Per-event completion times under the parallel volatile model.
 
         Each event completes one ``cycles_per_event`` after the later of
@@ -66,43 +75,63 @@ class InstructionCostModel:
         access (same word block, at least one side a store) — the
         standard critical-path schedule of the SC execution.  Index ``i``
         of the result corresponds to trace event ``i``.
+
+        ``source`` is the trace's columnar chunks, in order (what
+        :class:`~repro.harness.runner.ExperimentRunner` keeps per
+        program variant), or a :class:`Trace`, which is encoded into
+        chunks on the way in.  The walk reads only the kind, thread and
+        address columns.
         """
+        if isinstance(source, Trace):
+            source = chunks_from_events(source)
         step = self.seconds_per_event
         thread_clock: Dict[int, float] = {}
         last_write: Dict[int, float] = {}
         last_access: Dict[int, float] = {}
         times: List[float] = []
-        for event in trace:
-            thread = event.thread
-            start = thread_clock.get(thread, 0.0)
-            if event.is_access:
-                block = event.addr // _MAKESPAN_BLOCK
-                if event.is_store_like:
-                    conflict = last_access.get(block)
-                else:
+        append = times.append
+        for chunk in source:
+            for code, thread, addr in zip(
+                chunk.kinds, chunk.threads, chunk.addrs
+            ):
+                start = thread_clock.get(thread, 0.0)
+                if code == CODE_LOAD:
+                    block = addr // _MAKESPAN_BLOCK
                     conflict = last_write.get(block)
-                if conflict is not None and conflict > start:
-                    start = conflict
-            finish = start + step
-            thread_clock[thread] = finish
-            if event.is_access:
-                block = event.addr // _MAKESPAN_BLOCK
-                if event.is_store_like:
+                    if conflict is not None and conflict > start:
+                        start = conflict
+                    finish = start + step
+                    if finish > last_access.get(block, 0.0):
+                        last_access[block] = finish
+                elif code == CODE_STORE or code == CODE_RMW:
+                    block = addr // _MAKESPAN_BLOCK
+                    conflict = last_access.get(block)
+                    if conflict is not None and conflict > start:
+                        start = conflict
+                    finish = start + step
                     last_write[block] = finish
-                if finish > last_access.get(block, 0.0):
-                    last_access[block] = finish
-            times.append(finish)
+                    if finish > last_access.get(block, 0.0):
+                        last_access[block] = finish
+                else:
+                    finish = start + step
+                thread_clock[thread] = finish
+                append(finish)
         return times
 
-    def makespan(self, trace: Trace) -> float:
-        """Parallel volatile-execution time of a trace, in seconds."""
-        return max(self.event_times(trace), default=0.0)
+    def makespan(
+        self, source: Union[Trace, Iterable[ColumnarChunk]]
+    ) -> float:
+        """Parallel volatile-execution time of a trace (or its chunks,
+        see :meth:`event_times`), in seconds."""
+        return max(self.event_times(source), default=0.0)
 
-    def instruction_rate(self, trace: Trace, operations: int) -> float:
+    def instruction_rate(
+        self, source: Union[Trace, Iterable[ColumnarChunk]], operations: int
+    ) -> float:
         """Aggregate operations/second at pure instruction-execution speed."""
         if operations <= 0:
             raise ValueError(f"operations must be positive, got {operations}")
-        duration = self.makespan(trace)
+        duration = self.makespan(source)
         if duration <= 0:
             raise ValueError("trace has no timed events")
         return operations / duration

@@ -7,7 +7,9 @@ analyzer) pairs.  "Strict" and "Epoch" analyze the race-free program
 barriers removed — racing epochs rely on strong persist atomicity to
 serialise head persists, and strand clears cross-insert dependences at
 ``NEWSTRAND`` anyway.  Traces are cached per program variant because each
-one is analyzed under several models and granularities.
+one is analyzed under several models and granularities; each variant's
+trace is also encoded once into columnar chunks, which every analysis
+and the instruction-rate makespan of that variant read.
 
 Caching is layered: an in-memory dict per runner (as before), optionally
 backed by a content-addressed :class:`~repro.harness.cache.DiskCache`
@@ -22,14 +24,19 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.analysis import AnalysisConfig, AnalysisResult, analyze
+from repro.core.analysis import (
+    AnalysisConfig,
+    AnalysisResult,
+    StreamingAnalyzer,
+)
 from repro.errors import AnalysisError
 from repro.harness.cache import DiskCache, HarnessStats
 from repro.harness.instr import DEFAULT_COST_MODEL, InstructionCostModel
 from repro.harness.metrics import PAPER_PERSIST_LATENCY, ThroughputPoint
 from repro.queue.workload import WorkloadConfig, WorkloadResult, run_insert_workload
+from repro.trace.columnar import ColumnarChunk, chunks_from_events
 
 #: Table 1 columns: label -> (persistency model, racing program variant).
 TABLE1_COLUMNS: Dict[str, Tuple[str, bool]] = {
@@ -88,6 +95,9 @@ class ExperimentRunner:
     cache: Optional[DiskCache] = None
     stats: HarnessStats = field(default_factory=HarnessStats, repr=False)
     _workloads: Dict[Tuple[str, int, bool], WorkloadResult] = field(
+        default_factory=dict, repr=False
+    )
+    _chunks: Dict[Tuple[str, int, bool], List[ColumnarChunk]] = field(
         default_factory=dict, repr=False
     )
     _instr_rates: Dict[Tuple[str, int, bool], float] = field(
@@ -158,15 +168,36 @@ class ExperimentRunner:
         result: WorkloadResult,
     ) -> None:
         """Adopt a workload result computed elsewhere (parallel worker)."""
-        self._workloads[self.variant_key(design, threads, racing)] = result
+        key = self.variant_key(design, threads, racing)
+        self._workloads[key] = result
+        self._chunks.pop(key, None)
+
+    def trace_chunks(
+        self, design: str, threads: int, racing: bool
+    ) -> List[ColumnarChunk]:
+        """One variant's trace as columnar chunks, encoded on first use.
+
+        The trace comes from :meth:`workload` (a fresh run, a disk-cache
+        hit or a merged worker result) and is encoded once; every
+        analysis and the instruction rate of the variant read these
+        chunks.  Treat them as read-only.
+        """
+        key = self.variant_key(design, threads, racing)
+        chunks = self._chunks.get(key)
+        if chunks is None:
+            # Read a held workload directly: encoding is not a lookup
+            # the workload hit counters should see.
+            workload = self._workloads.get(key) or self.workload(*key)
+            chunks = list(chunks_from_events(workload.trace))
+            self._chunks[key] = chunks
+        return chunks
 
     def instruction_rate(self, design: str, threads: int, racing: bool) -> float:
         """Aggregate inserts/s at volatile instruction-execution speed."""
         key = self.variant_key(design, threads, racing)
         if key not in self._instr_rates:
-            result = self.workload(*key)
             self._instr_rates[key] = self.cost_model.instruction_rate(
-                result.trace, result.total_inserts
+                self.trace_chunks(*key), self.workload(*key).total_inserts
             )
         return self._instr_rates[key]
 
@@ -207,9 +238,12 @@ class ExperimentRunner:
             if result is not None:
                 self.stats.analysis_disk_hits += 1
         if result is None:
-            workload = self.workload(design, threads, racing)
+            self.workload(design, threads, racing)  # traced outside the timer
             start = time.perf_counter()
-            result = analyze(workload.trace, model, config)
+            analyzer = StreamingAnalyzer(model, config)
+            for chunk in self.trace_chunks(design, threads, racing):
+                analyzer.feed(chunk)
+            result = analyzer.finish()
             self.stats.analysis_runs += 1
             self.stats.analysis_seconds += time.perf_counter() - start
             if self.cache is not None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Sequence, Set, Tuple, Union
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.check.canonical import canonical_dag_key
 from repro.check.checker import GRAPH_DOMAINS
@@ -335,17 +335,10 @@ def summary_lines(summary: dict) -> List[str]:
 
 
 def run_corpus(
-    programs: Sequence[LitmusProgram],
-    config: Union[LitmusConfig, Sequence[str]] = LitmusConfig(),
-    **fields: object,
+    programs: Sequence[LitmusProgram], config: LitmusConfig = LitmusConfig()
 ) -> dict:
-    """Run a corpus; returns the full differential report dict.
-
-    ``config`` is a :class:`LitmusConfig`, or the models of one whose
-    other fields are given as keywords.
-    """
-    if not isinstance(config, LitmusConfig):
-        config = LitmusConfig(tuple(config), **fields)
+    """Run a corpus under ``config``; returns the full differential
+    report dict."""
     config.validate()
     reports = [run_program(program, **asdict(config)) for program in programs]
     return {

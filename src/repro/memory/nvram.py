@@ -200,40 +200,6 @@ class NvramImage:
         for addr, data in persists:
             self.apply_persist(addr, data)
 
-    def persist_slice(
-        self, addr: int, data: bytes
-    ) -> Optional[Tuple[int, int, bytes]]:
-        """The persist as a pre-validated slice for :meth:`apply_slices`.
-
-        Returns ``(start, end, data)`` with offsets relative to
-        :attr:`base`, or None when :meth:`apply_persist` would reject
-        the persist (empty, outside the image, or crossing an atomic
-        block).  The slice stays valid for any image of the same base,
-        size and persist granularity.
-        """
-        start = addr - self._base
-        end = start + len(data)
-        granularity = self._granularity
-        if (
-            end <= start
-            or start < 0
-            or end > self._size
-            or addr // granularity != (addr + len(data) - 1) // granularity
-        ):
-            return None
-        return (start, end, data)
-
-    def apply_slices(self, slices: Sequence[Tuple[int, int, bytes]]) -> None:
-        """Apply persists from :meth:`persist_slice`, in order.
-
-        Skips the per-persist checks, which :meth:`persist_slice` already
-        made; every slice counts toward :attr:`persists_applied`.
-        """
-        base = self._base
-        for start, _end, chunk in slices:
-            self._write(base + start, chunk)
-        self._applied += len(slices)
-
     def page_slice(
         self, addr: int, data: bytes
     ) -> Optional[Tuple[int, slice, bytes]]:
@@ -241,15 +207,24 @@ class NvramImage:
 
         Returns ``(page, span, data)``: page number ``page`` and the
         ``slice`` of offsets in it that ``data`` replaces.  Returns None
-        when :meth:`persist_slice` would, or when the persist spans two
-        pages (only possible with a persist granularity above
-        :data:`PAGE_SIZE`).  The slice stays valid for any image of the
-        same base, size and persist granularity.
+        when :meth:`apply_persist` would reject the persist (empty,
+        outside the image, or crossing an atomic block), or when the
+        persist spans two pages (only possible with a persist
+        granularity above :data:`PAGE_SIZE`).  The slice stays valid for
+        any image of the same base, size and persist granularity.
         """
-        if self.persist_slice(addr, data) is None:
+        size = len(data)
+        offset = addr - self._base
+        if (
+            size <= 0
+            or offset < 0
+            or offset + size > self._size
+            or addr // self._granularity
+            != (addr + size - 1) // self._granularity
+        ):
             return None
         start = addr & _PAGE_MASK
-        end = start + len(data)
+        end = start + size
         if end > PAGE_SIZE:
             return None
         return (addr >> _PAGE_SHIFT, slice(start, end), data)

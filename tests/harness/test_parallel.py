@@ -297,9 +297,14 @@ class TestCliParity:
             )
             == 0
         )
+        # A warm rerun reads traces and analyses back from the cache.
+        out_warm = tmp_path / "warm"
+        warm = ["--out", str(out_warm), "--cache-dir", str(tmp_path / "c")]
+        assert main(args + warm) == 0
         names = sorted(p.name for p in out_serial.iterdir())
-        assert names == sorted(p.name for p in out_parallel.iterdir())
-        for name in names:
-            assert (out_parallel / name).read_bytes() == (
-                out_serial / name
-            ).read_bytes()
+        for out in (out_parallel, out_warm):
+            assert names == sorted(p.name for p in out.iterdir())
+            for name in names:
+                assert (out / name).read_bytes() == (
+                    out_serial / name
+                ).read_bytes()

@@ -9,6 +9,7 @@ not produce, and bitset/graph domain agreement across the corpus.
 import pytest
 
 from repro.litmus import (
+    LitmusConfig,
     LitmusError,
     LitmusProgram,
     corpus_by_name,
@@ -160,7 +161,7 @@ class TestDomainsAndSummary:
             corpus_by_name()[name]
             for name in ("mp-clflushopt", "mp-barrier", "sb-plain")
         ]
-        report = run_corpus(programs, ("epoch", "px86", "dpox86"))
+        report = run_corpus(programs, LitmusConfig(("epoch", "px86", "dpox86")))
         summary = report["summary"]
         assert summary["programs"] == 3
         assert summary["schedules"] > 0
@@ -185,7 +186,7 @@ class TestCutLimitDegradesGracefully:
     def test_run_corpus_survives_and_counts_truncations(self):
         by_name = corpus_by_name()
         programs = [by_name["mp-clflushopt"], by_name["sb-plain"]]
-        report = run_corpus(programs, ("px86",), cut_limit=1)
+        report = run_corpus(programs, LitmusConfig(("px86",), cut_limit=1))
         summary = report["summary"]
         assert summary["programs"] == 2
         assert summary["cut_limit_exceeded"] == 2

@@ -52,32 +52,23 @@ class TestApplyPersist:
         )
         assert image.persists_applied == 2
 
-    def test_apply_slices(self, image):
-        slices = [
-            image.persist_slice(0x8000_0000, b"\x01" * 8),
-            image.persist_slice(0x8000_000C, b"\xff\xff"),
-        ]
-        assert slices == [(0, 8, b"\x01" * 8), (12, 14, b"\xff\xff")]
-        image.apply_slices(slices)
-        assert image.read(0x8000_0000, 8) == 0x0101010101010101
-        assert image.read(0x8000_000C, 2) == 0xFFFF
-        assert image.persists_applied == 2
-
     @pytest.mark.parametrize("granularity", [8, 64])
-    def test_persist_slice_accepts_exactly_what_apply_persist_does(
+    def test_page_slice_rejects_exactly_what_apply_persist_does(
         self, granularity
     ):
         image = NvramImage(0x8000_0000, 256, persist_granularity=granularity)
         for offset in range(-80, 336, 3):
             for size in (0, 1, 2, 5, 8, 9, 64, 65):
                 addr, data = 0x8000_0000 + offset, bytes(range(size))
-                piece = image.persist_slice(addr, data)
+                piece = image.page_slice(addr, data)
                 try:
                     image.copy().apply_persist(addr, data)
                 except MemoryAccessError:
                     assert piece is None, (offset, size)
                 else:
-                    assert piece == (offset, offset + size, data)
+                    assert piece == (
+                        addr // PAGE_SIZE, slice(offset, offset + size), data
+                    )
 
     @pytest.mark.parametrize("granularity", [8, 64, 2 * PAGE_SIZE])
     def test_page_slice_accepts_apply_persist_within_a_page(self, granularity):
@@ -323,11 +314,11 @@ def _step(rng, images, models):
                 return
             image.apply_persist(addr, data)
         else:
-            piece = image.persist_slice(addr, data)
+            piece = image.page_slice(addr, data)
             assert (piece is not None) == valid
             if not valid:
                 return
-            image.apply_slices([piece, piece])
+            image.apply_page_slices([piece, piece])
             model.applied += 1
         model.write(addr, data)
         model.applied += 1

@@ -7,7 +7,7 @@ import pytest
 from repro.check import CheckConfig, check_target_sharded, shard_tasks
 from repro.errors import ReproError, ServeError
 from repro.fuzz.campaign import CampaignConfig, case_tasks
-from repro.litmus import DEFAULT_MODELS, corpus_by_name, run_corpus
+from repro.litmus import LitmusConfig, corpus_by_name, run_corpus
 from repro.serve import (
     JobRecord,
     job_id,
@@ -181,7 +181,7 @@ class TestMergeJob:
         payloads = [execute_shard(task) for task in plan_job(spec)]
         summary = merge_job(spec, payloads)
         corpus = run_corpus(
-            [corpus_by_name()["mp-clflush"]], DEFAULT_MODELS, cut_limit=1
+            [corpus_by_name()["mp-clflush"]], LitmusConfig(cut_limit=1)
         )["summary"]
         assert {key: summary[key] for key in corpus} == corpus
         assert summary["cut_limit_exceeded"] >= 1
