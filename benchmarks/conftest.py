@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from repro.harness import (
-    DiskCache,
     ExperimentRunner,
+    ResultStore,
     figure_cells,
     run_grid,
     table1_cells,
@@ -32,21 +32,28 @@ BENCH_THREADS = (1, 8)
 def runner():
     """Session runner; honours the harness env knobs:
 
-    - ``REPRO_BENCH_CACHE``: directory for the on-disk trace/analysis
-      cache (reruns then skip every converged trace);
-    - ``REPRO_BENCH_JOBS``: worker processes used to prewarm the
-      Table 1 + Figures 3-5 grid before benchmarks start.
+    - ``REPRO_BENCH_CACHE``: directory of the result store the
+      Table 1 + Figures 3-5 grid is resolved against before benchmarks
+      start (reruns then skip every stored variant);
+    - ``REPRO_BENCH_JOBS``: worker processes used to prewarm that grid.
+
+    Either knob prewarms the grid through ``run_grid``; without them
+    every benchmark computes what it reads lazily.  Traces the
+    benchmarks read directly are always traced in-process.
     """
     cache_dir = os.environ.get("REPRO_BENCH_CACHE")
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-    runner = ExperimentRunner(
-        inserts_per_thread=BENCH_INSERTS,
-        base_seed=1,
-        cache=DiskCache(cache_dir) if cache_dir else None,
-    )
-    if jobs > 1:
+    runner = ExperimentRunner(inserts_per_thread=BENCH_INSERTS, base_seed=1)
+    if cache_dir or jobs > 1:
         run_grid(
-            runner, table1_cells(BENCH_THREADS) + figure_cells(), jobs=jobs
+            runner,
+            table1_cells(BENCH_THREADS) + figure_cells(),
+            jobs=jobs,
+            store=(
+                ResultStore(cache_dir, stats=runner.stats)
+                if cache_dir
+                else None
+            ),
         )
     return runner
 

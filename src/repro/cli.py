@@ -71,7 +71,6 @@ from repro.litmus import (
 from repro.harness import (
     DEFAULT_COST_MODEL,
     PAPER_PERSIST_LATENCY,
-    DiskCache,
     ExperimentRunner,
     build_table1,
     figure3_latency_sweep,
@@ -119,7 +118,7 @@ def _add_harness_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="content-addressed on-disk cache for traces and analyses",
+        help="result store for the grid's variants (reruns skip stored ones)",
     )
     parser.add_argument(
         "--stats",
@@ -285,12 +284,28 @@ def cmd_inject(args: argparse.Namespace) -> int:
     return 1 if violations else 0
 
 
-def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
-    """Build the harness runner shared by table1/figures commands."""
-    cache = DiskCache(args.cache_dir) if args.cache_dir else None
-    return ExperimentRunner(
-        inserts_per_thread=args.inserts, base_seed=args.seed, cache=cache
+def _run_paper_grid(args: argparse.Namespace, cells) -> ExperimentRunner:
+    """Plan, resolve, run and fold the table1/figures grid.
+
+    ``--cache-dir`` is the :class:`ResultStore` the grid resolves
+    against; its hit/miss counters share the runner's stats.
+    """
+    runner = ExperimentRunner(
+        inserts_per_thread=args.inserts, base_seed=args.seed
     )
+    run_grid(
+        runner,
+        cells,
+        jobs=args.jobs,
+        store=(
+            ResultStore(args.cache_dir, stats=runner.stats)
+            if args.cache_dir
+            else None
+        ),
+        task_timeout=args.task_timeout,
+        task_retries=args.task_retries,
+    )
+    return runner
 
 
 def _report_stats(args: argparse.Namespace, runner: ExperimentRunner) -> None:
@@ -301,16 +316,8 @@ def _report_stats(args: argparse.Namespace, runner: ExperimentRunner) -> None:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     """Regenerate Table 1."""
-    runner = _make_runner(args)
     thread_counts = tuple(args.threads)
-    if args.jobs and args.jobs > 1:
-        run_grid(
-            runner,
-            table1_cells(thread_counts),
-            jobs=args.jobs,
-            task_timeout=args.task_timeout,
-            task_retries=args.task_retries,
-        )
+    runner = _run_paper_grid(args, table1_cells(thread_counts))
     table = build_table1(runner, thread_counts=thread_counts)
     print(format_table1(table))
     _report_stats(args, runner)
@@ -319,15 +326,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_figures(args: argparse.Namespace) -> int:
     """Regenerate Figures 3-5 as CSV files."""
-    runner = _make_runner(args)
-    if args.jobs and args.jobs > 1:
-        run_grid(
-            runner,
-            figure_cells(),
-            jobs=args.jobs,
-            task_timeout=args.task_timeout,
-            task_retries=args.task_retries,
-        )
+    runner = _run_paper_grid(args, figure_cells())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fig3 = figure3_latency_sweep(runner)

@@ -4,7 +4,7 @@ Each finding the fuzzer keeps is one ``<digest>.repro.json`` file: the
 case spec that built the program, the recorded schedule choices that
 pin its interleaving, the failure cut (a consistent cut of the persist
 DAG), and the recovery error it produced.  Files are content-addressed
-with the same canonical-JSON/SHA-256 digest the harness disk cache uses
+with the same canonical-JSON/SHA-256 digest the harness result store uses
 (:func:`repro.harness.cache.content_digest`) and written via a sibling
 temp file plus :func:`os.replace`, so concurrent writers and crashes
 leave complete entries either way.

@@ -1,14 +1,12 @@
-"""Experiment harness: cost models, metrics, runner, cache, parallel
-grid execution, tables, and figures."""
+"""Experiment harness: cost models, metrics, runner, result store,
+parallel grid execution, tables, and figures."""
 
 from repro.harness.cache import (
-    DiskCache,
     HarnessStats,
+    ResultStore,
     analysis_from_payload,
     analysis_to_payload,
-    analysis_key,
     content_digest,
-    workload_key,
 )
 from repro.harness.figures import (
     FIG3_MODELS,
@@ -52,10 +50,8 @@ from repro.harness.tables import (
 )
 
 __all__ = [
-    "DiskCache",
     "HarnessStats",
-    "workload_key",
-    "analysis_key",
+    "ResultStore",
     "content_digest",
     "analysis_to_payload",
     "analysis_from_payload",

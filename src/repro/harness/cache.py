@@ -1,29 +1,23 @@
-"""Content-addressed on-disk caches: traces, analyses, and shard results.
+"""Content-addressed on-disk result store and the harness's wire types.
 
-Large sweeps (Table 1 and the seven ablations) re-run the same workloads
-and analyses; this cache memoizes both across processes and interpreter
-invocations.  Entries are addressed by a SHA-256 digest of a canonical
-JSON encoding of everything that determines the result:
+Every engine that fans work out — the paper grid (Table 1, Figures
+3-5), the fuzz campaign, the model checker's prefix shards, the litmus
+corpus and ``repro serve`` — plans JSON-safe task dicts whose result is
+a pure function of the task.  :class:`ResultStore` keeps those results
+under the SHA-256 of the task's canonical JSON (:func:`shard_key`), so
+a result computed once is served to every later run, process or tenant
+that plans the same task.  That sharing is only sound because every
+seed a task carries derives process-independently (see
+:func:`repro.harness.runner.derive_seed`).
 
-* **traces** — the full :class:`~repro.queue.workload.WorkloadConfig`
-  (including the derived scheduler seed, which is why seed derivation
-  must be process-independent);
-* **analyses** — the trace digest plus the model name and the
-  :class:`~repro.core.analysis.AnalysisConfig` fields.
-
-Traces reuse the JSONL format from :mod:`repro.trace.io`; analysis
-results are stored as one JSON object.  Every read validates what it
-loads and degrades to a **miss** (evicting the corrupt file) rather than
-crashing — a half-written or truncated entry must never poison a sweep.
-Writes go through a temp file plus :func:`os.replace` so concurrent
-workers racing on one key leave a complete entry either way.
-
-:class:`ResultStore` applies the same addressing to engine shard results
-(a pinned-prefix DPOR exploration, a batch of fuzz cases, one litmus
-program): each is a pure function of its JSON-safe task dict, so it is
-stored under the task's digest.  It is the one resume mechanism of the
-batch campaign (``repro fuzz run --checkpoint DIR``) and the daemon
-(``repro serve``); both read and write the same entries.
+Each entry is written with the digest of its payload and checked on
+read: a missing, truncated, edited or old-format entry degrades to a
+**miss** (the corrupt file is quarantined aside) rather than crashing
+or poisoning a run.  Writes go through a temp file plus
+:func:`os.replace` so concurrent workers racing on one key leave a
+complete entry either way.  It is the one resume mechanism of the
+paper harness (``repro table1/figures --cache-dir DIR``), the batch
+campaign (``repro fuzz run --checkpoint DIR``) and the daemon.
 """
 
 from __future__ import annotations
@@ -38,15 +32,9 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.analysis import AnalysisConfig, AnalysisResult
-from repro.errors import CacheError, TraceError
-from repro.queue.workload import WorkloadConfig
-from repro.trace.io import dump, load_file
-from repro.trace.trace import Trace
+from repro.errors import CacheError
 
 _PathLike = Union[str, Path]
-
-#: Bump when the on-disk encoding changes; old entries become misses.
-CACHE_FORMAT_VERSION = 1
 
 #: Suffix appended to corrupt files set aside by :func:`quarantine_file`.
 QUARANTINE_SUFFIX = ".quarantined"
@@ -55,8 +43,8 @@ QUARANTINE_SUFFIX = ".quarantined"
 def atomic_write(path: _PathLike, writer) -> None:
     """Write a file via a private temp file and rename into place.
 
-    ``writer`` receives the open text stream.  Used by the caches, the
-    fuzz corpus, the result store, and the serve job journal so that
+    ``writer`` receives the open text stream.  Used by the result store,
+    the fuzz corpus and the serve job journal so that
     concurrent writers and crashes leave either the old complete file or
     a new complete one — never a truncated hybrid.
 
@@ -125,41 +113,12 @@ _ANALYSIS_SCALARS = (
 def content_digest(payload: Dict[str, object]) -> str:
     """Stable hex digest of a JSON-serializable payload.
 
-    The cache's content-addressing primitive (canonical JSON, SHA-256),
+    The store's content-addressing primitive (canonical JSON, SHA-256),
     also used by the ``repro.fuzz`` corpus to name repro files — stable
     across processes and ``PYTHONHASHSEED`` values by construction.
     """
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def workload_key(config: WorkloadConfig) -> str:
-    """Content digest of one workload configuration."""
-    payload: Dict[str, object] = {
-        "kind": "trace",
-        "version": CACHE_FORMAT_VERSION,
-        "capacity": config.capacity,
-        "volatile_queue": config.volatile_queue,
-    }
-    payload.update(config.describe())
-    return content_digest(payload)
-
-
-def analysis_key(
-    workload: WorkloadConfig, model: str, config: AnalysisConfig
-) -> str:
-    """Content digest of one (trace, model, analysis-config) cell."""
-    return content_digest(
-        {
-            "kind": "analysis",
-            "version": CACHE_FORMAT_VERSION,
-            "trace": workload_key(workload),
-            "model": model,
-            "persist_granularity": config.persist_granularity,
-            "tracking_granularity": config.tracking_granularity,
-            "coalescing": config.coalescing,
-        }
-    )
 
 
 def analysis_to_payload(result: AnalysisResult) -> Dict[str, object]:
@@ -214,8 +173,10 @@ def analysis_from_payload(payload: Dict[str, object]) -> AnalysisResult:
 class HarnessStats:
     """Per-stage work and cache-hit counters for one harness run.
 
-    ``workload_runs`` counts traces actually executed in-process (the
-    expensive simulator stage); a fully warm cache run keeps it at zero.
+    ``workload_runs`` counts traces actually executed (the expensive
+    simulator stage); a fully warm store run keeps it at zero.  A paper
+    grid variant served from the store counts one workload disk hit and
+    one analysis disk hit per cell.
     """
 
     workload_runs: int = 0
@@ -333,108 +294,6 @@ class HarnessStats:
         )
 
 
-@dataclass
-class DiskCache:
-    """Content-addressed trace/analysis store rooted at one directory."""
-
-    root: Path
-    stats: HarnessStats = field(default_factory=HarnessStats, repr=False)
-
-    def __init__(
-        self, root: _PathLike, stats: Optional[HarnessStats] = None
-    ) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.stats = stats if stats is not None else HarnessStats()
-
-    # -- paths ---------------------------------------------------------------
-
-    def trace_path(self, key: str) -> Path:
-        """File holding the trace with content digest ``key``."""
-        return self.root / f"{key}.trace.jsonl"
-
-    def analysis_path(self, key: str) -> Path:
-        """File holding the analysis with content digest ``key``."""
-        return self.root / f"{key}.analysis.json"
-
-    # -- internals -----------------------------------------------------------
-
-    def _evict(self, path: Path, reason: str) -> None:
-        """Quarantine a corrupt entry; the caller reports a miss.
-
-        The entry's path is freed (so the next store regenerates it) but
-        the corrupt bytes are kept beside it as ``*.quarantined`` for
-        postmortem, with a warning — a half-written or bit-rotted file
-        must never poison a sweep *or* silently disappear.
-        """
-        self.stats.cache_evictions += 1
-        quarantine_file(path, reason)
-
-    def _atomic_write(self, path: Path, writer) -> None:
-        """Write via a sibling temp file and rename into place."""
-        atomic_write(path, writer)
-
-    # -- traces --------------------------------------------------------------
-
-    def load_trace(self, config: WorkloadConfig) -> Optional[Trace]:
-        """Return the cached trace for ``config``, or None on a miss.
-
-        A malformed or truncated entry is evicted and reported as a miss.
-        """
-        path = self.trace_path(workload_key(config))
-        if not path.exists():
-            return None
-        try:
-            return load_file(path)
-        except (TraceError, OSError, UnicodeDecodeError) as exc:
-            self._evict(path, f"unreadable trace: {exc}")
-            return None
-
-    def store_trace(self, config: WorkloadConfig, trace: Trace) -> None:
-        """Persist one trace under its configuration digest."""
-        path = self.trace_path(workload_key(config))
-        self._atomic_write(path, lambda stream: dump(trace, stream))
-
-    # -- analyses ------------------------------------------------------------
-
-    def load_analysis(
-        self, workload: WorkloadConfig, model: str, config: AnalysisConfig
-    ) -> Optional[AnalysisResult]:
-        """Return the cached analysis for one cell, or None on a miss."""
-        path = self.analysis_path(analysis_key(workload, model, config))
-        if not path.exists():
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as stream:
-                payload = json.load(stream)
-            return analysis_from_payload(payload)
-        except (
-            CacheError,
-            OSError,
-            UnicodeDecodeError,
-            json.JSONDecodeError,
-        ) as exc:
-            self._evict(path, f"unreadable analysis: {exc}")
-            return None
-
-    def store_analysis(
-        self,
-        workload: WorkloadConfig,
-        model: str,
-        config: AnalysisConfig,
-        result: AnalysisResult,
-    ) -> None:
-        """Persist one analysis result (graph-carrying results are skipped:
-        a :class:`GraphDomain` does not round-trip through JSON)."""
-        if result.graph is not None:
-            return
-        path = self.analysis_path(analysis_key(workload, model, config))
-        payload = analysis_to_payload(result)
-        self._atomic_write(
-            path, lambda stream: json.dump(payload, stream, sort_keys=True)
-        )
-
-
 #: Bump when the shard task or result encoding changes; old entries
 #: stop matching (their keys change) rather than deserializing wrongly.
 STORE_FORMAT_VERSION = 1
@@ -460,9 +319,11 @@ def shard_key(task: Dict[str, object]) -> str:
 class ResultStore:
     """Digest-addressed shard results rooted at one directory.
 
-    Reads degrade like :class:`DiskCache`: a missing entry is a miss, a
-    corrupt entry is quarantined (``*.quarantined``) and reported as a
-    miss — a half-written or bit-rotted result must never poison a run.
+    Each entry holds its payload together with the payload's SHA-256.
+    A missing entry is a miss; an entry that does not parse, lacks the
+    digest (an older format) or whose payload no longer matches it is
+    quarantined (``*.quarantined``) and reported as a miss — a
+    half-written, edited or bit-rotted result must never poison a run.
     Writes go through :func:`atomic_write`, so racing workers computing
     the same shard leave one complete payload (per-key last-writer-wins;
     both computed the same pure function).  Tenant identity is never
@@ -488,9 +349,14 @@ class ResultStore:
             return None
         try:
             with open(path, "r", encoding="utf-8") as stream:
-                payload = json.load(stream)
-            if not isinstance(payload, dict):
-                raise ValueError("not a JSON object")
+                entry = json.load(stream)
+            if not isinstance(entry, dict) or not isinstance(
+                entry.get("payload"), dict
+            ):
+                raise ValueError("not a digest-stamped result")
+            payload = entry["payload"]
+            if content_digest(payload) != entry.get("sha256"):
+                raise ValueError("payload does not match its digest")
         except (OSError, UnicodeDecodeError, ValueError) as exc:
             self.stats.cache_evictions += 1
             self.stats.store_misses += 1
@@ -500,10 +366,12 @@ class ResultStore:
         return payload
 
     def store(self, key: str, payload: Dict[str, object]) -> None:
-        """Persist one shard result under its task digest."""
+        """Persist one shard result, stamped with its digest, under its
+        task digest."""
+        entry = {"payload": payload, "sha256": content_digest(payload)}
         atomic_write(
             self.path_for(key),
-            lambda stream: json.dump(payload, stream, sort_keys=True),
+            lambda stream: json.dump(entry, stream, sort_keys=True),
         )
 
     def resolve(
@@ -525,12 +393,6 @@ class ResultStore:
             else:
                 hits[index] = payload
         return hits, pending
-
-    def disk_cache(self) -> DiskCache:
-        """A :class:`DiskCache` sharing this store's root and stats, so
-        worker trace/analysis caching and shard results live under one
-        directory tree and one hit/miss account."""
-        return DiskCache(self.root / "cache", stats=self.stats)
 
     def __len__(self) -> int:
         """Complete entries currently on disk (quarantined ones not)."""

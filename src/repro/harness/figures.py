@@ -170,7 +170,7 @@ def _granularity_figure(
     )
     for column in models:
         model, racing = TABLE1_COLUMNS[column]
-        workload = runner.workload(design, threads, racing)
+        inserts = runner.total_inserts(design, threads, racing)
         series = Series(name=column)
         for granularity in granularities:
             config = AnalysisConfig(**{sweep_field: granularity})
@@ -178,7 +178,7 @@ def _granularity_figure(
             series.points.append(
                 (
                     float(granularity),
-                    analysis.critical_path_per(workload.total_inserts),
+                    analysis.critical_path_per(inserts),
                 )
             )
         figure.series.append(series)

@@ -1,25 +1,21 @@
-"""Parallel grid executor for the experiment harness.
+"""Task fan-out, and the paper grid's plan → resolve → run → fold path.
 
-Table 1 and Figures 3-5 evaluate a (design x threads x racing x model x
-granularity) grid whose cells are independent: each needs one traced
-workload and one critical-path analysis.  This module fans the grid out
-over a :class:`concurrent.futures.ProcessPoolExecutor` — one task per
-*program variant* (design, threads, racing), carrying every analysis
-cell that shares its trace, so the trace is executed exactly once just
-like the serial path — and merges worker results back into the parent
-:class:`~repro.harness.runner.ExperimentRunner`.
-
-Workers rebuild an identical runner from scalar parameters and reuse the
-exact serial code path (same :func:`~repro.harness.runner.derive_seed`
-seeds, same analyzer), so parallel results are bit-identical to serial
-ones; with a shared ``cache_dir`` they also populate the disk cache as
-they go.  Traces cross the process boundary in the JSONL wire format
-from :mod:`repro.trace.io`.
+:func:`fan_out` runs JSON-safe tasks through a module-level worker,
+in-process or on a process pool, with per-task timeouts and retries;
+the fuzz campaign and :func:`run_grid` both sit on it.  Table 1 and
+Figures 3-5 evaluate a (design x threads x racing x model x
+granularity) grid; :func:`run_grid` plans one task per *program
+variant* carrying every cell that shares its trace, resolves the tasks
+against a :class:`~repro.harness.cache.ResultStore`, runs the misses
+through :func:`run_variant` (an identical runner rebuilt from the
+task's scalars) and folds each payload — analyses, instruction rate,
+insert count, no trace — into the parent
+:class:`~repro.harness.runner.ExperimentRunner`, bit-identically to a
+serial run.
 """
 
 from __future__ import annotations
 
-import io
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -28,19 +24,18 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.analysis import AnalysisConfig
 from repro.harness.cache import (
-    DiskCache,
     HarnessStats,
+    ResultStore,
     analysis_from_payload,
     analysis_to_payload,
 )
+from repro.harness.instr import InstructionCostModel
 from repro.harness.runner import (
     RACING_SENSITIVE_DESIGNS,
     TABLE1_COLUMNS,
     ExperimentRunner,
 )
 from repro.memory import layout
-from repro.queue.workload import WorkloadResult
-from repro.trace.io import dump, load
 
 #: One program variant: (design, threads, racing).
 Variant = Tuple[str, int, bool]
@@ -343,84 +338,98 @@ def dedup_cells(cells: Iterable[GridCell]) -> List[GridCell]:
     return unique
 
 
-def _cell_to_wire(cell: GridCell) -> dict:
-    return asdict(cell)
+def plan_variants(
+    runner: ExperimentRunner, cells: Iterable[GridCell]
+) -> List[dict]:
+    """The grid's tasks: one JSON-safe dict per program variant.
 
-
-def _run_variant(task: dict) -> dict:
-    """Worker entry point: trace one variant, analyze its cells.
-
-    Rebuilds a runner from scalars so seeds and results are identical to
-    the serial path; returns JSON-safe payloads only.
+    A task holds everything that determines its payload — the runner's
+    workload and cost-model scalars, the variant, and its cells — and
+    nothing else, so its :func:`~repro.harness.cache.shard_key` is the
+    same in every process and invocation.
     """
-    cache_dir = task["cache_dir"]
+    groups: Dict[Variant, List[GridCell]] = {}
+    for cell in dedup_cells(cells):
+        groups.setdefault(cell.variant, []).append(cell)
+    return [
+        {
+            "kind": "paper",
+            "inserts_per_thread": runner.inserts_per_thread,
+            "entry_size": runner.entry_size,
+            "lock_kind": runner.lock_kind,
+            "base_seed": runner.base_seed,
+            "cycles_per_event": runner.cost_model.cycles_per_event,
+            "clock_hz": runner.cost_model.clock_hz,
+            "variant": list(variant),
+            "cells": [asdict(cell) for cell in variant_cells],
+        }
+        for variant, variant_cells in sorted(groups.items())
+    ]
+
+
+def run_variant(task: dict) -> dict:
+    """Worker entry point: trace one variant and analyze its cells.
+
+    Returns the variant's payload — the cells' analyses, the
+    instruction rate and the insert count — plus the worker's ``stats``,
+    which the parent merges but never stores.
+    """
     runner = ExperimentRunner(
         inserts_per_thread=task["inserts_per_thread"],
         entry_size=task["entry_size"],
         lock_kind=task["lock_kind"],
         base_seed=task["base_seed"],
-        cache=DiskCache(cache_dir) if cache_dir else None,
+        cost_model=InstructionCostModel(
+            cycles_per_event=task["cycles_per_event"],
+            clock_hz=task["clock_hz"],
+        ),
     )
-    design, threads, racing = task["variant"]
+    variant = tuple(task["variant"])
     analyses = []
     for wire in task["cells"]:
         cell = GridCell(**wire)
-        result = runner.analysis(
-            design, threads, racing, cell.model, cell.analysis_config()
-        )
-        analyses.append({"cell": wire, "payload": analysis_to_payload(result)})
-    workload = runner.workload(design, threads, racing)
-    buffer = io.StringIO()
-    dump(workload.trace, buffer)
+        result = runner.analysis(*variant, cell.model, cell.analysis_config())
+        analyses.append(analysis_to_payload(result))
     return {
         "variant": task["variant"],
-        "trace": buffer.getvalue(),
         "analyses": analyses,
+        "instruction_rate": runner.instruction_rate(*variant),
+        "total_inserts": runner.total_inserts(*variant),
         "stats": runner.stats.to_payload(),
     }
 
 
-def _merge_variant(runner: ExperimentRunner, result: dict) -> None:
-    """Fold one worker result into the parent runner's caches."""
-    design, threads, racing = result["variant"]
-    trace = load(io.StringIO(result["trace"]))
-    runner.merge_workload(
-        design,
-        threads,
-        racing,
-        WorkloadResult(
-            config=runner.workload_config(design, threads, racing),
-            machine=None,
-            trace=trace,
-            queue=None,
-        ),
+def _fold_variant(runner: ExperimentRunner, payload: dict) -> None:
+    """Fold one variant payload into the runner's in-memory caches."""
+    variant = tuple(payload["variant"])
+    for wire in payload["analyses"]:
+        result = analysis_from_payload(wire)
+        runner.merge_analysis(*variant, result.model, result.config, result)
+    runner.merge_variant(
+        *variant, payload["instruction_rate"], payload["total_inserts"]
     )
-    for entry in result["analyses"]:
-        cell = GridCell(**entry["cell"])
-        runner.merge_analysis(
-            design,
-            threads,
-            racing,
-            cell.model,
-            cell.analysis_config(),
-            analysis_from_payload(entry["payload"]),
-        )
-    runner.stats.merge(HarnessStats.from_payload(result["stats"]))
 
 
 def run_grid(
     runner: ExperimentRunner,
     cells: Iterable[GridCell],
     jobs: Optional[int] = None,
+    store: Optional[ResultStore] = None,
     task_timeout: Optional[float] = None,
     task_retries: int = 0,
 ) -> HarnessStats:
-    """Evaluate ``cells`` with ``jobs`` worker processes, merging results.
+    """Evaluate ``cells`` and fold every result into ``runner``.
 
-    ``jobs`` of ``None``, 0, or 1 evaluates serially through the runner
-    (identical results, no process pool).  Returns the runner's stats.
-    After this returns, every cell's workload and analysis sit in the
-    runner's in-memory caches, so table/figure builders hit memory only.
+    Plans one task per program variant (:func:`plan_variants`), resolves
+    them against ``store`` when given, runs the misses through
+    :func:`fan_out` on ``jobs`` worker processes (``None``, 0 or 1 runs
+    them in-process) and stores each fresh payload.  Afterwards every
+    cell's analysis, instruction rate and insert count sit in the
+    runner's in-memory caches, so table/figure builders neither trace
+    nor analyze.  A stored variant counts one workload disk hit and one
+    analysis disk hit per cell; a fresh one adds its worker's counters.
+    Store hits and misses count on ``store.stats``.  Returns the
+    runner's stats.
 
     ``task_timeout`` / ``task_retries`` bound each variant task (see
     :func:`fan_out`).  A variant that exhausts its retries is *recorded*
@@ -428,34 +437,23 @@ def run_grid(
     cells are simply absent from the runner's caches, and any later
     table/figure builder that needs them recomputes serially on demand.
     """
-    cells = dedup_cells(cells)
-    groups: Dict[Variant, List[GridCell]] = {}
-    for cell in cells:
-        groups.setdefault(cell.variant, []).append(cell)
+    tasks = plan_variants(runner, cells)
+    if store is None:
+        hits, pending = {}, dict.fromkeys(range(len(tasks)))
+    else:
+        hits, pending = store.resolve(tasks)
+    for payload in hits.values():
+        _fold_variant(runner, payload)
+        runner.stats.workload_disk_hits += 1
+        runner.stats.analysis_disk_hits += len(payload["analyses"])
+    keys = {tuple(tasks[i]["variant"]): key for i, key in pending.items()}
 
-    if jobs is None or jobs <= 1:
-        for variant, variant_cells in groups.items():
-            design, threads, racing = variant
-            runner.workload(design, threads, racing)
-            for cell in variant_cells:
-                runner.analysis(
-                    design, threads, racing, cell.model, cell.analysis_config()
-                )
-        return runner.stats
+    def merge(result: dict) -> None:
+        runner.stats.merge(HarnessStats.from_payload(result.pop("stats")))
+        _fold_variant(runner, result)
+        if store is not None:
+            store.store(keys[tuple(result["variant"])], result)
 
-    cache_dir = str(runner.cache.root) if runner.cache is not None else None
-    tasks = [
-        {
-            "variant": variant,
-            "cells": [_cell_to_wire(cell) for cell in variant_cells],
-            "inserts_per_thread": runner.inserts_per_thread,
-            "entry_size": runner.entry_size,
-            "lock_kind": runner.lock_kind,
-            "base_seed": runner.base_seed,
-            "cache_dir": cache_dir,
-        }
-        for variant, variant_cells in sorted(groups.items())
-    ]
     def failed(task: dict, error: str) -> None:
         warnings.warn(
             f"grid variant {tuple(task['variant'])} failed ({error}); its "
@@ -465,10 +463,10 @@ def run_grid(
         )
 
     fan_out(
-        _run_variant,
-        tasks,
+        run_variant,
+        [tasks[index] for index in pending],
         jobs,
-        lambda result: _merge_variant(runner, result),
+        merge,
         timeout=task_timeout,
         retries=task_retries,
         on_failure=failed,

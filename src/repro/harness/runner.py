@@ -11,12 +11,14 @@ one is analyzed under several models and granularities; each variant's
 trace is also encoded once into columnar chunks, which every analysis
 and the instruction-rate makespan of that variant read.
 
-Caching is layered: an in-memory dict per runner (as before), optionally
-backed by a content-addressed :class:`~repro.harness.cache.DiskCache`
-shared across processes and interpreter invocations.  That sharing is
-only sound because scheduler seeds derive via :func:`derive_seed`, a
-process-independent mix — Python's builtin ``hash`` is salted per
-interpreter and must never feed a cache key or a "deterministic" seed.
+The runner caches in memory only.  :func:`repro.harness.parallel.run_grid`
+computes whole variants elsewhere (worker processes, or a
+:class:`~repro.harness.cache.ResultStore` shared across invocations) and
+folds their analyses, instruction rate and insert count back in, so a
+folded variant needs no trace.  That sharing is only sound because
+scheduler seeds derive via :func:`derive_seed`, a process-independent
+mix — Python's builtin ``hash`` is salted per interpreter and must never
+feed a store key or a "deterministic" seed.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.core.analysis import (
     StreamingAnalyzer,
 )
 from repro.errors import AnalysisError
-from repro.harness.cache import DiskCache, HarnessStats
+from repro.harness.cache import HarnessStats
 from repro.harness.instr import DEFAULT_COST_MODEL, InstructionCostModel
 from repro.harness.metrics import PAPER_PERSIST_LATENCY, ThroughputPoint
 from repro.queue.workload import WorkloadConfig, WorkloadResult, run_insert_workload
@@ -82,8 +84,6 @@ class ExperimentRunner:
         base_seed: scheduler seed; each (design, threads, racing) variant
             derives its own deterministic seed from it via
             :func:`derive_seed`.
-        cache: optional on-disk trace/analysis cache shared across
-            processes; ``None`` keeps caching in-memory only.
         stats: per-stage work and hit counters for this runner.
     """
 
@@ -92,7 +92,6 @@ class ExperimentRunner:
     lock_kind: str = "mcs"
     cost_model: InstructionCostModel = DEFAULT_COST_MODEL
     base_seed: int = 0
-    cache: Optional[DiskCache] = None
     stats: HarnessStats = field(default_factory=HarnessStats, repr=False)
     _workloads: Dict[Tuple[str, int, bool], WorkloadResult] = field(
         default_factory=dict, repr=False
@@ -103,13 +102,12 @@ class ExperimentRunner:
     _instr_rates: Dict[Tuple[str, int, bool], float] = field(
         default_factory=dict, repr=False
     )
+    _inserts: Dict[Tuple[str, int, bool], int] = field(
+        default_factory=dict, repr=False
+    )
     _analyses: Dict[tuple, AnalysisResult] = field(
         default_factory=dict, repr=False
     )
-
-    def __post_init__(self) -> None:
-        if self.cache is not None:
-            self.cache.stats = self.stats
 
     def variant_key(
         self, design: str, threads: int, racing: bool
@@ -141,44 +139,19 @@ class ExperimentRunner:
         if key in self._workloads:
             self.stats.workload_memory_hits += 1
             return self._workloads[key]
-        config = self.workload_config(*key)
-        result = None
-        if self.cache is not None:
-            trace = self.cache.load_trace(config)
-            if trace is not None:
-                self.stats.workload_disk_hits += 1
-                result = WorkloadResult(
-                    config=config, machine=None, trace=trace, queue=None
-                )
-        if result is None:
-            start = time.perf_counter()
-            result = run_insert_workload(config)
-            self.stats.workload_runs += 1
-            self.stats.trace_seconds += time.perf_counter() - start
-            if self.cache is not None:
-                self.cache.store_trace(config, result.trace)
+        start = time.perf_counter()
+        result = run_insert_workload(self.workload_config(*key))
+        self.stats.workload_runs += 1
+        self.stats.trace_seconds += time.perf_counter() - start
         self._workloads[key] = result
         return result
-
-    def merge_workload(
-        self,
-        design: str,
-        threads: int,
-        racing: bool,
-        result: WorkloadResult,
-    ) -> None:
-        """Adopt a workload result computed elsewhere (parallel worker)."""
-        key = self.variant_key(design, threads, racing)
-        self._workloads[key] = result
-        self._chunks.pop(key, None)
 
     def trace_chunks(
         self, design: str, threads: int, racing: bool
     ) -> List[ColumnarChunk]:
         """One variant's trace as columnar chunks, encoded on first use.
 
-        The trace comes from :meth:`workload` (a fresh run, a disk-cache
-        hit or a merged worker result) and is encoded once; every
+        The trace comes from :meth:`workload` and is encoded once; every
         analysis and the instruction rate of the variant read these
         chunks.  Treat them as read-only.
         """
@@ -192,14 +165,34 @@ class ExperimentRunner:
             self._chunks[key] = chunks
         return chunks
 
+    def total_inserts(self, design: str, threads: int, racing: bool) -> int:
+        """Inserts one program variant performs (all threads)."""
+        key = self.variant_key(design, threads, racing)
+        if key not in self._inserts:
+            self._inserts[key] = self.workload(*key).total_inserts
+        return self._inserts[key]
+
     def instruction_rate(self, design: str, threads: int, racing: bool) -> float:
         """Aggregate inserts/s at volatile instruction-execution speed."""
         key = self.variant_key(design, threads, racing)
         if key not in self._instr_rates:
             self._instr_rates[key] = self.cost_model.instruction_rate(
-                self.trace_chunks(*key), self.workload(*key).total_inserts
+                self.trace_chunks(*key), self.total_inserts(*key)
             )
         return self._instr_rates[key]
+
+    def merge_variant(
+        self,
+        design: str,
+        threads: int,
+        racing: bool,
+        instruction_rate: float,
+        total_inserts: int,
+    ) -> None:
+        """Adopt a variant's rate and insert count computed elsewhere."""
+        key = self.variant_key(design, threads, racing)
+        self._instr_rates[key] = instruction_rate
+        self._inserts[key] = total_inserts
 
     def analysis_cache_key(
         self,
@@ -231,28 +224,14 @@ class ExperimentRunner:
         if key in self._analyses:
             self.stats.analysis_memory_hits += 1
             return self._analyses[key]
-        result = None
-        if self.cache is not None:
-            wconfig = self.workload_config(design, threads, racing)
-            result = self.cache.load_analysis(wconfig, model, config)
-            if result is not None:
-                self.stats.analysis_disk_hits += 1
-        if result is None:
-            self.workload(design, threads, racing)  # traced outside the timer
-            start = time.perf_counter()
-            analyzer = StreamingAnalyzer(model, config)
-            for chunk in self.trace_chunks(design, threads, racing):
-                analyzer.feed(chunk)
-            result = analyzer.finish()
-            self.stats.analysis_runs += 1
-            self.stats.analysis_seconds += time.perf_counter() - start
-            if self.cache is not None:
-                self.cache.store_analysis(
-                    self.workload_config(design, threads, racing),
-                    model,
-                    config,
-                    result,
-                )
+        self.workload(design, threads, racing)  # traced outside the timer
+        start = time.perf_counter()
+        analyzer = StreamingAnalyzer(model, config)
+        for chunk in self.trace_chunks(design, threads, racing):
+            analyzer.feed(chunk)
+        result = analyzer.finish()
+        self.stats.analysis_runs += 1
+        self.stats.analysis_seconds += time.perf_counter() - start
         self._analyses[key] = result
         return result
 
@@ -265,7 +244,7 @@ class ExperimentRunner:
         config: AnalysisConfig,
         result: AnalysisResult,
     ) -> None:
-        """Adopt an analysis result computed elsewhere (parallel worker)."""
+        """Adopt an analysis result computed elsewhere (see ``run_grid``)."""
         key = self.analysis_cache_key(design, threads, racing, model, config)
         self._analyses[key] = result
 
@@ -285,12 +264,12 @@ class ExperimentRunner:
                 f"unknown column {column!r}; expected one of "
                 f"{sorted(TABLE1_COLUMNS)}"
             ) from None
-        workload = self.workload(design, threads, racing)
+        operations = self.total_inserts(design, threads, racing)
         analysis = self.analysis(design, threads, racing, model, config)
         return ThroughputPoint(
             model=column,
             persist_latency=persist_latency,
             critical_path=analysis.critical_path,
-            operations=workload.total_inserts,
+            operations=operations,
             instruction_rate=self.instruction_rate(design, threads, racing),
         )

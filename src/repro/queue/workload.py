@@ -91,7 +91,7 @@ class WorkloadConfig:
         """Metadata dict stored in the trace.
 
         ``record_history`` appears only when enabled so that the default
-        description — which keys disk caches and pinned campaigns —
+        description — written into trace metadata and pinned campaigns —
         stays byte-identical to pre-oracle releases.
         """
         meta = {
@@ -115,9 +115,9 @@ class WorkloadConfig:
 class WorkloadResult:
     """Everything produced by one workload run.
 
-    ``machine`` and ``queue`` are ``None`` when the result was rehydrated
-    from a serialized trace (disk cache, parallel worker) rather than run
-    in this process; every trace-derived metric still works.
+    ``machine`` and ``queue`` may be ``None`` for a result rehydrated
+    from a serialized trace rather than run in this process; every
+    trace-derived metric still works.
     """
 
     config: WorkloadConfig

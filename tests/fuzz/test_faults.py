@@ -12,6 +12,8 @@ The contract under test (ISSUE: device-level fault injection):
 * campaigns resumed from a result store report byte-identical summaries.
 """
 
+import json
+
 import pytest
 
 from repro.errors import FuzzError
@@ -290,3 +292,26 @@ class TestCheckpointing:
         assert rerun.stats.store_misses == rerun.stats.cache_evictions == 1
         assert victim.with_name(victim.name + ".quarantined").exists()
         assert len(rerun) == self.CONFIG["budget"]  # recomputed and stored
+
+    @pytest.mark.parametrize("edit", ["bare", "payload"])
+    def test_edited_checkpoint_is_recomputed(self, tmp_path, edit):
+        # A well-formed JSON object that is not what the shard computed
+        # (an older bare payload, or a payload edited after it was
+        # stored) must fail the store's digest check and recompute,
+        # never reach fold_shards.
+        config = CampaignConfig(**self.CONFIG)
+        store = ResultStore(tmp_path / "store")
+        straight = run_campaign(config, store=store).summary()
+        victim = sorted(store.root.glob("*.result.json"))[0]
+        if edit == "bare":
+            victim.write_text(json.dumps({"kind": "fuzz"}))
+        else:
+            entry = json.loads(victim.read_text())
+            entry["payload"]["outcomes"][0]["events"] += 1
+            victim.write_text(json.dumps(entry))
+        rerun = ResultStore(store.root)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            result = run_campaign(config, store=rerun)
+        assert result.summary() == straight
+        assert rerun.stats.store_misses == rerun.stats.cache_evictions == 1
+        assert len(rerun) == self.CONFIG["budget"]

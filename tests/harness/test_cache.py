@@ -1,21 +1,32 @@
-"""Tests for the content-addressed on-disk trace/analysis cache."""
+"""Tests for the paper grid's tasks and payloads in the result store."""
 
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.core import AnalysisConfig, analyze
+from repro.core import analyze
 from repro.harness import (
-    DiskCache,
     ExperimentRunner,
+    GridCell,
+    InstructionCostModel,
+    ResultStore,
     analysis_from_payload,
-    analysis_key,
     analysis_to_payload,
-    workload_key,
+    build_table1,
+    format_table1,
+    run_grid,
+    table1_cells,
 )
-from repro.harness.cache import HarnessStats, atomic_write
-from repro.queue.workload import WorkloadConfig
+from repro.harness.cache import HarnessStats, atomic_write, shard_key
+from repro.harness.parallel import plan_variants
+
+THREADS = (1, 2)
 
 
 def _hammer_key(task):
@@ -27,49 +38,77 @@ def _hammer_key(task):
     return writer_id
 
 
-@pytest.fixture
-def cache(tmp_path):
-    return DiskCache(tmp_path / "cache")
+def _runner(**fields):
+    fields = {"inserts_per_thread": 6, "base_seed": 5, **fields}
+    return ExperimentRunner(**fields)
 
 
-@pytest.fixture
-def wconfig():
-    return WorkloadConfig(design="cwl", threads=1, inserts_per_thread=8, seed=7)
+def _keys(runner, cells):
+    return [shard_key(task) for task in plan_variants(runner, cells)]
+
+
+def _table(runner):
+    return format_table1(build_table1(runner, thread_counts=THREADS))
 
 
 class TestKeys:
-    def test_stable_across_instances(self, wconfig):
-        other = WorkloadConfig(
-            design="cwl", threads=1, inserts_per_thread=8, seed=7
-        )
-        assert workload_key(wconfig) == workload_key(other)
+    """A variant task's key covers everything that determines its payload."""
 
-    def test_every_field_matters(self, wconfig):
+    CELL = GridCell("cwl", 2, False, "epoch")
+
+    def test_stable_across_instances(self):
+        assert _keys(_runner(), [self.CELL]) == _keys(_runner(), [self.CELL])
+
+    def test_every_field_matters(self):
+        base = _keys(_runner(), [self.CELL])
+        for override in (
+            {"inserts_per_thread": 7},
+            {"entry_size": 48},
+            {"lock_kind": "ticket"},
+            {"base_seed": 6},
+            {"cost_model": InstructionCostModel(cycles_per_event=20.0)},
+            {"cost_model": InstructionCostModel(clock_hz=3.0e9)},
+        ):
+            assert _keys(_runner(**override), [self.CELL]) != base, override
         for override in (
             {"design": "2lc"},
-            {"threads": 2},
-            {"inserts_per_thread": 9},
-            {"entry_size": 48},
+            {"threads": 1},
             {"racing": True},
-            {"lock_kind": "ticket"},
-            {"seed": 8},
-            {"consistency": "tso"},
+            {"model": "strict"},
+            {"persist_granularity": 64},
+            {"tracking_granularity": 64},
+            {"coalescing": False},
         ):
-            fields = {**wconfig.__dict__, **override}
-            assert workload_key(WorkloadConfig(**fields)) != workload_key(
-                wconfig
-            )
+            cell = replace(self.CELL, **override)
+            assert _keys(_runner(), [cell]) != base, override
+        # Adding a cell to the variant changes its task too.
+        wider = [self.CELL, replace(self.CELL, model="strict")]
+        assert _keys(_runner(), wider) != base
 
-    def test_analysis_key_depends_on_model_and_config(self, wconfig):
-        base = analysis_key(wconfig, "epoch", AnalysisConfig())
-        assert analysis_key(wconfig, "strict", AnalysisConfig()) != base
-        assert (
-            analysis_key(
-                wconfig, "epoch", AnalysisConfig(persist_granularity=64)
-            )
-            != base
+    def test_stable_across_hash_seeds(self):
+        script = (
+            "from repro.harness import ExperimentRunner, table1_cells\n"
+            "from repro.harness.cache import shard_key\n"
+            "from repro.harness.parallel import plan_variants\n"
+            "runner = ExperimentRunner(inserts_per_thread=6, base_seed=5)\n"
+            "tasks = plan_variants(runner, table1_cells((1, 2)))\n"
+            "print([shard_key(task) for task in tasks])\n"
         )
-        assert analysis_key(wconfig, "epoch", AnalysisConfig()) == base
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        outputs = set()
+        for seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.add(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                ).stdout
+            )
+        assert len(outputs) == 1
+        assert outputs == {f"{_keys(_runner(), table1_cells((1, 2)))}\n"}
 
 
 class TestAnalysisPayload:
@@ -87,77 +126,78 @@ class TestAnalysisPayload:
             analysis_from_payload({"model": "epoch"})
 
 
-class TestDiskCache:
-    def test_trace_miss_populate_hit(self, cache, wconfig, cwl_1t):
-        assert cache.load_trace(wconfig) is None
-        cache.store_trace(wconfig, cwl_1t.trace)
-        loaded = cache.load_trace(wconfig)
-        assert loaded is not None
-        assert list(loaded) == list(cwl_1t.trace)
-        assert loaded.meta == cwl_1t.trace.meta
+class TestPaperStore:
+    """The paper grid's variant payloads in a :class:`ResultStore`."""
 
-    def test_analysis_miss_populate_hit(self, cache, wconfig, cwl_1t):
-        config = AnalysisConfig(persist_granularity=16)
-        assert cache.load_analysis(wconfig, "epoch", config) is None
-        result = analyze(cwl_1t.trace, "epoch", config)
-        cache.store_analysis(wconfig, "epoch", config, result)
-        assert cache.load_analysis(wconfig, "epoch", config) == result
+    CELLS = table1_cells(THREADS)
 
-    def test_corrupted_trace_is_miss_and_evicted(self, cache, wconfig, cwl_1t):
-        cache.store_trace(wconfig, cwl_1t.trace)
-        path = cache.trace_path(workload_key(wconfig))
-        path.write_text('{"meta": ["not", "a", "dict"]}\n')
-        assert cache.load_trace(wconfig) is None
-        assert not path.exists()
-        assert cache.stats.cache_evictions == 1
+    @pytest.fixture(scope="class")
+    def straight(self):
+        runner = _runner()
+        run_grid(runner, self.CELLS)
+        return _table(runner)
 
-    def test_truncated_trace_is_miss(self, cache, wconfig, cwl_1t):
-        cache.store_trace(wconfig, cwl_1t.trace)
-        path = cache.trace_path(workload_key(wconfig))
-        text = path.read_text()
-        path.write_text(text[: len(text) // 2].rsplit("\n", 1)[0] + '\n{"se')
-        assert cache.load_trace(wconfig) is None
-        assert not path.exists()
+    def _run(self, root):
+        runner = _runner()
+        store = ResultStore(root, stats=runner.stats)
+        run_grid(runner, self.CELLS, store=store)
+        return runner, store
 
-    def test_non_utf8_trace_is_miss_and_evicted(self, cache, wconfig, cwl_1t):
-        cache.store_trace(wconfig, cwl_1t.trace)
-        path = cache.trace_path(workload_key(wconfig))
-        path.write_bytes(b"\xff\xfe\x80 not utf-8 \x00")
-        assert cache.load_trace(wconfig) is None
-        assert not path.exists()
-        assert cache.stats.cache_evictions == 1
+    def test_variant_miss_populate_hit(self, tmp_path, straight):
+        cold, store = self._run(tmp_path / "store")
+        assert cold.stats.store_misses == len(store) == 6
+        warm, _ = self._run(tmp_path / "store")
+        assert warm.stats.store_hits == 6
+        assert _table(cold) == _table(warm) == straight
+        # Every payload is the variant's analyses, rate and insert count:
+        # no trace, and no worker counters to re-add on a hit.
+        for path in store.root.glob("*.result.json"):
+            payload = json.loads(path.read_text())["payload"]
+            assert set(payload) == {
+                "variant",
+                "analyses",
+                "instruction_rate",
+                "total_inserts",
+            }
+        assert sorted(p.suffix for p in store.root.iterdir()) == [".json"] * 6
 
-    def test_non_utf8_analysis_is_miss_and_evicted(
-        self, cache, wconfig, cwl_1t
-    ):
-        config = AnalysisConfig()
-        result = analyze(cwl_1t.trace, "epoch", config)
-        cache.store_analysis(wconfig, "epoch", config, result)
-        path = cache.analysis_path(analysis_key(wconfig, "epoch", config))
-        path.write_bytes(b'{"model": "\x80\xff"}')
-        assert cache.load_analysis(wconfig, "epoch", config) is None
-        assert not path.exists()
-        assert cache.stats.cache_evictions == 1
+    def _damaged_rerun(self, root, damage):
+        victim = sorted(root.glob("*.result.json"))[0]
+        damage(victim)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            rerun, store = self._run(root)
+        assert rerun.stats.cache_evictions == rerun.stats.store_misses == 1
+        assert rerun.stats.workload_runs == 1
+        assert victim.with_name(victim.name + ".quarantined").exists()
+        assert len(store) == 6  # recomputed and stored again
+        return _table(rerun)
 
-    def test_corrupted_analysis_is_miss_and_evicted(
-        self, cache, wconfig, cwl_1t
-    ):
-        config = AnalysisConfig()
-        result = analyze(cwl_1t.trace, "strand", config)
-        cache.store_analysis(wconfig, "strand", config, result)
-        path = cache.analysis_path(analysis_key(wconfig, "strand", config))
-        path.write_text("{not json")
-        assert cache.load_analysis(wconfig, "strand", config) is None
-        assert not path.exists()
-        assert cache.stats.cache_evictions == 1
+    def test_edited_entry_is_recomputed(self, tmp_path, straight):
+        self._run(tmp_path / "store")
 
-    def test_graph_results_not_cached(self, cache, wconfig, cwl_1t):
-        from repro.core import analyze_graph
+        def edit(path):
+            entry = json.loads(path.read_text())
+            entry["payload"]["total_inserts"] += 1
+            path.write_text(json.dumps(entry))
 
-        config = AnalysisConfig(coalescing=False)
-        result = analyze_graph(cwl_1t.trace, "epoch", config)
-        cache.store_analysis(wconfig, "epoch", config, result)
-        assert cache.load_analysis(wconfig, "epoch", config) is None
+        assert self._damaged_rerun(tmp_path / "store", edit) == straight
+
+    def test_truncated_entry_is_miss(self, tmp_path, straight):
+        self._run(tmp_path / "store")
+
+        def truncate(path):
+            text = path.read_text()
+            path.write_text(text[: len(text) // 2])
+
+        assert self._damaged_rerun(tmp_path / "store", truncate) == straight
+
+    def test_non_utf8_entry_is_miss_and_evicted(self, tmp_path, straight):
+        self._run(tmp_path / "store")
+
+        def garble(path):
+            path.write_bytes(b"\xff\xfe\x80 not utf-8 \x00")
+
+        assert self._damaged_rerun(tmp_path / "store", garble) == straight
 
 
 class TestAtomicWriteConcurrency:
@@ -248,12 +288,13 @@ class TestHarnessStatsWire:
 
 class TestRunnerIntegration:
     def test_cold_then_warm_runner(self, tmp_path):
+        cells = [GridCell("cwl", 2, False, "epoch")]
+
         def make():
-            return ExperimentRunner(
-                inserts_per_thread=6,
-                base_seed=5,
-                cache=DiskCache(tmp_path / "cache"),
-            )
+            runner = _runner()
+            store = ResultStore(tmp_path / "store", stats=runner.stats)
+            run_grid(runner, cells, store=store)
+            return runner
 
         cold = make()
         first = cold.point("cwl", 2, "epoch")
@@ -265,15 +306,17 @@ class TestRunnerIntegration:
         assert second == first
         assert warm.stats.workload_runs == 0
         assert warm.stats.analysis_runs == 0
-        assert warm.stats.workload_disk_hits >= 1
+        assert warm.stats.workload_disk_hits == 1
         assert warm.stats.analysis_disk_hits == 1
 
     def test_cache_results_equal_uncached(self, tmp_path):
-        cached = ExperimentRunner(
-            inserts_per_thread=6, base_seed=5, cache=DiskCache(tmp_path / "c")
-        )
-        plain = ExperimentRunner(inserts_per_thread=6, base_seed=5)
-        for column in ("strict", "epoch", "racing_epochs", "strand"):
-            assert cached.point("cwl", 2, column) == plain.point(
-                "cwl", 2, column
-            )
+        cached = _runner()
+        run_grid(cached, table1_cells((2,)), store=ResultStore(tmp_path / "c"))
+        plain = _runner()
+        for design in ("cwl", "2lc"):
+            for column in ("strict", "epoch", "racing_epochs", "strand"):
+                assert cached.point(design, 2, column) == plain.point(
+                    design, 2, column
+                )
+        # Three variants traced once each by the grid, none by point().
+        assert cached.stats.workload_runs == 3

@@ -5,7 +5,7 @@ The columnar makespan walk must equal the per-event reference exactly
 (same float operations in the same order), and the paper's evaluation
 must encode each simulated event once.  ``test_parallel.py`` holds the
 Table 1 and figure byte-identity checks across serial, parallel and
-warm-cache runs.
+warm-store runs.
 """
 
 import pytest
@@ -162,11 +162,3 @@ class TestEncodeOnce:
         )
         trace = runner.workload("cwl", 2, False).trace
         assert [e for chunk in chunks for e in chunk] == list(trace)
-
-    def test_merged_workload_replaces_its_chunks(self, cwl_1t):
-        runner = ExperimentRunner(inserts_per_thread=8, base_seed=4)
-        before = runner.trace_chunks("cwl", 1, False)
-        runner.merge_workload("cwl", 1, False, cwl_1t)
-        after = runner.trace_chunks("cwl", 1, False)
-        assert after is not before
-        assert sum(len(chunk) for chunk in after) == len(cwl_1t.trace)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.cli import main
 from repro.harness import (
-    DiskCache,
     ExperimentRunner,
     GridCell,
     HarnessStats,
@@ -23,12 +22,8 @@ INSERTS = 6
 THREADS = (1, 2)
 
 
-def fresh_runner(cache_dir=None):
-    return ExperimentRunner(
-        inserts_per_thread=INSERTS,
-        base_seed=4,
-        cache=DiskCache(cache_dir) if cache_dir else None,
-    )
+def fresh_runner():
+    return ExperimentRunner(inserts_per_thread=INSERTS, base_seed=4)
 
 
 class TestGrid:
@@ -297,7 +292,7 @@ class TestCliParity:
             )
             == 0
         )
-        # A warm rerun reads traces and analyses back from the cache.
+        # A warm rerun reads every variant back from the store.
         out_warm = tmp_path / "warm"
         warm = ["--out", str(out_warm), "--cache-dir", str(tmp_path / "c")]
         assert main(args + warm) == 0

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro.harness import ExperimentRunner, GridCell, run_grid
 from repro.harness.cache import HarnessStats, ResultStore, shard_key
 
 
@@ -50,11 +53,44 @@ class TestResultStore:
         assert store.load(key) is None
         assert store.stats.store_misses == 1
 
+    def test_edited_payload_fails_its_digest(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        key = shard_key({"kind": "fuzz", "cases": [0]})
+        store.store(key, {"kind": "fuzz", "outcomes": [{"events": 3}]})
+        entry = json.loads(store.path_for(key).read_text())
+        entry["payload"]["outcomes"][0]["events"] = 4
+        store.path_for(key).write_text(json.dumps(entry))
+        with pytest.warns(RuntimeWarning, match="does not match its digest"):
+            assert store.load(key) is None
+        assert store.stats.cache_evictions == store.stats.store_misses == 1
+        assert not store.path_for(key).exists()
+
+    def test_old_format_entry_is_miss(self, tmp_path):
+        # Entries written without a digest (a bare payload object) are
+        # not trusted: they recompute like any other corrupt entry.
+        store = ResultStore(tmp_path / "store")
+        key = shard_key({"kind": "fuzz", "cases": [1]})
+        store.path_for(key).write_text(json.dumps({"kind": "fuzz"}))
+        with pytest.warns(RuntimeWarning, match="not a digest-stamped"):
+            assert store.load(key) is None
+        assert store.stats.cache_evictions == store.stats.store_misses == 1
+
     def test_shared_stats_object(self, tmp_path):
         stats = HarnessStats()
         store = ResultStore(tmp_path / "store", stats=stats)
         store.load(shard_key({"x": 1}))
         assert stats.store_misses == 1
-        cache = store.disk_cache()
-        assert cache.stats is stats
-        assert cache.root == store.root / "cache"
+        # The paper grid resolves against the same store and account.
+        runner = ExperimentRunner(inserts_per_thread=4, stats=stats)
+        run_grid(runner, [GridCell("cwl", 1, False, "epoch")], store=store)
+        assert stats.store_misses == 2
+        assert stats.workload_runs == 1
+        run_grid(
+            ExperimentRunner(inserts_per_thread=4, stats=stats),
+            [GridCell("cwl", 1, False, "epoch")],
+            store=store,
+        )
+        assert stats.store_hits == 1
+        assert stats.workload_runs == 1
+        assert stats.workload_disk_hits == stats.analysis_disk_hits == 1
+        assert len(store) == 1
