@@ -70,6 +70,9 @@ class TestKeys:
             {"cost_model": InstructionCostModel(clock_hz=3.0e9)},
         ):
             assert _keys(_runner(**override), [self.CELL]) != base, override
+
+    def test_analysis_key_depends_on_model_and_config(self):
+        base = _keys(_runner(), [self.CELL])
         for override in (
             {"design": "2lc"},
             {"threads": 1},
@@ -126,8 +129,8 @@ class TestAnalysisPayload:
             analysis_from_payload({"model": "epoch"})
 
 
-class TestPaperStore:
-    """The paper grid's variant payloads in a :class:`ResultStore`."""
+class TestDiskCache:
+    """The paper grid's on-disk cache: variant payloads in a ResultStore."""
 
     CELLS = table1_cells(THREADS)
 
@@ -135,7 +138,7 @@ class TestPaperStore:
     def straight(self):
         runner = _runner()
         run_grid(runner, self.CELLS)
-        return _table(runner)
+        return runner
 
     def _run(self, root):
         runner = _runner()
@@ -143,14 +146,17 @@ class TestPaperStore:
         run_grid(runner, self.CELLS, store=store)
         return runner, store
 
-    def test_variant_miss_populate_hit(self, tmp_path, straight):
+    def test_trace_miss_populate_hit(self, tmp_path, straight):
         cold, store = self._run(tmp_path / "store")
         assert cold.stats.store_misses == len(store) == 6
+        assert cold.stats.workload_runs == 6
         warm, _ = self._run(tmp_path / "store")
         assert warm.stats.store_hits == 6
-        assert _table(cold) == _table(warm) == straight
-        # Every payload is the variant's analyses, rate and insert count:
-        # no trace, and no worker counters to re-add on a hit.
+        # A hit neither traces nor keeps a trace: no workload runs, and
+        # every payload holds the variant's results only.
+        assert warm.stats.workload_runs == 0
+        assert warm.stats.workload_disk_hits == 6
+        assert _table(cold) == _table(warm) == _table(straight)
         for path in store.root.glob("*.result.json"):
             payload = json.loads(path.read_text())["payload"]
             assert set(payload) == {
@@ -160,6 +166,21 @@ class TestPaperStore:
                 "total_inserts",
             }
         assert sorted(p.suffix for p in store.root.iterdir()) == [".json"] * 6
+
+    def test_analysis_miss_populate_hit(self, tmp_path, straight):
+        _, store = self._run(tmp_path / "store")
+        stored = sum(
+            len(json.loads(path.read_text())["payload"]["analyses"])
+            for path in store.root.glob("*.result.json")
+        )
+        warm, _ = self._run(tmp_path / "store")
+        assert warm.stats.analysis_runs == 0
+        assert warm.stats.analysis_disk_hits == stored
+        for cell in self.CELLS:
+            args = (cell.design, cell.threads, cell.racing, cell.model)
+            config = cell.analysis_config()
+            assert warm.analysis(*args, config) == straight.analysis(*args, config)
+        assert warm.stats.analysis_runs == 0
 
     def _damaged_rerun(self, root, damage):
         victim = sorted(root.glob("*.result.json"))[0]
@@ -172,32 +193,57 @@ class TestPaperStore:
         assert len(store) == 6  # recomputed and stored again
         return _table(rerun)
 
-    def test_edited_entry_is_recomputed(self, tmp_path, straight):
-        self._run(tmp_path / "store")
-
-        def edit(path):
+    def _edited_rerun(self, root, edit):
+        def damage(path):
             entry = json.loads(path.read_text())
-            entry["payload"]["total_inserts"] += 1
+            edit(entry["payload"])
             path.write_text(json.dumps(entry))
 
-        assert self._damaged_rerun(tmp_path / "store", edit) == straight
+        return self._damaged_rerun(root, damage)
 
-    def test_truncated_entry_is_miss(self, tmp_path, straight):
+    def test_corrupted_trace_is_miss_and_evicted(self, tmp_path, straight):
+        self._run(tmp_path / "store")
+
+        def edit(payload):
+            payload["total_inserts"] += 1
+
+        assert self._edited_rerun(tmp_path / "store", edit) == _table(straight)
+
+    def test_corrupted_analysis_is_miss_and_evicted(self, tmp_path, straight):
+        self._run(tmp_path / "store")
+
+        def edit(payload):
+            payload["analyses"][0]["barriers"] += 1
+
+        assert self._edited_rerun(tmp_path / "store", edit) == _table(straight)
+
+    def test_truncated_trace_is_miss(self, tmp_path, straight):
         self._run(tmp_path / "store")
 
         def truncate(path):
             text = path.read_text()
             path.write_text(text[: len(text) // 2])
 
-        assert self._damaged_rerun(tmp_path / "store", truncate) == straight
+        assert self._damaged_rerun(tmp_path / "store", truncate) == _table(straight)
 
-    def test_non_utf8_entry_is_miss_and_evicted(self, tmp_path, straight):
+    def test_non_utf8_trace_is_miss_and_evicted(self, tmp_path, straight):
         self._run(tmp_path / "store")
 
         def garble(path):
             path.write_bytes(b"\xff\xfe\x80 not utf-8 \x00")
 
-        assert self._damaged_rerun(tmp_path / "store", garble) == straight
+        assert self._damaged_rerun(tmp_path / "store", garble) == _table(straight)
+
+    def test_non_utf8_analysis_is_miss_and_evicted(self, tmp_path, straight):
+        self._run(tmp_path / "store")
+
+        def garble(path):
+            # One stray byte inside an otherwise intact entry's analyses.
+            data = path.read_bytes()
+            at = data.index(b'"analyses"') + len(b'"analyses"')
+            path.write_bytes(data[:at] + b"\xff" + data[at:])
+
+        assert self._damaged_rerun(tmp_path / "store", garble) == _table(straight)
 
 
 class TestAtomicWriteConcurrency:
