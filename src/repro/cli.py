@@ -96,7 +96,7 @@ from repro.fuzz import (
 from repro.fuzz.targets import TARGET_CHOICES
 from repro.queue import WorkloadConfig, run_insert_workload, verify_recovery
 from repro.queue.cwl import INSERT_MARK
-from repro.schema import add_arguments, from_args
+from repro.schema import Option, add_arguments, from_args, options_of
 from repro.serve import (
     JOB_KEYS,
     ServeConfig,
@@ -108,35 +108,30 @@ from repro.serve import (
 from repro.trace import load_file, save_file, validate
 
 
-def _add_harness_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
+#: How ``table1``/``figures`` run their grid: never what it computes, so
+#: none is a spec key.
+_GRID_OPTIONS = options_of(
+    jobs=Option(
+        int, default=1, key=None,
         help="worker processes for the experiment grid (1 = serial)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
+    ),
+    cache_dir=Option(
+        optional=True, default=None, key=None,
         help="result store for the grid's variants (reruns skip stored ones)",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
+    ),
+    stats=Option(
+        bool, default=False, key=None,
         help="print per-stage timing and cache hit-rate counters to stderr",
-    )
-    parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
+    ),
+    task_timeout=Option(
+        float, optional=True, default=None, key=None,
         help="per-task wall-clock timeout in seconds (pool mode only)",
-    )
-    parser.add_argument(
-        "--task-retries",
-        type=int,
-        default=0,
+    ),
+    task_retries=Option(
+        int, default=0, key=None,
         help="retries (with exponential backoff) before a task fails its cell",
-    )
+    ),
+)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -290,20 +285,12 @@ def _run_paper_grid(args: argparse.Namespace, cells) -> ExperimentRunner:
     ``--cache-dir`` is the :class:`ResultStore` the grid resolves
     against; its hit/miss counters share the runner's stats.
     """
-    runner = ExperimentRunner(
-        inserts_per_thread=args.inserts, base_seed=args.seed
-    )
+    runner = from_args(args)
+    store = None
+    if args.cache_dir:
+        store = ResultStore(args.cache_dir, stats=runner.stats)
     run_grid(
-        runner,
-        cells,
-        jobs=args.jobs,
-        store=(
-            ResultStore(args.cache_dir, stats=runner.stats)
-            if args.cache_dir
-            else None
-        ),
-        task_timeout=args.task_timeout,
-        task_retries=args.task_retries,
+        runner, cells, args.jobs, store, args.task_timeout, args.task_retries
     )
     return runner
 
@@ -693,8 +680,8 @@ def _job_exit_code(view: dict) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the checking-service daemon until shutdown.
 
-    Accepts check / fuzz / litmus job specs from many tenants over a
-    unix socket, executes shards on a work-stealing multiprocessing
+    Accepts check / fuzz / litmus / paper job specs from many tenants
+    over a unix socket, executes shards on a work-stealing multiprocessing
     pool under per-tenant token-bucket fairness, and shares every shard
     result through a content-addressed store — identical work (across
     tenants, restarts, and resubmissions) is computed once.  Stop with
@@ -719,8 +706,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_submit(args: argparse.Namespace) -> int:
     """Submit a JSON job spec to a running daemon; prints the job id.
 
-    The spec file holds one object with a `kind` of check, fuzz, or
-    litmus (see docs/service.md for each kind's fields).  With
+    The spec file holds one object with a `kind` of check, fuzz,
+    litmus or paper (see docs/service.md for each kind's fields).  With
     `--wait`, polls to completion and exits like `repro check` would:
     0 clean, 1 on violations, 2 on a failed/cancelled job.
     """
@@ -935,19 +922,16 @@ def build_parser() -> argparse.ArgumentParser:
     inject_parser.set_defaults(handler=cmd_inject)
 
     table_parser = commands.add_parser("table1", help=cmd_table1.__doc__)
-    table_parser.add_argument("--inserts", type=int, default=125)
-    table_parser.add_argument("--seed", type=int, default=1)
-    table_parser.add_argument(
-        "--threads", type=int, nargs="+", default=[1, 8]
+    add_arguments(
+        table_parser,
+        ExperimentRunner,
+        extra={**JOB_KEYS["paper"], **_GRID_OPTIONS},
     )
-    _add_harness_arguments(table_parser)
     table_parser.set_defaults(handler=cmd_table1)
 
     figures_parser = commands.add_parser("figures", help=cmd_figures.__doc__)
-    figures_parser.add_argument("--inserts", type=int, default=125)
-    figures_parser.add_argument("--seed", type=int, default=1)
+    add_arguments(figures_parser, ExperimentRunner, extra=_GRID_OPTIONS)
     figures_parser.add_argument("--out", default="artifacts")
-    _add_harness_arguments(figures_parser)
     figures_parser.set_defaults(handler=cmd_figures)
 
     fuzz_parser = commands.add_parser(

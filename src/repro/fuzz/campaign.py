@@ -49,7 +49,7 @@ from repro.fuzz.judge import (
 )
 from repro.fuzz.targets import TARGET_CHOICES, TargetRun, make_target
 from repro.harness.cache import ResultStore
-from repro.harness.parallel import fan_out
+from repro.harness.parallel import RetryPolicy, fan_out
 from repro.harness.runner import SEED_SPACE
 from repro.histories.oracle import ORACLES
 from repro.inject.plan import FAULT_KINDS, FaultPlan
@@ -598,6 +598,7 @@ class CampaignConfig:
     def validate(self) -> None:
         """Raise on unusable parameters."""
         target = make_target(self.target)
+        RetryPolicy(self.task_retries, timeout=self.task_timeout)
         if self.budget <= 0:
             raise FuzzError(f"budget must be positive, got {self.budget}")
         validate_models(self.models, FuzzError)

@@ -27,7 +27,7 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
@@ -122,24 +122,11 @@ def content_digest(payload: Dict[str, object]) -> str:
 
 
 def analysis_to_payload(result: AnalysisResult) -> Dict[str, object]:
-    """Serialize an :class:`AnalysisResult` (sans graph) to a JSON dict."""
+    """Serialize an :class:`AnalysisResult`'s model, config and scalars
+    to a JSON dict (no graph, no per-level or per-block histograms: the
+    tables and figures read only the scalars)."""
     payload: Dict[str, object] = {
-        "model": result.model,
-        "config": {
-            "persist_granularity": result.config.persist_granularity,
-            "tracking_granularity": result.config.tracking_granularity,
-            "coalescing": result.config.coalescing,
-        },
-        "level_histogram": (
-            None
-            if result.level_histogram is None
-            else {str(k): v for k, v in result.level_histogram.items()}
-        ),
-        "block_writes": (
-            None
-            if result.block_writes is None
-            else {str(k): v for k, v in result.block_writes.items()}
-        ),
+        "model": result.model, "config": asdict(result.config)
     }
     for name in _ANALYSIS_SCALARS:
         payload[name] = getattr(result, name)
@@ -147,24 +134,12 @@ def analysis_to_payload(result: AnalysisResult) -> Dict[str, object]:
 
 
 def analysis_from_payload(payload: Dict[str, object]) -> AnalysisResult:
-    """Rebuild an :class:`AnalysisResult` from its JSON dict."""
+    """Rebuild an :class:`AnalysisResult` from its JSON dict (keys it
+    does not read, such as an older entry's histograms, are ignored)."""
     try:
         config = AnalysisConfig(**payload["config"])
         scalars = {name: int(payload[name]) for name in _ANALYSIS_SCALARS}
-        histograms = {}
-        for name in ("level_histogram", "block_writes"):
-            raw = payload[name]
-            histograms[name] = (
-                None
-                if raw is None
-                else {int(k): int(v) for k, v in raw.items()}
-            )
-        return AnalysisResult(
-            model=payload["model"],
-            config=config,
-            **scalars,
-            **histograms,
-        )
+        return AnalysisResult(model=payload["model"], config=config, **scalars)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CacheError(f"malformed analysis payload: {exc}") from exc
 

@@ -7,11 +7,12 @@ Figures 3-5 evaluate a (design x threads x racing x model x
 granularity) grid; :func:`run_grid` plans one task per *program
 variant* carrying every cell that shares its trace, resolves the tasks
 against a :class:`~repro.harness.cache.ResultStore`, runs the misses
-through :func:`run_variant` (an identical runner rebuilt from the
-task's scalars) and folds each payload — analyses, instruction rate,
-insert count, no trace — into the parent
+through :func:`run_variant` (an identical runner decoded from the
+task) and folds each payload — analyses, instruction rate, insert
+count, no trace — into the parent
 :class:`~repro.harness.runner.ExperimentRunner`, bit-identically to a
-serial run.
+serial run.  ``repro serve``'s ``paper`` jobs plan, run and fold the
+same tasks, so both paths store the same bytes under the same keys.
 """
 
 from __future__ import annotations
@@ -19,16 +20,12 @@ from __future__ import annotations
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.analysis import AnalysisConfig
-from repro.harness.cache import (
-    HarnessStats,
-    ResultStore,
-    analysis_from_payload,
-    analysis_to_payload,
-)
+from repro.errors import ReproError
+from repro.harness.cache import HarnessStats, ResultStore, analysis_to_payload
 from repro.harness.instr import InstructionCostModel
 from repro.harness.runner import (
     RACING_SENSITIVE_DESIGNS,
@@ -36,6 +33,7 @@ from repro.harness.runner import (
     ExperimentRunner,
 )
 from repro.memory import layout
+from repro.schema import decode, encode
 
 #: One program variant: (design, threads, racing).
 Variant = Tuple[str, int, bool]
@@ -57,10 +55,18 @@ class RetryPolicy:
     backoff: float = 0.1
     timeout: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if self.retries < 0:
+            raise ReproError(f"task retries must be >= 0, got {self.retries}")
+        if self.timeout is not None and self.timeout <= 0:
+            raise ReproError(
+                f"task timeout must be positive, got {self.timeout}"
+            )
+
     @property
     def attempts(self) -> int:
         """Total attempts a task may consume (first try included)."""
-        return max(0, self.retries) + 1
+        return self.retries + 1
 
     def delay(self, attempt: int) -> float:
         """Backoff before the attempt *after* 0-based ``attempt``."""
@@ -280,7 +286,12 @@ class GridCell:
 
 
 def table1_cells(thread_counts: Sequence[int] = (1, 8)) -> List[GridCell]:
-    """The grid cells Table 1 evaluates."""
+    """The grid cells Table 1 evaluates; raises
+    :class:`~repro.errors.ReproError` on a thread count below one."""
+    if not thread_counts or min(thread_counts) < 1:
+        raise ReproError(
+            f"thread counts must be positive, got {list(thread_counts)}"
+        )
     cells = []
     for design in ("cwl", "2lc"):
         for threads in thread_counts:
@@ -322,20 +333,17 @@ def dedup_cells(cells: Iterable[GridCell]) -> List[GridCell]:
     seen = set()
     unique = []
     for cell in cells:
-        design, threads, racing = cell.variant
-        canonical = GridCell(
-            design,
-            threads,
-            racing,
-            cell.model,
-            cell.persist_granularity,
-            cell.tracking_granularity,
-            cell.coalescing,
-        )
+        canonical = replace(cell, racing=cell.variant[2])
         if canonical not in seen:
             seen.add(canonical)
             unique.append(canonical)
     return unique
+
+
+#: A variant task's keys beside its runner's: the cost model's fields
+#: (written flat), the variant and its cells.
+_COST_KEYS = tuple(f.name for f in fields(InstructionCostModel))
+_TASK_KEYS = ("kind", *_COST_KEYS, "variant", "cells")
 
 
 def plan_variants(
@@ -344,22 +352,17 @@ def plan_variants(
     """The grid's tasks: one JSON-safe dict per program variant.
 
     A task holds everything that determines its payload — the runner's
-    workload and cost-model scalars, the variant, and its cells — and
+    encoded fields and cost model, the variant, and its cells — and
     nothing else, so its :func:`~repro.harness.cache.shard_key` is the
     same in every process and invocation.
     """
     groups: Dict[Variant, List[GridCell]] = {}
     for cell in dedup_cells(cells):
         groups.setdefault(cell.variant, []).append(cell)
+    spec = {"kind": "paper", **encode(runner), **asdict(runner.cost_model)}
     return [
         {
-            "kind": "paper",
-            "inserts_per_thread": runner.inserts_per_thread,
-            "entry_size": runner.entry_size,
-            "lock_kind": runner.lock_kind,
-            "base_seed": runner.base_seed,
-            "cycles_per_event": runner.cost_model.cycles_per_event,
-            "clock_hz": runner.cost_model.clock_hz,
+            **spec,
             "variant": list(variant),
             "cells": [asdict(cell) for cell in variant_cells],
         }
@@ -367,22 +370,20 @@ def plan_variants(
     ]
 
 
-def run_variant(task: dict) -> dict:
+def run_variant(task: dict, stats: Optional[HarnessStats] = None) -> dict:
     """Worker entry point: trace one variant and analyze its cells.
 
     Returns the variant's payload — the cells' analyses, the
-    instruction rate and the insert count — plus the worker's ``stats``,
-    which the parent merges but never stores.
+    instruction rate and the insert count — exactly as the store keeps
+    it.  The runner's work counters go to ``stats`` when given.
     """
-    runner = ExperimentRunner(
-        inserts_per_thread=task["inserts_per_thread"],
-        entry_size=task["entry_size"],
-        lock_kind=task["lock_kind"],
-        base_seed=task["base_seed"],
-        cost_model=InstructionCostModel(
-            cycles_per_event=task["cycles_per_event"],
-            clock_hz=task["clock_hz"],
-        ),
+    runner = decode(
+        ExperimentRunner,
+        task,
+        extra=_TASK_KEYS,
+        task=True,
+        cost_model=InstructionCostModel(**{k: task[k] for k in _COST_KEYS}),
+        stats=HarnessStats() if stats is None else stats,
     )
     variant = tuple(task["variant"])
     analyses = []
@@ -395,19 +396,14 @@ def run_variant(task: dict) -> dict:
         "analyses": analyses,
         "instruction_rate": runner.instruction_rate(*variant),
         "total_inserts": runner.total_inserts(*variant),
-        "stats": runner.stats.to_payload(),
     }
 
 
-def _fold_variant(runner: ExperimentRunner, payload: dict) -> None:
-    """Fold one variant payload into the runner's in-memory caches."""
-    variant = tuple(payload["variant"])
-    for wire in payload["analyses"]:
-        result = analysis_from_payload(wire)
-        runner.merge_analysis(*variant, result.model, result.config, result)
-    runner.merge_variant(
-        *variant, payload["instruction_rate"], payload["total_inserts"]
-    )
+def _grid_worker(task: dict) -> dict:
+    """:func:`run_variant` for :func:`run_grid`: the payload beside the
+    worker's stats, which the parent merges but never stores."""
+    stats = HarnessStats()
+    return {"payload": run_variant(task, stats), "stats": stats.to_payload()}
 
 
 def run_grid(
@@ -437,22 +433,24 @@ def run_grid(
     cells are simply absent from the runner's caches, and any later
     table/figure builder that needs them recomputes serially on demand.
     """
+    RetryPolicy(task_retries, timeout=task_timeout)  # rejects bad bounds
     tasks = plan_variants(runner, cells)
     if store is None:
         hits, pending = {}, dict.fromkeys(range(len(tasks)))
     else:
         hits, pending = store.resolve(tasks)
     for payload in hits.values():
-        _fold_variant(runner, payload)
+        runner.fold(payload)
         runner.stats.workload_disk_hits += 1
         runner.stats.analysis_disk_hits += len(payload["analyses"])
     keys = {tuple(tasks[i]["variant"]): key for i, key in pending.items()}
 
     def merge(result: dict) -> None:
-        runner.stats.merge(HarnessStats.from_payload(result.pop("stats")))
-        _fold_variant(runner, result)
+        runner.stats.merge(HarnessStats.from_payload(result["stats"]))
+        payload = result["payload"]
+        runner.fold(payload)
         if store is not None:
-            store.store(keys[tuple(result["variant"])], result)
+            store.store(keys[tuple(payload["variant"])], payload)
 
     def failed(task: dict, error: str) -> None:
         warnings.warn(
@@ -463,7 +461,7 @@ def run_grid(
         )
 
     fan_out(
-        run_variant,
+        _grid_worker,
         [tasks[index] for index in pending],
         jobs,
         merge,

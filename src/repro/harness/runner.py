@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.analysis import (
@@ -33,11 +33,12 @@ from repro.core.analysis import (
     AnalysisResult,
     StreamingAnalyzer,
 )
-from repro.errors import AnalysisError
-from repro.harness.cache import HarnessStats
+from repro.errors import AnalysisError, ReproError
+from repro.harness.cache import HarnessStats, analysis_from_payload
 from repro.harness.instr import DEFAULT_COST_MODEL, InstructionCostModel
 from repro.harness.metrics import PAPER_PERSIST_LATENCY, ThroughputPoint
 from repro.queue.workload import WorkloadConfig, WorkloadResult, run_insert_workload
+from repro.schema import option
 from repro.trace.columnar import ColumnarChunk, chunks_from_events
 
 #: Table 1 columns: label -> (persistency model, racing program variant).
@@ -74,6 +75,11 @@ def derive_seed(base_seed: int, key: Tuple[str, int, bool]) -> int:
 class ExperimentRunner:
     """Caches workload traces and derives throughput points from them.
 
+    The described fields are the paper job (see :mod:`repro.schema`):
+    the ``repro table1``/``figures`` flags, the ``paper`` serve spec
+    keys and, with the fields no job sets, each variant task's runner
+    part (:func:`~repro.harness.parallel.plan_variants`).
+
     Attributes:
         inserts_per_thread: workload size.  The paper runs 100M inserts;
             critical path *per insert* converges within a few hundred, so
@@ -87,11 +93,16 @@ class ExperimentRunner:
         stats: per-stage work and hit counters for this runner.
     """
 
-    inserts_per_thread: int = 250
-    entry_size: int = 100
-    lock_kind: str = "mcs"
+    inserts_per_thread: int = option(
+        125, type=int, flag="--inserts", help="inserts per thread"
+    )
+    entry_size: int = option(100, type=int, settable=False)
+    lock_kind: str = option("mcs", settable=False)
     cost_model: InstructionCostModel = DEFAULT_COST_MODEL
-    base_seed: int = 0
+    base_seed: int = option(
+        1, type=int, flag="--seed",
+        help="base scheduler seed (each variant derives its own)",
+    )
     stats: HarnessStats = field(default_factory=HarnessStats, repr=False)
     _workloads: Dict[Tuple[str, int, bool], WorkloadResult] = field(
         default_factory=dict, repr=False
@@ -108,6 +119,14 @@ class ExperimentRunner:
     _analyses: Dict[tuple, AnalysisResult] = field(
         default_factory=dict, repr=False
     )
+
+    def validate(self) -> None:
+        """Raise :class:`~repro.errors.ReproError` on an empty workload."""
+        if self.inserts_per_thread <= 0:
+            raise ReproError(
+                f"inserts_per_thread must be positive, got "
+                f"{self.inserts_per_thread}"
+            )
 
     def variant_key(
         self, design: str, threads: int, racing: bool
@@ -181,34 +200,17 @@ class ExperimentRunner:
             )
         return self._instr_rates[key]
 
-    def merge_variant(
-        self,
-        design: str,
-        threads: int,
-        racing: bool,
-        instruction_rate: float,
-        total_inserts: int,
-    ) -> None:
-        """Adopt a variant's rate and insert count computed elsewhere."""
-        key = self.variant_key(design, threads, racing)
-        self._instr_rates[key] = instruction_rate
-        self._inserts[key] = total_inserts
-
-    def analysis_cache_key(
-        self,
-        design: str,
-        threads: int,
-        racing: bool,
-        model: str,
-        config: AnalysisConfig,
-    ) -> tuple:
-        """Canonical in-memory key of one analysis cell."""
-        return self.variant_key(design, threads, racing) + (
-            model,
-            config.persist_granularity,
-            config.tracking_granularity,
-            config.coalescing,
-        )
+    def fold(self, payload: dict) -> None:
+        """Adopt one variant's payload computed elsewhere (see
+        :func:`~repro.harness.parallel.run_variant`): its analyses,
+        instruction rate and insert count, so it needs no trace."""
+        key = self.variant_key(*payload["variant"])
+        for wire in payload["analyses"]:
+            result = analysis_from_payload(wire)
+            cell = (result.model, *astuple(result.config))
+            self._analyses[key + cell] = result
+        self._instr_rates[key] = payload["instruction_rate"]
+        self._inserts[key] = payload["total_inserts"]
 
     def analysis(
         self,
@@ -220,7 +222,8 @@ class ExperimentRunner:
     ) -> AnalysisResult:
         """Run (or fetch cached) one persist-ordering analysis."""
         config = config or AnalysisConfig()
-        key = self.analysis_cache_key(design, threads, racing, model, config)
+        key = self.variant_key(design, threads, racing)
+        key += (model, *astuple(config))
         if key in self._analyses:
             self.stats.analysis_memory_hits += 1
             return self._analyses[key]
@@ -234,19 +237,6 @@ class ExperimentRunner:
         self.stats.analysis_seconds += time.perf_counter() - start
         self._analyses[key] = result
         return result
-
-    def merge_analysis(
-        self,
-        design: str,
-        threads: int,
-        racing: bool,
-        model: str,
-        config: AnalysisConfig,
-        result: AnalysisResult,
-    ) -> None:
-        """Adopt an analysis result computed elsewhere (see ``run_grid``)."""
-        key = self.analysis_cache_key(design, threads, racing, model, config)
-        self._analyses[key] = result
 
     def point(
         self,

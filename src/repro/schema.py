@@ -19,7 +19,10 @@ Job-level keys that belong to no engine config (a check job's
 ``threads``, a fuzz job's ``batch``) are :class:`Option` maps bound by
 :func:`options_of` and parsed by :func:`decode_keys`.  A field marked
 ``shardable=False`` shapes one exploration in a way prefix shards cannot
-honour, so it has no spec key.
+honour, so it has no spec key.  A field marked ``settable=False`` has
+no spec key and no flag either, but :func:`encode` still writes it
+under its name, so the tasks built from a config (and their store keys)
+record it; ``decode(..., task=True)`` reads it back.
 """
 
 from __future__ import annotations
@@ -42,9 +45,11 @@ class Option:
     ``type`` is the value type (of each element when ``many``: a tuple
     on the config, a JSON list in a spec); ``optional`` admits None.
     ``key``/``flag`` default (``""``) to the field name and its dashed
-    flag; None keeps the field out of specs / off the CLI.  ``noun``
-    names a choice in errors; ``cli`` holds extra argparse keywords.
-    ``name`` and ``default`` are bound from the field.
+    flag; None keeps the field out of specs / off the CLI.
+    ``settable=False`` does both, yet keeps the field in encoded tasks
+    (see the module docstring).  ``noun`` names a choice in errors;
+    ``cli`` holds extra argparse keywords.  ``name`` and ``default`` are
+    bound from the field.
     """
 
     type: type = str
@@ -56,6 +61,7 @@ class Option:
     key: Optional[str] = ""
     flag: Optional[str] = ""
     shardable: bool = True
+    settable: bool = True
     cli: Mapping[str, Any] = field(default_factory=dict)
     name: str = ""
     default: Any = field(default_factory=lambda: MISSING)
@@ -118,12 +124,13 @@ def option(default: Any = MISSING, **meta: Any) -> Any:
 
 def _bind(name: str, opt: Option, default: Any) -> Option:
     key = name if opt.key == "" else opt.key
+    flag = "--" + name.replace("_", "-") if opt.flag == "" else opt.flag
     return replace(
         opt,
         name=name,
         default=default,
-        key=key if opt.shardable else None,
-        flag="--" + name.replace("_", "-") if opt.flag == "" else opt.flag,
+        key=key if opt.shardable and opt.settable else None,
+        flag=flag if opt.settable else None,
     )
 
 
@@ -159,15 +166,26 @@ def decode_keys(
 
 
 def decode(
-    cls: type, spec: Mapping[str, object], extra: Iterable[str] = (), **fixed
+    cls: type,
+    spec: Mapping[str, object],
+    extra: Iterable[str] = (),
+    task: bool = False,
+    **fixed,
 ) -> Any:
     """The validated ``cls`` config a JSON spec describes.
 
     ``extra`` names keys that belong to the caller (job-level keys, a
     shard task's coordinates); any other key that is not a spec key of
-    ``cls`` is an error.  ``fixed`` sets fields that have no spec key.
+    ``cls`` is an error.  A ``task`` (what :func:`encode` wrote) also
+    carries the fields that are not ``settable``.  ``fixed`` sets fields
+    that have no spec key.
     """
-    opts = {n: o for n, o in options(cls).items() if o.key is not None}
+    opts = {}
+    for name, opt in options(cls).items():
+        if task and not opt.settable:
+            opt = replace(opt, key=name)
+        if opt.key is not None:
+            opts[name] = opt
     known = {opt.key for opt in opts.values()}.union(extra)
     unknown = sorted(set(spec) - known)
     if unknown:
@@ -178,12 +196,14 @@ def decode(
 
 
 def encode(config: object) -> Dict[str, object]:
-    """The JSON spec of a config: every spec-keyed field, in order."""
+    """The JSON spec of a config: every spec-keyed field, and every
+    field that is not settable (under its name), in order."""
     spec = {}
     for opt in options(type(config)).values():
-        if opt.key is not None:
+        key = opt.key if opt.settable else opt.name
+        if key is not None:
             value = getattr(config, opt.name)
-            spec[opt.key] = list(value) if opt.many else value
+            spec[key] = list(value) if opt.many else value
     return spec
 
 

@@ -2,8 +2,9 @@
 
 ``repro.serve`` turns the repo's batch checkers — sharded DPOR model
 checking (:mod:`repro.check`), fuzz/crash-recovery campaigns
-(:mod:`repro.fuzz`), and the litmus differential harness
-(:mod:`repro.litmus`) — into a multi-tenant daemon: tenants submit JSON
+(:mod:`repro.fuzz`), the litmus differential harness
+(:mod:`repro.litmus`) and the paper's Table 1 grid
+(:mod:`repro.harness`) — into a multi-tenant daemon: tenants submit JSON
 job specs over a unix socket, jobs shard into content-addressed tasks,
 a work-stealing multiprocessing pool executes them under per-tenant
 token-bucket fairness, and every shard result lands in a shared

@@ -97,9 +97,11 @@ class ServeConfig:
         self.socket_path = Path(self.socket_path)
 
     def validate(self) -> None:
-        """Raise :class:`ServeError` when the daemon could run no shard."""
+        """Raise :class:`ServeError` when the daemon could run no shard
+        (and :class:`~repro.errors.ReproError` on bad retry bounds)."""
         if self.workers < 1:
             raise ServeError(f"workers must be at least 1, got {self.workers}")
+        self.policy()
 
     def policy(self) -> RetryPolicy:
         """The worker pool's retry contract (fan_out semantics)."""

@@ -1,13 +1,15 @@
 """Job specs, planning, merging, and the durable job journal.
 
-A *job* is one tenant-submitted unit of checking work: a sharded model
-check, a fuzz (or crash-recovery) campaign, or a litmus sweep.  Each
-engine module owns its kind's task form and fold —
+A *job* is one tenant-submitted unit of work: a sharded model check, a
+fuzz (or crash-recovery) campaign, a litmus sweep, or the paper's
+Table 1.  Each engine module owns its kind's task form and fold —
 :func:`~repro.check.shard.shard_tasks` / :class:`~repro.check.shard.ShardMerge`
 for checks, :func:`~repro.fuzz.campaign.plan_shards` /
 :func:`~repro.fuzz.campaign.fold_shards` for campaigns,
 :func:`~repro.litmus.runner.program_task` /
-:func:`~repro.litmus.runner.summarize_reports` for litmus — and this
+:func:`~repro.litmus.runner.summarize_reports` for litmus,
+:func:`~repro.harness.parallel.plan_variants` /
+:meth:`~repro.harness.runner.ExperimentRunner.fold` for the paper — and this
 module only maps specs onto them, so a job submitted to the daemon
 computes precisely what the one-shot CLI would, and its shards
 content-address into the shared :class:`~repro.harness.cache.ResultStore`.
@@ -30,7 +32,7 @@ than trusted.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -38,7 +40,14 @@ from repro.check import CheckConfig, ShardMerge, shard_tasks
 from repro.errors import ReproError, ServeError
 from repro.fuzz.campaign import CampaignConfig, fold_shards, plan_shards
 from repro.fuzz.targets import TARGET_CHOICES
+from repro.harness import (
+    ExperimentRunner,
+    build_table1,
+    format_table1,
+    table1_cells,
+)
 from repro.harness.cache import atomic_write, content_digest, quarantine_file
+from repro.harness.parallel import plan_variants
 from repro.litmus.corpus import corpus_by_name
 from repro.litmus.runner import (
     LitmusConfig,
@@ -51,7 +60,7 @@ from repro.schema import Option, decode, decode_keys, options_of
 _PathLike = Union[str, Path]
 
 #: Job kinds the planner understands.
-JOB_KINDS = ("check", "fuzz", "litmus")
+JOB_KINDS = ("check", "fuzz", "litmus", "paper")
 
 #: Every state a job can be in (see the module docstring's lifecycle).
 JOB_STATES = (
@@ -73,7 +82,10 @@ JOB_FORMAT_VERSION = 1
 
 #: The engine config each job kind describes (its spec-keyed fields).
 JOB_CONFIGS = {
-    "check": CheckConfig, "fuzz": CampaignConfig, "litmus": LitmusConfig
+    "check": CheckConfig,
+    "fuzz": CampaignConfig,
+    "litmus": LitmusConfig,
+    "paper": ExperimentRunner,
 }
 
 #: Job-level spec keys per kind, beyond the engine config's.  A check
@@ -91,6 +103,12 @@ JOB_KEYS: Dict[str, Dict[str, Option]] = {
     "fuzz": options_of(batch=Option(int, default=1)),
     "litmus": options_of(
         programs=Option(many=True, optional=True, default=None)
+    ),
+    "paper": options_of(
+        threads=Option(
+            int, many=True, default=(1, 8), cli={"default": [1, 8]},
+            help="thread counts of Table 1's rows",
+        )
     ),
 }
 
@@ -123,6 +141,8 @@ def _decode(spec: object):
         config = decode(
             JOB_CONFIGS[kind], spec, extra=["kind", *JOB_KEYS[kind]]
         )
+        if kind == "paper":
+            job["cells"] = table1_cells(job["threads"])
     except ReproError as exc:
         raise ServeError(f"invalid {kind} job spec: {exc}") from exc
     if kind == "fuzz" and job["batch"] <= 0:
@@ -160,6 +180,8 @@ def plan_job(spec: Dict[str, object]) -> List[Dict[str, object]]:
         return tasks
     if kind == "fuzz":
         return plan_shards(config, batch=job["batch"])
+    if kind == "paper":
+        return plan_variants(config, job["cells"])
     return [program_task(name, config) for name in job["programs"]]
 
 
@@ -170,15 +192,16 @@ def merge_job(
 
     The summary is a JSON-safe dict whose ``violations`` field is the
     kind's headline defect count (distinct check violations, fuzz
-    violations, litmus domain mismatches) and whose ``text`` field is
-    the same human-readable report the batch CLI prints.
+    violations, litmus domain mismatches, none for the paper) and whose
+    ``text`` field is the same human-readable report the batch CLI
+    prints.
 
     Raises:
         ReproError: when a check shard reported an in-band failure
             (exploration-limit overrun) — the job fails, like the
             sharded CLI run would.
     """
-    config, _ = _decode(spec)
+    config, job = _decode(spec)
     kind = spec["kind"]
     if kind == "check":
         merge = ShardMerge()
@@ -207,6 +230,11 @@ def merge_job(
             "crash_violations": result.crash_violations,
             "text": result.summary(),
         }
+    if kind == "paper":
+        for payload in payloads:
+            config.fold(payload)
+        table = build_table1(config, thread_counts=job["threads"])
+        return {"kind": "paper", "violations": 0, "text": format_table1(table)}
     summary = summarize_reports(
         [payload["report"] for payload in payloads], config
     )
@@ -286,23 +314,7 @@ class JobRecord:
     def to_payload(self) -> Dict[str, object]:
         """JSON-safe journal/wire encoding, digest guard included."""
         return {
-            "version": JOB_FORMAT_VERSION,
-            "digest": self.digest,
-            "id": self.id,
-            "tenant": self.tenant,
-            "seq": self.seq,
-            "spec": self.spec,
-            "state": self.state,
-            "shards_total": self.shards_total,
-            "shards_done": self.shards_done,
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
-            "violations": self.violations,
-            "summary": self.summary,
-            "error": self.error,
-            "submitted_at": self.submitted_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
+            "version": JOB_FORMAT_VERSION, "digest": self.digest, **asdict(self)
         }
 
     @classmethod

@@ -4,9 +4,11 @@
 it dispatches on the task's ``kind`` to the engine-owned worker
 (:func:`repro.check.shard.check_shard_worker` for check shards,
 :func:`repro.fuzz.campaign.run_shard` for fuzz case batches,
-:func:`repro.litmus.runner.run_program_task` for litmus programs), so
-a shard computed by the daemon is byte-identical to one computed by
-``repro check --jobs N`` / ``repro fuzz run`` / ``repro litmus run``.
+:func:`repro.litmus.runner.run_program_task` for litmus programs,
+:func:`repro.harness.parallel.run_variant` for paper variants), so a
+shard computed by the daemon is byte-identical to one computed by
+``repro check --jobs N`` / ``repro fuzz run`` / ``repro litmus run`` /
+``repro table1``.
 
 :class:`WorkerPool` wraps a :class:`ProcessPoolExecutor` for the
 asyncio daemon: worker slots ``await`` shard results while the event
@@ -27,7 +29,7 @@ from repro.check.shard import check_shard_worker
 from repro.errors import ServeError
 from repro.fuzz.campaign import run_shard
 from repro.harness.cache import HarnessStats
-from repro.harness.parallel import RetryPolicy
+from repro.harness.parallel import RetryPolicy, run_variant
 from repro.litmus.runner import run_program_task
 
 #: The engine worker of each shard kind.
@@ -35,6 +37,7 @@ _WORKERS = {
     "check": check_shard_worker,
     "fuzz": run_shard,
     "litmus": run_program_task,
+    "paper": run_variant,
 }
 
 
@@ -44,7 +47,8 @@ def execute_shard(task: Dict[str, object]) -> Dict[str, object]:
     Module-level so it pickles into pool workers.  Check shards return
     the :func:`check_shard_worker` wire payload (in-band ``error`` for
     overruns); fuzz shards return ``{"outcomes": [...]}`` in case
-    order; litmus shards return ``{"report": {...}}``.
+    order; litmus shards return ``{"report": {...}}``; paper shards
+    return the variant payload the paper grid stores.
     """
     worker = _WORKERS.get(task.get("kind"))
     if worker is None:

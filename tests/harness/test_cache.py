@@ -116,11 +116,26 @@ class TestKeys:
 
 class TestAnalysisPayload:
     def test_roundtrip_equality(self, cwl_1t):
+        # The payload keeps the model, config and scalars; the
+        # histograms no table or figure reads are not stored.
         result = analyze(cwl_1t.trace, "epoch")
         rebuilt = analysis_from_payload(
             json.loads(json.dumps(analysis_to_payload(result)))
         )
-        assert rebuilt == result
+        assert rebuilt == replace(
+            result, level_histogram=None, block_writes=None
+        )
+
+    def test_entries_with_histograms_still_load(self, cwl_1t):
+        # Stores written before the histograms were dropped keep hitting.
+        result = analyze(cwl_1t.trace, "epoch")
+        payload = analysis_to_payload(result)
+        older = {
+            **payload,
+            "level_histogram": {"1": result.persist_count},
+            "block_writes": None,
+        }
+        assert analysis_from_payload(older) == analysis_from_payload(payload)
 
     def test_malformed_payload_rejected(self):
         from repro.errors import CacheError

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from repro.check import CheckConfig, check_target_sharded, shard_tasks
+from repro.cli import main
 from repro.errors import ReproError, ServeError
 from repro.fuzz.campaign import CampaignConfig, case_tasks
+from repro.harness.cache import ResultStore, content_digest, shard_key
 from repro.litmus import LitmusConfig, corpus_by_name, run_corpus
 from repro.serve import (
     JobRecord,
@@ -28,6 +30,8 @@ FUZZ_SPEC = {
 }
 
 LITMUS_SPEC = {"kind": "litmus", "programs": ["mp-clflush"]}
+
+PAPER_SPEC = {"kind": "paper", "inserts_per_thread": 6, "threads": [1, 2]}
 
 MALFORMED_SPECS = [
     ({**FUZZ_SPEC, "models": ["nosuch"]}, "unknown persistency model 'nosuch'"),
@@ -55,6 +59,20 @@ MALFORMED_SPECS = [
     # Not shardable, so not a check job key.
     ({**CHECK_SPEC, "reduction": "none"}, "unknown key.*reduction"),
     ({**CHECK_SPEC, "prefix": [0]}, "unknown key.*prefix"),
+    # A paper job sets what `repro table1` sets, and only sensible sizes.
+    ({**PAPER_SPEC, "inserts_per_thread": 0},
+     "invalid paper job spec: inserts_per_thread must be positive"),
+    ({**PAPER_SPEC, "inserts_per_thread": -3},
+     "invalid paper job spec: inserts_per_thread must be positive"),
+    ({**PAPER_SPEC, "threads": [1, 0]},
+     "invalid paper job spec: thread counts must be positive"),
+    ({**PAPER_SPEC, "threads": []},
+     "invalid paper job spec: thread counts must be positive"),
+    ({**PAPER_SPEC, "threads": 2}, "'threads' must be a list"),
+    ({**PAPER_SPEC, "base_seed": 1.5}, "'base_seed' must be an integer"),
+    ({**PAPER_SPEC, "entry_size": 48}, "unknown key.*entry_size"),
+    ({**PAPER_SPEC, "lock_kind": "ticket"}, "unknown key.*lock_kind"),
+    ({**PAPER_SPEC, "clock_hz": 1e9}, "unknown key.*clock_hz"),
 ]
 
 
@@ -281,6 +299,8 @@ PINNED_PLAN_SPECS = {
                     "seed": 3, "oracle": "dl", "crash_recovery": 1,
                     "batch": 3},
     "litmus-default": {"kind": "litmus"},
+    "paper-default": {"kind": "paper"},
+    "paper-small": PAPER_SPEC,
 }
 
 PINNED_PLAN_SHA256 = {
@@ -293,6 +313,11 @@ PINNED_PLAN_SHA256 = {
     "fuzz-faults": "b30af90fea2ccd0b177ea2d2602b26ace7205525ce56a68401b6f132dd28d3cb",
     "fuzz-oracle": "820b9743f6aa4e52f907c84bb57444bcd4ffdef379b4ba5d81439c1f7407d3fa",
     "litmus-default": "e8ac0725da1dfbda2ac3345e3d69045c31b80d44b999ba565a54df628178f166",
+    # Digests of plan_variants(ExperimentRunner(inserts_per_thread=125 or
+    # 6, base_seed=1), table1_cells((1, 8) or (1, 2))) before the paper
+    # job existed: a paper job plans the very shards `repro table1` does.
+    "paper-default": "dfc1aa989c49917da8988840b292c91921519b9bfd75ec0ceb229c8b4d400f37",
+    "paper-small": "83c2847f6a0b7a26d0b9ff5b8c076688f46dc1f6773ff558d2953689772c6963",
 }
 
 
@@ -310,3 +335,37 @@ class TestPlanPins:
         spec = PINNED_PLAN_SPECS[name]
         assert validate_spec(spec) is spec
         assert plan_digest(spec) == PINNED_PLAN_SHA256[name]
+
+
+class TestPaperJob:
+    """A paper job computes, shard for shard, what `repro table1` does."""
+
+    @pytest.mark.parametrize(
+        "spec, flags",
+        [
+            (PAPER_SPEC, ["--inserts", "6", "--threads", "1", "2"]),
+            # No keys means no flags: one set of defaults.
+            ({"kind": "paper"}, []),
+        ],
+    )
+    def test_merge_prints_repro_table1(self, tmp_path, capsys, spec, flags):
+        store = ResultStore(tmp_path / "store")
+        assert main(["table1", *flags, "--cache-dir", str(store.root)]) == 0
+        printed = capsys.readouterr().out
+        tasks = plan_job(spec)
+        hits, pending = store.resolve(tasks)
+        assert not pending  # the CLI stored every shard the job plans
+        summary = merge_job(spec, [hits[i] for i in range(len(tasks))])
+        assert summary["text"] + "\n" == printed
+        assert (summary["kind"], summary["violations"]) == ("paper", 0)
+
+    def test_daemon_shards_are_the_stored_bytes(self, tmp_path, capsys):
+        root = tmp_path / "store"
+        assert main(["table1", "--inserts", "6", "--threads", "1", "2",
+                     "--cache-dir", str(root)]) == 0
+        for task in plan_job(PAPER_SPEC):
+            entry = json.loads(ResultStore(root).path_for(shard_key(task))
+                               .read_text())
+            payload = execute_shard(task)
+            assert payload == entry["payload"]
+            assert content_digest(payload) == entry["sha256"]

@@ -244,6 +244,33 @@ class TestTableAndFigures:
         out = capsys.readouterr().out
         assert "Copy While Locked" in out and "Strand" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--inserts", "0", "--threads", "1"],
+            ["table1", "--inserts", "-3"],
+            ["table1", "--threads", "0"],
+            ["table1", "--threads", "2", "-1"],
+            ["figures", "--inserts", "0"],
+            ["table1", "--task-retries", "-1"],
+            ["table1", "--task-timeout", "0"],
+            ["figures", "--task-timeout", "-2.5"],
+        ],
+    )
+    def test_bad_sizes_fail_before_any_simulation(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        def simulate(config):
+            raise AssertionError(f"simulated {config}")
+
+        monkeypatch.setattr(
+            "repro.harness.runner.run_insert_workload", simulate
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--cache-dir", "store"]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not any(tmp_path.rglob("*.json"))
+
     def test_figures_writes_csvs(self, tmp_path, capsys):
         out_dir = tmp_path / "figs"
         assert (
@@ -258,6 +285,24 @@ class TestTableAndFigures:
             "fig5_false_sharing.csv",
             "fig5_false_sharing.svg",
         }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuzz", "run", "--target", "kv", "--task-retries", "-1"],
+        ["crashrec", "--target", "kv", "--task-timeout", "0"],
+        ["serve", "--state-dir", "state", "--task-retries", "-2"],
+        ["serve", "--state-dir", "state", "--task-timeout", "-1"],
+    ],
+)
+def test_other_executors_share_the_retry_bounds(
+    argv, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "error: task " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 class TestFuzz:

@@ -6,6 +6,7 @@ from repro.check import CheckConfig, shard_tasks
 from repro.cli import build_parser
 from repro.errors import ReproError
 from repro.fuzz import CampaignConfig
+from repro.harness import ExperimentRunner
 from repro.litmus import LitmusConfig
 from repro.schema import (
     Option,
@@ -105,6 +106,33 @@ class TestShardable:
             shard_tasks("counter", 2, 1, config, shard_depth=1)
 
 
+class TestSettable:
+    """Fields no job sets still travel in the tasks built from a config."""
+
+    def test_no_spec_key_and_no_flag(self):
+        opts = options(ExperimentRunner)
+        assert {n: o.key for n, o in opts.items()} == {
+            "inserts_per_thread": "inserts_per_thread",
+            "entry_size": None,
+            "lock_kind": None,
+            "base_seed": "base_seed",
+        }
+        assert [o.flag for o in opts.values()] == [
+            "--inserts", None, None, "--seed"
+        ]
+
+    def test_tasks_carry_them(self):
+        runner = ExperimentRunner(
+            inserts_per_thread=6, entry_size=48, lock_kind="ticket"
+        )
+        task = encode(runner)
+        assert task == {"inserts_per_thread": 6, "entry_size": 48,
+                        "lock_kind": "ticket", "base_seed": 1}
+        with pytest.raises(ReproError, match="unknown key.*entry_size"):
+            decode(ExperimentRunner, task)
+        assert encode(decode(ExperimentRunner, task, task=True)) == task
+
+
 class TestArguments:
     def parse(self, argv):
         return build_parser().parse_args(argv)
@@ -128,13 +156,22 @@ class TestArguments:
         config = from_args(self.parse(["check", "--target", "kv"]))
         assert config == CheckConfig()
 
+    def test_table1_defaults_are_the_paper_job_defaults(self):
+        args = self.parse(["table1"])
+        assert encode(from_args(args)) == encode(
+            decode(ExperimentRunner, {})
+        )
+        assert tuple(args.threads) == JOB_KEYS["paper"]["threads"].default
+
     def test_unset_list_flags_keep_config_defaults(self):
         config = from_args(self.parse(["fuzz", "run", "--target", "kv"]))
         assert config.describe() == CampaignConfig(target="kv").describe()
 
 
 def test_every_job_kind_has_a_config_and_job_keys():
-    assert set(JOB_CONFIGS) == set(JOB_KEYS) == {"check", "fuzz", "litmus"}
+    assert set(JOB_CONFIGS) == set(JOB_KEYS) == {
+        "check", "fuzz", "litmus", "paper"
+    }
     for kind, config in JOB_CONFIGS.items():
         overlap = set(JOB_KEYS[kind]) & {
             o.key for o in options(config).values()
