@@ -94,7 +94,7 @@ def measure_analysis():
         )
     )
     trace = workload.trace
-    events = len(trace.events)
+    events = len(trace)
     per_model = {}
     bitset_total = 0.0
     graph_total = 0.0

@@ -30,7 +30,7 @@ def main() -> None:
 
     # Step 2+3: per-model critical path and throughput.
     instruction_rate = DEFAULT_COST_MODEL.instruction_rate(
-        workload.trace, inserts
+        workload.trace.chunks, inserts
     )
     print(f"instruction rate (volatile): {instruction_rate / 1e6:.2f} M inserts/s")
     print(f"{'model':>8} {'CP/insert':>10} {'persist-bound':>14} {'normalized':>11}")

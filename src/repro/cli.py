@@ -165,7 +165,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         # them, so the event list never exists.  Operation marks are
         # counted from the first pass's (sparse) info columns.
         from repro.core.analysis import StreamingAnalyzer
-        from repro.trace.columnar import CODE_MARK
         from repro.trace.io import TraceReader
 
         operations = 0
@@ -173,13 +172,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             analyzer = StreamingAnalyzer(model, config, domain=args.domain)
             with TraceReader(args.trace) as reader:
                 for chunk in reader.chunks(args.chunk_size):
-                    if index == 0 and chunk.infos:
-                        kinds = chunk.kinds
+                    if index == 0:
                         operations += sum(
-                            1
-                            for local, text in chunk.infos.items()
-                            if text == args.op_mark
-                            and kinds[local] == CODE_MARK
+                            text == args.op_mark for _, text in chunk.marks()
                         )
                     analyzer.feed(chunk)
             streamed[model] = analyzer.finish()

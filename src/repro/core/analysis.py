@@ -16,12 +16,13 @@ false sharing (Figure 5) and atomic persist size (Figure 4) can be swept.
 
 Every trace reaches one loop, :meth:`StreamingAnalyzer._feed_chunk`,
 as struct-of-arrays :class:`~repro.trace.columnar.ColumnarChunk`
-batches; a :class:`Trace` or any event iterable is encoded into chunks
-on the way in.  The loop dispatches on integer kind codes, batches
-maximal same-block persistent-store runs into one domain call, and —
-with a ``node_sink`` — retires sealed persists' write payloads so
-resident memory is bounded by the dependence frontier, not by trace
-length.  Three entry points share it:
+batches: a :class:`Trace` is already stored as chunks, and any other
+event iterable is encoded into chunks on the way in.  The loop
+dispatches on integer kind codes, batches maximal same-block
+persistent-store runs into one domain call, and — with a
+``node_sink`` — retires sealed persists' write payloads so resident
+memory is bounded by the dependence frontier, not by trace length.
+Three entry points share it:
 
 * :func:`analyze` — one-shot over an in-memory trace;
 * :class:`StreamingAnalyzer` — resumable: feed chunks, whole traces, or
@@ -60,14 +61,12 @@ from repro.trace.columnar import (
     CODE_RMW,
     CODE_SFENCE,
     CODE_STORE,
-    DEFAULT_CHUNK_EVENTS,
     FLAG_PERSISTENT,
     HAVE_NUMPY,
     ColumnarChunk,
-    chunks_from_events,
 )
 from repro.trace.columnar import _np
-from repro.trace.trace import Trace
+from repro.trace.trace import Trace, as_chunks
 
 
 @dataclass
@@ -342,22 +341,19 @@ class StreamingAnalyzer:
 
         ``source`` may be a :class:`ColumnarChunk`, a :class:`Trace`, or
         any iterable of :class:`~repro.trace.events.MemoryEvent`.  Every
-        source runs through the same chunk loop: events are encoded into
-        chunks of :data:`~repro.trace.columnar.DEFAULT_CHUNK_EVENTS` on
-        the way in.  Sources must arrive in SC trace order across all
-        feed calls, and an event source must continue densely from
+        source runs through the same chunk loop
+        (:func:`~repro.trace.trace.as_chunks`): a trace's own chunks are
+        read as they are, and plain events are encoded into chunks of
+        :data:`~repro.trace.columnar.DEFAULT_CHUNK_EVENTS` on the way in.
+        Sources must arrive in SC trace order across all feed calls, and
+        a trace or event source must continue densely from
         :attr:`events_fed` (its first event's ``seq`` equals it);
         otherwise :class:`~repro.errors.TraceError` is raised.
         """
         if self._finished:
             raise AnalysisError("cannot feed a finished StreamingAnalyzer")
-        if isinstance(source, ColumnarChunk):
-            self._feed_chunk(source)
-        else:
-            for chunk in chunks_from_events(
-                source, DEFAULT_CHUNK_EVENTS, base_seq=self._events
-            ):
-                self._feed_chunk(chunk)
+        for chunk in as_chunks(source, self._events):
+            self._feed_chunk(chunk)
         return self
 
     def finish(self) -> AnalysisResult:
@@ -503,6 +499,8 @@ class StreamingAnalyzer:
                 _np.cumsum(~same, out=group[1:])
                 bounds = _np.append(_np.flatnonzero(~same) + 1, n)
                 run_end = bounds[group].tolist()
+            # Live views pin the buffers a snapshot restore truncates.
+            del cols, addrs_np
         else:
             tb = [addr >> tshift for addr in addrs]
             pb = [addr >> pshift for addr in addrs]
@@ -724,12 +722,12 @@ class PrefixSharedAnalysis:
     domain)``.  :meth:`advance` takes the next trace plus how many
     leading events it shares with the previous one (the check engine's
     :attr:`~repro.check.engine.ExploredRun.shared_events`), rewinds
-    every analyzer to that point, encodes the new suffix into chunks
-    once and feeds each chunk to every analyzer.  A trace sharing no
-    events starts fresh analyzers.  Each DAG equals what
-    :func:`analyze_graph` builds from scratch (no coalescing) for the
-    same trace, model and domain, and stays valid until the next
-    :meth:`advance`.
+    every analyzer to that point and feeds the trace's chunks from
+    there (:meth:`~repro.trace.trace.Trace.chunks_from`) to every
+    analyzer.  A trace sharing no events starts fresh analyzers.  Each
+    DAG equals what :func:`analyze_graph` builds from scratch (no
+    coalescing) for the same trace, model and domain, and stays valid
+    until the next :meth:`advance`.
     """
 
     def __init__(self, models: Sequence[str], domains: Sequence[str]) -> None:
@@ -756,9 +754,7 @@ class PrefixSharedAnalysis:
                 )
                 for model, domain in self._keys
             ]
-        for chunk in chunks_from_events(
-            trace.events[keep:], DEFAULT_CHUNK_EVENTS, base_seq=keep
-        ):
+        for chunk in trace.chunks_from(keep):
             for analyzer in analyzers:
                 analyzer.feed(chunk)
         return {

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.trace.events import EventKind
+from repro.trace.events import ACCESS_KINDS, EventKind
 from repro.trace.trace import Trace
 
 #: (thread, per-thread epoch index): identifies one persist epoch.
@@ -100,32 +100,28 @@ def split_epochs(trace: Trace, tracking_granularity: int = 8) -> List[Epoch]:
             epoch.last_seq = seq
             finished.append(epoch)
 
-    for event in trace:
-        thread = event.thread
-        if event.kind is EventKind.PERSIST_BARRIER:
-            close(thread, event.seq)
+    for seq, thread, kind, addr, _, _, persistent, sync, _ in trace.rows():
+        if kind is EventKind.PERSIST_BARRIER or kind is EventKind.THREAD_END:
+            close(thread, seq)
             continue
-        if event.kind is EventKind.THREAD_END:
-            close(thread, event.seq)
-            continue
-        if not event.is_access:
+        if kind not in ACCESS_KINDS:
             continue
         epoch = current.get(thread)
         if epoch is None:
             index = counters.get(thread, 0)
             counters[thread] = index + 1
-            epoch = Epoch(thread=thread, index=index, first_seq=event.seq)
+            epoch = Epoch(thread=thread, index=index, first_seq=seq)
             current[thread] = epoch
-        block = event.addr // tracking_granularity
-        if event.is_load_like:
+        block = addr // tracking_granularity
+        if kind is not EventKind.STORE:
             epoch.reads.add(block)
-        if event.is_store_like:
+        if kind is not EventKind.LOAD:
             epoch.writes.add(block)
-        if event.is_persist:
-            epoch.persists += 1
-        if event.sync:
+            if persistent:
+                epoch.persists += 1
+        if sync:
             epoch.sync_accesses += 1
-        epoch.last_seq = event.seq
+        epoch.last_seq = seq
     for thread in list(current):
         close(thread, len(trace))
     return finished
@@ -197,16 +193,17 @@ def analyze_races(trace: Trace, tracking_granularity: int = 8) -> RaceReport:
     def happens_before(owner: int, owner_clock: int, observer: int) -> bool:
         return clocks.get(observer, no_clock).get(owner, 0) >= owner_clock
 
-    for event in trace:
-        thread = event.thread
-        if not event.is_access:
+    for seq, thread, kind, addr, _, _, _, sync, _ in trace.rows():
+        if kind not in ACCESS_KINDS:
             continue
+        load_like = kind is not EventKind.STORE
+        store_like = kind is not EventKind.LOAD
         vc = clocks.setdefault(thread, _VectorClock())
-        block = event.addr // tracking_granularity
-        ekey = cursor.key_for(thread, event.seq)
-        if event.sync:
+        block = addr // tracking_granularity
+        ekey = cursor.key_for(thread, seq)
+        if sync:
             # Synchronization races: any cross-thread conflicting pair.
-            if event.is_store_like:
+            if store_like:
                 previous = sync_write.get(block)
                 if previous and previous[0] != thread:
                     record(previous[1], ekey, block, "sync")
@@ -218,11 +215,11 @@ def analyze_races(trace: Trace, tracking_granularity: int = 8) -> RaceReport:
                 if previous and previous[0] != thread:
                     record(previous[1], ekey, block, "sync")
             # Acquire/release edges.
-            if event.is_load_like:
+            if load_like:
                 published = release.get(block)
                 if published:
                     vc.merge(published)
-            if event.is_store_like:
+            if store_like:
                 snapshot = _VectorClock(vc)
                 snapshot[thread] = snapshot.get(thread, 0) + 1
                 existing = release.get(block)
@@ -241,7 +238,7 @@ def analyze_races(trace: Trace, tracking_granularity: int = 8) -> RaceReport:
                 write[0], write[1], thread
             ):
                 record(write[2], ekey, block, "data")
-            if event.is_store_like:
+            if store_like:
                 for other, (clock, other_key) in readers.get(
                     block, {}
                 ).items():
@@ -251,8 +248,8 @@ def analyze_races(trace: Trace, tracking_granularity: int = 8) -> RaceReport:
                         record(other_key, ekey, block, "data")
         # Advance program order and update ordinary block state.
         vc[thread] = vc.get(thread, 0) + 1
-        if not event.sync:
-            if event.is_store_like:
+        if not sync:
+            if store_like:
                 last_write[block] = (thread, vc[thread], ekey)
                 readers.pop(block, None)
             else:

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import AnalysisError
 from repro.harness.instr import DEFAULT_COST_MODEL, InstructionCostModel
-from repro.trace.events import EventKind
+from repro.trace.events import ACCESS_KINDS, EventKind
 from repro.trace.trace import Trace
 
 
@@ -207,19 +207,18 @@ def simulate_epoch_hardware(
             return done
         return now
 
-    for event in trace:
-        thread = event.thread
+    for _, thread, kind, addr, _, _, persistent, _, _ in trace.rows():
         clock = thread_clock.get(thread, 0.0)
-        kind = event.kind
         if kind is EventKind.PERSIST_BARRIER or kind is EventKind.THREAD_END:
             clock = close_epoch(thread, clock)
             thread_clock[thread] = clock + step
             continue
-        if not event.is_access:
+        if kind not in ACCESS_KINDS:
             thread_clock[thread] = clock + step
             continue
 
-        block = event.addr // 8
+        store_like = kind is not EventKind.LOAD
+        block = addr // 8
         # Conflict-flush: accessing a block whose last persister is a
         # different thread's undrained epoch stalls until it drains.
         owner = block_owner.get(block)
@@ -227,7 +226,7 @@ def simulate_epoch_hardware(
             clock = flush_owner(owner, clock)
 
         # Volatile conflict serialisation (makespan model).
-        if event.is_store_like:
+        if store_like:
             conflict = last_access_time.get(block)
         else:
             conflict = last_write_time.get(block)
@@ -235,7 +234,7 @@ def simulate_epoch_hardware(
             clock = conflict
         finish = clock + step
 
-        if event.is_persist:
+        if store_like and persistent:
             persists += 1
             epoch = open_epoch.get(thread)
             if epoch is None:
@@ -245,7 +244,7 @@ def simulate_epoch_hardware(
             epoch.add_persist(block)
             block_owner[block] = epoch
 
-        if event.is_store_like:
+        if store_like:
             last_write_time[block] = finish
             last_access_time[block] = finish
         elif finish > last_access_time.get(block, 0.0):
@@ -264,7 +263,7 @@ def simulate_epoch_hardware(
 
     return EpochHardwareResult(
         total_time=total,
-        execution_time=config.cost_model.makespan(trace),
+        execution_time=config.cost_model.makespan(trace.chunks),
         conflict_stall_time=conflict_stall,
         buffer_stall_time=buffer_stall,
         epochs_drained=epochs_drained,

@@ -28,16 +28,9 @@ non-recoverable run, the paper's baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Union
+from typing import Dict, Iterable, List
 
-from repro.trace.columnar import (
-    CODE_LOAD,
-    CODE_RMW,
-    CODE_STORE,
-    ColumnarChunk,
-    chunks_from_events,
-)
-from repro.trace.trace import Trace
+from repro.trace.columnar import CODE_LOAD, CODE_RMW, CODE_STORE, ColumnarChunk
 
 #: Conflict granularity for the makespan model (a cache word).
 _MAKESPAN_BLOCK = 8
@@ -65,9 +58,7 @@ class InstructionCostModel:
         """Execution time of ``events`` on one thread, in seconds."""
         return events * self.seconds_per_event
 
-    def event_times(
-        self, source: Union[Trace, Iterable[ColumnarChunk]]
-    ) -> List[float]:
+    def event_times(self, chunks: Iterable[ColumnarChunk]) -> List[float]:
         """Per-event completion times under the parallel volatile model.
 
         Each event completes one ``cycles_per_event`` after the later of
@@ -76,21 +67,17 @@ class InstructionCostModel:
         standard critical-path schedule of the SC execution.  Index ``i``
         of the result corresponds to trace event ``i``.
 
-        ``source`` is the trace's columnar chunks, in order (what
-        :class:`~repro.harness.runner.ExperimentRunner` keeps per
-        program variant), or a :class:`Trace`, which is encoded into
-        chunks on the way in.  The walk reads only the kind, thread and
-        address columns.
+        ``chunks`` are a trace's columnar chunks, in order (a
+        :class:`~repro.trace.trace.Trace`'s ``chunks``); the walk reads
+        only the kind, thread and address columns.
         """
-        if isinstance(source, Trace):
-            source = chunks_from_events(source)
         step = self.seconds_per_event
         thread_clock: Dict[int, float] = {}
         last_write: Dict[int, float] = {}
         last_access: Dict[int, float] = {}
         times: List[float] = []
         append = times.append
-        for chunk in source:
+        for chunk in chunks:
             for code, thread, addr in zip(
                 chunk.kinds, chunk.threads, chunk.addrs
             ):
@@ -118,20 +105,18 @@ class InstructionCostModel:
                 append(finish)
         return times
 
-    def makespan(
-        self, source: Union[Trace, Iterable[ColumnarChunk]]
-    ) -> float:
-        """Parallel volatile-execution time of a trace (or its chunks,
-        see :meth:`event_times`), in seconds."""
-        return max(self.event_times(source), default=0.0)
+    def makespan(self, chunks: Iterable[ColumnarChunk]) -> float:
+        """Parallel volatile-execution time of a trace's chunks (see
+        :meth:`event_times`), in seconds."""
+        return max(self.event_times(chunks), default=0.0)
 
     def instruction_rate(
-        self, source: Union[Trace, Iterable[ColumnarChunk]], operations: int
+        self, chunks: Iterable[ColumnarChunk], operations: int
     ) -> float:
         """Aggregate operations/second at pure instruction-execution speed."""
         if operations <= 0:
             raise ValueError(f"operations must be positive, got {operations}")
-        duration = self.makespan(source)
+        duration = self.makespan(chunks)
         if duration <= 0:
             raise ValueError("trace has no timed events")
         return operations / duration

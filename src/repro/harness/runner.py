@@ -7,9 +7,9 @@ analyzer) pairs.  "Strict" and "Epoch" analyze the race-free program
 barriers removed — racing epochs rely on strong persist atomicity to
 serialise head persists, and strand clears cross-insert dependences at
 ``NEWSTRAND`` anyway.  Traces are cached per program variant because each
-one is analyzed under several models and granularities; each variant's
-trace is also encoded once into columnar chunks, which every analysis
-and the instruction-rate makespan of that variant read.
+one is analyzed under several models and granularities; every analysis
+and the instruction-rate makespan of a variant read its trace's
+columnar chunks as the simulator wrote them.
 
 The runner caches in memory only.  :func:`repro.harness.parallel.run_grid`
 computes whole variants elsewhere (worker processes, or a
@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import astuple, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.analysis import (
     AnalysisConfig,
@@ -39,7 +39,6 @@ from repro.harness.instr import DEFAULT_COST_MODEL, InstructionCostModel
 from repro.harness.metrics import PAPER_PERSIST_LATENCY, ThroughputPoint
 from repro.queue.workload import WorkloadConfig, WorkloadResult, run_insert_workload
 from repro.schema import option
-from repro.trace.columnar import ColumnarChunk, chunks_from_events
 
 #: Table 1 columns: label -> (persistency model, racing program variant).
 TABLE1_COLUMNS: Dict[str, Tuple[str, bool]] = {
@@ -107,9 +106,6 @@ class ExperimentRunner:
     _workloads: Dict[Tuple[str, int, bool], WorkloadResult] = field(
         default_factory=dict, repr=False
     )
-    _chunks: Dict[Tuple[str, int, bool], List[ColumnarChunk]] = field(
-        default_factory=dict, repr=False
-    )
     _instr_rates: Dict[Tuple[str, int, bool], float] = field(
         default_factory=dict, repr=False
     )
@@ -165,25 +161,6 @@ class ExperimentRunner:
         self._workloads[key] = result
         return result
 
-    def trace_chunks(
-        self, design: str, threads: int, racing: bool
-    ) -> List[ColumnarChunk]:
-        """One variant's trace as columnar chunks, encoded on first use.
-
-        The trace comes from :meth:`workload` and is encoded once; every
-        analysis and the instruction rate of the variant read these
-        chunks.  Treat them as read-only.
-        """
-        key = self.variant_key(design, threads, racing)
-        chunks = self._chunks.get(key)
-        if chunks is None:
-            # Read a held workload directly: encoding is not a lookup
-            # the workload hit counters should see.
-            workload = self._workloads.get(key) or self.workload(*key)
-            chunks = list(chunks_from_events(workload.trace))
-            self._chunks[key] = chunks
-        return chunks
-
     def total_inserts(self, design: str, threads: int, racing: bool) -> int:
         """Inserts one program variant performs (all threads)."""
         key = self.variant_key(design, threads, racing)
@@ -195,8 +172,11 @@ class ExperimentRunner:
         """Aggregate inserts/s at volatile instruction-execution speed."""
         key = self.variant_key(design, threads, racing)
         if key not in self._instr_rates:
+            # Read a held workload directly: the makespan walk is not a
+            # lookup the workload hit counters should see.
+            workload = self._workloads.get(key) or self.workload(*key)
             self._instr_rates[key] = self.cost_model.instruction_rate(
-                self.trace_chunks(*key), self.total_inserts(*key)
+                workload.trace.chunks, self.total_inserts(*key)
             )
         return self._instr_rates[key]
 
@@ -227,12 +207,10 @@ class ExperimentRunner:
         if key in self._analyses:
             self.stats.analysis_memory_hits += 1
             return self._analyses[key]
-        self.workload(design, threads, racing)  # traced outside the timer
+        # Traced (on a miss) outside the timer.
+        trace = self.workload(design, threads, racing).trace
         start = time.perf_counter()
-        analyzer = StreamingAnalyzer(model, config)
-        for chunk in self.trace_chunks(design, threads, racing):
-            analyzer.feed(chunk)
-        result = analyzer.finish()
+        result = StreamingAnalyzer(model, config).feed(trace).finish()
         self.stats.analysis_runs += 1
         self.stats.analysis_seconds += time.perf_counter() - start
         self._analyses[key] = result

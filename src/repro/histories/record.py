@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import HistoryError
-from repro.trace.events import EventKind
 
 #: MARK prefix of an operation-invocation marker.
 INVOKE_PREFIX = "h!i:"
@@ -160,10 +159,11 @@ class History:
 def extract_history(trace, graph) -> History:
     """Reconstruct the operation history of a recorded run.
 
-    Scans the trace's MARK events for invoke/response pairs (per
-    thread, strictly alternating — nested recorded operations are not
-    supported), then attributes every persist node of ``graph`` to the
-    operation whose invoke interval contains the node's first store.
+    Scans the trace's MARK events (only the sparse ``infos`` of its
+    columnar chunks) for invoke/response pairs (per thread, strictly
+    alternating — nested recorded operations are not supported), then
+    attributes every persist node of ``graph`` to the operation whose
+    invoke interval contains the node's first store.
     Persist ids are identical across persistency models for the same
     trace (coalescing is off and creation follows trace order), so one
     extraction is valid for any model's graph of the same run.
@@ -173,38 +173,38 @@ def extract_history(trace, graph) -> History:
     """
     pending: Dict[int, Tuple[int, str, List[object]]] = {}
     raw: Dict[int, List[dict]] = {}
-    for event in trace.events:
-        if event.kind is not EventKind.MARK:
-            continue
-        info = event.info
-        if info.startswith(INVOKE_PREFIX):
-            if event.thread in pending:
-                raise HistoryError(
-                    f"thread {event.thread} invoked an operation inside "
-                    f"another at seq {event.seq}"
+    for chunk in trace.chunks:
+        for index, info in chunk.marks():
+            seq = chunk.base_seq + index
+            thread = chunk.threads[index]
+            if info.startswith(INVOKE_PREFIX):
+                if thread in pending:
+                    raise HistoryError(
+                        f"thread {thread} invoked an operation inside "
+                        f"another at seq {seq}"
+                    )
+                payload = _decode_marker(info, INVOKE_PREFIX)
+                if not (isinstance(payload, list) and len(payload) == 2):
+                    raise HistoryError(f"malformed invoke marker at seq {seq}")
+                name, args = payload
+                pending[thread] = (seq, str(name), list(args))
+            elif info.startswith(RESPONSE_PREFIX):
+                invoked = pending.pop(thread, None)
+                if invoked is None:
+                    raise HistoryError(
+                        f"thread {thread} responded without an invocation "
+                        f"at seq {seq}"
+                    )
+                invoke_seq, name, args = invoked
+                raw.setdefault(thread, []).append(
+                    {
+                        "name": name,
+                        "args": args,
+                        "invoke_seq": invoke_seq,
+                        "response_seq": seq,
+                        "result": _decode_marker(info, RESPONSE_PREFIX),
+                    }
                 )
-            payload = _decode_marker(info, INVOKE_PREFIX)
-            if not (isinstance(payload, list) and len(payload) == 2):
-                raise HistoryError(f"malformed invoke marker at seq {event.seq}")
-            name, args = payload
-            pending[event.thread] = (event.seq, str(name), list(args))
-        elif info.startswith(RESPONSE_PREFIX):
-            invoked = pending.pop(event.thread, None)
-            if invoked is None:
-                raise HistoryError(
-                    f"thread {event.thread} responded without an invocation "
-                    f"at seq {event.seq}"
-                )
-            invoke_seq, name, args = invoked
-            raw.setdefault(event.thread, []).append(
-                {
-                    "name": name,
-                    "args": args,
-                    "invoke_seq": invoke_seq,
-                    "response_seq": event.seq,
-                    "result": _decode_marker(info, RESPONSE_PREFIX),
-                }
-            )
     for thread, (invoke_seq, name, args) in pending.items():
         raw.setdefault(thread, []).append(
             {

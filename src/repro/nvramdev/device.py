@@ -189,7 +189,7 @@ def schedule_from_trace(trace, cost_model=None) -> PersistSchedule:
     from repro.trace.events import EventKind
 
     cost_model = cost_model or DEFAULT_COST_MODEL
-    times = cost_model.event_times(trace)
+    times = cost_model.event_times(trace.chunks)
     persist_times: List[float] = []
     sync_times: List[float] = []
     for event, finish in zip(trace, times):

@@ -9,10 +9,12 @@ Three cooperating pieces:
   ineligible tenant's queued shards never block another tenant's.
 
 * :class:`WorkStealingScheduler` — per-worker-slot deques.  Planned
-  shards are dealt round-robin across slots; an idle slot first drains
-  its own queue front-to-back, then steals from the back of the longest
-  other queue (classic work stealing: owner takes old work, thief takes
-  new, contention on opposite ends).
+  shards are dealt round-robin across slots.  A slot picks the tenant
+  first (round-robin over tenants with queued, eligible work), then
+  takes that tenant's oldest shard in its own queue, or steals that
+  tenant's newest from the back of the longest other queue (classic
+  work stealing: owner takes old work, thief takes new, contention on
+  opposite ends).
 
 * :class:`JobQueue` — the durable job table.  Owns the journal
   directory (``jobs/``), admission control (``max_jobs_per_tenant``),
@@ -96,7 +98,8 @@ class WorkStealingScheduler:
     Entries are opaque dicts carrying at least ``tenant`` and ``job``;
     eligibility (the tenant's token bucket) is evaluated at take time,
     so a rate-limited tenant's work stays queued without blocking the
-    slot.
+    slot.  Tenants take turns, so a tenant that queues after another
+    tenant's large job waits at most one round, not behind its backlog.
     """
 
     def __init__(self, slots: int) -> None:
@@ -104,6 +107,8 @@ class WorkStealingScheduler:
             raise ServeError(f"scheduler needs at least one slot, got {slots}")
         self._queues: List[Deque[dict]] = [deque() for _ in range(slots)]
         self._next_slot = 0
+        #: Queued entries per tenant, least recently served tenant first.
+        self._queued: Dict[str, int] = {}
         #: Shards taken from another slot's queue.
         self.steals = 0
 
@@ -112,45 +117,54 @@ class WorkStealingScheduler:
         for entry in entries:
             self._queues[self._next_slot].append(entry)
             self._next_slot = (self._next_slot + 1) % len(self._queues)
+            tenant = entry["tenant"]
+            self._queued[tenant] = self._queued.get(tenant, 0) + 1
 
     def take(
         self, slot: int, eligible: Callable[[str], bool]
     ) -> Optional[dict]:
         """The next runnable entry for ``slot``, or None.
 
-        Scans the slot's own queue front-to-back for the first entry
-        whose tenant is eligible; when none qualifies, steals from the
-        *back* of the longest other queue (newest work, least likely to
-        conflict with the owner's next take).
+        Picks the least recently served eligible tenant with queued
+        work, then takes its first entry in the slot's own queue, or
+        else steals its entry nearest the *back* of the longest other
+        queue holding one (newest work, least likely to conflict with
+        the owner's next take).
         """
+        tenant = next(
+            (tenant for tenant in self._queued if eligible(tenant)), None
+        )
+        if tenant is None:
+            return None
+        self._uncount(tenant)
         own = self._queues[slot]
         for index, entry in enumerate(own):
-            if eligible(entry["tenant"]):
+            if entry["tenant"] == tenant:
                 del own[index]
                 return entry
-        victims = sorted(
-            (
-                other
-                for other in range(len(self._queues))
-                if other != slot and self._queues[other]
-            ),
-            key=lambda other: len(self._queues[other]),
-            reverse=True,
-        )
-        for victim in victims:
-            queue = self._queues[victim]
+        victims = [queue for queue in self._queues if queue is not own]
+        for queue in sorted(victims, key=len, reverse=True):
             for back_index, entry in enumerate(reversed(queue)):
-                if eligible(entry["tenant"]):
+                if entry["tenant"] == tenant:
                     del queue[len(queue) - 1 - back_index]
                     self.steals += 1
                     return entry
-        return None
+        raise AssertionError(f"tenant {tenant!r} counted but not queued")
+
+    def _uncount(self, tenant: str) -> None:
+        """Count one entry gone; the tenant goes to the back of the round."""
+        left = self._queued.pop(tenant) - 1
+        if left:
+            self._queued[tenant] = left
 
     def drop_job(self, job: str) -> int:
         """Remove every queued entry of one job (cancel/fail path)."""
         dropped = 0
         for queue in self._queues:
             kept = [entry for entry in queue if entry["job"] != job]
+            for entry in queue:
+                if entry["job"] == job:
+                    self._uncount(entry["tenant"])
             dropped += len(queue) - len(kept)
             queue.clear()
             queue.extend(kept)

@@ -20,7 +20,7 @@ from repro.memory.layout import WORD_SIZE, validate_value
 from repro.sim import ops
 from repro.sim.context import ThreadContext
 from repro.sim.scheduler import RandomScheduler, Scheduler
-from repro.trace.events import EventKind, machine_event
+from repro.trace.events import EventKind
 from repro.trace.trace import Trace
 
 
@@ -174,9 +174,9 @@ class Machine:
         if bind is not None:
             bind(self)
         self.trace = Trace(meta=meta)
-        #: The trace's event list; the machine appends to it directly,
-        #: numbering events densely itself.
-        self._events = self.trace.events
+        #: Appends one event's fields to the trace's columns; the machine
+        #: validated them when it executed the operation.
+        self._append = self.trace.append_raw
         self._threads: List[SimThread] = []
         self._steps = 0
         #: Write-undo journal: (addr, previous bytes) per memory write,
@@ -380,7 +380,7 @@ class Machine:
             self._advance(thread, self._execute(thread, op))
             return
         if state is ThreadState.NEW:
-            self._emit_marker(thread, EventKind.THREAD_BEGIN)
+            self._append(EventKind.THREAD_BEGIN, thread.thread_id)
             thread.state = ThreadState.READY
             self._advance(thread, None)
             return
@@ -430,7 +430,7 @@ class Machine:
                 thread.state = ThreadState.DRAINING
             else:
                 thread.state = ThreadState.FINISHED
-                self._emit_marker(thread, EventKind.THREAD_END)
+                self._append(EventKind.THREAD_END, thread.thread_id)
 
     def _mem_write(
         self, region: Region, addr: int, size: int, value: int
@@ -573,18 +573,20 @@ class Machine:
         if tag == "store":
             _, addr, size, value, sync, region = entry
             self._mem_write(region, addr, size, value)
-            self._emit_access(
-                thread, EventKind.STORE, addr, size, value,
+            self._append(
+                EventKind.STORE, thread.thread_id, addr, size, value,
                 region.persistent, sync,
             )
         elif tag == "flush":
             _, addr, size, kind, region = entry
-            self._emit_access(thread, kind, addr, size, 0, region.persistent)
+            self._append(
+                kind, thread.thread_id, addr, size, 0, region.persistent
+            )
         else:
-            self._emit_marker(thread, entry[1])
+            self._append(entry[1], thread.thread_id)
         if thread.state is ThreadState.DRAINING and not thread.store_buffer:
             thread.state = ThreadState.FINISHED
-            self._emit_marker(thread, EventKind.THREAD_END)
+            self._append(EventKind.THREAD_END, thread.thread_id)
 
     def _flush_buffer(self, thread: SimThread) -> None:
         """Drain the thread's entire store buffer (RMW/mfence semantics)."""
@@ -659,9 +661,9 @@ class Machine:
     ) -> int:
         """Perform and trace one load (or wait read); returns the value."""
         value, info, region = self._read(thread, addr, size)
-        self._emit_access(
-            thread, EventKind.LOAD, addr, size, value, region.persistent,
-            sync, info,
+        self._append(
+            EventKind.LOAD, thread.thread_id, addr, size, value,
+            region.persistent, sync, info,
         )
         return value
 
@@ -685,8 +687,8 @@ class Machine:
                 )
                 return None
             self._mem_write(region, addr, size, value)
-            self._emit_access(
-                thread, EventKind.STORE, addr, size, value,
+            self._append(
+                EventKind.STORE, thread.thread_id, addr, size, value,
                 region.persistent, op.sync,
             )
             return None
@@ -710,19 +712,26 @@ class Machine:
             self._buffered_marker(thread, EventKind.NEW_STRAND)
             return None
         if op_type is ops.Mark:
-            self._emit_marker(thread, EventKind.MARK, op.info)
+            self._append(
+                EventKind.MARK, thread.thread_id, 0, 0, 0, False, False,
+                op.info,
+            )
             return None
         if op_type is ops.Malloc:
             heap = self.persistent_heap if op.persistent else self.volatile_heap
             addr = heap.malloc(op.size)
-            self._emit_marker(
-                thread, EventKind.MALLOC, f"{addr:#x}+{op.size}"
+            self._append(
+                EventKind.MALLOC, thread.thread_id, 0, 0, 0, False, False,
+                f"{addr:#x}+{op.size}",
             )
             return addr
         if op_type is ops.Free:
             heap = self.persistent_heap if op.persistent else self.volatile_heap
             heap.free(op.addr)
-            self._emit_marker(thread, EventKind.FREE, f"{op.addr:#x}")
+            self._append(
+                EventKind.FREE, thread.thread_id, 0, 0, 0, False, False,
+                f"{op.addr:#x}",
+            )
             return None
         kind = _FLUSH_OPS.get(op_type)
         if kind is not None:
@@ -737,8 +746,8 @@ class Machine:
                     ("flush", op.addr, op.size, kind, region)
                 )
                 return None
-            self._emit_access(
-                thread, kind, op.addr, op.size, 0, region.persistent
+            self._append(
+                kind, thread.thread_id, op.addr, op.size, 0, region.persistent
             )
             return None
         if op_type is ops.SFence:
@@ -751,10 +760,10 @@ class Machine:
         if op_type is ops.Fence:
             if self._tso:
                 self._flush_buffer(thread)
-            self._emit_marker(thread, EventKind.FENCE)
+            self._append(EventKind.FENCE, thread.thread_id)
             return None
         if op_type is ops.PersistSync:
-            self._emit_marker(thread, EventKind.PERSIST_SYNC)
+            self._append(EventKind.PERSIST_SYNC, thread.thread_id)
             return None
         raise SimulationError(
             f"thread {thread.name} yielded unknown operation {op!r}"
@@ -774,8 +783,8 @@ class Machine:
                 # still fenced (the buffer was flushed above); "rmw-fail"
                 # lets the Px86 analyzers keep its flush-committing
                 # effect.
-                self._emit_access(
-                    thread, EventKind.LOAD, addr, size, old,
+                self._append(
+                    EventKind.LOAD, thread.thread_id, addr, size, old,
                     region.persistent, op.sync, "rmw-fail",
                 )
                 return False, old
@@ -786,8 +795,9 @@ class Machine:
             new = (old + op.delta) % (1 << (8 * size))
         validate_value(new, size)
         self._mem_write(region, addr, size, new)
-        self._emit_access(
-            thread, EventKind.RMW, addr, size, new, region.persistent, op.sync
+        self._append(
+            EventKind.RMW, thread.thread_id, addr, size, new,
+            region.persistent, op.sync,
         )
         if op_type is ops.CompareAndSwap:
             return True, old
@@ -799,34 +809,4 @@ class Machine:
         if self._tso and thread.store_buffer:
             thread.store_buffer.append(("marker", kind))
         else:
-            self._emit_marker(thread, kind)
-
-    def _emit_access(
-        self,
-        thread: SimThread,
-        kind: EventKind,
-        addr: int,
-        size: int,
-        value: int,
-        persistent: bool,
-        sync: bool = False,
-        info: str = "",
-    ) -> None:
-        events = self._events
-        events.append(
-            machine_event(
-                len(events), thread.thread_id, kind, addr, size, value,
-                persistent, sync, info,
-            )
-        )
-
-    def _emit_marker(
-        self, thread: SimThread, kind: EventKind, info: str = ""
-    ) -> None:
-        events = self._events
-        events.append(
-            machine_event(
-                len(events), thread.thread_id, kind, 0, 0, 0, False, False,
-                info,
-            )
-        )
+            self._append(kind, thread.thread_id)

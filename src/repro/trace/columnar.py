@@ -18,15 +18,18 @@ arrays (:mod:`array`), one column per field:
   the memory the columns save).
 
 Sequence numbers are implicit: chunk ``base_seq`` plus local index.
+A :class:`~repro.trace.trace.Trace` is a list of these chunks, which
+the simulated machine appends to directly (:meth:`ColumnarChunk.
+append_raw`).
 
 When numpy is importable (:data:`HAVE_NUMPY`), :meth:`ColumnarChunk.
 columns` exposes zero-copy ``ndarray`` views over the same buffers so
 the streaming analyzer can vectorise run detection; everything else is
 stdlib-only and behaves identically without it.
 
-:func:`chunks_from_events` encodes any event stream (a
-:class:`~repro.trace.trace.Trace`, a :class:`~repro.trace.io.TraceReader`)
-into chunks lazily.
+:func:`chunks_from_events` encodes a stream of event objects (a
+:class:`~repro.trace.io.TraceReader`'s, or any iterable) into chunks
+lazily.
 """
 
 from __future__ import annotations
@@ -74,10 +77,13 @@ CODE_MARK = KIND_CODES[EventKind.MARK]
 FLAG_PERSISTENT = 1
 FLAG_SYNC = 2
 
+#: The typed-array columns of a chunk, one per field.
+_COLUMNS = ("kinds", "threads", "addrs", "sizes", "values", "flags")
+
 #: Default events per chunk: big enough to amortise per-chunk overhead,
 #: small enough that a chunk and the per-column lists the analyzer
 #: builds from it (a few hundred KB) stay cache-friendly and add little
-#: to peak memory.  Every event-fed analysis encodes at this size.
+#: to peak memory.  Traces and event-fed analyses chunk at this size.
 DEFAULT_CHUNK_EVENTS = 1 << 12
 
 
@@ -144,38 +150,71 @@ class ColumnarChunk:
         )
 
     def append_event(self, event: MemoryEvent) -> None:
-        """Append an already-built event (columns copy its fields)."""
-        self.append_raw(
-            event.kind,
-            event.thread,
-            event.addr,
-            event.size,
-            event.value,
-            event.persistent,
-            event.sync,
-            event.info,
+        """Append an already-built event, all or nothing: a field that
+        does not fit its column (a negative or over-wide ``value``, a
+        ``thread`` of 2**32 or more) raises :class:`TraceError` naming the
+        event and leaves the chunk as it was."""
+        length = len(self.kinds)
+        try:
+            self.append_raw(
+                event.kind, event.thread, event.addr, event.size,
+                event.value, event.persistent, event.sync, event.info,
+            )
+        except (OverflowError, TypeError) as exc:
+            self.truncate(length)
+            raise TraceError(
+                f"event seq {event.seq} does not fit a columnar chunk: {exc}"
+            ) from exc
+
+    def truncate(self, length: int) -> None:
+        """Drop every event at local index ``length`` and beyond (a live
+        :meth:`columns` view makes this raise :class:`BufferError`)."""
+        for name in _COLUMNS:
+            del getattr(self, name)[length:]
+        # Infos are keyed in append order, so the dropped ones are last.
+        infos = self.infos
+        while infos and next(reversed(infos)) >= length:
+            infos.popitem()
+
+    def suffix(self, start: int) -> "ColumnarChunk":
+        """A copy of the events from local index ``start`` on."""
+        chunk = ColumnarChunk(self.base_seq + start)
+        for name in _COLUMNS:
+            setattr(chunk, name, getattr(self, name)[start:])
+        infos = self.infos.items()
+        chunk.infos = {i - start: text for i, text in infos if i >= start}
+        return chunk
+
+    def marks(self) -> Iterator[Tuple[int, str]]:
+        """``(local index, info)`` of each MARK with an info; reads infos."""
+        kinds = self.kinds
+        for index, info in self.infos.items():
+            if kinds[index] == CODE_MARK:
+                yield index, info
+
+    def row(self, index: int) -> tuple:
+        """The fields of the event at local ``index`` in
+        :class:`MemoryEvent` order (``seq, thread, kind, addr, size,
+        value, persistent, sync, info``), without building the event."""
+        flags = self.flags[index]
+        return (
+            self.base_seq + index, self.threads[index],
+            KINDS_BY_CODE[self.kinds[index]], self.addrs[index],
+            self.sizes[index], self.values[index],
+            bool(flags & FLAG_PERSISTENT), bool(flags & FLAG_SYNC),
+            self.infos.get(index, ""),
         )
+
+    def rows(self) -> Iterator[tuple]:
+        """:meth:`row` of every event, in order."""
+        return map(self.row, range(len(self.kinds)))
 
     def event(self, index: int) -> MemoryEvent:
         """Materialise the event at local ``index`` (validated)."""
-        if index < 0:
-            index += len(self.kinds)
-        flags = self.flags[index]
-        return MemoryEvent(
-            seq=self.base_seq + index,
-            thread=self.threads[index],
-            kind=KINDS_BY_CODE[self.kinds[index]],
-            addr=self.addrs[index],
-            size=self.sizes[index],
-            value=self.values[index],
-            persistent=bool(flags & FLAG_PERSISTENT),
-            sync=bool(flags & FLAG_SYNC),
-            info=self.infos.get(index, ""),
-        )
+        return MemoryEvent(*self.row(index))
 
     def __iter__(self) -> Iterator[MemoryEvent]:
-        for index in range(len(self.kinds)):
-            yield self.event(index)
+        return map(self.event, range(len(self.kinds)))
 
     def columns(self):
         """Zero-copy numpy views ``(kinds, threads, addrs, sizes, values,
@@ -207,9 +246,9 @@ def chunks_from_events(
     time, so arbitrarily long streams encode in bounded memory.  Sequence
     numbers are implicit in chunks, so the stream must be dense from
     ``base_seq``; a gap or reordering raises :class:`TraceError`, as
-    :meth:`Trace.append <repro.trace.trace.Trace.append>` does.  So does
-    a field that does not fit its typed column (a negative or over-wide
-    ``value``, a ``thread`` of 2**32 or more).
+    :meth:`Trace.append <repro.trace.trace.Trace.append>` does, and so
+    does a field that does not fit its column (:meth:`append_event
+    <ColumnarChunk.append_event>`).
     """
     if chunk_events <= 0:
         raise TraceError(f"chunk_events must be positive, got {chunk_events}")
@@ -219,12 +258,7 @@ def chunks_from_events(
             raise TraceError(
                 f"event seq {event.seq} out of order; expected {chunk.end_seq}"
             )
-        try:
-            chunk.append_event(event)
-        except (OverflowError, TypeError) as exc:
-            raise TraceError(
-                f"event seq {event.seq} does not fit a columnar chunk: {exc}"
-            ) from exc
+        chunk.append_event(event)
         if len(chunk) >= chunk_events:
             yield chunk
             chunk = ColumnarChunk(chunk.end_seq)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import TraceError
 from repro.memory import layout
@@ -73,8 +72,8 @@ class EventKind(enum.Enum):
 _LOAD_LIKE = frozenset({EventKind.LOAD, EventKind.RMW})
 #: Kinds that write memory.
 _STORE_LIKE = frozenset({EventKind.STORE, EventKind.RMW})
-#: Kinds that reference an address range.
-_ACCESS_KINDS = frozenset({EventKind.LOAD, EventKind.STORE, EventKind.RMW})
+#: Kinds that reference an address range (the accesses).
+ACCESS_KINDS = frozenset({EventKind.LOAD, EventKind.STORE, EventKind.RMW})
 #: Cache-line flush kinds (Px86 family).  They carry an address range —
 #: the flushed line — but are not accesses: they neither read nor write
 #: program-visible data.
@@ -127,7 +126,7 @@ class MemoryEvent:
     @property
     def is_access(self) -> bool:
         """True for events that reference memory (load/store/RMW)."""
-        return self.kind in _ACCESS_KINDS
+        return self.kind in ACCESS_KINDS
 
     @property
     def is_flush(self) -> bool:
@@ -160,44 +159,6 @@ class MemoryEvent:
         return self.value.to_bytes(self.size, "little")
 
 
-_new_object = object.__new__
-_set_field = object.__setattr__
-
-
-def machine_event(
-    seq: int,
-    thread: int,
-    kind: EventKind,
-    addr: int,
-    size: int,
-    value: int,
-    persistent: bool,
-    sync: bool,
-    info: str,
-) -> MemoryEvent:
-    """Build an event from fields the simulated machine already checked.
-
-    Skips ``__post_init__``: the machine validates every access and maps
-    its region once, when it executes it, and numbers events densely
-    itself.  Fields are set in declaration order, as the dataclass
-    ``__init__`` sets them, so the instance keeps the compact key-sharing
-    attribute dict of a validated one.  Every other producer (trace
-    loading, columnar decode, :func:`make_access`) goes through the
-    validating ``MemoryEvent(...)``.
-    """
-    event = _new_object(MemoryEvent)
-    _set_field(event, "seq", seq)
-    _set_field(event, "thread", thread)
-    _set_field(event, "kind", kind)
-    _set_field(event, "addr", addr)
-    _set_field(event, "size", size)
-    _set_field(event, "value", value)
-    _set_field(event, "persistent", persistent)
-    _set_field(event, "sync", sync)
-    _set_field(event, "info", info)
-    return event
-
-
 def make_access(
     seq: int,
     thread: int,
@@ -225,7 +186,7 @@ def make_marker(
     seq: int, thread: int, kind: EventKind, info: str = ""
 ) -> MemoryEvent:
     """Convenience constructor for non-access events."""
-    if kind in _ACCESS_KINDS:
+    if kind in ACCESS_KINDS:
         raise TraceError(f"{kind.value} is an access kind")
     return MemoryEvent(seq=seq, thread=thread, kind=kind, info=info)
 

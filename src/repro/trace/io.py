@@ -16,10 +16,16 @@ Two access styles share the format:
 from __future__ import annotations
 
 import json
+from dataclasses import astuple
 from pathlib import Path
 from typing import IO, Iterator, Optional, Union
 
 from repro.errors import TraceError
+from repro.trace.columnar import (
+    DEFAULT_CHUNK_EVENTS,
+    ColumnarChunk,
+    chunks_from_events,
+)
 from repro.trace.events import OPTIONAL_FIELDS, EventKind, MemoryEvent
 from repro.trace.trace import Trace
 
@@ -29,18 +35,18 @@ _PathLike = Union[str, Path]
 _THREAD_LIMIT = 1 << 32
 
 
-def event_to_record(event: MemoryEvent) -> dict:
-    """Convert an event to a compact JSON-serializable dict."""
-    record: dict = {
-        "seq": event.seq,
-        "thread": event.thread,
-        "kind": event.kind.value,
-    }
-    for name, default in OPTIONAL_FIELDS:
-        value = getattr(event, name)
+def _record(seq: int, thread: int, kind: EventKind, *optional) -> dict:
+    """The JSON dict of one event's fields, defaults left out."""
+    record: dict = {"seq": seq, "thread": thread, "kind": kind.value}
+    for (name, default), value in zip(OPTIONAL_FIELDS, optional):
         if value != default:
             record[name] = value
     return record
+
+
+def event_to_record(event: MemoryEvent) -> dict:
+    """Convert an event to a compact JSON-serializable dict."""
+    return _record(*astuple(event))
 
 
 def event_from_record(record: dict) -> MemoryEvent:
@@ -73,9 +79,9 @@ def event_from_record(record: dict) -> MemoryEvent:
 
 def dump(trace: Trace, stream: IO[str]) -> None:
     """Write a trace to an open text stream."""
-    stream.write(json.dumps({"meta": trace.meta}) + "\n")
-    for event in trace:
-        stream.write(json.dumps(event_to_record(event)) + "\n")
+    with TraceWriter(stream, meta=trace.meta) as writer:
+        for chunk in trace.chunks:
+            writer.write_chunk(chunk)
 
 
 def read_meta(stream: IO[str]) -> dict:
@@ -176,8 +182,6 @@ class TraceReader:
 
     def chunks(self, chunk_events: Optional[int] = None):
         """Iterate the remaining events as :class:`ColumnarChunk` batches."""
-        from repro.trace.columnar import DEFAULT_CHUNK_EVENTS, chunks_from_events
-
         return chunks_from_events(
             self.events(), chunk_events or DEFAULT_CHUNK_EVENTS
         )
@@ -224,6 +228,14 @@ class TraceWriter:
             raise TraceError("TraceWriter is not open")
         self._stream.write(json.dumps(event_to_record(event)) + "\n")
         self.events_written += 1
+
+    def write_chunk(self, chunk: ColumnarChunk) -> None:
+        """Append one line per event of a columnar chunk."""
+        if self._stream is None:
+            raise TraceError("TraceWriter is not open")
+        for row in chunk.rows():
+            self._stream.write(json.dumps(_record(*row)) + "\n")
+        self.events_written += len(chunk)
 
 
 def save_file(trace: Trace, path: _PathLike) -> None:

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.errors import TraceError
+from repro.trace.columnar import (
+    DEFAULT_CHUNK_EVENTS,
+    ColumnarChunk,
+    chunks_from_events,
+)
 from repro.trace.events import EventKind, MemoryEvent
 
 
@@ -31,7 +36,13 @@ class TraceStats:
 
 
 class Trace:
-    """An append-only sequence of :class:`MemoryEvent` in SC order.
+    """An append-only sequence of memory events in SC order.
+
+    The events live in :attr:`chunks` of
+    :data:`~repro.trace.columnar.DEFAULT_CHUNK_EVENTS` each (all full
+    but the last).  The machine appends raw fields (:meth:`append_raw`);
+    a validated :class:`MemoryEvent` is built only on indexing or
+    iteration.
 
     Also carries free-form ``meta`` describing how the trace was produced
     (program, thread count, scheduler seed, ...), which the harness uses
@@ -39,33 +50,56 @@ class Trace:
     """
 
     def __init__(self, meta: Optional[Dict[str, object]] = None) -> None:
-        self._events: List[MemoryEvent] = []
+        #: The columnar chunks, in order (treat as read-only).
+        self.chunks: List[ColumnarChunk] = [ColumnarChunk(0)]
         self.meta: Dict[str, object] = dict(meta or {})
 
     def __len__(self) -> int:
-        return len(self._events)
+        return self.chunks[-1].end_seq
 
     def __iter__(self) -> Iterator[MemoryEvent]:
-        return iter(self._events)
+        for chunk in self.chunks:
+            yield from chunk
 
-    def __getitem__(self, index: int) -> MemoryEvent:
-        return self._events[index]
+    def rows(self) -> Iterator[tuple]:
+        """:meth:`ColumnarChunk.row` of every event, in order."""
+        for chunk in self.chunks:
+            yield from chunk.rows()
 
-    @property
-    def events(self) -> List[MemoryEvent]:
-        """The underlying event list (not a copy; treat as read-only)."""
-        return self._events
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[MemoryEvent, List[MemoryEvent]]:
+        seqs = range(len(self))[index]  # IndexError when out of range
+        if isinstance(index, slice):
+            return [self[seq] for seq in seqs]
+        chunk, local = divmod(seqs, DEFAULT_CHUNK_EVENTS)
+        return self.chunks[chunk].event(local)
+
+    def append_raw(self, *fields) -> None:
+        """Append the next event from :meth:`ColumnarChunk.append_raw`
+        fields (``kind, thread, addr, …``) the caller already checked."""
+        chunk = self.chunks[-1]
+        if len(chunk.kinds) == DEFAULT_CHUNK_EVENTS:
+            chunk = ColumnarChunk(chunk.end_seq)
+            self.chunks.append(chunk)
+        chunk.append_raw(*fields)
 
     def append(self, event: MemoryEvent) -> None:
-        """Append an event, enforcing dense ascending sequence numbers."""
-        if event.seq != len(self._events):
+        """Append an event, enforcing dense ascending sequence numbers;
+        all or nothing, like :meth:`ColumnarChunk.append_event`."""
+        tail = self.chunks[-1]
+        if event.seq != tail.end_seq:
             raise TraceError(
-                f"event seq {event.seq} out of order; expected "
-                f"{len(self._events)}"
+                f"event seq {event.seq} out of order; expected {tail.end_seq}"
             )
-        self._events.append(event)
+        if len(tail.kinds) == DEFAULT_CHUNK_EVENTS:
+            tail = ColumnarChunk(event.seq)
+            tail.append_event(event)
+            self.chunks.append(tail)
+        else:
+            tail.append_event(event)
 
-    def extend(self, events: Iterator[MemoryEvent]) -> None:
+    def extend(self, events: Iterable[MemoryEvent]) -> None:
         """Append many events in order."""
         for event in events:
             self.append(event)
@@ -77,60 +111,76 @@ class Trace:
         earlier step must also rewind its trace so re-executed steps
         append with the correct (dense, ascending) sequence numbers.
         """
-        if length < 0 or length > len(self._events):
+        if length < 0 or length > len(self):
             raise TraceError(
-                f"cannot truncate to {length}; trace has "
-                f"{len(self._events)} events"
+                f"cannot truncate to {length}; trace has {len(self)} events"
             )
-        del self._events[length:]
+        del self.chunks[max(1, -(-length // DEFAULT_CHUNK_EVENTS)):]
+        last = self.chunks[-1]
+        last.truncate(length - last.base_seq)
+
+    def chunks_from(self, start: int) -> Iterator[ColumnarChunk]:
+        """The events from sequence ``start`` on, as chunks: the chunk
+        holding ``start`` is copied from there, later ones are shared."""
+        for chunk in self.chunks[start // DEFAULT_CHUNK_EVENTS:]:
+            if chunk.base_seq < start:
+                chunk = chunk.suffix(start - chunk.base_seq)
+            yield chunk
 
     def thread_ids(self) -> List[int]:
         """Sorted list of thread ids appearing in the trace."""
-        return sorted({event.thread for event in self._events})
+        return sorted(set().union(*(chunk.threads for chunk in self.chunks)))
 
     def events_for_thread(self, thread: int) -> List[MemoryEvent]:
         """All events issued by one thread, in program order."""
-        return [event for event in self._events if event.thread == thread]
+        return [MemoryEvent(*row) for row in self.rows() if row[1] == thread]
 
     def count_marks(self, info: str) -> int:
         """Number of MARK events carrying exactly ``info``."""
+        if not info:
+            return self.stats().marks.get("", 0)
         return sum(
-            1
-            for event in self._events
-            if event.kind is EventKind.MARK and event.info == info
+            text == info for chunk in self.chunks for _, text in chunk.marks()
         )
 
     def stats(self) -> TraceStats:
-        """Compute aggregate statistics in one pass."""
-        loads = stores = rmws = persists = barriers = strands = 0
+        """Compute aggregate statistics in one pass over the rows."""
+        kinds = dict.fromkeys(EventKind, 0)
+        persists = 0
         marks: Dict[str, int] = {}
         threads = set()
-        for event in self._events:
-            threads.add(event.thread)
-            if event.kind is EventKind.LOAD:
-                loads += 1
-            elif event.kind is EventKind.STORE:
-                stores += 1
-            elif event.kind is EventKind.RMW:
-                rmws += 1
-            elif event.kind is EventKind.PERSIST_BARRIER:
-                barriers += 1
-            elif event.kind is EventKind.NEW_STRAND:
-                strands += 1
-            elif event.kind is EventKind.MARK:
-                marks[event.info] = marks.get(event.info, 0) + 1
-            if event.is_persist:
+        for _, thread, kind, _, _, _, persistent, _, info in self.rows():
+            threads.add(thread)
+            kinds[kind] += 1
+            if kind is EventKind.MARK:
+                marks[info] = marks.get(info, 0) + 1
+            elif persistent and kind in (EventKind.STORE, EventKind.RMW):
                 persists += 1
-        accesses = loads + stores + rmws
+        loads = kinds[EventKind.LOAD]
+        stores = kinds[EventKind.STORE]
+        rmws = kinds[EventKind.RMW]
         return TraceStats(
-            events=len(self._events),
-            accesses=accesses,
+            events=len(self),
+            accesses=loads + stores + rmws,
             loads=loads,
             stores=stores,
             rmws=rmws,
             persists=persists,
-            persist_barriers=barriers,
-            new_strands=strands,
+            persist_barriers=kinds[EventKind.PERSIST_BARRIER],
+            new_strands=kinds[EventKind.NEW_STRAND],
             threads=len(threads),
             marks=marks,
         )
+
+
+def as_chunks(source, base_seq: int = 0) -> Iterable[ColumnarChunk]:
+    """The chunks of a chunk, a :class:`Trace` (whose seqs start at 0)
+    or an event iterable (encoded lazily), continuing the stream at
+    ``base_seq``; a source that does not raises :class:`TraceError`."""
+    if isinstance(source, ColumnarChunk):
+        return (source,)
+    if isinstance(source, Trace):
+        if base_seq and len(source):
+            raise TraceError(f"event seq 0 out of order; expected {base_seq}")
+        return source.chunks
+    return chunks_from_events(source, DEFAULT_CHUNK_EVENTS, base_seq)

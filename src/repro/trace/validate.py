@@ -29,32 +29,30 @@ def validate_sc_values(trace: Trace) -> None:
             value.
     """
     shadow: Dict[int, int] = {}
-    for event in trace:
-        if not event.is_access:
-            continue
+    for seq, _, kind, addr, size, value, _, _, info in trace.rows():
         # RMW events record the value *written*; their observed value is
         # not in the trace, so only pure loads are checked against replay.
         # TSO store-buffer forwards ("sb-forward": every byte from the
         # issuing thread's buffer; "sb-mixed": some bytes forwarded, the
         # rest from memory) observe not-yet-visible stores and
         # legitimately disagree with the memory-order replay.
-        if event.kind is EventKind.LOAD and not event.info.startswith("sb-"):
+        if kind is EventKind.LOAD and not info.startswith("sb-"):
             expected = 0
             known_all = True
-            for offset in range(event.size):
-                byte = shadow.get(event.addr + offset)
+            for offset in range(size):
+                byte = shadow.get(addr + offset)
                 if byte is None:
                     known_all = False
                     break
                 expected |= byte << (8 * offset)
-            if known_all and event.value != expected:
+            if known_all and value != expected:
                 raise TraceError(
-                    f"event {event.seq}: load at {event.addr:#x} observed "
-                    f"{event.value:#x}, expected {expected:#x} from replay"
+                    f"event {seq}: load at {addr:#x} observed "
+                    f"{value:#x}, expected {expected:#x} from replay"
                 )
-        if event.is_store_like:
-            for offset, byte in enumerate(event.data_bytes()):
-                shadow[event.addr + offset] = byte
+        if kind is EventKind.STORE or kind is EventKind.RMW:
+            for offset, byte in enumerate(value.to_bytes(size, "little")):
+                shadow[addr + offset] = byte
 
 
 def validate_structure(trace: Trace) -> None:
@@ -66,34 +64,29 @@ def validate_structure(trace: Trace) -> None:
     """
     begun: Set[int] = set()
     ended: Set[int] = set()
-    for event in trace:
-        if event.kind is EventKind.THREAD_BEGIN:
-            if event.thread in begun:
+    for seq, thread, kind, *_ in trace.rows():
+        if kind is EventKind.THREAD_BEGIN:
+            if thread in begun:
+                raise TraceError(f"event {seq}: thread {thread} began twice")
+            begun.add(thread)
+        elif kind is EventKind.THREAD_END:
+            if thread not in begun:
                 raise TraceError(
-                    f"event {event.seq}: thread {event.thread} began twice"
+                    f"event {seq}: thread {thread} ended without beginning"
                 )
-            begun.add(event.thread)
-        elif event.kind is EventKind.THREAD_END:
-            if event.thread not in begun:
-                raise TraceError(
-                    f"event {event.seq}: thread {event.thread} ended "
-                    f"without beginning"
-                )
-            if event.thread in ended:
-                raise TraceError(
-                    f"event {event.seq}: thread {event.thread} ended twice"
-                )
-            ended.add(event.thread)
+            if thread in ended:
+                raise TraceError(f"event {seq}: thread {thread} ended twice")
+            ended.add(thread)
         else:
-            if begun and event.thread not in begun:
+            if begun and thread not in begun:
                 raise TraceError(
-                    f"event {event.seq}: thread {event.thread} issued "
-                    f"{event.kind.value} before THREAD_BEGIN"
+                    f"event {seq}: thread {thread} issued {kind.value} "
+                    f"before THREAD_BEGIN"
                 )
-            if event.thread in ended:
+            if thread in ended:
                 raise TraceError(
-                    f"event {event.seq}: thread {event.thread} issued "
-                    f"{event.kind.value} after THREAD_END"
+                    f"event {seq}: thread {thread} issued {kind.value} "
+                    f"after THREAD_END"
                 )
 
 

@@ -153,7 +153,7 @@ def test_shared_events_is_the_common_prefix(program):
     for explored in engine.explore():
         result = explored.result
         trace = result[0] if isinstance(result, tuple) else result
-        events = list(trace.events)
+        events = list(trace)
         expected = 0 if previous is None else common_prefix(previous, events)
         assert explored.shared_events == expected, explored.index
         previous = events
@@ -170,7 +170,7 @@ def test_shared_events_after_a_deeper_restore():
     previous = None
     short = 0
     for explored in engine.explore():
-        events = list(explored.result[0].events)
+        events = list(explored.result[0])
         expected = 0 if previous is None else common_prefix(previous, events)
         assert explored.shared_events <= expected, explored.index
         short += explored.shared_events < expected

@@ -35,7 +35,7 @@ def target_trace(target, threads=2, ops=1, seed=0):
 
 def prefix(trace, count):
     head = Trace()
-    head.extend(trace.events[:count])
+    head.extend(trace[:count])
     return head
 
 
@@ -84,7 +84,7 @@ def assert_rewinds_everywhere(trace, model, config, domain):
         analyzer.rewind(count)
         expected = state(fed(prefix(trace, count), model, config, domain))
         assert state(analyzer) == expected, f"{model}/{domain} at {count}"
-        analyzer.feed(trace.events[count:])
+        analyzer.feed(trace[count:])
         assert state(analyzer) == whole, f"{model}/{domain} from {count}"
     result = analyzer.finish()
     reference = analyze(trace, model, config, domain=domain)
@@ -140,7 +140,7 @@ def test_rewind_then_diverge_equals_fresh_analysis():
     right = build(base + [(1, S, P + 8, 5), (0, B), (0, S, P + 64, 6)])
     analyzer = fed(left, "epoch", NO_COALESCING, "bitset", rewindable=True)
     analyzer.rewind(len(base))
-    analyzer.feed(right.events[len(base):])
+    analyzer.feed(right[len(base):])
     assert state(analyzer) == state(
         fed(right, "epoch", NO_COALESCING, "bitset")
     )

@@ -1,12 +1,14 @@
-"""Each program variant's trace is encoded once, and every harness
-consumer reads those columns.
+"""The simulator writes each event once, into its trace's columns, and
+every harness consumer reads those columns.
 
 The columnar makespan walk must equal the per-event reference exactly
 (same float operations in the same order), and the paper's evaluation
-must encode each simulated event once.  ``test_parallel.py`` holds the
-Table 1 and figure byte-identity checks across serial, parallel and
-warm-store runs.
+must append each simulated event once and never build an event object
+or re-encode a trace.  ``test_parallel.py`` holds the Table 1 and figure
+byte-identity checks across serial, parallel and warm-store runs.
 """
+
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from repro.harness import (
     figure4_persist_granularity,
     figure5_tracking_granularity,
 )
-from repro.trace import EventKind, chunks_from_events
+from repro.trace import EventKind, MemoryEvent, chunks_from_events
 from repro.trace.columnar import ColumnarChunk
 from tests.core.helpers import B, L, P, R, S, V, build
 from tests.harness.reference_instr import reference_event_times
@@ -55,11 +57,10 @@ class TestColumnarMakespan:
         runner = ExperimentRunner(inserts_per_thread=60, base_seed=seed)
         for variant in TABLE1_VARIANTS:
             trace = runner.workload(*variant).trace
-            chunks = runner.trace_chunks(*variant)
+            chunks = trace.chunks
             for model in COST_MODELS:
                 expected = reference_event_times(trace, model)
                 assert model.event_times(chunks) == expected, variant
-                assert model.event_times(trace) == expected, variant
                 assert model.makespan(chunks) == max(expected)
 
     def test_chunk_boundaries_do_not_matter(self, cwl_4t):
@@ -119,7 +120,7 @@ class TestColumnarMakespan:
         for model in COST_MODELS:
             expected = reference_event_times(trace, model)
             assert model.event_times(chunks) == expected
-            assert model.event_times(trace) == expected
+            assert model.event_times(trace.chunks) == expected
 
 
 class TestEncodeOnce:
@@ -152,13 +153,70 @@ class TestEncodeOnce:
         )
         assert variant_events == 64_190
 
-    def test_every_consumer_reads_one_chunk_list(self):
-        runner = ExperimentRunner(inserts_per_thread=8, base_seed=4)
-        chunks = runner.trace_chunks("cwl", 2, False)
-        assert runner.trace_chunks("cwl", 2, False) is chunks
-        # 2LC ignores the racing flag, so both spellings share one list.
-        assert runner.trace_chunks("2lc", 2, True) is runner.trace_chunks(
-            "2lc", 2, False
-        )
+    def test_every_consumer_reads_one_chunk_list(self, monkeypatch):
+        runner = ExperimentRunner(inserts_per_thread=100, base_seed=4)
         trace = runner.workload("cwl", 2, False).trace
+        chunks = list(trace.chunks)
+        assert len(chunks) > 1
+        fed = []
+        feed_chunk = StreamingAnalyzer._feed_chunk
+
+        def recording_feed_chunk(analyzer, chunk):
+            fed.append(chunk)
+            return feed_chunk(analyzer, chunk)
+
+        monkeypatch.setattr(
+            StreamingAnalyzer, "_feed_chunk", recording_feed_chunk
+        )
+        runner.analysis("cwl", 2, False, "epoch")
+        assert len(fed) == len(chunks)
+        assert all(mine is theirs for mine, theirs in zip(fed, chunks))
+        # Neither the analysis nor the makespan walk re-traces or copies:
+        # the simulator's chunks are still the trace's.
+        runner.instruction_rate("cwl", 2, False)
+        assert runner.stats.workload_runs == 1
+        assert all(
+            mine is theirs for mine, theirs in zip(trace.chunks, chunks)
+        )
+        # 2LC ignores the racing flag, so both spellings share one trace.
+        assert (
+            runner.workload("2lc", 2, True).trace
+            is runner.workload("2lc", 2, False).trace
+        )
         assert [e for chunk in chunks for e in chunk] == list(trace)
+
+    def test_paper_evaluation_builds_no_event_objects(self, monkeypatch):
+        """Table 1 and Figures 2-5 read only columns: no MemoryEvent is
+        constructed and no trace is re-encoded."""
+        built = [0]
+        encoded = [0]
+        post_init = MemoryEvent.__post_init__
+
+        def counting_post_init(event):
+            built[0] += 1
+            return post_init(event)
+
+        def counting_encode(*args, **kwargs):
+            encoded[0] += 1
+            return chunks_from_events(*args, **kwargs)
+
+        monkeypatch.setattr(MemoryEvent, "__post_init__", counting_post_init)
+        for name, module in list(sys.modules.items()):
+            if (
+                name.startswith("repro")
+                and getattr(module, "chunks_from_events", None)
+                is chunks_from_events
+            ):
+                monkeypatch.setattr(
+                    module, "chunks_from_events", counting_encode
+                )
+        runner = ExperimentRunner(inserts_per_thread=6, base_seed=0)
+        paper_evaluation(runner)
+        assert runner.stats.analysis_runs > 0
+        assert built[0] == 0
+        assert encoded[0] == 0
+        # The counters do count when the paths they guard are taken.
+        events = runner.workload("cwl", 1, False).trace[:2]
+        assert built[0] == 2
+        StreamingAnalyzer("epoch").feed(iter(events))
+        assert encoded[0] == 1

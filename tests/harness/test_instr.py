@@ -26,7 +26,7 @@ class TestMakespan:
         trace = Trace()
         for i in range(10):
             trace.append(access(i, 0, 0x1000 + 8 * i))
-        assert MODEL.makespan(trace) == pytest.approx(10 * STEP)
+        assert MODEL.makespan(trace.chunks) == pytest.approx(10 * STEP)
 
     def test_independent_threads_overlap(self):
         trace = Trace()
@@ -36,31 +36,31 @@ class TestMakespan:
                 trace.append(access(seq, thread, 0x1000 + 8 * (thread * 100 + i)))
                 seq += 1
         # Two independent 10-event threads: makespan = one thread's time.
-        assert MODEL.makespan(trace) == pytest.approx(10 * STEP)
+        assert MODEL.makespan(trace.chunks) == pytest.approx(10 * STEP)
 
     def test_conflicting_stores_serialise(self):
         trace = Trace()
         for i in range(10):
             trace.append(access(i, i % 2, 0x1000))  # same word, all stores
-        assert MODEL.makespan(trace) == pytest.approx(10 * STEP)
+        assert MODEL.makespan(trace.chunks) == pytest.approx(10 * STEP)
 
     def test_load_after_store_serialises(self):
         trace = Trace()
         trace.append(access(0, 0, 0x1000, EventKind.STORE))
         trace.append(access(1, 1, 0x1000, EventKind.LOAD))
-        assert MODEL.makespan(trace) == pytest.approx(2 * STEP)
+        assert MODEL.makespan(trace.chunks) == pytest.approx(2 * STEP)
 
     def test_concurrent_loads_do_not_serialise(self):
         trace = Trace()
         trace.append(access(0, 0, 0x1000, EventKind.LOAD, 0))
         trace.append(access(1, 1, 0x1000, EventKind.LOAD, 0))
-        assert MODEL.makespan(trace) == pytest.approx(STEP)
+        assert MODEL.makespan(trace.chunks) == pytest.approx(STEP)
 
     def test_markers_cost_time_on_their_thread(self):
         trace = Trace()
         trace.append(make_marker(0, 0, EventKind.PERSIST_BARRIER))
         trace.append(make_marker(1, 0, EventKind.MARK, "x"))
-        assert MODEL.makespan(trace) == pytest.approx(2 * STEP)
+        assert MODEL.makespan(trace.chunks) == pytest.approx(2 * STEP)
 
 
 class TestInstructionRate:
@@ -68,18 +68,18 @@ class TestInstructionRate:
         trace = Trace()
         for i in range(100):
             trace.append(access(i, 0, 0x1000 + 8 * (i % 50)))
-        rate = MODEL.instruction_rate(trace, 10)
+        rate = MODEL.instruction_rate(trace.chunks, 10)
         assert rate == pytest.approx(10 / (100 * STEP))
 
     def test_rejects_zero_operations(self):
         trace = Trace()
         trace.append(access(0, 0, 0x1000))
         with pytest.raises(ValueError):
-            MODEL.instruction_rate(trace, 0)
+            MODEL.instruction_rate(trace.chunks, 0)
 
     def test_rejects_empty_trace(self):
         with pytest.raises(ValueError):
-            MODEL.instruction_rate(Trace(), 5)
+            MODEL.instruction_rate(Trace().chunks, 5)
 
 
 class TestCalibration:
@@ -89,7 +89,7 @@ class TestCalibration:
         from repro.harness import DEFAULT_COST_MODEL
 
         rate = DEFAULT_COST_MODEL.instruction_rate(
-            cwl_1t.trace, cwl_1t.total_inserts
+            cwl_1t.trace.chunks, cwl_1t.total_inserts
         )
         assert 2e6 < rate < 8e6
 
@@ -99,10 +99,10 @@ class TestCalibration:
         from repro.harness import DEFAULT_COST_MODEL
 
         rate_1 = DEFAULT_COST_MODEL.instruction_rate(
-            cwl_1t.trace, cwl_1t.total_inserts
+            cwl_1t.trace.chunks, cwl_1t.total_inserts
         )
         rate_4 = DEFAULT_COST_MODEL.instruction_rate(
-            cwl_4t.trace, cwl_4t.total_inserts
+            cwl_4t.trace.chunks, cwl_4t.total_inserts
         )
         assert rate_4 < 2.5 * rate_1
 
@@ -113,6 +113,6 @@ class TestCalibration:
 
         def speedup(workload):
             serial = DEFAULT_COST_MODEL.serial_time(len(workload.trace))
-            return serial / DEFAULT_COST_MODEL.makespan(workload.trace)
+            return serial / DEFAULT_COST_MODEL.makespan(workload.trace.chunks)
 
         assert speedup(tlc_4t) > speedup(cwl_4t)

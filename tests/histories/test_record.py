@@ -14,7 +14,7 @@ from repro.histories.record import (
     extract_history,
 )
 from repro.sim import make_scheduler
-from repro.trace.events import EventKind
+from repro.trace import EventKind, Trace
 
 
 def recorded_run(target="log", threads=1, ops=3, seed=7, model="epoch"):
@@ -26,11 +26,13 @@ def recorded_run(target="log", threads=1, ops=3, seed=7, model="epoch"):
     return run, graph
 
 
-@dataclasses.dataclass
-class EventsOnly:
-    """Stand-in trace: extraction reads nothing but ``events``."""
-
-    events: list
+def as_trace(events):
+    """A trace of ``events``, renumbered densely in order."""
+    trace = Trace()
+    trace.extend(
+        dataclasses.replace(event, seq=seq) for seq, event in enumerate(events)
+    )
+    return trace
 
 
 class TestCodec:
@@ -120,7 +122,7 @@ class TestExtraction:
 
     def test_malformed_marker_rejected(self):
         run, graph = recorded_run()
-        events = list(run.trace.events)
+        events = list(run.trace)
         slot = next(
             i
             for i, event in enumerate(events)
@@ -131,11 +133,11 @@ class TestExtraction:
             events[slot], info=INVOKE_PREFIX + "{not json"
         )
         with pytest.raises(HistoryError):
-            extract_history(EventsOnly(events), graph)
+            extract_history(as_trace(events), graph)
 
     def test_response_without_invocation_rejected(self):
         run, graph = recorded_run()
-        events = list(run.trace.events)
+        events = list(run.trace)
         slot = next(
             i
             for i, event in enumerate(events)
@@ -144,4 +146,4 @@ class TestExtraction:
         )
         del events[slot]
         with pytest.raises(HistoryError):
-            extract_history(EventsOnly(events), graph)
+            extract_history(as_trace(events), graph)

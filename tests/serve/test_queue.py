@@ -91,6 +91,55 @@ class TestWorkStealingScheduler:
         assert len(sched) == 1  # slowpoke's shard stays queued
         assert sched.take(0, lambda tenant: False) is None
 
+    def test_late_tenant_is_served_within_one_round(self):
+        """Tenant a queues 256 shards, then tenant b queues 6, on one slot
+        under the daemon's token buckets: b dispatches within one round
+        of takes and finishes long before a's backlog drains."""
+        clock = FakeClock()
+        buckets = {}
+
+        def bucket(tenant):
+            if tenant not in buckets:
+                buckets[tenant] = TokenBucket(50.0, 100.0, clock=clock)
+            return buckets[tenant]
+
+        sched = WorkStealingScheduler(1)
+        sched.assign([_entry("a", "big", i) for i in range(256)])
+        sched.assign([_entry("b", "small", i) for i in range(6)])
+        served = []
+        while len(sched):
+            entry = sched.take(0, lambda tenant: bucket(tenant).peek())
+            if entry is None:
+                clock.advance(0.1)
+                continue
+            assert bucket(entry["tenant"]).take()
+            served.append((entry["tenant"], entry["index"]))
+            clock.advance(0.001)
+        tenants = [tenant for tenant, _ in served]
+        assert "b" in tenants[:2]
+        last = {
+            tenant: len(tenants) - 1 - tenants[::-1].index(tenant)
+            for tenant in ("a", "b")
+        }
+        assert last["b"] < last["a"]
+        assert last["b"] <= 12
+        # Each tenant's own shards still go oldest first.
+        for tenant, count in (("a", 256), ("b", 6)):
+            indices = [index for who, index in served if who == tenant]
+            assert indices == list(range(count))
+
+    def test_rate_limited_tenant_yields_its_turn(self):
+        sched = WorkStealingScheduler(1)
+        sched.assign([_entry("a", "j1", i) for i in range(3)])
+        sched.assign([_entry("b", "j2", i) for i in range(3)])
+        assert sched.take(0, lambda tenant: tenant == "b")["tenant"] == "b"
+        assert sched.take(0, lambda tenant: True)["tenant"] == "a"
+        assert sched.take(0, lambda tenant: True)["tenant"] == "b"
+        assert sched.take(0, lambda tenant: tenant == "a")["tenant"] == "a"
+        assert sched.drop_job("j1") == 1
+        assert sched.take(0, lambda tenant: tenant == "a") is None
+        assert sched.take(0, lambda tenant: True)["index"] == 2
+
     def test_drop_job_removes_only_that_job(self):
         sched = WorkStealingScheduler(2)
         sched.assign(

@@ -1,17 +1,13 @@
-"""Differential check of the machine's trusted event constructor.
+"""Differential check of the events the machine writes into its trace.
 
 The machine validates and maps each access once, when it executes it,
-and then builds the trace event with
-:func:`~repro.trace.events.machine_event`, which skips
-``MemoryEvent.__post_init__``.  Every event it emits must therefore be
-one the validating ``MemoryEvent(**fields)`` accepts and reproduces
-exactly — every field, ``info`` included — and a machine-built event
-must take no more memory than a validated one (the attribute dict must
-stay key-shared).
+and then appends the event's raw fields to the trace's columns.  Every
+event materialised from those columns must therefore be one the
+validating ``MemoryEvent(**fields)`` accepts and reproduces exactly —
+every field, ``info`` included.
 """
 
 import dataclasses
-import tracemalloc
 
 import pytest
 
@@ -20,7 +16,7 @@ from repro.gpu.lanes import build_lane_machine
 from repro.litmus.corpus import default_corpus
 from repro.queue.workload import run_insert_workload
 from repro.sim import RandomScheduler
-from repro.trace.events import MemoryEvent, machine_event
+from repro.trace.events import MemoryEvent
 
 FIELDS = [field.name for field in dataclasses.fields(MemoryEvent)]
 
@@ -76,29 +72,3 @@ def test_litmus_corpus(consistency):
                 RandomScheduler(seed), consistency=consistency
             )
             assert_revalidates(machine.run())
-
-
-def traced_bytes(build, rows):
-    """Bytes still allocated after building one event per field row."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        kept = [build(row) for row in rows]
-        after = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert len(kept) == len(rows)
-    return after - before
-
-
-def test_machine_event_no_larger_than_validated():
-    machine, _ = build_lane_machine(64, 4, 8, 8, RandomScheduler(0))
-    rows = [event_fields(event) for event in machine.run()]
-    trusted = traced_bytes(lambda row: machine_event(**row), rows)
-    validated = traced_bytes(lambda row: MemoryEvent(**row), rows)
-    # Per event, with one byte of slack for the interpreter's own
-    # bookkeeping (a constant ~100 bytes over the whole list).  An
-    # attribute dict that is no longer key-shared costs ~175 bytes more
-    # per event.
-    per_event = (trusted / len(rows), validated / len(rows))
-    assert per_event[0] <= per_event[1] + 1, per_event

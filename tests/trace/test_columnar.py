@@ -146,7 +146,7 @@ class TestStreamingIo:
         buffer.seek(0)
         with TraceReader(buffer) as reader:
             assert reader.meta == trace.meta
-            assert list(reader.events()) == trace.events
+            assert list(reader.events()) == list(trace)
 
     def test_reader_chunks_match_events(self):
         trace = sample_trace(12)
@@ -155,7 +155,7 @@ class TestStreamingIo:
         buffer.seek(0)
         with TraceReader(buffer) as reader:
             chunks = list(reader.chunks(chunk_events=5))
-        assert [event for chunk in chunks for event in chunk] == trace.events
+        assert [event for chunk in chunks for event in chunk] == list(trace)
 
     def test_writer_round_trips_through_reader(self, tmp_path):
         trace = sample_trace(9)
@@ -166,7 +166,7 @@ class TestStreamingIo:
         assert writer.events_written == 9
         with TraceReader(path) as reader:
             assert reader.meta == trace.meta
-            assert list(reader.events()) == trace.events
+            assert list(reader.events()) == list(trace)
 
     def test_closed_reader_rejects_iteration(self):
         buffer = io.StringIO()

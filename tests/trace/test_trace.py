@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.errors import TraceError
-from repro.trace import EventKind, Trace, make_access, make_marker
+from repro.core.analysis import PrefixSharedAnalysis, analyze
+from repro.errors import SimulationError, TraceError
+from repro.sim import Machine, RandomScheduler
+from repro.trace import EventKind, MemoryEvent, Trace, make_access, make_marker
+from repro.trace.columnar import DEFAULT_CHUNK_EVENTS
 
 
 def sample_trace():
@@ -71,3 +74,181 @@ class TestStats:
         stats = Trace().stats()
         assert stats.events == 0
         assert stats.threads == 0
+
+
+CHUNK = DEFAULT_CHUNK_EVENTS
+#: Truncation points: empty, inside an earlier chunk, exactly at a chunk
+#: boundary, and the whole trace.
+LENGTHS = [0, 100, CHUNK, 2 * CHUNK + 300]
+
+
+def raw_rows(count, salt=0):
+    """``count`` deterministic append_raw rows, some with infos."""
+    rows = []
+    for seq in range(count):
+        thread = (seq + salt) % 3
+        if seq % 11 == 5:
+            rows.append((EventKind.MARK, thread, 0, 0, 0, False, False,
+                         f"m{seq}-{salt}"))
+        elif seq % 7 == 3:
+            rows.append((EventKind.PERSIST_BARRIER, thread))
+        else:
+            rows.append((EventKind.STORE, thread, 0x8000_0000 + 8 * (seq % 64),
+                         8, seq * 31 + salt, True, seq % 5 == 0,
+                         "sb-forward" if seq % 13 == 0 else ""))
+    return rows
+
+
+def columns_of(trace):
+    """Every column of every chunk, infos included."""
+    return [
+        (chunk.base_seq, chunk.kinds.tobytes(), chunk.threads.tobytes(),
+         chunk.addrs.tobytes(), chunk.sizes.tobytes(),
+         chunk.values.tobytes(), chunk.flags.tobytes(), dict(chunk.infos))
+        for chunk in trace.chunks
+    ]
+
+
+def events_with_infos(trace):
+    return [(event, event.info) for event in trace]
+
+
+def assert_same_trace(trace, fresh):
+    assert len(trace) == len(fresh)
+    assert columns_of(trace) == columns_of(fresh)
+    assert events_with_infos(trace) == events_with_infos(fresh)
+
+
+class TestColumnarStorage:
+    def test_chunks_hold_default_sized_runs(self):
+        trace = Trace()
+        for row in raw_rows(2 * CHUNK + 1):
+            trace.append_raw(*row)
+        assert [len(chunk) for chunk in trace.chunks] == [CHUNK, CHUNK, 1]
+        assert [chunk.base_seq for chunk in trace.chunks] == [0, CHUNK, 2 * CHUNK]
+
+    def test_indexing_and_slices_materialise_events(self):
+        trace = Trace()
+        for row in raw_rows(CHUNK + 10):
+            trace.append_raw(*row)
+        events = list(trace)
+        assert [event.seq for event in events] == list(range(CHUNK + 10))
+        assert trace[-1] == events[-1]
+        assert trace[CHUNK] == events[CHUNK]
+        assert trace[CHUNK - 5:CHUNK + 5] == events[CHUNK - 5:CHUNK + 5]
+        assert trace[::1000] == events[::1000]
+        assert trace[5].info == events[5].info == "m5-0"
+        with pytest.raises(IndexError):
+            trace[CHUNK + 10]
+        with pytest.raises(IndexError):
+            trace[-(CHUNK + 11)]
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_truncate_then_append_equals_fresh(self, length):
+        original = raw_rows(2 * CHUNK + 300)
+        replacement = raw_rows(CHUNK + 77, salt=1)
+        trace = Trace()
+        for row in original:
+            trace.append_raw(*row)
+        trace.truncate(length)
+        assert len(trace) == length
+        for row in replacement:
+            trace.append_raw(*row)
+        fresh = Trace()
+        for row in original[:length] + replacement:
+            fresh.append_raw(*row)
+        assert_same_trace(trace, fresh)
+
+    def test_truncate_rejects_bad_lengths(self):
+        trace = Trace()
+        for row in raw_rows(10):
+            trace.append_raw(*row)
+        for length in (-1, 11):
+            with pytest.raises(TraceError):
+                trace.truncate(length)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"value": 1 << 64}, {"thread": 1 << 32}],
+        ids=["overflowing-value", "wide-thread"],
+    )
+    @pytest.mark.parametrize("before", [3, CHUNK], ids=["mid-chunk", "boundary"])
+    def test_append_is_all_or_nothing(self, fields, before):
+        trace = Trace()
+        for row in raw_rows(before):
+            trace.append_raw(*row)
+        expected = columns_of(trace)
+        spec = {
+            "seq": before,
+            "thread": 0,
+            "kind": EventKind.STORE,
+            "addr": 0x8000_0000,
+            "size": 8,
+            "value": 1,
+            "persistent": True,
+            "info": "lost",
+            **fields,
+        }
+        with pytest.raises(TraceError, match=f"event seq {before} does not fit"):
+            trace.append(MemoryEvent(**spec))
+        assert len(trace) == before
+        assert columns_of(trace) == expected
+        # The trace is still appendable at the same seq.
+        spec.update(thread=1, value=2)
+        trace.append(MemoryEvent(**spec))
+        assert trace[before] == MemoryEvent(**spec)
+        assert trace[before].info == "lost"
+
+
+def snapshot_machine():
+    """One thread of stores and marks: one event per scheduling step."""
+    machine = Machine(scheduler=RandomScheduler(0))
+    cell = machine.persistent_heap.malloc(64)
+
+    def body(ctx):
+        for index in range(2 * CHUNK + 200):
+            if index % 9 == 4:
+                yield from ctx.mark(f"op{index}")
+            else:
+                yield from ctx.store(cell + 8 * (index % 8), index)
+
+    machine.spawn(body)
+    return machine
+
+
+class TestMachineRestore:
+    def test_restore_to_every_kind_of_length_equals_fresh_run(self):
+        fresh = snapshot_machine().run()
+        machine = snapshot_machine()
+        machine.enable_snapshots()
+        snaps = {0: machine.snapshot()}
+        steps = 0
+        while len(machine.trace) < CHUNK + 1:
+            steps += 1
+            try:
+                machine.run(max_steps=steps)
+            except SimulationError:
+                pass
+            if len(machine.trace) in (100, CHUNK):
+                snaps[len(machine.trace)] = machine.snapshot()
+        machine.run()
+        snaps[len(machine.trace)] = machine.snapshot()
+        assert sorted(snaps) == [0, 100, CHUNK, len(fresh)]
+        assert len(fresh) > 2 * CHUNK
+        for length in sorted(snaps, reverse=True):
+            machine.restore(snaps[length])
+            assert len(machine.trace) == length
+            assert_same_trace(machine.run(), fresh)
+
+    def test_truncate_after_a_numpy_backed_analysis(self):
+        machine = snapshot_machine()
+        machine.enable_snapshots()
+        start = machine.snapshot()
+        trace = machine.run()
+        assert len(trace.chunks) == 3
+        analyze(trace, "epoch")
+        analysis = PrefixSharedAnalysis(["epoch"], ["bitset"])
+        analysis.advance(trace, 0)
+        analysis.advance(trace, CHUNK + 10)
+        machine.restore(start)
+        assert len(trace) == 0
