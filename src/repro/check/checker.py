@@ -39,6 +39,7 @@ schedule.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -72,6 +73,9 @@ MAX_RECORDED_VIOLATIONS = 1_000
 
 #: Analysis domains that build persist DAGs (the checker's choices).
 GRAPH_DOMAINS = ("bitset", "graph")
+
+#: Engine counters that :meth:`CheckStats.merge` folds by maximum.
+_ENGINE_MAXIMA = ("max_depth", "branching_max")
 
 
 @dataclass(frozen=True)
@@ -196,16 +200,16 @@ class CheckViolation:
 class CheckStats:
     """Work and savings counters for one checking run."""
 
-    schedules: int = 0
-    executions: int = 0
-    sleep_blocked: int = 0
-    dags_analyzed: int = 0
-    dags_deduped: int = 0
-    cuts_checked: int = 0
-    cuts_imaged: int = 0
-    cut_memo_hits: int = 0
-    violation_occurrences: int = 0
-    engine: Dict[str, int] = field(default_factory=dict)
+    schedules: int = option(0, type=int)
+    executions: int = option(0, type=int)
+    sleep_blocked: int = option(0, type=int)
+    dags_analyzed: int = option(0, type=int)
+    dags_deduped: int = option(0, type=int)
+    cuts_checked: int = option(0, type=int)
+    cuts_imaged: int = option(0, type=int)
+    cut_memo_hits: int = option(0, type=int)
+    violation_occurrences: int = option(0, type=int)
+    engine: Dict[str, int] = option(default_factory=dict, type=int, keyed=True)
 
     @property
     def imaging_ratio(self) -> float:
@@ -216,38 +220,22 @@ class CheckStats:
 
     def describe(self) -> Dict[str, object]:
         """JSON-safe summary (for shard merging and ``--stats``)."""
-        return {
-            "schedules": self.schedules,
-            "executions": self.executions,
-            "sleep_blocked": self.sleep_blocked,
-            "dags_analyzed": self.dags_analyzed,
-            "dags_deduped": self.dags_deduped,
-            "cuts_checked": self.cuts_checked,
-            "cuts_imaged": self.cuts_imaged,
-            "cut_memo_hits": self.cut_memo_hits,
-            "violation_occurrences": self.violation_occurrences,
-            "engine": dict(self.engine),
-        }
+        return encode(self)
 
     def merge(self, other: Dict[str, object]) -> None:
-        """Fold another run's :meth:`describe` payload into this one."""
-        for name in (
-            "schedules",
-            "executions",
-            "sleep_blocked",
-            "dags_analyzed",
-            "dags_deduped",
-            "cuts_checked",
-            "cuts_imaged",
-            "cut_memo_hits",
-            "violation_occurrences",
-        ):
-            setattr(self, name, getattr(self, name) + int(other[name]))
-        for key, value in dict(other.get("engine", {})).items():
-            if key in ("max_depth", "branching_max"):
-                self.engine[key] = max(self.engine.get(key, 0), int(value))
-            else:
-                self.engine[key] = self.engine.get(key, 0) + int(value)
+        """Fold another run's :meth:`describe` payload into this one.
+
+        Counters add up, except the engine's depth and branching maxima,
+        which take the larger value.
+        """
+        theirs = CheckStats(**decode_keys(options(CheckStats), other))
+        for name in self.__dataclass_fields__:
+            if name != "engine":
+                mine = getattr(self, name)
+                setattr(self, name, mine + getattr(theirs, name))
+        for key, value in theirs.engine.items():
+            fold = max if key in _ENGINE_MAXIMA else operator.add
+            self.engine[key] = fold(self.engine.get(key, 0), value)
 
 
 @dataclass

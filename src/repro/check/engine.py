@@ -72,6 +72,7 @@ from typing import (
 
 from repro.core.independence import ConflictRelation, blocks_of, exploration_relation
 from repro.errors import ReproError
+from repro.schema import encode, option
 from repro.sim.introspect import Footprint, agent_footprints
 from repro.sim.scheduler import ReplayableScheduler, Scheduler
 
@@ -151,30 +152,21 @@ class EngineStats:
     sleep-set-blocked aborts); ``schedules`` only the complete ones.
     """
 
-    executions: int = 0
-    schedules: int = 0
-    sleep_blocked: int = 0
-    nodes: int = 0
-    max_depth: int = 0
+    executions: int = option(0, type=int)
+    schedules: int = option(0, type=int)
+    sleep_blocked: int = option(0, type=int)
+    nodes: int = option(0, type=int)
+    max_depth: int = option(0, type=int)
     deepest_prefix: Tuple[int, ...] = ()
-    branching_max: int = 0
-    branching_sum: int = 0
-    races_detected: int = 0
-    backtrack_points: int = 0
+    branching_max: int = option(0, type=int)
+    branching_sum: int = option(0, type=int)
+    races_detected: int = option(0, type=int)
+    backtrack_points: int = option(0, type=int)
 
     def describe(self) -> Dict[str, int]:
-        """JSON-safe summary (for shard merging and ``--stats``)."""
-        return {
-            "executions": self.executions,
-            "schedules": self.schedules,
-            "sleep_blocked": self.sleep_blocked,
-            "nodes": self.nodes,
-            "max_depth": self.max_depth,
-            "branching_max": self.branching_max,
-            "branching_sum": self.branching_sum,
-            "races_detected": self.races_detected,
-            "backtrack_points": self.backtrack_points,
-        }
+        """JSON-safe summary (for shard merging and ``--stats``); the
+        deepest prefix is not a counter and stays out."""
+        return encode(self)
 
 
 @dataclass

@@ -32,8 +32,6 @@ from repro.fuzz.campaign import (
     case_tasks,
     execute_spec,
     fold_shards,
-    outcome_from_wire,
-    outcome_to_wire,
     plan_shards,
     run_campaign,
     run_case,
@@ -85,8 +83,6 @@ __all__ = [
     "fold_shards",
     "export_check_violations",
     "make_target",
-    "outcome_from_wire",
-    "outcome_to_wire",
     "plan_shards",
     "run_case_task",
     "run_shard",

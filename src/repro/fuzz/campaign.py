@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.analysis import analyze_graph
 from repro.core.model import MODEL_CHOICES, validate_models
 from repro.core.recovery import FailureInjector
-from repro.errors import FuzzError
+from repro.errors import FuzzError, ReproError
 from repro.fuzz.judge import (
     ClassKey,
     CutJudge,
@@ -53,7 +53,7 @@ from repro.harness.parallel import RetryPolicy, fan_out
 from repro.harness.runner import SEED_SPACE
 from repro.histories.oracle import ORACLES
 from repro.inject.plan import FAULT_KINDS, FaultPlan
-from repro.schema import encode, option
+from repro.schema import decode_keys, encode, option, options
 from repro.sim.scheduler import (
     SCHEDULER_KINDS,
     ChoiceRecordingScheduler,
@@ -104,18 +104,18 @@ class CaseSpec:
     convergence, and invariant/oracle preservation.
     """
 
-    target: str
-    threads: int
-    ops: int
-    sched: str
-    sched_seed: int
-    model: str
-    cuts: str
-    cut_seed: int
-    cut_samples: int = 32
-    faults: Optional[str] = None
-    oracle: str = "invariant"
-    crash_recovery: int = 0
+    target: str = option()
+    threads: int = option(type=int)
+    ops: int = option(type=int)
+    sched: str = option()
+    sched_seed: int = option(type=int)
+    model: str = option()
+    cuts: str = option()
+    cut_seed: int = option(type=int)
+    cut_samples: int = option(32, type=int)
+    faults: Optional[str] = option(None, optional=True)
+    oracle: str = option("invariant")
+    crash_recovery: int = option(0, type=int)
 
     def plan(self) -> Optional[FaultPlan]:
         """The spec's fault plan, decoded, or None for a clean case."""
@@ -125,7 +125,7 @@ class CaseSpec:
 
     def describe(self) -> Dict[str, object]:
         """JSON dict representation (wire format for workers/corpus)."""
-        return asdict(self)
+        return encode(self)
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "CaseSpec":
@@ -135,16 +135,7 @@ class CaseSpec:
         ``crash_recovery``) may be absent — payloads written before the
         field existed still load.
         """
-        try:
-            return cls(
-                **{
-                    key: payload[key]
-                    for key in cls.__dataclass_fields__
-                    if key in payload
-                }
-            )
-        except (KeyError, TypeError) as exc:
-            raise FuzzError(f"malformed case spec: {exc}") from exc
+        return _decoded(cls, payload, "case spec")
 
 
 @dataclass(frozen=True)
@@ -159,58 +150,92 @@ class CaseViolation:
     for ordinary violations).
     """
 
-    cut: Tuple[int, ...]
-    error: str
-    silent: bool = False
-    condition: Optional[str] = None
-    crash: Optional[str] = None
-    crash_schedule: Optional[Tuple[Tuple[int, ...], ...]] = None
+    cut: Tuple[int, ...] = option(type=int, many=True)
+    error: str = option()
+    silent: bool = option(False, type=bool)
+    condition: Optional[str] = option(None, optional=True)
+    crash: Optional[str] = option(None, optional=True)
+    crash_schedule: Optional[Tuple[Tuple[int, ...], ...]] = option(
+        None, type=int, many=2, optional=True
+    )
 
 
 @dataclass
 class CaseOutcome:
-    """Everything one executed case reports back to the campaign."""
+    """Everything one executed case reports back to the campaign.
 
-    spec: CaseSpec
-    index: int
-    events: int
-    persists: int
-    cuts_checked: int
-    violation_count: int
-    violations: List[CaseViolation] = field(default_factory=list)
+    :func:`~repro.schema.encode` gives its wire form (worker results and
+    shard payloads), and :meth:`from_payload` reads it back.
+    """
+
+    spec: CaseSpec = option(type=CaseSpec)
+    index: int = option(type=int)
+    events: int = option(type=int)
+    persists: int = option(type=int)
+    cuts_checked: int = option(type=int)
+    violation_count: int = option(type=int)
+    violations: Tuple[CaseViolation, ...] = option(
+        (), type=CaseViolation, many=True
+    )
     #: Recorded schedule choices; carried only for violating cases.
-    choices: Optional[Tuple[int, ...]] = None
+    choices: Optional[Tuple[int, ...]] = option(
+        None, type=int, many=True, optional=True
+    )
     #: Cut images where at least one fault actually landed.
-    fault_images: int = 0
+    fault_images: int = option(0, type=int)
     #: Total faults injected across the case's images.
-    faults_injected: int = 0
+    faults_injected: int = option(0, type=int)
     #: Faulted images whose recovery was indistinguishable from clean.
-    fault_masked: int = 0
+    fault_masked: int = option(0, type=int)
     #: Diagnoses quarantined by degrading recovery (detected faults).
-    fault_detected: int = 0
+    fault_detected: int = option(0, type=int)
     #: Faulted images an *unhardened* target mis-recovered (documented
     #: exposure, not a campaign failure; hardened targets count these
     #: as silent-corruption violations instead).
-    fault_undetected: int = 0
+    fault_undetected: int = option(0, type=int)
     #: Exact count of silent-corruption violations (violations carrying
     #: ``silent=True``; the recorded list is capped, this is not).
-    silent_violation_count: int = 0
+    silent_violation_count: int = option(0, type=int)
     #: Sampled undetected-fault sightings (capped, count is exact).
-    undetected: List[CaseViolation] = field(default_factory=list)
+    undetected: Tuple[CaseViolation, ...] = option(
+        (), type=CaseViolation, many=True
+    )
     #: Exact violation tally per broken condition ("dl", "dl+bdl");
     #: populated only by history oracles (the recorded list is capped,
     #: these counts are not).
-    condition_counts: Dict[str, int] = field(default_factory=dict)
+    condition_counts: Dict[str, int] = option(
+        default_factory=dict, type=int, keyed=True
+    )
     #: Repair executions across the case's crash-recovery explorations.
-    crash_repairs: int = 0
+    crash_repairs: int = option(0, type=int)
     #: Nested crash cuts of repair runs explored.
-    crash_nested_cuts: int = 0
+    crash_nested_cuts: int = option(0, type=int)
     #: Exact violation tally per crash-recovery oracle ("idempotence",
     #: "convergence", "preservation"); the recorded list is capped,
     #: these counts are not.
-    crash_counts: Dict[str, int] = field(default_factory=dict)
-    #: Set when the case itself failed to run (crashed worker cell).
-    error: Optional[str] = None
+    crash_counts: Dict[str, int] = option(
+        default_factory=dict, type=int, keyed=True
+    )
+    #: Set when the case itself failed to run (crashed worker cell);
+    #: encoded only then.
+    error: Optional[str] = option(None, optional=True, sparse=True)
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, object]) -> "CaseOutcome":
+        """Rebuild an outcome from its encoding (keys added after the
+        first wire format may be absent)."""
+        return _decoded(cls, payload, "case outcome")
+
+
+def _decoded(cls: type, payload: object, what: str):
+    """``cls`` decoded from ``payload``; a malformed payload raises
+    :class:`~repro.errors.FuzzError` naming the key."""
+    if not isinstance(payload, dict):
+        raise FuzzError(f"malformed {what}: not a JSON object: {payload!r}")
+    try:
+        return cls(**decode_keys(options(cls), payload))
+    except ReproError as exc:
+        raise FuzzError(f"malformed {what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -377,8 +402,8 @@ def _tally(
     elif verdict.kind == "undetected":
         outcome.fault_undetected += 1
         if len(outcome.undetected) < _MAX_RECORDED_UNDETECTED:
-            outcome.undetected.append(
-                CaseViolation(cut=tuple(sorted(cut)), error=verdict.error)
+            outcome.undetected += (
+                CaseViolation(cut=tuple(sorted(cut)), error=verdict.error),
             )
     else:
         _record(outcome, cut, verdict)
@@ -400,7 +425,7 @@ def _record(
         counts = outcome.crash_counts
         counts[verdict.crash] = counts.get(verdict.crash, 0) + 1
     if len(outcome.violations) < _MAX_RECORDED_VIOLATIONS:
-        outcome.violations.append(
+        outcome.violations += (
             CaseViolation(
                 cut=tuple(sorted(cut)),
                 error=verdict.error,
@@ -408,90 +433,20 @@ def _record(
                 condition=verdict.condition,
                 crash=verdict.crash,
                 crash_schedule=verdict.schedule,
-            )
+            ),
         )
-
-
-def _schedule_to_wire(schedule) -> Optional[List[List[int]]]:
-    """JSON-safe encoding of a nested-crash schedule."""
-    if schedule is None:
-        return None
-    return [list(level) for level in schedule]
-
-
-def _schedule_from_wire(entry) -> Optional[Tuple[Tuple[int, ...], ...]]:
-    """Rebuild a nested-crash schedule from its wire encoding."""
-    if entry is None:
-        return None
-    return tuple(tuple(level) for level in entry)
-
-
-def _violations_to_wire(violations: List[CaseViolation]) -> List[dict]:
-    """JSON-safe encoding of recorded violations."""
-    return [
-        {
-            "cut": list(violation.cut),
-            "error": violation.error,
-            "silent": violation.silent,
-            "condition": violation.condition,
-            "crash": violation.crash,
-            "crash_schedule": _schedule_to_wire(violation.crash_schedule),
-        }
-        for violation in violations
-    ]
-
-
-def _violations_from_wire(entries: List[dict]) -> List[CaseViolation]:
-    """Rebuild recorded violations from their wire encoding."""
-    return [
-        CaseViolation(
-            cut=tuple(entry["cut"]),
-            error=entry["error"],
-            silent=entry.get("silent", False),
-            condition=entry.get("condition"),
-            crash=entry.get("crash"),
-            crash_schedule=_schedule_from_wire(entry.get("crash_schedule")),
-        )
-        for entry in entries
-    ]
-
-
-def outcome_to_wire(outcome: CaseOutcome) -> dict:
-    """JSON-safe encoding of one outcome (worker results and shard
-    payloads)."""
-    return {
-        "spec": outcome.spec.describe(),
-        "index": outcome.index,
-        "events": outcome.events,
-        "persists": outcome.persists,
-        "cuts_checked": outcome.cuts_checked,
-        "violation_count": outcome.violation_count,
-        "violations": _violations_to_wire(outcome.violations),
-        "choices": list(outcome.choices) if outcome.choices else None,
-        "fault_images": outcome.fault_images,
-        "faults_injected": outcome.faults_injected,
-        "fault_masked": outcome.fault_masked,
-        "fault_detected": outcome.fault_detected,
-        "fault_undetected": outcome.fault_undetected,
-        "silent_violation_count": outcome.silent_violation_count,
-        "undetected": _violations_to_wire(outcome.undetected),
-        "condition_counts": dict(outcome.condition_counts),
-        "crash_repairs": outcome.crash_repairs,
-        "crash_nested_cuts": outcome.crash_nested_cuts,
-        "crash_counts": dict(outcome.crash_counts),
-    }
 
 
 def run_case_task(task: dict) -> dict:
     """Worker entry point: run one case from a JSON-safe task dict.
 
     ``task`` is one element of :func:`case_tasks` output; the result is
-    a wire-format :class:`CaseOutcome` (see :func:`outcome_from_wire`).
+    an encoded :class:`CaseOutcome` (see :meth:`CaseOutcome.from_payload`).
     Module-level so it crosses the process boundary for both
     :func:`repro.harness.parallel.fan_out` and the serve worker pool.
     """
     spec = CaseSpec.from_payload(task["spec"])
-    return outcome_to_wire(run_case(spec, index=task["index"]))
+    return encode(run_case(spec, index=task["index"]))
 
 
 def case_tasks(config: CampaignConfig) -> List[dict]:
@@ -504,34 +459,6 @@ def case_tasks(config: CampaignConfig) -> List[dict]:
         {"index": index, "spec": spec.describe()}
         for index, spec in enumerate(sample_specs(config))
     ]
-
-
-def outcome_from_wire(payload: dict) -> CaseOutcome:
-    """Rebuild a :class:`CaseOutcome` from a worker's result dict."""
-    return CaseOutcome(
-        spec=CaseSpec.from_payload(payload["spec"]),
-        index=payload["index"],
-        events=payload["events"],
-        persists=payload["persists"],
-        cuts_checked=payload["cuts_checked"],
-        violation_count=payload["violation_count"],
-        violations=_violations_from_wire(payload["violations"]),
-        choices=(
-            tuple(payload["choices"]) if payload["choices"] else None
-        ),
-        fault_images=payload.get("fault_images", 0),
-        faults_injected=payload.get("faults_injected", 0),
-        fault_masked=payload.get("fault_masked", 0),
-        fault_detected=payload.get("fault_detected", 0),
-        fault_undetected=payload.get("fault_undetected", 0),
-        silent_violation_count=payload.get("silent_violation_count", 0),
-        undetected=_violations_from_wire(payload.get("undetected", [])),
-        condition_counts=dict(payload.get("condition_counts", {})),
-        crash_repairs=payload.get("crash_repairs", 0),
-        crash_nested_cuts=payload.get("crash_nested_cuts", 0),
-        crash_counts=dict(payload.get("crash_counts", {})),
-        error=payload.get("error"),
-    )
 
 
 @dataclass
@@ -871,7 +798,7 @@ def run_shard(task: dict) -> dict:
     """Worker entry point: run one shard's cases in order.
 
     Returns the shard payload ``{"kind", "indices", "outcomes"}`` with
-    wire-format outcomes (see :func:`outcome_from_wire`).
+    encoded outcomes (see :meth:`CaseOutcome.from_payload`).
     """
     return {
         "kind": "fuzz",
@@ -886,17 +813,17 @@ def _failed_shard(task: dict, error: str) -> dict:
         "kind": "fuzz",
         "indices": [case["index"] for case in task["cases"]],
         "outcomes": [
-            {
-                "spec": case["spec"],
-                "index": case["index"],
-                "events": 0,
-                "persists": 0,
-                "cuts_checked": 0,
-                "violation_count": 0,
-                "violations": [],
-                "choices": None,
-                "error": error,
-            }
+            encode(
+                CaseOutcome(
+                    spec=CaseSpec.from_payload(case["spec"]),
+                    index=case["index"],
+                    events=0,
+                    persists=0,
+                    cuts_checked=0,
+                    violation_count=0,
+                    error=error,
+                )
+            )
             for case in task["cases"]
         ],
     }
@@ -905,9 +832,13 @@ def _failed_shard(task: dict, error: str) -> dict:
 def fold_shards(
     config: CampaignConfig, payloads: Iterable[dict]
 ) -> CampaignResult:
-    """Fold shard payloads, in any order, into the campaign's result."""
+    """Fold shard payloads, in any order, into the campaign's result.
+
+    Raises:
+        FuzzError: when an outcome is malformed, naming the key.
+    """
     outcomes = [
-        outcome_from_wire(wire)
+        CaseOutcome.from_payload(wire)
         for payload in payloads
         for wire in payload["outcomes"]
     ]

@@ -101,7 +101,9 @@ class ReproCase:
     oracle: str = option("invariant")
     condition: Optional[str] = option(None, optional=True)
     crash: Optional[str] = option(None, optional=True)
-    crash_schedule: Optional[Tuple[Tuple[int, ...], ...]] = None
+    crash_schedule: Optional[Tuple[Tuple[int, ...], ...]] = option(
+        None, type=int, many=2, optional=True
+    )
     crash_recovery: int = option(0, type=int)
 
     def plan(self) -> Optional[FaultPlan]:
@@ -140,14 +142,7 @@ class ReproCase:
 
     def describe(self) -> Dict[str, object]:
         """JSON dict representation (exactly what is written to disk)."""
-        schedule = self.crash_schedule
-        return {
-            "version": CORPUS_FORMAT_VERSION,
-            **encode(self),
-            "crash_schedule": (
-                None if schedule is None else [list(cut) for cut in schedule]
-            ),
-        }
+        return {"version": CORPUS_FORMAT_VERSION, **encode(self)}
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "ReproCase":
@@ -167,20 +162,10 @@ class ReproCase:
                     f"repro format version {payload['version']} is not "
                     f"{CORPUS_FORMAT_VERSION}"
                 )
-            schedule = payload.get("crash_schedule")
-            if schedule is not None:
-                schedule = tuple(
-                    tuple(int(pid) for pid in cut) for cut in schedule
-                )
-            return decode(
-                cls,
-                payload,
-                extra=("version", "crash_schedule"),
-                crash_schedule=schedule,
-            )
+            return decode(cls, payload, extra=("version",))
         except FuzzError:
             raise
-        except (KeyError, TypeError, ValueError, ReproError) as exc:
+        except (KeyError, ReproError) as exc:
             raise FuzzError(f"malformed repro payload: {exc}") from exc
 
     def validate(self) -> None:

@@ -25,7 +25,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.errors import FuzzError
+from repro.errors import FuzzError, ReproError
+from repro.schema import decode, encode, option
 
 #: Fault kinds a plan can enable, in canonical order.
 FAULT_KINDS: Tuple[str, ...] = ("torn", "dropped", "corrupt")
@@ -63,14 +64,14 @@ class FaultPlan:
             counterexamples interpretable).
     """
 
-    seed: int = 0
-    torn: float = 0.0
-    dropped: float = 0.0
-    corrupt: int = 0
-    tear_granularity: int = 1
-    drop_scope: str = "maximal"
-    wear_bias: bool = True
-    max_faults: int = 4
+    seed: int = option(0, type=int)
+    torn: float = option(0.0, type=float)
+    dropped: float = option(0.0, type=float)
+    corrupt: int = option(0, type=int)
+    tear_granularity: int = option(1, type=int)
+    drop_scope: str = option("maximal")
+    wear_bias: bool = option(True, type=bool)
+    max_faults: int = option(4, type=int)
 
     def validate(self) -> None:
         """Raise :class:`~repro.errors.FuzzError` on unusable parameters."""
@@ -123,39 +124,22 @@ class FaultPlan:
 
     def describe(self) -> Dict[str, object]:
         """JSON dict representation (the wire format)."""
-        return {
-            "seed": self.seed,
-            "torn": self.torn,
-            "dropped": self.dropped,
-            "corrupt": self.corrupt,
-            "tear_granularity": self.tear_granularity,
-            "drop_scope": self.drop_scope,
-            "wear_bias": self.wear_bias,
-            "max_faults": self.max_faults,
-        }
+        return encode(self)
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "FaultPlan":
-        """Rebuild a plan from :meth:`describe` output.
+        """Rebuild a plan from :meth:`describe` output; absent keys take
+        their defaults, and an integral probability reads as a float.
 
         Raises:
             FuzzError: on a malformed payload or invalid parameters.
         """
         try:
-            plan = cls(
-                seed=int(payload["seed"]),
-                torn=float(payload["torn"]),
-                dropped=float(payload["dropped"]),
-                corrupt=int(payload["corrupt"]),
-                tear_granularity=int(payload["tear_granularity"]),
-                drop_scope=str(payload["drop_scope"]),
-                wear_bias=bool(payload["wear_bias"]),
-                max_faults=int(payload["max_faults"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return decode(cls, payload)
+        except FuzzError:
+            raise
+        except ReproError as exc:
             raise FuzzError(f"malformed fault plan: {exc}") from exc
-        plan.validate()
-        return plan
 
     def to_json(self) -> str:
         """Canonical JSON string (stable: sorted keys, no whitespace).

@@ -186,16 +186,17 @@ def schedule_from_trace(trace, cost_model=None) -> PersistSchedule:
     traces and a bus-serialised approximation for multithreaded ones.
     """
     from repro.harness.instr import DEFAULT_COST_MODEL
-    from repro.trace.events import EventKind
+    from repro.trace.events import STORE_KINDS, EventKind
 
     cost_model = cost_model or DEFAULT_COST_MODEL
     times = cost_model.event_times(trace.chunks)
     persist_times: List[float] = []
     sync_times: List[float] = []
-    for event, finish in zip(trace, times):
-        if event.is_persist:
+    for row, finish in zip(trace.rows(), times):
+        _, _, kind, _, _, _, persistent, _, _ = row
+        if persistent and kind in STORE_KINDS:
             persist_times.append(finish)
-        elif event.kind is EventKind.PERSIST_SYNC:
+        elif kind is EventKind.PERSIST_SYNC:
             sync_times.append(finish)
     persist_times.sort()
     sync_times.sort()

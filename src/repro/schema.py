@@ -15,6 +15,17 @@ CLI flag, choices and help.  One codec drives each layer from that:
 * :func:`add_arguments` generates a subcommand's argparse block, with
   per-command overrides, and :func:`from_args` reads the config back.
 
+The same codec reads and writes the payloads that cross process, store
+and journal boundaries: fuzz case specs and outcomes with their recorded
+violations (:mod:`repro.fuzz.campaign`), fault plans
+(:mod:`repro.inject.plan`), corpus repro cases (:mod:`repro.fuzz.corpus`),
+serve job records (:mod:`repro.serve.jobs`), and model-check violations
+and stats (:mod:`repro.check`).  A field's type may be a described
+dataclass (a nested JSON object), ``many`` may nest lists two deep (a
+nested-crash schedule), and ``keyed`` makes it a JSON object of values
+(counters, a job's spec and summary).  Each caller maps the codec's
+:class:`~repro.errors.ReproError` to its own error type.
+
 Job-level keys that belong to no engine config (a check job's
 ``threads``, a fuzz job's ``batch``) are :class:`Option` maps bound by
 :func:`options_of` and parsed by :func:`decode_keys`.  A field marked
@@ -28,32 +39,41 @@ record it; ``decode(..., task=True)`` reads it back.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Optional
+from functools import lru_cache
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # engines import this module; only the CLI needs argparse
     import argparse
 
-_TYPE_NAMES = {str: "string", int: "integer", float: "number", bool: "boolean"}
+_TYPE_NAMES = {
+    str: "string", int: "integer", float: "number", bool: "boolean",
+    object: "value",
+}
 
 
 @dataclass(frozen=True)
 class Option:
     """The description of one job field.
 
-    ``type`` is the value type (of each element when ``many``: a tuple
-    on the config, a JSON list in a spec); ``optional`` admits None.
-    ``key``/``flag`` default (``""``) to the field name and its dashed
-    flag; None keeps the field out of specs / off the CLI.
-    ``settable=False`` does both, yet keeps the field in encoded tasks
-    (see the module docstring).  ``noun`` names a choice in errors;
-    ``cli`` holds extra argparse keywords.  ``name`` and ``default`` are
-    bound from the field.
+    ``type`` is the value type: a JSON scalar type, ``object`` (any
+    JSON value) or a described dataclass (a JSON object decoded through
+    its own options).  ``many`` is the list depth (True: a tuple on the
+    config, a JSON list in a spec; 2: a tuple of tuples); ``keyed``
+    makes the value a dict of ``type`` values, a JSON object in a spec;
+    ``optional`` admits None.  ``key``/``flag`` default (``""``) to the
+    field name and its dashed flag; None keeps the field out of specs /
+    off the CLI.  ``settable=False`` does both, yet keeps the field in
+    encoded tasks (see the module docstring).  ``sparse`` leaves the
+    field out of an encoding while it holds its default.  ``noun`` names
+    a choice in errors; ``cli`` holds extra argparse keywords.  ``name``
+    and ``default`` are bound from the field.
     """
 
     type: type = str
-    many: bool = False
+    many: int = False
+    keyed: bool = False
     optional: bool = False
     choices: Optional[tuple] = None
     noun: str = "value"
@@ -62,6 +82,7 @@ class Option:
     flag: Optional[str] = ""
     shardable: bool = True
     settable: bool = True
+    sparse: bool = False
     cli: Mapping[str, Any] = field(default_factory=dict)
     name: str = ""
     default: Any = field(default_factory=lambda: MISSING)
@@ -70,19 +91,53 @@ class Option:
         """The config value of a spec value; raises on a malformed one."""
         if value is None and self.optional:
             return None
-        if not self.many:
-            return self._scalar(value)
-        if not isinstance(value, list):
-            raise ReproError(
-                f"{self.key!r} must be a list of {_TYPE_NAMES[self.type]}s, "
-                f"got {value!r}"
-            )
-        return tuple(self._scalar(item) for item in value)
+        return self._parse(value, int(self.many))
+
+    def unparse(self, value: object) -> object:
+        """The spec value of a config value (the inverse of :meth:`parse`)."""
+        if value is None:
+            return None
+        if self.keyed:
+            return dict(value)
+        return self._unparse(value, int(self.many))
+
+    def _parse(self, value: object, depth: int) -> object:
+        name = _TYPE_NAMES.get(self.type, "object")  # else a dataclass
+        if depth:
+            if not isinstance(value, list):
+                raise ReproError(
+                    f"{self.key!r} must be a list of {name}s, got {value!r}"
+                )
+            if depth == 1:
+                return tuple(map(self._scalar, value))
+            return tuple(self._parse(item, depth - 1) for item in value)
+        if self.keyed:
+            if not isinstance(value, dict):
+                raise ReproError(
+                    f"{self.key!r} must be an object of {name}s, "
+                    f"got {value!r}"
+                )
+            return {key: self._scalar(item) for key, item in value.items()}
+        return self._scalar(value)
+
+    def _unparse(self, value: object, depth: int) -> object:
+        nested = self.type not in _TYPE_NAMES
+        if depth > 1 or (depth and nested):
+            return [self._unparse(item, depth - 1) for item in value]
+        if depth:
+            return list(value)
+        return encode(value) if nested else value
 
     def _scalar(self, value: object) -> object:
+        if self.type not in _TYPE_NAMES:
+            if not isinstance(value, dict):
+                raise ReproError(
+                    f"{self.key!r} must be an object, got {value!r}"
+                )
+            return self.type(**decode_keys(options(self.type), value))
         accepted = (int, float) if self.type is float else self.type
         if not isinstance(value, accepted) or (
-            isinstance(value, bool) and self.type is not bool
+            isinstance(value, bool) and self.type in (int, float)
         ):
             name = _TYPE_NAMES[self.type]
             article = "an" if name[0] in "aeiou" else "a"
@@ -94,7 +149,7 @@ class Option:
                 f"unknown {self.noun} {value!r} for {self.key!r}; "
                 f"expected one of {list(self.choices)}"
             )
-        return value
+        return float(value) if self.type is float else value
 
     def argument(self, overrides: Mapping[str, Any]) -> tuple:
         """``(flag, add_argument keywords)`` of the field's CLI flag."""
@@ -117,9 +172,15 @@ class Option:
         return flag, kwargs
 
 
-def option(default: Any = MISSING, **meta: Any) -> Any:
+def option(
+    default: Any = MISSING, default_factory: Any = MISSING, **meta: Any
+) -> Any:
     """A dataclass field described by an :class:`Option` (``meta``)."""
-    return field(default=default, metadata={"option": Option(**meta)})
+    return field(
+        default=default,
+        default_factory=default_factory,
+        metadata={"option": Option(**meta)},
+    )
 
 
 def _bind(name: str, opt: Option, default: Any) -> Option:
@@ -140,12 +201,26 @@ def options_of(**opts: Option) -> Dict[str, Option]:
     return {name: _bind(name, opt, opt.default) for name, opt in opts.items()}
 
 
-def options(cls: type) -> Dict[str, Option]:
-    """A config class's described fields, by field name, in order."""
-    return {
-        f.name: _bind(f.name, f.metadata["option"], f.default)
+@lru_cache(maxsize=None)
+def _bound(cls: type) -> Tuple[Tuple[Option, Any], ...]:
+    """``cls``'s described fields, bound, each with its default factory."""
+    return tuple(
+        (_bind(f.name, f.metadata["option"], f.default), f.default_factory)
         for f in fields(cls)
         if "option" in f.metadata
+    )
+
+
+def options(cls: type) -> Dict[str, Option]:
+    """A config class's described fields, by field name, in order.
+
+    A field with a default factory is bound to a fresh default on each
+    call, so no two configs decoded from one binding share a mutable
+    default.
+    """
+    return {
+        opt.name: opt if factory is MISSING else replace(opt, default=factory())
+        for opt, factory in _bound(cls)
     }
 
 
@@ -197,13 +272,14 @@ def decode(
 
 def encode(config: object) -> Dict[str, object]:
     """The JSON spec of a config: every spec-keyed field, and every
-    field that is not settable (under its name), in order."""
+    field that is not settable (under its name), in order; a ``sparse``
+    field only when it differs from its default."""
     spec = {}
     for opt in options(type(config)).values():
         key = opt.key if opt.settable else opt.name
-        if key is not None:
-            value = getattr(config, opt.name)
-            spec[key] = list(value) if opt.many else value
+        value = getattr(config, opt.name)
+        if key is not None and not (opt.sparse and value == opt.default):
+            spec[key] = opt.unparse(value)
     return spec
 
 

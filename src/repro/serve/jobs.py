@@ -32,7 +32,7 @@ than trusted.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -55,7 +55,15 @@ from repro.litmus.runner import (
     summarize_reports,
     summary_lines,
 )
-from repro.schema import Option, decode, decode_keys, options_of
+from repro.schema import (
+    Option,
+    decode,
+    decode_keys,
+    encode,
+    option,
+    options,
+    options_of,
+)
 
 _PathLike = Union[str, Path]
 
@@ -268,21 +276,23 @@ def job_id(tenant: str, seq: int, spec: Dict[str, object]) -> str:
 class JobRecord:
     """One job's durable state (the journal entry and the wire form)."""
 
-    id: str
-    tenant: str
-    seq: int
-    spec: Dict[str, object]
-    state: str = "submitted"
-    shards_total: int = 0
-    shards_done: int = 0
-    store_hits: int = 0
-    store_misses: int = 0
-    violations: Optional[int] = None
-    summary: Optional[Dict[str, object]] = None
-    error: Optional[str] = None
-    submitted_at: float = field(default_factory=time.time)
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
+    id: str = option()
+    tenant: str = option()
+    seq: int = option(type=int)
+    spec: Dict[str, object] = option(type=object, keyed=True)
+    state: str = option("submitted", choices=JOB_STATES, noun="job state")
+    shards_total: int = option(0, type=int)
+    shards_done: int = option(0, type=int)
+    store_hits: int = option(0, type=int)
+    store_misses: int = option(0, type=int)
+    violations: Optional[int] = option(None, type=int, optional=True)
+    summary: Optional[Dict[str, object]] = option(
+        None, type=object, keyed=True, optional=True
+    )
+    error: Optional[str] = option(None, optional=True)
+    submitted_at: float = option(default_factory=time.time, type=float)
+    started_at: Optional[float] = option(None, type=float, optional=True)
+    finished_at: Optional[float] = option(None, type=float, optional=True)
 
     @property
     def digest(self) -> str:
@@ -314,7 +324,9 @@ class JobRecord:
     def to_payload(self) -> Dict[str, object]:
         """JSON-safe journal/wire encoding, digest guard included."""
         return {
-            "version": JOB_FORMAT_VERSION, "digest": self.digest, **asdict(self)
+            "version": JOB_FORMAT_VERSION,
+            "digest": self.digest,
+            **encode(self),
         }
 
     @classmethod
@@ -327,34 +339,19 @@ class JobRecord:
                 record's (tenant, seq, spec) — an edited or corrupt
                 journal entry must not resume.
         """
-        try:
-            if payload["version"] != JOB_FORMAT_VERSION:
-                raise ServeError(
-                    f"journal format {payload['version']} != "
-                    f"{JOB_FORMAT_VERSION}"
-                )
-            record = cls(
-                id=str(payload["id"]),
-                tenant=str(payload["tenant"]),
-                seq=int(payload["seq"]),
-                spec=dict(payload["spec"]),
-                state=str(payload["state"]),
-                shards_total=int(payload["shards_total"]),
-                shards_done=int(payload["shards_done"]),
-                store_hits=int(payload.get("store_hits", 0)),
-                store_misses=int(payload.get("store_misses", 0)),
-                violations=payload.get("violations"),
-                summary=payload.get("summary"),
-                error=payload.get("error"),
-                submitted_at=float(payload["submitted_at"]),
-                started_at=payload.get("started_at"),
-                finished_at=payload.get("finished_at"),
+        if not isinstance(payload, dict):
+            raise ServeError(f"malformed job record: {payload!r}")
+        if payload.get("version") != JOB_FORMAT_VERSION:
+            raise ServeError(
+                f"journal format {payload.get('version')} != "
+                f"{JOB_FORMAT_VERSION}"
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        try:
+            record = cls(**decode_keys(options(cls), payload))
+        except ReproError as exc:
             raise ServeError(f"malformed job record: {exc}") from exc
-        if record.state not in JOB_STATES:
-            raise ServeError(f"unknown job state {record.state!r}")
-        if payload["digest"] != record.digest or record.id != record.digest:
+        digest = record.digest
+        if payload.get("digest") != digest or record.id != digest:
             raise ServeError(
                 f"job record digest mismatch for {record.id} (journal "
                 f"entry edited or corrupt)"

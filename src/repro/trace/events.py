@@ -71,7 +71,7 @@ class EventKind(enum.Enum):
 #: Kinds that read memory.
 _LOAD_LIKE = frozenset({EventKind.LOAD, EventKind.RMW})
 #: Kinds that write memory.
-_STORE_LIKE = frozenset({EventKind.STORE, EventKind.RMW})
+STORE_KINDS = frozenset({EventKind.STORE, EventKind.RMW})
 #: Kinds that reference an address range (the accesses).
 ACCESS_KINDS = frozenset({EventKind.LOAD, EventKind.STORE, EventKind.RMW})
 #: Cache-line flush kinds (Px86 family).  They carry an address range —
@@ -141,7 +141,7 @@ class MemoryEvent:
     @property
     def is_store_like(self) -> bool:
         """True for events that write memory (store/RMW)."""
-        return self.kind in _STORE_LIKE
+        return self.kind in STORE_KINDS
 
     @property
     def is_persist(self) -> bool:

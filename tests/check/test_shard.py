@@ -1,9 +1,12 @@
 """Tests for prefix-partitioned sharded checking."""
 
+import json
+
 import pytest
 
 from repro.check import (
     CheckConfig,
+    CheckStats,
     ShardMerge,
     check_shard_worker,
     check_target,
@@ -97,6 +100,42 @@ class TestShardTasks:
             assert task["max_schedules"] == 500
             assert task["max_cuts"] == 128
             assert task["oracle"] == "invariant"
+
+
+#: CheckStats' summed counters (the engine dict aside).
+COUNTERS = [
+    name for name in CheckStats.__dataclass_fields__ if name != "engine"
+]
+
+
+def full_stats(base: int) -> CheckStats:
+    """Stats with every counter off its default, from ``base`` up."""
+    stats = CheckStats(**{name: base + i for i, name in enumerate(COUNTERS)})
+    stats.engine = {
+        "nodes": base, "max_depth": 10 - base, "branching_max": base
+    }
+    return stats
+
+
+class TestCheckStats:
+    def test_merged_payloads_equal_direct_sums(self):
+        first, second = full_stats(1), full_stats(4)
+        merged = CheckStats()
+        for stats in (first, second):
+            merged.merge(json.loads(json.dumps(stats.describe())))
+        direct = CheckStats(
+            **{
+                name: getattr(first, name) + getattr(second, name)
+                for name in COUNTERS
+            },
+            engine={"nodes": 5, "max_depth": 9, "branching_max": 4},
+        )
+        assert merged == direct
+
+    def test_malformed_counter_names_the_key(self):
+        payload = {**full_stats(1).describe(), "cuts_checked": "3"}
+        with pytest.raises(ReproError, match="'cuts_checked'"):
+            CheckStats().merge(payload)
 
 
 class TestShardMerge:

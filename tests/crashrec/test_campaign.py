@@ -7,19 +7,21 @@ corpus entry replays deterministically with the nested-crash schedule
 carried in the repro file.
 """
 
+import json
+
 import pytest
 
 from repro.errors import FuzzError
 from repro.fuzz.campaign import (
     CampaignConfig,
+    CaseOutcome,
     CaseSpec,
-    outcome_from_wire,
-    outcome_to_wire,
     run_case,
     run_campaign,
 )
 from repro.fuzz.corpus import Corpus, ReproCase, replay_case
 from repro.fuzz.minimize import minimize_finding
+from repro.schema import encode
 
 
 def buggy_config(budget=4, **overrides):
@@ -93,16 +95,10 @@ class TestCampaignAxis:
         outcome = next(
             o for o in buggy_result.outcomes if o.crash_counts
         )
-        rebuilt = outcome_from_wire(outcome_to_wire(outcome))
-        assert rebuilt.crash_repairs == outcome.crash_repairs
-        assert rebuilt.crash_nested_cuts == outcome.crash_nested_cuts
-        assert rebuilt.crash_counts == outcome.crash_counts
-        assert [v.crash for v in rebuilt.violations] == [
-            v.crash for v in outcome.violations
-        ]
-        assert [v.crash_schedule for v in rebuilt.violations] == [
-            v.crash_schedule for v in outcome.violations
-        ]
+        rebuilt = CaseOutcome.from_payload(
+            json.loads(json.dumps(encode(outcome)))
+        )
+        assert rebuilt == outcome
 
     def test_run_case_rejects_non_repairable_spec(self):
         spec = CaseSpec(

@@ -1,5 +1,8 @@
 """Tests for the campaign engine, including bug rediscovery."""
 
+import json
+from dataclasses import replace
+
 import pytest
 
 from repro.core import is_consistent_cut
@@ -7,12 +10,19 @@ from repro.errors import FuzzError
 from repro.fuzz import (
     CUT_FAMILIES,
     CampaignConfig,
+    CaseOutcome,
     CaseSpec,
+    CaseViolation,
     execute_spec,
+    fold_shards,
+    plan_shards,
     run_campaign,
     run_case,
     sample_specs,
 )
+from repro.fuzz.campaign import _failed_shard
+from repro.inject import FaultPlan
+from repro.schema import encode
 from repro.sim import SCHEDULER_KINDS
 
 #: Known-violating specs (pinned from seed-0 campaign sampling) — the
@@ -47,6 +57,90 @@ class TestCaseSpec:
     def test_malformed_payload_rejected(self):
         with pytest.raises(FuzzError):
             CaseSpec.from_payload({"target": "kv"})
+
+
+def full_outcome() -> CaseOutcome:
+    """An outcome with every field, its spec's and its violations' off
+    their defaults."""
+    violation = CaseViolation(
+        cut=(0, 2, 5),
+        error="lost append",
+        silent=True,
+        condition="dl+bdl",
+        crash="idempotence",
+        crash_schedule=((1, 2), (), (3,)),
+    )
+    return CaseOutcome(
+        spec=CaseSpec(
+            target="kv", threads=2, ops=3, sched="random", sched_seed=7,
+            model="epoch", cuts="sample", cut_seed=9, cut_samples=4,
+            faults=FaultPlan.for_kind("torn", seed=1).to_json(),
+            oracle="dl", crash_recovery=2,
+        ),
+        index=5,
+        events=120,
+        persists=30,
+        cuts_checked=4,
+        violation_count=2,
+        violations=(violation, replace(violation, cut=(1,), silent=False)),
+        choices=(0, 1, 1),
+        fault_images=3,
+        faults_injected=4,
+        fault_masked=1,
+        fault_detected=2,
+        fault_undetected=1,
+        silent_violation_count=1,
+        undetected=(CaseViolation(cut=(4,), error="stale root"),),
+        condition_counts={"dl+bdl": 2},
+        crash_repairs=6,
+        crash_nested_cuts=8,
+        crash_counts={"idempotence": 1},
+        error="worker crashed",
+    )
+
+
+def stored_shard(edit) -> dict:
+    """The JSON shard payload of :func:`full_outcome`, after ``edit``
+    changes its decoded outcome dict in place."""
+    outcome = json.loads(json.dumps(encode(full_outcome())))
+    edit(outcome)
+    return {"kind": "fuzz", "indices": [5], "outcomes": [outcome]}
+
+
+class TestCaseOutcome:
+    def test_round_trips_through_json(self):
+        outcome = full_outcome()
+        wire = json.loads(json.dumps(encode(outcome)))
+        assert CaseOutcome.from_payload(wire) == outcome
+
+    def test_error_key_only_on_failed_outcomes(self):
+        assert "error" not in encode(replace(full_outcome(), error=None))
+
+    def test_crashed_shard_folds_to_failed_cases(self):
+        config = CampaignConfig(target="kv", budget=2)
+        [task] = plan_shards(config, batch=2)
+        payload = json.loads(json.dumps(_failed_shard(task, "timed out")))
+        result = fold_shards(config, [payload])
+        assert result.failed_cases == 2 and result.cuts_checked == 0
+        assert [o.spec for o in result.outcomes] == sample_specs(config)
+        assert {o.error for o in result.outcomes} == {"timed out"}
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("cuts_checked", lambda o: o.update(cuts_checked="3")),
+            ("cut", lambda o: o["violations"][0].update(cut="x")),
+            ("crash_schedule", lambda o: o["undetected"][0].update(
+                crash_schedule=[[1.5]])),
+            ("condition_counts", lambda o: o.update(
+                condition_counts={"dl": "2"})),
+            ("threads", lambda o: o["spec"].update(threads=True)),
+        ],
+    )
+    def test_malformed_stored_outcome_names_the_key(self, key, edit):
+        config = CampaignConfig(target="kv", budget=1)
+        with pytest.raises(FuzzError, match=f"'{key}'"):
+            fold_shards(config, [stored_shard(edit)])
 
 
 class TestSampling:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import FuzzError
 from repro.fuzz import Corpus, ReproCase, minimize_finding, replay_case
+from repro.inject import FaultPlan
 
 from tests.fuzz.test_campaign import FAITHFUL_2LC_SPEC
 from tests.fuzz.test_minimize import finding_for
@@ -17,10 +18,38 @@ def minimized_case():
     return minimize_finding(finding_for(FAITHFUL_2LC_SPEC)).case
 
 
+#: Cases that between them set every field off its default (a history
+#: oracle and a fault plan may not be combined).
+FULL_CASES = [
+    ReproCase(
+        target="kv", threads=2, ops=3, sched="random", sched_seed=7,
+        model="epoch", cut=(0, 2), choices=(1, 0), error="lost append",
+        minimized=True, oracle="dl", condition="dl+bdl",
+        crash="idempotence", crash_schedule=((1, 2), (), (3,)),
+        crash_recovery=2,
+    ),
+    ReproCase(
+        target="kv", threads=2, ops=3, sched="random", sched_seed=7,
+        model="epoch", cut=(0, 2), choices=(1, 0), error="torn root",
+        faults=FaultPlan.for_kind("torn", seed=1).to_json(),
+    ),
+]
+
+
 class TestReproCase:
     def test_round_trips_through_payload(self, minimized_case):
         payload = minimized_case.describe()
         assert ReproCase.from_payload(payload) == minimized_case
+        for case in FULL_CASES:
+            wire = json.loads(json.dumps(case.describe()))
+            assert ReproCase.from_payload(wire) == case
+
+    def test_float_in_crash_schedule_names_the_key(self, tmp_path):
+        path = tmp_path / "edited.repro.json"
+        payload = {**FULL_CASES[0].describe(), "crash_schedule": [[1, 2.0]]}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FuzzError, match="'crash_schedule'"):
+            Corpus(tmp_path).load(path)
 
     def test_key_is_stable_and_content_addressed(self, minimized_case):
         assert minimized_case.key() == minimized_case.key()

@@ -27,7 +27,7 @@ from repro.fuzz import (
     run_case,
     sample_specs,
 )
-from repro.fuzz.campaign import outcome_to_wire
+from repro.schema import encode
 
 
 def digest(payload) -> str:
@@ -85,9 +85,7 @@ def campaign_digest(name: str, stop_at_first: bool = False) -> str:
     config = CampaignConfig(seed=0, **CAMPAIGNS[name])
     return digest(
         [
-            outcome_to_wire(
-                run_case(spec, index=index, stop_at_first=stop_at_first)
-            )
+            encode(run_case(spec, index=index, stop_at_first=stop_at_first))
             for index, spec in enumerate(sample_specs(config))
         ]
     )

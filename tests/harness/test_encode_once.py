@@ -25,6 +25,7 @@ from repro.harness import (
     figure4_persist_granularity,
     figure5_tracking_granularity,
 )
+from repro.nvramdev import schedule_from_trace
 from repro.trace import EventKind, MemoryEvent, chunks_from_events
 from repro.trace.columnar import ColumnarChunk
 from tests.core.helpers import B, L, P, R, S, V, build
@@ -220,3 +221,31 @@ class TestEncodeOnce:
         assert built[0] == 2
         StreamingAnalyzer("epoch").feed(iter(events))
         assert encoded[0] == 1
+
+    def test_persist_schedule_reads_columns(self, monkeypatch):
+        """``schedule_from_trace`` builds no event object, and its
+        arrival times equal a walk over materialised events."""
+        trace = ExperimentRunner(inserts_per_thread=6).workload(
+            "cwl", 4, False
+        ).trace
+        times = DEFAULT_COST_MODEL.event_times(trace.chunks)
+        events = list(trace)
+        built = [0]
+        post_init = MemoryEvent.__post_init__
+
+        def counting_post_init(event):
+            built[0] += 1
+            return post_init(event)
+
+        monkeypatch.setattr(MemoryEvent, "__post_init__", counting_post_init)
+        schedule = schedule_from_trace(trace)
+        assert built[0] == 0
+        assert schedule.persist_times == sorted(
+            finish for event, finish in zip(events, times) if event.is_persist
+        )
+        assert schedule.sync_times == sorted(
+            finish
+            for event, finish in zip(events, times)
+            if event.kind is EventKind.PERSIST_SYNC
+        )
+        assert schedule.execution_time == max(times)

@@ -52,6 +52,11 @@ class TestSerialization:
         )
         assert FaultPlan.from_json(plan.to_json()) == plan
 
+    def test_integral_probability_reads_as_float(self):
+        plan = FaultPlan(torn=1.0)
+        payload = {**plan.describe(), "torn": 1}
+        assert FaultPlan.from_payload(payload).to_json() == plan.to_json()
+
     def test_canonical_json_is_stable(self):
         plan = FaultPlan.for_kind("torn", seed=1)
         assert plan.to_json() == plan.to_json()

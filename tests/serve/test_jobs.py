@@ -206,6 +206,26 @@ class TestMergeJob:
         assert "lower bounds" in summary["text"]
 
 
+#: A finished job with every field off its default.
+FULL_RECORD = JobRecord(
+    id=job_id("bob", 4, CHECK_SPEC),
+    tenant="bob",
+    seq=4,
+    spec=CHECK_SPEC,
+    state="failed",
+    shards_total=4,
+    shards_done=3,
+    store_hits=2,
+    store_misses=1,
+    violations=1,
+    summary={"kind": "check", "violations": 1, "stats": {"schedules": 9}},
+    error="1 shard(s) failed",
+    submitted_at=1760000000.25,
+    started_at=1760000001.5,
+    finished_at=1760000004.75,
+)
+
+
 class TestJobRecord:
     def test_payload_roundtrip(self):
         record = JobRecord(
@@ -214,10 +234,20 @@ class TestJobRecord:
             seq=0,
             spec=CHECK_SPEC,
         )
-        rebuilt = JobRecord.from_payload(
-            json.loads(json.dumps(record.to_payload()))
-        )
-        assert rebuilt == record
+        for record in (record, FULL_RECORD):
+            rebuilt = JobRecord.from_payload(
+                json.loads(json.dumps(record.to_payload()))
+            )
+            assert rebuilt == record
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("shards_done", "1"), ("state", "paused"), ("summary", [1])],
+    )
+    def test_malformed_field_names_the_key(self, key, value):
+        payload = {**FULL_RECORD.to_payload(), key: value}
+        with pytest.raises(ServeError, match=f"'{key}'"):
+            JobRecord.from_payload(payload)
 
     def test_digest_guard_rejects_edited_spec(self):
         record = JobRecord(

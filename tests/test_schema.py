@@ -29,10 +29,16 @@ class TestParse:
             (Option(bool), False, False),
             (Option(int, optional=True), None, None),
             (Option(int, many=True), [1, 2], (1, 2)),
+            (Option(int, many=2), [[1], []], ((1,), ())),
+            (Option(int, keyed=True), {"dl": 2}, {"dl": 2}),
+            (Option(object, keyed=True), {"a": [1, "b"]}, {"a": [1, "b"]}),
         ],
     )
     def test_accepts_well_typed_values(self, option, value, expected):
         assert option.parse(value) == expected
+
+    def test_float_field_reads_an_integral_number_as_a_float(self):
+        assert type(Option(float).parse(2)) is float
 
     @pytest.mark.parametrize(
         "option, value, message",
@@ -47,6 +53,11 @@ class TestParse:
             (Option(many=True), "abc", "a list of strings"),
             (Option(many=True), ["a", 1], "a string"),
             (Option(choices=("a", "b"), noun="letter"), "c", "unknown letter"),
+            (Option(int, many=2), [[1, 2.0]], "an integer"),
+            (Option(int, many=2), [1], "a list of integers"),
+            (Option(int, keyed=True), {"dl": "2"}, "an integer"),
+            (Option(int, keyed=True), [2], "an object of integers"),
+            (Option(object, keyed=True), "x", "an object of values"),
         ],
     )
     def test_rejects_malformed_values(self, option, value, message):
