@@ -9,13 +9,17 @@ available (``replay=``):
 * ``"share"`` — prefix-sharing: the program is built **once** through a
   :class:`CheckProgram` (``build``/``finish``), the machine records
   write-undo journals and send logs
-  (:meth:`repro.sim.machine.Machine.enable_snapshots`), every decision
-  point captures a cheap :class:`~repro.sim.machine.MachineSnapshot`,
-  and backtracking restores the deepest common prefix instead of
-  re-executing it.  The DFS visits the identical schedule tree in the
-  identical order — clocks, sleep sets, and backtrack sets are restored
-  to exactly the values stateless re-execution would recompute — so
-  schedule counts, traces, and violation sets are byte-identical.
+  (:meth:`repro.sim.machine.Machine.enable_snapshots`), and backtracking
+  restores the deepest common prefix instead of re-executing it.  A
+  decision point's restore point is a pair of journal marks: a
+  :class:`~repro.sim.machine.MachineSnapshot` (the machine's undo-journal
+  and send-log lengths plus O(threads) bookkeeping) and the length of
+  the engine's own undo journal over its conflict tables.  Restoring
+  pops both journals back to their marks.  The DFS visits the identical
+  schedule tree in the identical order — clocks, sleep sets, and
+  backtrack sets are restored to exactly the values stateless
+  re-execution would recompute — so schedule counts, traces, and
+  violation sets are byte-identical.
 
   In shared mode the yielded ``result`` aliases the one retained
   machine: consume each :class:`ExploredRun` (analyze its trace, image
@@ -84,6 +88,10 @@ REPLAYS = ("share", "reexecute")
 
 #: Shared empty clock: read-only default for agents with no history.
 _NO_CLOCK: Dict[int, int] = {}
+
+#: One undo record of the table journal: (table, key, old value), where
+#: an old value of None means the key was absent.  No table stores None.
+_Undo = Tuple[dict, object, object]
 
 
 class CheckProgram:
@@ -196,11 +204,11 @@ class _Node:
     done: Set[int] = field(default_factory=set)
     chosen: Optional[int] = None
     pinned: bool = False
-    #: Prefix-sharing restore points (share mode, non-pinned nodes):
-    #: the machine state and the engine's per-run tables as they stood
+    #: Prefix-sharing restore point (share mode, non-pinned nodes): the
+    #: machine snapshot and the length of the engine's table journal
     #: when this decision point was first reached.
     snap: object = None
-    tables: object = None
+    mark: int = 0
 
 
 #: A past access record: (agent, agent-local step count, clock vector,
@@ -282,6 +290,11 @@ class Engine:
         # Agents whose clock dict is exclusively ours (mutable in place);
         # everything else is copy-on-write (see _apply_step).
         self._clock_owned: Set[int] = set()
+        # Undo records of every table change this run (see _apply_step);
+        # a restore point is a length of this list.
+        self._journal: List[_Undo] = []
+        # Write-objects and read-objects per footprint (see _objects).
+        self._object_memo: Dict[tuple, Tuple[Set[object], Set[object]]] = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -331,11 +344,7 @@ class Engine:
             return self._run_shared()
         self._depth = 0
         self._pending_sleep = set()
-        self._clocks = {}
-        self._counts = {}
-        self._last_write = {}
-        self._last_reads = {}
-        self._clock_owned = set()
+        self._reset_tables()
         scheduler = ReplayableScheduler(self._choose)
         try:
             result = self._run(scheduler)
@@ -350,23 +359,20 @@ class Engine:
         """One schedule under prefix sharing: rewind, don't re-execute.
 
         The first call builds the machine and runs from step 0; every
-        later call restores the machine (and the engine's per-run
-        tables) to the snapshot of the deepest stack node — the node
-        ``_advance`` just picked a fresh branch for — truncates the
-        choice log to match, and resumes ``machine.run()``.  The resumed
-        ``pick`` lands back in :meth:`_choose` at that node's depth,
-        which replays its new ``chosen`` and applies the step against
-        the restored tables, exactly as a from-scratch replay would.
+        later call restores the machine to the snapshot of the deepest
+        stack node — the node ``_advance`` just picked a fresh branch
+        for — pops the engine's table journal back to that node's mark,
+        truncates the choice log to match, and resumes
+        ``machine.run()``.  The resumed ``pick`` lands back in
+        :meth:`_choose` at that node's depth, which replays its new
+        ``chosen`` and applies the step against the restored tables,
+        exactly as a from-scratch replay would.
         """
         self._pending_sleep = set()
         machine = self._machine
         if machine is None:
             self._depth = 0
-            self._clocks = {}
-            self._counts = {}
-            self._last_write = {}
-            self._last_reads = {}
-            self._clock_owned = set()
+            self._reset_tables()
             scheduler = ReplayableScheduler(self._choose)
             self._scheduler = scheduler
             machine = self._program.build(scheduler)
@@ -382,7 +388,7 @@ class Engine:
                 self._kept = kept
             scheduler.truncate(depth)
             self._depth = depth
-            self._restore_tables(node.tables)
+            self._undo_to(node.mark)
         try:
             machine.run()
         except _SleepSetBlocked:
@@ -393,35 +399,34 @@ class Engine:
             self.stats.deepest_prefix = choices
         return False, result, choices
 
-    def _capture_tables(self) -> Tuple[
-        Dict[int, Dict[int, int]],
-        Dict[int, int],
-        Dict[object, _Access],
-        Dict[object, Dict[int, _Access]],
-    ]:
-        """Snapshot the per-run conflict tables for later restore.
+    def _reset_tables(self) -> None:
+        """Empty the per-run conflict tables and their journal."""
+        self._clocks = {}
+        self._counts = {}
+        self._last_write = {}
+        self._last_reads = {}
+        self._clock_owned = set()
+        self._journal = []
 
-        Clock dicts are shared, not copied: marking every agent
-        copy-on-write makes any later mutation allocate a fresh dict,
-        so the captured ones stay frozen.
+    def _mark(self) -> int:
+        """A restore point for the conflict tables: the journal length.
+
+        Clock dicts are not journaled entry by entry: marking every
+        agent copy-on-write makes any later change install a fresh,
+        journaled dict, so the dicts live at the mark stay frozen.
         """
         self._clock_owned.clear()
-        return (
-            dict(self._clocks),
-            dict(self._counts),
-            dict(self._last_write),
-            {obj: dict(readers) for obj, readers in self._last_reads.items()},
-        )
+        return len(self._journal)
 
-    def _restore_tables(self, tables) -> None:
-        """Reset the per-run conflict tables to a captured state."""
-        clocks, counts, last_write, last_reads = tables
-        self._clocks = dict(clocks)
-        self._counts = dict(counts)
-        self._last_write = dict(last_write)
-        self._last_reads = {
-            obj: dict(readers) for obj, readers in last_reads.items()
-        }
+    def _undo_to(self, mark: int) -> None:
+        """Reset the per-run conflict tables to a :meth:`_mark`."""
+        journal = self._journal
+        while len(journal) > mark:
+            table, key, old = journal.pop()
+            if old is None:
+                del table[key]
+            else:
+                table[key] = old
         self._clock_owned = set()
 
     def _choose(self, machine: object, runnable: Sequence[int]) -> int:
@@ -482,7 +487,7 @@ class Engine:
             # Pinned (forced-prefix) nodes are never backtracked into,
             # so only free nodes need restore points.
             node.snap = machine.snapshot()
-            node.tables = self._capture_tables()
+            node.mark = self._mark()
         return node
 
     # -- backtracking -------------------------------------------------------
@@ -513,14 +518,21 @@ class Engine:
         """(write-objects, read-objects) a footprint touches.
 
         Objects are tracked blocks plus resource tokens; resources are
-        treated as written (any two touches conflict).
+        treated as written (any two touches conflict).  A thread's next
+        step keeps its footprint across the decision points where other
+        agents move, so the sets are memoized per footprint value; the
+        callers only read them.
         """
-        gran = self._relation.tracking_granularity
-        writes: Set[object] = set(blocks_of(footprint.writes, gran))
-        for token in footprint.resources:
-            writes.add(("resource", token))
-        reads: Set[object] = set(blocks_of(footprint.reads, gran))
-        return writes, reads
+        key = (footprint.reads, footprint.writes, footprint.resources)
+        objects = self._object_memo.get(key)
+        if objects is None:
+            gran = self._relation.tracking_granularity
+            writes: Set[object] = set(blocks_of(footprint.writes, gran))
+            for token in footprint.resources:
+                writes.add(("resource", token))
+            reads: Set[object] = set(blocks_of(footprint.reads, gran))
+            objects = self._object_memo[key] = (writes, reads)
+        return objects
 
     def _conflicting_accesses(
         self, agent: int, footprint: Footprint
@@ -570,41 +582,52 @@ class Engine:
     def _apply_step(self, node: _Node, agent: int, depth: int) -> None:
         """Advance clocks and last-access tables over the chosen step.
 
-        The agent's clock is copy-on-write: it is copied only when the
-        current dict has escaped into an access record (or a prefix
-        snapshot) since the last copy; steps with purely local
-        footprints mutate in place with zero allocation.
+        Every table entry the step changes first logs its old value to
+        the journal, so :meth:`_undo_to` can pop back to any mark.  The
+        agent's clock is copy-on-write: it is copied (and the copy's
+        install journaled) only when the current dict has escaped into
+        an access record or behind a mark since the last copy; steps
+        with purely local footprints mutate in place with zero
+        allocation.
         """
         footprint = node.footprints[agent]
         writes, reads = self._objects(footprint)
+        log = self._journal.append
+        clocks = self._clocks
         owned = self._clock_owned
-        clock = self._clocks.get(agent)
+        clock = clocks.get(agent)
         if clock is None:
-            clock = {}
-            self._clocks[agent] = clock
+            log((clocks, agent, None))
+            clock = clocks[agent] = {}
             owned.add(agent)
         elif agent not in owned:
-            clock = dict(clock)
-            self._clocks[agent] = clock
+            log((clocks, agent, clock))
+            clock = clocks[agent] = dict(clock)
             owned.add(agent)
 
-        def join(access: _Access) -> None:
+        # Join the clocks of every earlier access the step conflicts with.
+        last_write = self._last_write
+        last_reads = self._last_reads
+        joined: List[_Access] = []
+        for obj in writes:
+            last = last_write.get(obj)
+            if last is not None:
+                joined.append(last)
+            readers = last_reads.get(obj)
+            if readers:
+                joined.extend(readers.values())
+        for obj in reads:
+            last = last_write.get(obj)
+            if last is not None:
+                joined.append(last)
+        for access in joined:
             for key, value in access[2].items():
                 if value > clock.get(key, 0):
                     clock[key] = value
-
-        for obj in writes:
-            last = self._last_write.get(obj)
-            if last is not None:
-                join(last)
-            for access in self._last_reads.get(obj, {}).values():
-                join(access)
-        for obj in reads:
-            last = self._last_write.get(obj)
-            if last is not None:
-                join(last)
-        count = self._counts.get(agent, 0) + 1
-        self._counts[agent] = count
+        counts = self._counts
+        old_count = counts.get(agent)
+        log((counts, agent, old_count))
+        count = counts[agent] = (old_count or 0) + 1
         clock[agent] = count
         access: _Access = (agent, count, clock, depth)
         if writes or reads:
@@ -612,9 +635,17 @@ class Engine:
             # agent's next step copies before mutating.
             owned.discard(agent)
         for obj in writes:
-            self._last_write[obj] = access
+            log((last_write, obj, last_write.get(obj)))
+            last_write[obj] = access
             # Earlier reads happen-before this write (they conflict with
             # it), so later conflicts reach them transitively.
-            self._last_reads.pop(obj, None)
+            readers = last_reads.pop(obj, None)
+            if readers is not None:
+                log((last_reads, obj, readers))
         for obj in reads:
-            self._last_reads.setdefault(obj, {})[agent] = access
+            readers = last_reads.get(obj)
+            if readers is None:
+                log((last_reads, obj, None))
+                readers = last_reads[obj] = {}
+            log((readers, agent, readers.get(agent)))
+            readers[agent] = access

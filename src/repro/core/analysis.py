@@ -466,15 +466,16 @@ class StreamingAnalyzer:
         # Granularities are validated powers of two: block ids via shifts.
         tshift = tracking_gran.bit_length() - 1
         pshift = persist_gran.bit_length() - 1
-        # Vectorised (numpy) precomputation: block-id columns, run
-        # eligibility, and — for run batching — ``run_end``, mapping each
-        # index to one past the end of its maximal run group.  Adjacent
-        # events share a group when both are run-eligible with equal
-        # thread / tracking block / persist block; group equality is
-        # transitive over adjacent pairs, so ``run_end[head]`` lands
-        # exactly where the scalar forward scan would stop.
+        # Vectorised (numpy) precomputation for long chunks: block-id
+        # columns, run eligibility, and — for run batching — ``run_end``,
+        # mapping each index to one past the end of its maximal run
+        # group.  Adjacent events share a group when both are
+        # run-eligible with equal thread / tracking block / persist
+        # block; group equality is transitive over adjacent pairs, so
+        # ``run_end[head]`` lands exactly where the scalar forward scan
+        # would stop.
         run_end = None
-        if HAVE_NUMPY:
+        if HAVE_NUMPY and n >= _NUMPY_MIN_EVENTS:
             cols = chunk.columns()
             addrs_np = cols[2]
             tb_np = addrs_np >> tshift
@@ -713,6 +714,12 @@ _NO_PAYLOAD = None
 #: slot) a node's write count.
 _ABSENT = object()
 _WRITES = object()
+
+#: Shortest chunk whose run bounds are precomputed with numpy.  Below
+#: it the array setup costs more than the stdlib list comprehensions
+#: (prefix-shared suffix feeds average ~30 events; numpy breaks even
+#: near 1,000 and wins on full chunks).
+_NUMPY_MIN_EVENTS = 1024
 
 
 class PrefixSharedAnalysis:

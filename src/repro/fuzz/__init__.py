@@ -30,6 +30,7 @@ from repro.fuzz.campaign import (
     CaseViolation,
     Finding,
     case_tasks,
+    decode_shard,
     execute_spec,
     fold_shards,
     plan_shards,
@@ -79,6 +80,7 @@ __all__ = [
     "Verdict",
     "case_from_check",
     "case_tasks",
+    "decode_shard",
     "execute_spec",
     "fold_shards",
     "export_check_violations",

@@ -829,6 +829,19 @@ def _failed_shard(task: dict, error: str) -> dict:
     }
 
 
+def decode_shard(payload: dict) -> List[CaseOutcome]:
+    """The outcomes of one shard payload.
+
+    Raises:
+        FuzzError: when the payload or an outcome is malformed, naming
+            the key.
+    """
+    wires = payload.get("outcomes")
+    if not isinstance(wires, list):
+        raise FuzzError(f"malformed fuzz shard: no outcome list: {wires!r}")
+    return [CaseOutcome.from_payload(wire) for wire in wires]
+
+
 def fold_shards(
     config: CampaignConfig, payloads: Iterable[dict]
 ) -> CampaignResult:
@@ -838,9 +851,7 @@ def fold_shards(
         FuzzError: when an outcome is malformed, naming the key.
     """
     outcomes = [
-        CaseOutcome.from_payload(wire)
-        for payload in payloads
-        for wire in payload["outcomes"]
+        outcome for payload in payloads for outcome in decode_shard(payload)
     ]
     outcomes.sort(key=lambda outcome: outcome.index)
     return CampaignResult(config=config, outcomes=outcomes)
@@ -858,15 +869,17 @@ def run_campaign(
     With a ``store``, shards already in it are not re-run and every
     fresh shard is stored as soon as it completes, so an interrupted
     campaign resumes to the byte-identical summary of a straight run.
-    A daemon sharing the store serves these shards as hits, and vice
-    versa.  Shards that crash (see ``CampaignConfig.task_retries``) are
-    reported as error outcomes but never stored, so they retry next run.
+    A stored shard whose outcomes do not decode is quarantined and its
+    case re-run.  A daemon sharing the store serves these shards as
+    hits, and vice versa.  Shards that crash (see
+    ``CampaignConfig.task_retries``) are reported as error outcomes but
+    never stored, so they retry next run.
     """
     tasks = plan_shards(config)
     if store is None:
         hits, pending = {}, dict.fromkeys(range(len(tasks)))
     else:
-        hits, pending = store.resolve(tasks)
+        hits, pending = store.resolve(tasks, check=decode_shard)
     payloads = list(hits.values())
 
     def merge(payload: dict) -> None:

@@ -29,10 +29,10 @@ import tempfile
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.analysis import AnalysisConfig, AnalysisResult
-from repro.errors import CacheError
+from repro.errors import CacheError, ReproError
 
 _PathLike = Union[str, Path]
 
@@ -291,6 +291,10 @@ def shard_key(task: Dict[str, object]) -> str:
     )
 
 
+#: Decodes a stored payload, raising ReproError when it does not decode.
+_PayloadCheck = Callable[[Dict[str, object]], object]
+
+
 class ResultStore:
     """Digest-addressed shard results rooted at one directory.
 
@@ -316,8 +320,15 @@ class ResultStore:
         """File holding the shard result with content digest ``key``."""
         return self.root / f"{key}.result.json"
 
-    def load(self, key: str) -> Optional[Dict[str, object]]:
-        """The stored result payload for ``key``, or None on a miss."""
+    def load(
+        self, key: str, check: Optional[_PayloadCheck] = None
+    ) -> Optional[Dict[str, object]]:
+        """The stored result payload for ``key``, or None on a miss.
+
+        ``check``, when given, decodes the payload and raises
+        :class:`~repro.errors.ReproError` when it does not decode; such
+        an entry is quarantined like one whose digest does not match.
+        """
         path = self.path_for(key)
         if not path.exists():
             self.stats.store_misses += 1
@@ -332,7 +343,9 @@ class ResultStore:
             payload = entry["payload"]
             if content_digest(payload) != entry.get("sha256"):
                 raise ValueError("payload does not match its digest")
-        except (OSError, UnicodeDecodeError, ValueError) as exc:
+            if check is not None:
+                check(payload)
+        except (OSError, UnicodeDecodeError, ValueError, ReproError) as exc:
             self.stats.cache_evictions += 1
             self.stats.store_misses += 1
             quarantine_file(path, f"unreadable shard result: {exc}")
@@ -350,19 +363,22 @@ class ResultStore:
         )
 
     def resolve(
-        self, tasks: Sequence[Dict[str, object]]
+        self,
+        tasks: Sequence[Dict[str, object]],
+        check: Optional[_PayloadCheck] = None,
     ) -> Tuple[Dict[int, Dict[str, object]], Dict[int, str]]:
         """Store-first lookup of a planned task list.
 
         Returns ``(hits, pending)``: the stored payload of every task
         already computed, and the store key of every task still to run,
-        both by position in ``tasks``.
+        both by position in ``tasks``.  ``check`` is passed on to
+        :meth:`load`: a stored payload that fails it is pending.
         """
         hits: Dict[int, Dict[str, object]] = {}
         pending: Dict[int, str] = {}
         for index, task in enumerate(tasks):
             key = shard_key(task)
-            payload = self.load(key)
+            payload = self.load(key, check)
             if payload is None:
                 pending[index] = key
             else:

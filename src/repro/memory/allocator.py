@@ -9,10 +9,14 @@ thread context so allocations appear at well-defined trace points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import InvalidFreeError, OutOfMemoryError
 from repro.memory import layout
+
+
+#: An allocator capture: (free blocks as (addr, size), live map).
+_Capture = Tuple[Tuple[Tuple[int, int], ...], Dict[int, int]]
 
 
 @dataclass
@@ -53,6 +57,9 @@ class FreeListAllocator:
             _FreeBlock(self._base, self._end - self._base)
         ]
         self._live: Dict[int, int] = {}
+        # The last snapshot() capture while the allocator is unchanged;
+        # malloc, free and restore drop or replace it.
+        self._capture: Optional[_Capture] = None
 
     @property
     def alignment(self) -> int:
@@ -88,26 +95,33 @@ class FreeListAllocator:
                     block.addr += rounded
                     block.size -= rounded
                 self._live[addr] = rounded
+                self._capture = None
                 return addr
         raise OutOfMemoryError(
             f"cannot allocate {size} bytes ({rounded} rounded); "
             f"{self.bytes_free} bytes free but fragmented or insufficient"
         )
 
-    def snapshot(self) -> Tuple[Tuple[Tuple[int, int], ...], Dict[int, int]]:
-        """Immutable capture of the allocator state for later restore."""
-        return (
-            tuple((block.addr, block.size) for block in self._free),
-            dict(self._live),
-        )
+    def snapshot(self) -> _Capture:
+        """Immutable capture of the allocator state for later restore.
 
-    def restore(
-        self, state: Tuple[Tuple[Tuple[int, int], ...], Dict[int, int]]
-    ) -> None:
+        Captures are shared: while the allocator is unchanged, every
+        call returns the same one, so callers must not mutate it.
+        """
+        capture = self._capture
+        if capture is None:
+            capture = self._capture = (
+                tuple((block.addr, block.size) for block in self._free),
+                dict(self._live),
+            )
+        return capture
+
+    def restore(self, state: _Capture) -> None:
         """Reset free list and live map to a :meth:`snapshot` capture."""
         free, live = state
         self._free = [_FreeBlock(addr, size) for addr, size in free]
         self._live = dict(live)
+        self._capture = state
 
     def free(self, addr: int) -> None:
         """Return an allocation to the free list, coalescing neighbours.
@@ -121,6 +135,7 @@ class FreeListAllocator:
             raise InvalidFreeError(
                 f"free of {addr:#x} which is not a live allocation"
             ) from None
+        self._capture = None
         self._insert_free(_FreeBlock(addr, rounded))
 
     def owns(self, addr: int) -> bool:

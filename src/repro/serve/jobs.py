@@ -34,11 +34,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.check import CheckConfig, ShardMerge, shard_tasks
 from repro.errors import ReproError, ServeError
-from repro.fuzz.campaign import CampaignConfig, fold_shards, plan_shards
+from repro.fuzz.campaign import (
+    CampaignConfig,
+    decode_shard,
+    fold_shards,
+    plan_shards,
+)
 from repro.fuzz.targets import TARGET_CHOICES
 from repro.harness import (
     ExperimentRunner,
@@ -191,6 +196,16 @@ def plan_job(spec: Dict[str, object]) -> List[Dict[str, object]]:
     if kind == "paper":
         return plan_variants(config, job["cells"])
     return [program_task(name, config) for name in job["programs"]]
+
+
+def stored_shard_check(
+    spec: Dict[str, object]
+) -> Optional[Callable[[dict], object]]:
+    """The decoder a stored shard of this job's kind must pass before it
+    is served from the store (see :meth:`ResultStore.resolve
+    <repro.harness.cache.ResultStore.resolve>`), or None when the
+    digest check suffices."""
+    return decode_shard if spec["kind"] == "fuzz" else None
 
 
 def merge_job(

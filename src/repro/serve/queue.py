@@ -42,6 +42,7 @@ from repro.serve.jobs import (
     merge_job,
     plan_job,
     save_record,
+    stored_shard_check,
     validate_spec,
 )
 
@@ -275,7 +276,9 @@ class JobQueue:
         record.shards_total = len(tasks)
         record.state = "sharded"
         self._save(record)
-        hits, misses = self.store.resolve(tasks)
+        hits, misses = self.store.resolve(
+            tasks, check=stored_shard_check(record.spec)
+        )
         self._payloads.setdefault(record.id, {}).update(hits)
         record.store_hits += len(hits)
         record.shards_done += len(hits)

@@ -26,7 +26,6 @@ other threads' stores to that line decides which persists it orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.sim import ops
@@ -36,9 +35,13 @@ from repro.sim.machine import _DRAIN_BASE, Machine, SimThread, ThreadState
 Range = Tuple[int, int, bool]
 
 
-@dataclass(frozen=True)
 class Footprint:
     """What one scheduling step may touch.
+
+    An immutable value: engines build one per agent at every decision
+    point, so it is a plain slotted record (cheaper to build than a
+    frozen dataclass) whose fields are never reassigned.  Equality and
+    hashing go by the three fields.
 
     Attributes:
         reads: (addr, size, persistent) ranges the step may read.
@@ -48,9 +51,34 @@ class Footprint:
             always dependent.
     """
 
-    reads: Tuple[Range, ...] = ()
-    writes: Tuple[Range, ...] = ()
-    resources: Tuple[str, ...] = ()
+    __slots__ = ("reads", "writes", "resources")
+
+    def __init__(
+        self,
+        reads: Tuple[Range, ...] = (),
+        writes: Tuple[Range, ...] = (),
+        resources: Tuple[str, ...] = (),
+    ) -> None:
+        self.reads = reads
+        self.writes = writes
+        self.resources = resources
+
+    def _fields(self) -> tuple:
+        return (self.reads, self.writes, self.resources)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Footprint:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"Footprint(reads={self.reads!r}, writes={self.writes!r}, "
+            f"resources={self.resources!r})"
+        )
 
     @property
     def is_local(self) -> bool:

@@ -15,10 +15,11 @@ prefix of consecutive runs, sleep-set-blocked runs included.
 import pytest
 
 from repro.check import Engine, canonical_dag_key
-from repro.core import PrefixSharedAnalysis, analyze_graph
+from repro.core import PrefixSharedAnalysis, analysis, analyze_graph
 from repro.fuzz.targets import make_target
 from repro.litmus import corpus_by_name, generate_programs
 from repro.litmus.runner import _LitmusCheckProgram
+from repro.trace import columnar
 
 from tests.check.test_fence_flush_race import build as race_build
 
@@ -76,6 +77,8 @@ def assert_lockstep(program, models, forced_prefix=()):
     runs = analyzed = total = 0
     for explored in Engine(program, forced_prefix=forced_prefix).explore():
         trace = explored.result
+        if isinstance(trace, tuple):
+            trace = trace[0]
         graphs = analysis.advance(trace, explored.shared_events)
         runs += 1
         analyzed += len(trace) - explored.shared_events
@@ -127,6 +130,31 @@ def common_prefix(left, right):
 
 def litmus(name):
     return _LitmusCheckProgram(corpus_by_name()[name])
+
+
+@pytest.mark.skipif(not columnar.HAVE_NUMPY, reason="numpy is not installed")
+@pytest.mark.parametrize(
+    "program, models, forced_prefix",
+    [
+        (TargetProgram("publish-pair", 2, 2), SC_MODELS, ()),
+        (TargetProgram("queue-cwl", 2, 1), SC_MODELS, ()),
+        (TargetProgram("queue-2lc-faithful", 2, 1), SC_MODELS, (0,) * 16),
+        (MachineProgram(race_build), ("px86", "dpox86", "epoch"), ()),
+        (litmus("gen-2014-1"), ("px86", "epoch"), ()),
+    ],
+    ids=["publish-pair", "queue-cwl", "queue-2lc-faithful", "px86-race",
+         "gen-2014-1"],
+)
+def test_lockstep_on_numpy_precompute(
+    monkeypatch, program, models, forced_prefix
+):
+    """The suffixes prefix sharing feeds are short (tens of events), so
+    the other lockstep tests run them through the stdlib precompute;
+    forced onto the numpy branch, they must build the same DAGs."""
+    monkeypatch.setattr(analysis, "_NUMPY_MIN_EVENTS", 0)
+    runs, analyzed, total = assert_lockstep(program, models, forced_prefix)
+    assert runs > 1
+    assert analyzed < total
 
 
 #: A generated litmus program where a sleep-set-blocked run is followed

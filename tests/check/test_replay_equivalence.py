@@ -12,7 +12,7 @@ the analysis domains.
 
 import pytest
 
-from repro.check import CheckConfig, check_target
+from repro.check import CheckConfig, Engine, check_target
 
 MODELS = ("strict", "epoch", "strand")
 
@@ -64,7 +64,9 @@ def test_queue_cwl_identical_and_clean():
     assert baseline.stats.schedules > 1
 
 
-def test_queue_2lc_faithful_identical_on_violating_subtree():
+def faithful_2lc_prefix():
+    """The choice prefix of a small violating 2LC subtree: the first
+    violation's schedule less its last 8 choices."""
     first = check_target(
         "queue-2lc-faithful",
         2,
@@ -72,9 +74,14 @@ def test_queue_2lc_faithful_identical_on_violating_subtree():
         CheckConfig(models=MODELS, max_schedules=None, stop_at_first=True),
     )
     assert not first.ok
-    prefix = first.violations[0].choices[:-8]
+    return tuple(first.violations[0].choices[:-8])
+
+
+def test_queue_2lc_faithful_identical_on_violating_subtree():
     baseline = assert_identical(
-        run_modes("queue-2lc-faithful", 2, 1, forced_prefix=tuple(prefix))
+        run_modes(
+            "queue-2lc-faithful", 2, 1, forced_prefix=faithful_2lc_prefix()
+        )
     )
     assert not baseline.ok
     models = {key[0] for key in baseline.distinct}
@@ -146,3 +153,98 @@ def test_share_is_default_for_targets():
     )
     assert sorted(default.distinct) == sorted(explicit.distinct)
     assert default.stats.describe() == explicit.stats.describe()
+
+
+# -- the engine's journaled conflict tables ---------------------------------
+
+
+def table_view(engine):
+    """A deep, comparable copy of the engine's four conflict tables."""
+
+    def access(record):
+        agent, count, clock, depth = record
+        return agent, count, dict(clock), depth
+
+    return (
+        {agent: dict(clock) for agent, clock in engine._clocks.items()},
+        dict(engine._counts),
+        {obj: access(last) for obj, last in engine._last_write.items()},
+        {
+            obj: {reader: access(last) for reader, last in readers.items()}
+            for obj, readers in engine._last_reads.items()
+        },
+    )
+
+
+def tables_by_prefix(monkeypatch, target, threads, ops, config):
+    """Run one check, recording the conflict tables at every decision
+    point, keyed by the choice prefix that reached it."""
+    seen = {}
+    choose = Engine._choose
+
+    def recording(engine, machine, runnable):
+        prefix = tuple(node.chosen for node in engine._stack[: engine._depth])
+        view = table_view(engine)
+        assert seen.setdefault(prefix, view) == view, prefix
+        return choose(engine, machine, runnable)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Engine, "_choose", recording)
+        check_target(target, threads, ops, config)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "target, threads, ops, models, subtree",
+    [
+        ("publish-pair", 2, 2, MODELS, False),
+        ("queue-cwl", 2, 1, MODELS, False),
+        ("queue-2lc-faithful", 2, 1, MODELS, True),
+        ("publish-clflushopt-nofence", 1, 1, ("strict", "px86", "dpox86"), False),
+        ("publish-clwb", 1, 1, ("strict", "px86", "dpox86"), False),
+    ],
+)
+def test_journaled_tables_lockstep_reexecution(
+    monkeypatch, target, threads, ops, models, subtree
+):
+    """At every decision point of a prefix-sharing run, the tables that
+    journal restores left behind equal the ones a from-scratch run holds
+    at the same choice prefix."""
+    forced = faithful_2lc_prefix() if subtree else ()
+    tables = {}
+    for replay in ("share", "reexecute"):
+        config = CheckConfig(
+            models=models,
+            max_schedules=None,
+            replay=replay,
+            forced_prefix=forced,
+        )
+        tables[replay] = tables_by_prefix(
+            monkeypatch, target, threads, ops, config
+        )
+    shared, fresh = tables["share"], tables["reexecute"]
+    assert len(shared) > 1
+    assert shared.keys() == fresh.keys()
+    for prefix, view in shared.items():
+        assert view == fresh[prefix], prefix
+
+
+def test_engine_stats_identical_on_e2e_subtree():
+    """The benchmark's check-2lc subtree: the same decision nodes, races
+    and backtrack points under both replays."""
+    engines = {}
+    for replay in ("share", "reexecute"):
+        result = check_target(
+            "queue-2lc-faithful",
+            2,
+            1,
+            CheckConfig(forced_prefix=(0,) * 16, replay=replay),
+        )
+        engines[replay] = result.stats.engine
+    assert engines["share"] == engines["reexecute"]
+    engine = engines["share"]
+    assert (
+        engine["nodes"],
+        engine["races_detected"],
+        engine["backtrack_points"],
+    ) == (13_591, 2_339, 749)

@@ -63,8 +63,11 @@ def numpy_branch(request, monkeypatch):
     """Select the analysis loop's numpy or stdlib precompute branch.
 
     ``StreamingAnalyzer._feed_chunk`` derives block ids and run bounds
-    with numpy when it is importable and with plain lists otherwise;
-    both branches must give identical results on every host.
+    with numpy when it is importable and the chunk is long, and with
+    plain lists otherwise; both branches must give identical results on
+    every host.  The numpy branch is forced for chunks of every length.
     """
     monkeypatch.setattr(analysis, "HAVE_NUMPY", request.param)
+    if request.param:
+        monkeypatch.setattr(analysis, "_NUMPY_MIN_EVENTS", 0)
     return request.param

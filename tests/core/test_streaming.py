@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from repro.core import AnalysisConfig, StreamingAnalyzer, analyze
 from repro.core.model import MODELS
 from repro.errors import AnalysisError, TraceError
+from repro.queue.workload import WorkloadConfig, run_insert_workload
 from repro.trace import EventKind, MemoryEvent, Trace, chunks_from_events
+from repro.trace.columnar import DEFAULT_CHUNK_EVENTS
 
 from tests.core.helpers import B, L, NS, P, R, S, V, build
 from tests.core.reference_analysis import RESULT_FIELDS, reference_analyze
@@ -253,6 +255,33 @@ class TestRunBatching:
             reference = reference_analyze(annotated, model, config)
             streamed = stream(annotated, model, config, "level", 4)
             assert_results_equal(reference, streamed, model)
+
+
+class TestChunkLengths:
+    def test_short_and_full_chunks_agree(self):
+        """One paper-queue trace fed as 1-, 31- and 4,096-event chunks:
+        short chunks take the stdlib precompute and full ones numpy
+        (when installed); every result and DAG must be identical.  The
+        bitset domain stands for the DAG domains: the graph domain's
+        ancestor sets make long strand traces slow."""
+        trace = run_insert_workload(
+            WorkloadConfig(
+                design="2lc", threads=2, inserts_per_thread=40, seed=1
+            )
+        ).trace
+        assert len(trace) > DEFAULT_CHUNK_EVENTS
+        config = AnalysisConfig()
+        for model in MODELS:
+            for domain in ("level", "bitset"):
+                full = stream(
+                    trace, model, config, domain, DEFAULT_CHUNK_EVENTS
+                )
+                for chunk_events in (1, 31):
+                    context = f"({model}/{domain}/chunk={chunk_events})"
+                    short = stream(trace, model, config, domain, chunk_events)
+                    assert_results_equal(full, short, context)
+                    if domain != "level":
+                        assert_dags_equal(full, short, context)
 
 
 class TestFlushTouchedBlocks:

@@ -21,6 +21,7 @@ from repro.fuzz import (
     sample_specs,
 )
 from repro.fuzz.campaign import _failed_shard
+from repro.harness.cache import QUARANTINE_SUFFIX, ResultStore, shard_key
 from repro.inject import FaultPlan
 from repro.schema import encode
 from repro.sim import SCHEDULER_KINDS
@@ -251,6 +252,27 @@ class TestCampaign:
             o.cuts_checked for o in parallel.outcomes
         ]
         assert serial.violations == parallel.violations == 0
+
+    def test_undecodable_stored_outcome_is_quarantined_and_rerun(
+        self, tmp_path
+    ):
+        """A stored shard whose digest is right but whose outcome does
+        not decode is a miss: set aside, its case re-run."""
+        config = CampaignConfig(target="counter", budget=2, seed=0)
+        fresh = run_campaign(config)
+        store = ResultStore(tmp_path / "store")
+        run_campaign(config, store=store)
+        key = shard_key(plan_shards(config)[0])
+        payload = store.load(key)
+        payload["outcomes"][0]["cuts_checked"] = "3"
+        store.store(key, payload)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            result = run_campaign(config, store=store)
+        assert result.summary() == fresh.summary()
+        assert result.outcomes == fresh.outcomes
+        path = store.path_for(key)
+        assert path.with_name(path.name + QUARANTINE_SUFFIX).exists()
+        assert store.load(key) is not None  # the re-run was stored
 
     def test_summary_mentions_target_and_counts(self):
         result = run_campaign(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ServeError
-from repro.fuzz import CampaignConfig, run_campaign
+from repro.fuzz import CampaignConfig, plan_shards, run_campaign
 from repro.harness.cache import ResultStore, shard_key
 from repro.serve import JobQueue, TokenBucket, WorkStealingScheduler, load_records
 from repro.serve.workers import execute_shard
@@ -221,6 +221,30 @@ class TestJobQueue:
         assert queue.plan(record) == []  # every shard hits the store
         assert record.store_hits == record.shards_total == 4
         assert record.store_misses == 0
+        assert record.state == "done"
+        assert record.summary["text"] == result.summary()
+
+    def test_undecodable_stored_fuzz_shard_is_rerun(self, tmp_path):
+        """A stored fuzz shard whose outcome does not decode (under a
+        valid digest) is quarantined and planned again, not merged."""
+        config = CampaignConfig(target="counter", budget=2, seed=0)
+        store = ResultStore(tmp_path / "store")
+        result = run_campaign(config, store=store)
+        key = shard_key(plan_shards(config)[0])
+        payload = store.load(key)
+        payload["outcomes"][0]["cuts_checked"] = "3"
+        store.store(key, payload)
+        queue = self.make_queue(tmp_path, store=store)
+        record = queue.submit("alice", {"kind": "fuzz", **config.describe()})
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            pending = queue.plan(record)
+        assert [entry["key"] for entry in pending] == [key]
+        assert record.store_hits == 1 and record.store_misses == 1
+        for entry in pending:
+            queue.shard_done(
+                entry["job"], entry["index"], entry["key"],
+                execute_shard(entry["task"]),
+            )
         assert record.state == "done"
         assert record.summary["text"] == result.summary()
 
