@@ -284,7 +284,6 @@ class Engine:
         self._depth = 0
         self._pending_sleep: Set[int] = set()
         self._clocks: Dict[int, Dict[int, int]] = {}
-        self._counts: Dict[int, int] = {}
         self._last_write: Dict[object, _Access] = {}
         self._last_reads: Dict[object, Dict[int, _Access]] = {}
         # Agents whose clock dict is exclusively ours (mutable in place);
@@ -402,7 +401,6 @@ class Engine:
     def _reset_tables(self) -> None:
         """Empty the per-run conflict tables and their journal."""
         self._clocks = {}
-        self._counts = {}
         self._last_write = {}
         self._last_reads = {}
         self._clock_owned = set()
@@ -604,6 +602,9 @@ class Engine:
             log((clocks, agent, clock))
             clock = clocks[agent] = dict(clock)
             owned.add(agent)
+        # The agent's own entry is its step count; no access the step
+        # joins has seen a later step of this agent.
+        count = clock.get(agent, 0) + 1
 
         # Join the clocks of every earlier access the step conflicts with.
         last_write = self._last_write
@@ -624,10 +625,6 @@ class Engine:
             for key, value in access[2].items():
                 if value > clock.get(key, 0):
                     clock[key] = value
-        counts = self._counts
-        old_count = counts.get(agent)
-        log((counts, agent, old_count))
-        count = counts[agent] = (old_count or 0) + 1
         clock[agent] = count
         access: _Access = (agent, count, clock, depth)
         if writes or reads:

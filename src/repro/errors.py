@@ -57,3 +57,11 @@ class HistoryError(ReproError):
 
 class ServeError(ReproError):
     """The checking service was misused or a job cannot make progress."""
+
+
+class TaskFailed(ReproError):
+    """A pool task exhausted its attempts; ``error`` is its final error."""
+
+    def __init__(self, attempts: int, error: str) -> None:
+        super().__init__(f"failed after {attempts} attempt(s): {error}")
+        self.error = error

@@ -442,8 +442,9 @@ def run_case_task(task: dict) -> dict:
 
     ``task`` is one element of :func:`case_tasks` output; the result is
     an encoded :class:`CaseOutcome` (see :meth:`CaseOutcome.from_payload`).
-    Module-level so it crosses the process boundary for both
-    :func:`repro.harness.parallel.fan_out` and the serve worker pool.
+    Module-level so it crosses the process boundary of the
+    :class:`~repro.harness.parallel.TaskPool` under both
+    :func:`~repro.harness.parallel.fan_out` and ``repro serve``.
     """
     spec = CaseSpec.from_payload(task["spec"])
     return encode(run_case(spec, index=task["index"]))

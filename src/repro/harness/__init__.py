@@ -31,6 +31,7 @@ from repro.harness.metrics import (
 )
 from repro.harness.parallel import (
     GridCell,
+    TaskPool,
     dedup_cells,
     fan_out,
     figure_cells,
@@ -61,6 +62,7 @@ __all__ = [
     "dedup_cells",
     "run_grid",
     "fan_out",
+    "TaskPool",
     "derive_seed",
     "InstructionCostModel",
     "DEFAULT_COST_MODEL",

@@ -163,7 +163,7 @@ class HarnessStats:
     cache_evictions: int = 0
     trace_seconds: float = 0.0
     analysis_seconds: float = 0.0
-    #: fan_out resilience counters (see repro.harness.parallel.fan_out).
+    #: Task pool resilience counters (see repro.harness.parallel.TaskPool).
     task_retries: int = 0
     task_timeouts: int = 0
     task_failures: int = 0

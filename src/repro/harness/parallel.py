@@ -1,8 +1,10 @@
-"""Task fan-out, and the paper grid's plan → resolve → run → fold path.
+"""The task pool, and the paper grid's plan → resolve → run → fold path.
 
-:func:`fan_out` runs JSON-safe tasks through a module-level worker,
-in-process or on a process pool, with per-task timeouts and retries;
-the fuzz campaign and :func:`run_grid` both sit on it.  Table 1 and
+:class:`TaskPool` runs JSON-safe tasks through a module-level worker,
+in-process or on a process pool, with per-attempt timeouts and
+retries; :func:`fan_out` drives it over a batch of tasks for the fuzz
+campaign, sharded checking and :func:`run_grid`, and ``repro serve``
+awaits the same pool one shard at a time.  Table 1 and
 Figures 3-5 evaluate a (design x threads x racing x model x
 granularity) grid; :func:`run_grid` plans one task per *program
 variant* carrying every cell that shares its trace, resolves the tasks
@@ -17,14 +19,13 @@ same tasks, so both paths store the same bytes under the same keys.
 
 from __future__ import annotations
 
-import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.analysis import AnalysisConfig
-from repro.errors import ReproError
+from repro.errors import ReproError, TaskFailed
 from repro.harness.cache import HarnessStats, ResultStore, analysis_to_payload
 from repro.harness.instr import InstructionCostModel
 from repro.harness.runner import (
@@ -41,14 +42,11 @@ Variant = Tuple[str, int, bool]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Shared timeout/retry/backoff semantics for task executors.
+    """Timeout/retry/backoff semantics of a :class:`TaskPool`.
 
-    One description of the resilience contract used by :func:`fan_out`
-    (grids, fuzz campaigns, sharded checking) and by the serve worker
-    pool (:mod:`repro.serve.workers`), so every executor retries and
-    times out identically: a task gets ``retries + 1`` attempts, waits
-    ``backoff * 2**attempt`` seconds before attempt ``attempt + 1``,
-    and (pool mode only) is abandoned past ``timeout`` seconds.
+    A task gets ``retries + 1`` attempts, waits ``backoff * 2**attempt``
+    seconds before attempt ``attempt + 1``, and (on worker processes
+    only) an attempt is abandoned past ``timeout`` seconds.
     """
 
     retries: int = 0
@@ -73,6 +71,85 @@ class RetryPolicy:
         return self.backoff * (2 ** attempt)
 
 
+class TaskPool:
+    """A task worker behind a :class:`RetryPolicy`, awaited one task
+    per caller.
+
+    ``worker`` must be a module-level function taking one JSON-safe
+    task dict and returning a JSON-safe result dict.  ``processes`` of
+    0 calls it in-process (no pickling, no timeout); otherwise each
+    attempt runs on one of ``processes`` worker processes and is
+    abandoned once it overruns ``policy.timeout``.  ``stats`` counts
+    ``task_attempts`` (every worker invocation, retries included),
+    ``task_retries``, ``task_timeouts`` (expired attempts),
+    ``task_failures`` and ``failure_exception_types`` (the *final*
+    exception type of each failed task, ``"TimeoutError"`` for an
+    expiry).  Only the pool's own deadline is a timeout: an exception
+    the worker raises, ``TimeoutError`` included, is an error of its
+    type.
+    """
+
+    def __init__(
+        self,
+        worker: Callable[[dict], dict],
+        processes: int,
+        policy: Optional[RetryPolicy] = None,
+        stats: Optional[HarnessStats] = None,
+    ) -> None:
+        self.worker = worker
+        self.processes = processes
+        self.policy = policy if policy is not None else RetryPolicy()
+        self.stats = stats if stats is not None else HarnessStats()
+        self._executor: Optional[ProcessPoolExecutor] = None
+
+    async def run(self, task: dict) -> dict:
+        """The worker's result for ``task``.
+
+        Raises:
+            TaskFailed: when the task exhausts its attempts.
+        """
+        import asyncio
+
+        policy, stats = self.policy, self.stats
+        for attempt in range(policy.attempts):
+            stats.task_attempts += 1
+            try:
+                if not self.processes:
+                    return self.worker(task)
+                if self._executor is None:
+                    self._executor = ProcessPoolExecutor(self.processes)
+                future = asyncio.get_running_loop().run_in_executor(
+                    self._executor, self.worker, task
+                )
+                try:
+                    done, _ = await asyncio.wait(
+                        {future}, timeout=policy.timeout
+                    )
+                finally:
+                    future.cancel()  # abandons an unfinished attempt
+                if done:
+                    return future.result()
+                stats.task_timeouts += 1
+                error = f"timed out after {policy.timeout}s"
+                kind = "TimeoutError"
+            except Exception as exc:  # worker bug or corrupt task
+                error, kind = str(exc), type(exc).__name__
+            if attempt < policy.retries:
+                stats.task_retries += 1
+                await asyncio.sleep(policy.delay(attempt))
+        stats.task_failures += 1
+        types = stats.failure_exception_types
+        types[kind] = types.get(kind, 0) + 1
+        raise TaskFailed(policy.attempts, error)
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Free the worker processes, by default once abandoned
+        attempts end (without ``wait`` they end on their own)."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=wait)
+            self._executor = None
+
+
 def fan_out(
     worker: Callable[[dict], dict],
     tasks: Sequence[dict],
@@ -88,174 +165,55 @@ def fan_out(
     """Run JSON-safe ``tasks`` through ``worker``, folding each result
     into ``merge``.
 
-    The generic fan-out primitive under :func:`run_grid` and the
-    ``repro.fuzz`` campaign engine: ``worker`` must be a module-level
-    function taking one JSON-safe task dict and returning a JSON-safe
-    result dict (both must cross a process boundary).  ``jobs`` of
-    ``None``, 0, or 1 runs everything in-process through the same worker
-    (identical results, no pool); results are merged as they complete,
-    in arbitrary order, so ``merge`` must not assume task order.
+    The batch driver of :class:`TaskPool` under :func:`run_grid`, the
+    ``repro.fuzz`` campaign engine and sharded checking: ``jobs`` slots
+    each take the next task and await it on a pool of ``jobs`` worker
+    processes; ``jobs`` of ``None``, 0 or 1 runs everything in-process
+    through the same worker (identical results, no pool).  Results are
+    merged as they complete, in arbitrary order, so ``merge`` must not
+    assume task order.
 
-    Resilience: a task whose attempt raises — or, in pool mode, exceeds
-    ``timeout`` seconds — is retried up to ``retries`` times with
-    exponential backoff (``backoff * 2**attempt`` seconds before attempt
-    ``attempt+1``); once attempts are exhausted the task *fails its
-    cell*: ``on_failure(task, error)`` is invoked (a warning when None)
-    and the remaining tasks keep running.  ``stats`` (when given)
-    accumulates ``task_retries`` / ``task_timeouts`` / ``task_failures``
-    for ``--stats`` reporting, plus ``task_attempts`` (every worker
-    invocation, retries included) and ``failure_exception_types`` (the
-    *final* exception type of each failed task, ``"TimeoutError"`` for
-    deadline expiries) — so a retried-then-failed task is
-    distinguishable from a first-try failure.
+    Resilience: a task whose attempt raises — or, on worker processes,
+    runs past ``timeout`` seconds from its dispatch on a slot — is
+    retried up to ``retries`` times with exponential backoff (see
+    :class:`RetryPolicy`); once attempts are exhausted the task *fails
+    its cell*: ``on_failure(task, error)`` is invoked (a warning when
+    None) and the remaining tasks keep running.  ``stats`` (when given)
+    accumulates the pool's counters for ``--stats`` reporting.
 
     Caveat: a timed-out worker process cannot be interrupted
-    mid-computation; its future is abandoned (the pool reaps it on
-    shutdown) and the retry runs as a fresh submission.  Serial mode has
-    no preemption, so ``timeout`` applies only in pool mode; retries
-    apply in both.  The (timeout, retries, backoff) triple is one
-    :class:`RetryPolicy` — the serve worker pool executes the same
-    contract asynchronously.
+    mid-computation; its attempt is abandoned, keeps its process busy
+    until it ends, and the retry runs as a fresh submission.  Returning
+    waits for abandoned attempts.
     """
+    import asyncio
+
     policy = RetryPolicy(retries=retries, backoff=backoff, timeout=timeout)
-    retries = policy.retries
+    processes = jobs if jobs is not None and jobs > 1 else 0
+    pool = TaskPool(worker, processes, policy, stats)
+    queue = iter(tasks)
 
-    def record_attempt() -> None:
-        if stats is not None:
-            stats.task_attempts += 1
-
-    def record_retry() -> None:
-        if stats is not None:
-            stats.task_retries += 1
-
-    def record_failure(
-        task: dict, error: str, timed_out: bool, exc_type: str
-    ) -> None:
-        if stats is not None:
-            stats.task_failures += 1
-            if timed_out:
-                stats.task_timeouts += 1
-            stats.failure_exception_types[exc_type] = (
-                stats.failure_exception_types.get(exc_type, 0) + 1
-            )
-        if on_failure is not None:
-            on_failure(task, error)
-        else:
-            warnings.warn(
-                f"fan_out task failed after {retries + 1} attempt(s): "
-                f"{error}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    if jobs is None or jobs <= 1:
-        for task in tasks:
-            for attempt in range(retries + 1):
-                record_attempt()
-                try:
-                    result = worker(task)
-                except Exception as exc:  # worker bug or corrupt task
-                    if attempt < retries:
-                        record_retry()
-                        time.sleep(policy.delay(attempt))
-                        continue
-                    record_failure(
-                        task,
-                        str(exc),
-                        timed_out=False,
-                        exc_type=type(exc).__name__,
-                    )
-                    break
-                merge(result)
-                break
-        return
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-
-        def submit(task: dict, attempt: int) -> None:
-            record_attempt()
-            future = pool.submit(worker, task)
-            deadline = (
-                time.monotonic() + timeout if timeout is not None else None
-            )
-            pending[future] = (task, attempt, deadline)
-
-        pending: Dict[object, Tuple[dict, int, Optional[float]]] = {}
-        # (task, attempt, not-before) waiting out a backoff delay.
-        delayed: List[Tuple[dict, int, float]] = []
-        for task in tasks:
-            submit(task, 0)
-        while pending or delayed:
-            now = time.monotonic()
-            ready = [entry for entry in delayed if entry[2] <= now]
-            delayed = [entry for entry in delayed if entry[2] > now]
-            for task, attempt, _ in ready:
-                submit(task, attempt)
-            if not pending:
-                if delayed:
-                    time.sleep(
-                        max(0.0, min(entry[2] for entry in delayed) - now)
+    async def slot() -> None:
+        for task in queue:
+            try:
+                result = await pool.run(task)
+            except TaskFailed as exc:
+                if on_failure is not None:
+                    on_failure(task, exc.error)
+                else:
+                    warnings.warn(
+                        f"fan_out task {exc}", RuntimeWarning, stacklevel=2
                     )
                 continue
-            wait_cap = None
-            deadlines = [
-                deadline for _, _, deadline in pending.values() if deadline
-            ]
-            if deadlines:
-                wait_cap = max(0.0, min(deadlines) - now)
-            if delayed:
-                next_delay = max(0.0, min(e[2] for e in delayed) - now)
-                wait_cap = (
-                    next_delay if wait_cap is None else min(wait_cap, next_delay)
-                )
-            done, _ = wait(
-                list(pending), timeout=wait_cap, return_when=FIRST_COMPLETED
-            )
-            now = time.monotonic()
-            for future in done:
-                task, attempt, _ = pending.pop(future)
-                error: Optional[str] = None
-                error_type = ""
-                result = None
-                try:
-                    result = future.result(timeout=0)
-                except Exception as exc:
-                    error = str(exc)
-                    error_type = type(exc).__name__
-                if error is None:
-                    merge(result)
-                elif attempt < retries:
-                    record_retry()
-                    delayed.append(
-                        (task, attempt + 1, now + policy.delay(attempt))
-                    )
-                else:
-                    record_failure(
-                        task, error, timed_out=False, exc_type=error_type
-                    )
-            # Expire attempts that blew their per-task deadline.  A
-            # not-yet-started future is cancelled outright; a running
-            # one is abandoned (see the caveat in the docstring).
-            for future in list(pending):
-                task, attempt, deadline = pending[future]
-                if deadline is None or deadline > now:
-                    continue
-                future.cancel()
-                del pending[future]
-                if attempt < retries:
-                    if stats is not None:
-                        stats.task_timeouts += 1
-                    record_retry()
-                    delayed.append(
-                        (task, attempt + 1, now + policy.delay(attempt))
-                    )
-                else:
-                    record_failure(
-                        task,
-                        f"timed out after {timeout}s",
-                        timed_out=True,
-                        exc_type="TimeoutError",
-                    )
+            merge(result)
+
+    async def drain() -> None:
+        await asyncio.gather(*(slot() for _ in range(max(processes, 1))))
+
+    try:
+        asyncio.run(drain())
+    finally:
+        pool.shutdown()
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from repro.serve.jobs import (
     validate_spec,
 )
 from repro.serve.queue import JobQueue, TokenBucket, WorkStealingScheduler
-from repro.serve.workers import WorkerPool, execute_shard
+from repro.serve.workers import execute_shard
 
 __all__ = [
     "JOB_CONFIGS",
@@ -60,7 +60,6 @@ __all__ = [
     "ServeDaemon",
     "TokenBucket",
     "WorkStealingScheduler",
-    "WorkerPool",
     "default_socket",
     "execute_shard",
     "job_id",

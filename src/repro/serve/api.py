@@ -16,8 +16,8 @@ Operations::
 The daemon is a single asyncio event loop: one task per worker slot
 pulls shards from the :class:`~repro.serve.queue.WorkStealingScheduler`
 (own queue first, then stealing), gates dispatch on the tenant's token
-bucket, and awaits execution on the
-:class:`~repro.serve.workers.WorkerPool`; the socket server and the
+bucket, and awaits :func:`~repro.serve.workers.execute_shard` on the
+:class:`~repro.harness.parallel.TaskPool`; the socket server and the
 job table run on the same loop, so no locks are needed anywhere in the
 daemon's state.
 
@@ -40,12 +40,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.errors import ServeError
-from repro.harness.parallel import RetryPolicy
+from repro.errors import ServeError, TaskFailed
+from repro.harness.parallel import RetryPolicy, TaskPool
 from repro.schema import option
 from repro.serve.jobs import JobRecord
 from repro.serve.queue import JobQueue, WorkStealingScheduler
-from repro.serve.workers import WorkerPool
+from repro.serve.workers import execute_shard
 
 _PathLike = Union[str, Path]
 
@@ -104,7 +104,7 @@ class ServeConfig:
         self.policy()
 
     def policy(self) -> RetryPolicy:
-        """The worker pool's retry contract (fan_out semantics)."""
+        """The worker pool's retry contract."""
         return RetryPolicy(
             retries=self.task_retries, timeout=self.task_timeout
         )
@@ -123,8 +123,8 @@ class ServeDaemon:
             burst=config.burst,
         )
         self.scheduler = WorkStealingScheduler(config.workers)
-        self.pool = WorkerPool(
-            config.workers, policy=config.policy(), stats=self.queue.stats
+        self.pool = TaskPool(
+            execute_shard, config.workers, config.policy(), self.queue.stats
         )
         self.started_at = time.time()
         self._shutdown: Optional[asyncio.Event] = None
@@ -153,7 +153,7 @@ class ServeDaemon:
             for slot_task in slots:
                 slot_task.cancel()
             await asyncio.gather(*slots, return_exceptions=True)
-            self.pool.shutdown()
+            self.pool.shutdown(wait=False)
             if socket_path.exists():
                 socket_path.unlink()
 
@@ -183,8 +183,10 @@ class ServeDaemon:
             self.queue.bucket(entry["tenant"]).take()
             try:
                 payload = await self.pool.run(entry["task"])
-            except ServeError as exc:
-                self.queue.shard_failed(entry["job"], entry["index"], str(exc))
+            except TaskFailed as exc:
+                self.queue.shard_failed(
+                    entry["job"], entry["index"], f"shard {exc}"
+                )
                 self.scheduler.drop_job(entry["job"])
             else:
                 self.queue.shard_done(

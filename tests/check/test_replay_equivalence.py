@@ -159,7 +159,7 @@ def test_share_is_default_for_targets():
 
 
 def table_view(engine):
-    """A deep, comparable copy of the engine's four conflict tables."""
+    """A deep, comparable copy of the engine's three conflict tables."""
 
     def access(record):
         agent, count, clock, depth = record
@@ -167,7 +167,6 @@ def table_view(engine):
 
     return (
         {agent: dict(clock) for agent, clock in engine._clocks.items()},
-        dict(engine._counts),
         {obj: access(last) for obj, last in engine._last_write.items()},
         {
             obj: {reader: access(last) for reader, last in readers.items()}

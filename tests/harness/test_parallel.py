@@ -1,6 +1,10 @@
 """Tests for the parallel grid executor: parity with serial execution."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +106,11 @@ def _failing_worker(task):
     raise RuntimeError(f"boom on {task['name']}")
 
 
+def _timeout_error_worker(task):
+    """Module-level worker raising its own (builtin) TimeoutError."""
+    raise TimeoutError(f"lock wait expired in {task['name']}")
+
+
 class TestFanOutResilience:
     def test_serial_retry_recovers_flaky_worker(self):
         attempts = {"n": 0}
@@ -193,6 +202,38 @@ class TestFanOutResilience:
         assert "timed out after" in failures[0][1]
         assert stats.task_timeouts == 1
         assert stats.task_failures == 1
+        assert stats.failure_exception_types == {"TimeoutError": 1}
+
+    def test_queued_tasks_keep_their_timeout_budget(self):
+        # Eight 0.5 s tasks on two processes take ~2 s in all; each
+        # attempt's 1.2 s budget starts at its dispatch, not at the batch's.
+        tasks = [{"name": str(i), "sleep": 0.5} for i in range(8)]
+        merged = []
+        stats = HarnessStats()
+        fan_out(
+            _sleepy_worker, tasks, jobs=2, merge=merged.append,
+            timeout=1.2, stats=stats,
+        )
+        assert sorted(task["name"] for task in merged) == [
+            task["name"] for task in tasks
+        ]
+        assert stats.task_timeouts == 0
+        assert stats.task_failures == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_raised_timeout_error_is_an_error_not_a_timeout(
+        self, jobs
+    ):
+        failures = []
+        stats = HarnessStats()
+        fan_out(
+            _timeout_error_worker, [{"name": "t"}], jobs=jobs,
+            merge=lambda result: None, timeout=30.0,
+            on_failure=lambda task, error: failures.append(error),
+            stats=stats,
+        )
+        assert failures == ["lock wait expired in t"]
+        assert stats.task_timeouts == 0
         assert stats.failure_exception_types == {"TimeoutError": 1}
 
     def test_stats_report_includes_task_counters(self):
@@ -303,3 +344,16 @@ class TestCliParity:
                 assert (out / name).read_bytes() == (
                     out_serial / name
                 ).read_bytes()
+
+
+def test_importing_the_harness_leaves_asyncio_unloaded():
+    """The pool imports asyncio where it runs, so the harness import
+    chain (and the time it costs every run) stays without it."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.harness; print('asyncio' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out.strip() == "False"

@@ -1,12 +1,12 @@
-"""Tests for shard execution and the async worker pool."""
+"""Tests for shard execution and the daemon's worker pool."""
 
 import asyncio
 
 import pytest
 
-from repro.errors import ServeError
-from repro.harness.parallel import RetryPolicy
-from repro.serve import WorkerPool, execute_shard, plan_job
+from repro.errors import ServeError, TaskFailed
+from repro.harness.parallel import RetryPolicy, TaskPool
+from repro.serve import ServeConfig, execute_shard, plan_job
 
 
 def run_async(coroutine):
@@ -57,13 +57,23 @@ class TestExecuteShard:
             execute_shard({"kind": "espresso"})
 
 
+def _raise_timeout_error(task):
+    """Module-level (pool-picklable) worker raising its own TimeoutError."""
+    raise TimeoutError(f"lock wait expired in {task['name']}")
+
+
+def worker_pool(workers, policy=None):
+    """The pool a daemon with ``workers`` worker processes builds."""
+    return TaskPool(execute_shard, workers, policy)
+
+
 class TestWorkerPool:
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ServeError):
-            WorkerPool(0)
+    def test_invalid_worker_count_rejected(self, tmp_path):
+        with pytest.raises(ServeError, match="workers must be at least 1"):
+            ServeConfig(tmp_path, workers=0).validate()
 
     def test_runs_a_real_shard_in_a_subprocess(self):
-        pool = WorkerPool(1)
+        pool = worker_pool(1)
         try:
             (task,) = plan_job({"kind": "litmus", "programs": ["mp-clflush"],
                                 "models": ["epoch"]})
@@ -75,9 +85,9 @@ class TestWorkerPool:
             pool.shutdown()
 
     def test_bad_task_exhausts_attempts_and_counts_failure(self):
-        pool = WorkerPool(1, policy=RetryPolicy(retries=2, backoff=0.0))
+        pool = worker_pool(1, RetryPolicy(retries=2, backoff=0.0))
         try:
-            with pytest.raises(ServeError, match="after 3 attempt"):
+            with pytest.raises(TaskFailed, match="after 3 attempt"):
                 run_async(pool.run({"kind": "espresso"}))
             assert pool.stats.task_attempts == 3
             assert pool.stats.task_retries == 2
@@ -87,18 +97,27 @@ class TestWorkerPool:
             pool.shutdown()
 
     def test_timeout_counts_and_retries_as_fresh_submission(self):
-        pool = WorkerPool(
-            2, policy=RetryPolicy(retries=0, timeout=0.05, backoff=0.0)
-        )
+        pool = worker_pool(2, RetryPolicy(retries=0, timeout=0.05, backoff=0.0))
         try:
             # A check shard with history recording over a busy target is
             # far slower than 50ms; the future is abandoned, not joined.
             spec = {"kind": "check", "target": "queue-2lc-faithful",
                     "threads": 2, "ops": 2}
             task = plan_job(spec)[0]
-            with pytest.raises(ServeError, match="timed out"):
+            with pytest.raises(TaskFailed, match="timed out"):
                 run_async(pool.run(task))
             assert pool.stats.task_timeouts == 1
+            assert pool.stats.failure_exception_types == {"TimeoutError": 1}
+        finally:
+            pool.shutdown(wait=False)  # as the daemon does
+
+    def test_worker_raised_timeout_error_is_an_error_not_a_timeout(self):
+        pool = TaskPool(_raise_timeout_error, 1)
+        try:
+            with pytest.raises(TaskFailed) as failure:
+                run_async(pool.run({"name": "shard-7"}))
+            assert failure.value.error == "lock wait expired in shard-7"
+            assert pool.stats.task_timeouts == 0
             assert pool.stats.failure_exception_types == {"TimeoutError": 1}
         finally:
             pool.shutdown()
