@@ -50,9 +50,7 @@ from repro.core.recovery import (
     cut_content_key,
     cut_members,
     enumerate_cut_masks,
-    enumerate_cuts,
     image_at_cut,
-    minimal_cut,
     minimal_cut_mask,
 )
 from repro.check.canonical import canonical_dag_key
@@ -317,25 +315,17 @@ def _record(
         result.violations.append(violation)
 
 
-def _cuts_for(graph, max_cuts: int) -> List[object]:
+def _cuts_for(graph, max_cuts: int) -> List[int]:
     """Every consistent cut, or each persist's minimal cut over the limit.
 
-    Oversized graphs fall back to one minimal cut per persist.  On
-    mask-capable graphs (``dep_masks`` present) cuts stay packed ints
-    end-to-end — enumeration, content hashing, and imaging all take the
-    bitmask fast path and never materialize frozensets.
+    Oversized graphs fall back to one minimal cut per persist.  Cuts stay
+    packed ints end-to-end: enumeration, content hashing and imaging all
+    take bitmasks and never materialize frozensets.
     """
-    if getattr(graph, "dep_masks", None) is not None:
-        try:
-            return list(enumerate_cut_masks(graph, limit=max_cuts))
-        except RecoveryError:
-            return [
-                minimal_cut_mask(graph, pid) for pid in range(len(graph.nodes))
-            ]
     try:
-        return list(enumerate_cuts(graph, limit=max_cuts))
+        return list(enumerate_cut_masks(graph, limit=max_cuts))
     except RecoveryError:
-        return [minimal_cut(graph, pid) for pid in range(len(graph.nodes))]
+        return [minimal_cut_mask(graph, pid) for pid in range(len(graph.nodes))]
 
 
 def check_runs(
@@ -532,9 +522,8 @@ def check_target(
     Reuses the exact fuzz pipeline (``FuzzTarget.setup`` → machine +
     finalize → trace, base image, recovery checker), so a violation
     found here is replayable by ``repro fuzz replay`` once exported to
-    a corpus.  Targets exposing the two-phase ``setup`` API run as a
-    :class:`~repro.check.engine.CheckProgram` (prefix-sharing replay);
-    others fall back to re-executing ``build`` per schedule.
+    a corpus.  The target's two-phase ``setup`` API runs as a
+    :class:`~repro.check.engine.CheckProgram` (prefix-sharing replay).
 
     A history oracle on the config builds the program with operation
     recording on (recordable targets only — ``setup`` raises otherwise)
@@ -546,29 +535,23 @@ def check_target(
     fuzz_target = make_target(target)
     config = config or CheckConfig()
     record = config.oracle != "invariant"
-    if hasattr(fuzz_target, "setup"):
 
-        class _TargetProgram:
-            def __init__(self) -> None:
-                self._finalize = None
+    class _TargetProgram:
+        def __init__(self) -> None:
+            self._finalize = None
 
-            def build(self, scheduler: Scheduler) -> Machine:
-                machine, finalize = fuzz_target.setup(
-                    threads, ops, scheduler, record_history=record
-                )
-                self._finalize = finalize
-                return machine
+        def build(self, scheduler: Scheduler) -> Machine:
+            machine, finalize = fuzz_target.setup(
+                threads, ops, scheduler, record_history=record
+            )
+            self._finalize = finalize
+            return machine
 
-            def finish(self, machine: Machine):
-                return self._finalize(machine)
+        def finish(self, machine: Machine):
+            return self._finalize(machine)
 
-        run = _TargetProgram()
-    else:
-        run = lambda scheduler: fuzz_target.build(  # noqa: E731
-            threads, ops, scheduler, record_history=record
-        )
     return check_runs(
-        run,
+        _TargetProgram(),
         trace_of=lambda run: run.trace,
         base_of=lambda run: run.base_image,
         checker_of=lambda run: run.check,

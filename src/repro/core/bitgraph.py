@@ -1,4 +1,4 @@
-"""Packed-bitset persist-DAG domain — the analysis/recovery fast path.
+"""Packed-bitset persist-DAG domain — the analysis fast path.
 
 :class:`BitsetGraphDomain` is a drop-in replacement for
 :class:`~repro.core.lattice.GraphDomain` that stores every set of persist
@@ -29,15 +29,17 @@ enumeration, recovery imaging, DOT export) sees the same DAG.
 The class subclasses ``GraphDomain`` so ``isinstance`` checks and typed
 call sites (``AnalysisResult.graph``, the NVRAM device model) accept it
 unchanged; the frozenset implementation remains the reference oracle the
-property tests compare against.  Recovery's mask fast paths key off the
-``dep_masks`` attribute, which only this class provides.
+property tests compare against.  Both domains keep the inherited
+``dep_masks`` list the cut operations of :mod:`repro.core.recovery` run
+on; here each entry is the frontier mask computed above, with no
+frozenset to pack.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
-from repro.core.lattice import GraphDomain, PersistNode
+from repro.core.lattice import GraphDomain, PersistNode, iter_bits, mask_of
 from repro.trace.events import MemoryEvent
 
 __all__ = ["BitsetGraphDomain", "iter_bits", "mask_of"]
@@ -46,22 +48,6 @@ __all__ = ["BitsetGraphDomain", "iter_bits", "mask_of"]
 BitsetValue = Tuple[int, int]
 
 _BOTTOM: BitsetValue = (0, 0)
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def mask_of(pids) -> int:
-    """Pack an iterable of persist ids into one bitmask."""
-    mask = 0
-    for pid in pids:
-        mask |= 1 << pid
-    return mask
 
 
 class BitsetGraphDomain(GraphDomain):
@@ -78,10 +64,6 @@ class BitsetGraphDomain(GraphDomain):
         super().__init__()
         #: Per-persist transitively-closed strict-ancestor mask.
         self._anc: List[int] = []
-        #: Per-persist immediate-dependency (frontier) mask — mirrors
-        #: ``nodes[pid].deps`` and marks the graph as mask-capable for
-        #: recovery's fast paths.
-        self.dep_masks: List[int] = []
         #: Levels maintained incrementally on append (node dependencies
         #: always have smaller pids), so streaming consumers can read the
         #: critical path and level histogram at any point without the
@@ -145,7 +127,6 @@ class BitsetGraphDomain(GraphDomain):
         self._max_level = max(hist, default=0)
         del self._levels[count:]
         del self._anc[count:]
-        del self.dep_masks[count:]
         super().truncate(count)
 
     def critical_path(self) -> int:

@@ -18,7 +18,9 @@ and two domains implement it:
   persist becomes a node of an explicit DAG with its byte writes
   recorded.  Coalescing here is exact (ancestor containment), so the DAG
   is sound for *every* legal persist schedule; the recovery observer and
-  failure injection use this domain.
+  failure injection use this domain.  Each node's frontier is also kept
+  as a packed int bitmask (bit ``pid`` set ⇔ persist ``pid`` is a
+  member) in ``dep_masks``, the form every cut operation runs on.
 
 Cross-check: with coalescing disabled the two domains make identical
 decisions and the scalar critical path equals the DAG's longest path —
@@ -29,9 +31,25 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.trace.events import MemoryEvent
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Yield the set bit positions of ``mask`` in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_of(pids) -> int:
+    """Pack an iterable of persist ids into one bitmask."""
+    mask = 0
+    for pid in pids:
+        mask |= 1 << pid
+    return mask
 
 
 class DependencyDomain(abc.ABC):
@@ -182,6 +200,9 @@ class GraphDomain(DependencyDomain):
 
     def __init__(self) -> None:
         self.nodes: List[PersistNode] = []
+        #: Per-persist frontier mask, ``mask_of(nodes[pid].deps)``: the
+        #: form the cut operations of :mod:`repro.core.recovery` run on.
+        self.dep_masks: List[int] = []
         self._closure: Dict[int, FrozenSet[int]] = {}
         #: Bumped on every mutation (persist *and* coalesce) so derived
         #: structures — the level caches below, recovery's per-graph
@@ -211,25 +232,43 @@ class GraphDomain(DependencyDomain):
             return right
         if not right:
             return left
-        if left == right:
+        if left <= right:
+            return right
+        if right <= left:
             return left
         # Prune dominated members: keeping an ancestor of another member
         # adds no constraints but makes every later join and closure
-        # union quadratically more expensive.
-        union = left | right
+        # union more expensive.  Every value is an antichain (bottom,
+        # value_of and join hand out nothing else), so a member can only
+        # be dominated by a member of the other operand it does not share.
+        only_left = left - right
+        only_right = right - left
+        return (
+            (left & right)
+            | self._undominated(only_left, only_right)
+            | self._undominated(only_right, only_left)
+        )
+
+    def _undominated(
+        self, members: FrozenSet[int], others: FrozenSet[int]
+    ) -> FrozenSet[int]:
+        """``members`` less every one that is an ancestor of an ``others``."""
         closure = self._closure
-        pruned = {
-            pid
-            for pid in union
-            if not any(
-                pid in closure[other] for other in union if other != pid
-            )
-        }
-        return frozenset(pruned)
+        for other in others:
+            ancestors = closure[other]
+            if not members.isdisjoint(ancestors):
+                members = members - ancestors
+                if not members:
+                    break
+        return members
 
     def ancestors(self, pid: int) -> FrozenSet[int]:
         """All persists strictly ordered before ``pid``."""
         return self._closure[pid]
+
+    def ancestor_mask(self, pid: int) -> int:
+        """:meth:`ancestors` as a bitmask."""
+        return mask_of(self._closure[pid])
 
     def leq(self, deps: FrozenSet[int], token: int) -> bool:
         if not deps:
@@ -243,6 +282,7 @@ class GraphDomain(DependencyDomain):
         for dep in deps:
             closure |= self._closure[dep]
         self._closure[pid] = frozenset(closure)
+        self.dep_masks.append(mask_of(deps))
         self.nodes.append(
             PersistNode(
                 pid=pid,
@@ -277,6 +317,7 @@ class GraphDomain(DependencyDomain):
         for pid in range(count, len(self.nodes)):
             closure.pop(pid, None)
         del self.nodes[count:]
+        del self.dep_masks[count:]
         del self.node_records[count:]
         self._invalidate()
 

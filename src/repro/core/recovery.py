@@ -15,11 +15,12 @@ Cuts have two interchangeable representations:
   accepted by every cut-consuming function here and produced by the
   ``*_mask`` enumerators.
 
-On a mask-capable graph (one exposing ``dep_masks`` — see
-:class:`~repro.core.bitgraph.BitsetGraphDomain`) the mask forms run on
-single big-int operations and a cached per-graph address→persist write
-index instead of rescanning every node; results are identical to the
-set-based reference paths, which remain in place as the oracle.
+Every cut operation has one implementation, on masks: each persist DAG
+(either domain) keeps its nodes' dependency frontiers as ``dep_masks``,
+so downward closure is one big-int test per member, and the cut's bytes
+(:func:`cut_bytes`) come from a cached per-graph write index instead of
+a rescan of every node.  :func:`enumerate_cuts` is the frozenset view of
+:func:`enumerate_cut_masks`.
 
 Imaging is compiled once per graph: :func:`persist_table` holds every
 persist's writes as pre-validated page slices, so :func:`image_at_cut`
@@ -45,18 +46,12 @@ from typing import (
     Union,
 )
 
-from repro.core.bitgraph import iter_bits
-from repro.core.lattice import GraphDomain
+from repro.core.lattice import GraphDomain, iter_bits, mask_of
 from repro.errors import RecoveryError
 from repro.memory.nvram import NvramImage
 
 #: A consistent cut: persist ids as a set/iterable, or a packed bitmask.
 Cut = Union[int, Iterable[int]]
-
-
-def _dep_masks(graph: GraphDomain) -> Optional[List[int]]:
-    """The graph's per-node dependency masks, when mask-capable."""
-    return getattr(graph, "dep_masks", None)
 
 
 def _check_mask(cut: int) -> None:
@@ -90,23 +85,22 @@ def cut_size(cut: Cut) -> int:
 
 
 def is_consistent_cut(graph: GraphDomain, included: Cut) -> bool:
-    """True when ``included`` is downward-closed under persist order."""
+    """True when ``included`` is downward-closed under persist order.
+
+    A cut naming a persist the graph does not have is not consistent.
+    """
+    count = len(graph.nodes)
     if isinstance(included, int):
-        deps = _dep_masks(graph)
-        if included < 0 or included >> len(graph.nodes):
+        if included < 0 or included >> count:
             return False
-        if deps is not None:
-            return all(
-                deps[pid] & ~included == 0 for pid in iter_bits(included)
-            )
-        included = set(iter_bits(included))
-    cut = set(included)
-    for pid in cut:
-        if pid < 0 or pid >= len(graph.nodes):
+        mask, members = included, iter_bits(included)
+    else:
+        members = list(included)
+        if members and not 0 <= min(members) <= max(members) < count:
             return False
-        if not graph.nodes[pid].deps <= cut:
-            return False
-    return True
+        mask = mask_of(members)
+    deps = graph.dep_masks
+    return all(deps[pid] & mask == deps[pid] for pid in members)
 
 
 def full_cut(graph: GraphDomain) -> FrozenSet[int]:
@@ -162,7 +156,7 @@ def minimal_cut(graph: GraphDomain, pid: int) -> FrozenSet[int]:
 
 
 def minimal_cut_mask(graph: GraphDomain, pid: int) -> int:
-    """:func:`minimal_cut` as a bitmask (mask-capable graphs only)."""
+    """:func:`minimal_cut` as a bitmask."""
     if pid < 0 or pid >= len(graph.nodes):
         raise RecoveryError(f"no persist with id {pid}")
     return graph.ancestor_mask(pid) | (1 << pid)
@@ -232,24 +226,19 @@ def linear_extension_cut(
 def enumerate_cut_masks(
     graph: GraphDomain, limit: int = 100_000
 ) -> Iterator[int]:
-    """Enumerate every consistent cut as a bitmask (mask fast path).
+    """Enumerate every consistent cut as a bitmask (small graphs only).
 
-    Visits cuts in exactly the order :func:`enumerate_cuts` does — the
-    same BFS with the same ascending-pid extension loop — so the two
-    enumerations correspond element-for-element; only the membership and
-    downward-closure tests run on single big-int operations.  Requires a
-    mask-capable graph (``dep_masks``).
+    A breadth-first walk from the empty cut that extends each cut by
+    every persist, in ascending pid order, whose dependencies it holds;
+    so cuts come in non-decreasing size order, each exactly once.
 
     Raises:
-        RecoveryError: same ``limit`` overrun as :func:`enumerate_cuts`.
+        RecoveryError: when more than ``limit`` cuts would be produced —
+            the count is exponential in the antichain width, so callers
+            must keep graphs tiny.
     """
-    deps = _dep_masks(graph)
-    if deps is None:
-        raise RecoveryError(
-            "graph does not expose dep_masks; use enumerate_cuts or the "
-            "bitset domain"
-        )
-    count = len(graph.nodes)
+    deps = graph.dep_masks
+    count = len(deps)
     seen: Set[int] = {0}
     frontier: Deque[int] = deque((0,))
     produced = 0
@@ -274,48 +263,21 @@ def enumerate_cut_masks(
 def enumerate_cuts(
     graph: GraphDomain, limit: int = 100_000
 ) -> Iterator[FrozenSet[int]]:
-    """Enumerate every consistent cut (small graphs only).
-
-    Yields cuts in non-decreasing size order starting from the empty cut.
-    On mask-capable graphs the walk runs on :func:`enumerate_cut_masks`
-    (identical order) and converts each mask at yield time.
+    """:func:`enumerate_cut_masks` with each cut as a frozenset of pids.
 
     Raises:
-        RecoveryError: when more than ``limit`` cuts would be produced —
-            the count is exponential in the antichain width, so callers
-            must keep graphs tiny.
+        RecoveryError: the same ``limit`` overrun.
     """
-    if _dep_masks(graph) is not None:
-        for mask in enumerate_cut_masks(graph, limit=limit):
-            yield frozenset(iter_bits(mask))
-        return
-    seen: Set[FrozenSet[int]] = {frozenset()}
-    frontier: Deque[FrozenSet[int]] = deque((frozenset(),))
-    produced = 0
-    while frontier:
-        cut = frontier.popleft()
-        produced += 1
-        if produced > limit:
-            raise RecoveryError(
-                f"more than {limit} consistent cuts; graph too large to "
-                f"enumerate"
-            )
-        yield cut
-        for node in graph.nodes:
-            if node.pid not in cut and node.deps <= cut:
-                extended = cut | {node.pid}
-                if extended not in seen:
-                    seen.add(extended)
-                    frontier.append(extended)
+    for mask in enumerate_cut_masks(graph, limit=limit):
+        yield frozenset(iter_bits(mask))
 
 
 def _write_index(graph: GraphDomain) -> List[Dict[int, int]]:
     """Per-persist {byte address: value} maps, cached on the graph.
 
-    Built once per graph version; merging the maps of a cut's members in
-    pid order reproduces exactly the byte map the legacy full-node scan
-    computes.  The cache is stamped with ``(len(nodes), _version)`` so
-    any ``persist``/``coalesce`` after indexing rebuilds it.
+    Built once per graph version, for :func:`cut_bytes`.  The cache is
+    stamped with ``(len(nodes), _version)`` so any ``persist``/
+    ``coalesce`` after indexing rebuilds it.
     """
     stamp = _graph_stamp(graph)
     cached = getattr(graph, "_recovery_index", None)
@@ -332,48 +294,41 @@ def _write_index(graph: GraphDomain) -> List[Dict[int, int]]:
     return index
 
 
+def cut_bytes(graph: GraphDomain, cut: Cut) -> Dict[int, int]:
+    """The ``{byte address: value}`` map a cut writes over any base.
+
+    Applies the cut's persists in pid order, a linear extension of
+    persist order and so a legal application order for any consistent
+    cut.  Pids the graph does not have contribute nothing.  The map is
+    the caller's own.
+
+    Raises:
+        RecoveryError: when ``cut`` is a negative bitmask.
+    """
+    index = _write_index(graph)
+    written: Dict[int, int] = {}
+    count = len(index)
+    for pid in cut_members(cut):
+        if 0 <= pid < count:
+            written.update(index[pid])
+    return written
+
+
 def cut_content_key(graph: GraphDomain, cut: Cut) -> str:
     """Content hash of the NVRAM bytes a cut writes over the base image.
 
-    Applies the cut's persists in pid order (a linear extension of
-    persist order, so a legal application order for any consistent cut)
-    and hashes the resulting byte map.  Two cuts with equal keys
+    Hashes :func:`cut_bytes` in address order.  Two cuts with equal keys
     materialise byte-identical images from any common base, so recovery
     needs to be checked at only one of them — the deduplication
     :func:`unique_cuts` and the ``repro.check`` cut memo are built on.
-
-    Accepts a bitmask cut; on mask-capable graphs the byte map comes from
-    the cached per-graph write index instead of a full node scan.  The
-    digest is byte-identical either way.
     """
-    if isinstance(cut, int) or _dep_masks(graph) is not None:
-        index = _write_index(graph)
-        written: Dict[int, int] = {}
-        members = (
-            cut_members(cut) if isinstance(cut, int) else sorted(set(cut))
-        )
-        count = len(index)
-        for pid in members:
-            if 0 <= pid < count:
-                written.update(index[pid])
-        buffer = bytearray()
-        append = buffer.extend
-        for addr in sorted(written):
-            append(addr.to_bytes(8, "little"))
-            buffer.append(written[addr])
-        return hashlib.sha256(bytes(buffer)).hexdigest()
-    written = {}
-    cut_set = set(cut)
-    for node in graph.nodes:
-        if node.pid in cut_set:
-            for addr, data in node.writes:
-                for offset, byte in enumerate(data):
-                    written[addr + offset] = byte
-    digest = hashlib.sha256()
+    written = cut_bytes(graph, cut)
+    buffer = bytearray()
+    append = buffer.extend
     for addr in sorted(written):
-        digest.update(addr.to_bytes(8, "little"))
-        digest.update(written[addr].to_bytes(1, "little"))
-    return digest.hexdigest()
+        append(addr.to_bytes(8, "little"))
+        buffer.append(written[addr])
+    return hashlib.sha256(bytes(buffer)).hexdigest()
 
 
 @dataclass
@@ -401,8 +356,9 @@ def unique_cuts(
 ) -> Iterator[FrozenSet[int]]:
     """Enumerate one representative cut per distinct NVRAM content.
 
-    Wraps :func:`enumerate_cuts`, yielding only the first cut of each
-    :func:`cut_content_key` equivalence class (the smallest, since
+    Walks :func:`enumerate_cut_masks`, yielding as a frozenset only the
+    first cut of each :func:`cut_content_key` equivalence class (the
+    smallest, since
     enumeration is in non-decreasing size order).  Checking recovery at
     the representatives covers every observable failure image while
     skipping redundant :func:`image_at_cut` materialisations; pass
@@ -414,28 +370,6 @@ def unique_cuts(
     """
     stats = stats if stats is not None else CutStats()
     seen: Set[str] = set()
-    for cut in enumerate_cuts(graph, limit=limit):
-        stats.enumerated += 1
-        key = cut_content_key(graph, cut)
-        if key in seen:
-            continue
-        seen.add(key)
-        stats.unique += 1
-        yield cut
-
-
-def unique_cut_masks(
-    graph: GraphDomain,
-    limit: int = 100_000,
-    stats: Optional[CutStats] = None,
-) -> Iterator[int]:
-    """:func:`unique_cuts` on the all-mask pipeline (mask-capable graphs).
-
-    Same representatives as :func:`unique_cuts` (identical enumeration
-    order, identical content keys), yielded as bitmasks.
-    """
-    stats = stats if stats is not None else CutStats()
-    seen: Set[str] = set()
     for mask in enumerate_cut_masks(graph, limit=limit):
         stats.enumerated += 1
         key = cut_content_key(graph, mask)
@@ -443,7 +377,7 @@ def unique_cut_masks(
             continue
         seen.add(key)
         stats.unique += 1
-        yield mask
+        yield frozenset(iter_bits(mask))
 
 
 #: One pre-validated persist: ``(page, span, data)``, ``span`` a slice
@@ -555,7 +489,7 @@ class FailureInjector:
         """
         from repro.inject.engine import materialize_faulty
 
-        cut_set = set(cut_members(cut)) if isinstance(cut, int) else set(cut)
+        cut_set = set(cut_members(cut))
         if not is_consistent_cut(self._graph, cut_set):
             raise RecoveryError(
                 "cut is not downward-closed under persist order"

@@ -34,7 +34,7 @@ from repro.check.checker import GRAPH_DOMAINS
 from repro.check.engine import Engine
 from repro.core.analysis import PrefixSharedAnalysis
 from repro.core.model import MODEL_CHOICES, validate_models
-from repro.core.recovery import enumerate_cuts
+from repro.core.recovery import cut_bytes, enumerate_cut_masks
 from repro.errors import RecoveryError, ReproError
 from repro.litmus.corpus import corpus_by_name
 from repro.litmus.program import CELL_SIZE, LitmusProgram
@@ -112,18 +112,11 @@ class _LitmusCheckProgram:
 
 
 def _cut_values(
-    graph, cut_pids, addrs: Dict[str, int], locations: Sequence[str]
+    graph, cut: int, addrs: Dict[str, int], locations: Sequence[str]
 ) -> Tuple[int, ...]:
-    """Per-location values after persisting exactly ``cut_pids``.
-
-    Replays the cut's persists in pid order (pids are assigned in trace
-    order, a linear extension of the DAG) over all-zero cells.
-    """
-    overlay: Dict[int, int] = {}
-    for pid in sorted(cut_pids):
-        for addr, data in graph.nodes[pid].writes:
-            for offset, byte in enumerate(data):
-                overlay[addr + offset] = byte
+    """Per-location values after persisting exactly ``cut`` (a mask)
+    over all-zero cells."""
+    overlay = cut_bytes(graph, cut)
     values = []
     for loc in locations:
         base = addrs[loc]
@@ -175,7 +168,7 @@ def run_program(
                 dag_keys[model].add(key[0])
                 outcomes = allowed[model][domain]
                 try:
-                    for cut in enumerate_cuts(graph, limit=cut_limit):
+                    for cut in enumerate_cut_masks(graph, limit=cut_limit):
                         outcomes.add(
                             (
                                 regs,

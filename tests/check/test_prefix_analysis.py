@@ -62,7 +62,7 @@ def dag_view(graph):
             (node.pid, node.thread, node.first_seq, node.deps, node.writes)
             for node in graph.nodes
         ],
-        "dep_masks": getattr(graph, "dep_masks", None),
+        "dep_masks": graph.dep_masks,
         "levels": graph.levels(),
         "histogram": graph.level_histogram(),
         "critical_path": graph.critical_path(),

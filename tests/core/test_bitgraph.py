@@ -15,15 +15,19 @@ from hypothesis import strategies as st
 from repro.check import canonical_dag_key
 from repro.core import BitsetGraphDomain, GraphDomain, analyze_graph
 from repro.core.bitgraph import iter_bits, mask_of
-from repro.core.recovery import (
-    cut_members,
-    enumerate_cut_masks,
-    enumerate_cuts,
-)
+from repro.core.recovery import cut_members, enumerate_cut_masks
 from repro.errors import RecoveryError
 from repro.fuzz import TARGETS, make_target
 from repro.sim.scheduler import RandomScheduler
-from tests.core.helpers import B, NS, P, S, build
+from tests.core.helpers import (
+    B,
+    NS,
+    ORACLE_MAX_PERSISTS,
+    P,
+    S,
+    build,
+    consistent_cuts_by_definition,
+)
 
 MODELS = ("strict", "epoch", "strand", "bpfs", "px86", "dpox86")
 
@@ -40,8 +44,10 @@ def assert_domains_agree(reference: GraphDomain, bitset: BitsetGraphDomain):
         assert bit_node.thread == ref_node.thread
         assert bit_node.deps == ref_node.deps
         assert bit_node.writes == ref_node.writes
+    assert bitset.dep_masks == reference.dep_masks
     for pid in range(reference.persist_count):
         assert bitset.ancestors(pid) == reference.ancestors(pid)
+        assert bitset.ancestor_mask(pid) == reference.ancestor_mask(pid)
     if reference.persist_count:
         assert canonical_dag_key(bitset) == canonical_dag_key(reference)
 
@@ -49,16 +55,17 @@ def assert_domains_agree(reference: GraphDomain, bitset: BitsetGraphDomain):
 def assert_cut_families_agree(
     reference: GraphDomain, bitset: BitsetGraphDomain, limit: int = 5_000
 ):
-    """Exhaustive cut enumeration must produce the same family."""
+    """Both domains enumerate the same cuts in the same order; on small
+    DAGs, exactly the cuts the definition admits, each once."""
     try:
-        expected = {
-            frozenset(cut) for cut in enumerate_cuts(reference, limit=limit)
-        }
+        masks = list(enumerate_cut_masks(bitset, limit=limit))
     except RecoveryError:
         return  # too many cuts to compare exhaustively at this size
-    masks = list(enumerate_cut_masks(bitset, limit=limit))
-    assert {frozenset(cut_members(mask)) for mask in masks} == expected
-    assert len(masks) == len(expected)
+    assert list(enumerate_cut_masks(reference, limit=limit)) == masks
+    if reference.persist_count <= ORACLE_MAX_PERSISTS:
+        expected = consistent_cuts_by_definition(reference)
+        assert {frozenset(cut_members(mask)) for mask in masks} == expected
+        assert len(masks) == len(expected)
 
 
 def analyzed_pair(trace, model):

@@ -5,28 +5,44 @@ import random
 import pytest
 
 from repro.core import (
+    MODELS,
     CutStats,
+    cut_bytes,
     cut_members,
     cut_size,
     FailureInjector,
     GraphDomain,
     analyze_graph,
     cut_content_key,
+    enumerate_cut_masks,
     enumerate_cuts,
     full_cut,
     image_at_cut,
     is_consistent_cut,
     linear_extension_cut,
     minimal_cut,
+    minimal_cut_mask,
     prefix_cut,
     sample_cut,
     unique_cuts,
 )
+from repro.core.bitgraph import mask_of
 from repro.errors import RecoveryError
 from repro.memory import NvramImage
 from repro.trace import EventKind, make_access
 
-from tests.core.helpers import B, P, S, build
+from tests.core.helpers import (
+    B,
+    L,
+    NS,
+    P,
+    S,
+    all_subsets,
+    build,
+    consistent_cuts_by_definition,
+    content_key_by_definition,
+    overlay_by_definition,
+)
 
 
 def diamond_graph():
@@ -285,6 +301,113 @@ class TestUniqueCuts:
     def test_stats_optional(self):
         graph, _ = diamond_graph()
         assert len(list(unique_cuts(graph))) == 6
+
+
+#: Small hand-written programs (at most 8 persists each) whose DAGs the
+#: definition oracles below cover under every model and both domains.
+ORACLE_PROGRAMS = {
+    "barrier-chain": [
+        (0, S, P, 1),
+        (0, B),
+        (0, S, P + 8, 2),
+        (1, L, P + 8, 2),
+        (1, S, P + 16, 3),
+        (1, B),
+        (1, S, P + 24, 4),
+    ],
+    "strands": [
+        (0, S, P, 1),
+        (0, NS),
+        (0, S, P + 8, 2),
+        (0, B),
+        (0, S, P + 16, 3),
+        (1, S, P + 24, 4),
+        (1, NS),
+        (1, S, P, 5),
+    ],
+    "shared-words": [
+        (0, S, P, 1),
+        (1, S, P, 2),
+        (0, B),
+        (0, S, P + 8, 3),
+        (1, S, P + 8, 4),
+        (2, L, P, 2),
+        (2, S, P + 64, 6),
+        (2, B),
+        (2, S, P + 72, 7),
+    ],
+}
+
+
+def oracle_graphs():
+    """(label, graph) for every DAG the definition oracles check."""
+    yield "diamond", diamond_graph()[0]
+    yield "twin-write", twin_write_graph()
+    for seed in range(6):
+        rng = random.Random(seed)
+        yield f"random-{seed}", random_graph(rng, rng.randint(6, 12))
+    for name, program in ORACLE_PROGRAMS.items():
+        trace = build(program)
+        for model in MODELS:
+            for domain in ("graph", "bitset"):
+                graph = analyze_graph(trace, model, domain=domain).graph
+                yield f"{name}/{model}/{domain}", graph
+
+
+ORACLE_GRAPHS = list(oracle_graphs())
+
+
+@pytest.mark.parametrize(
+    "graph", [graph for _, graph in ORACLE_GRAPHS],
+    ids=[label for label, _ in ORACLE_GRAPHS],
+)
+class TestCutsAgainstDefinition:
+    """Every cut operation against oracles written from the definition:
+    a cut is consistent when it holds each member's ``node.deps``."""
+
+    def test_consistency_predicate(self, graph):
+        expected = consistent_cuts_by_definition(graph)
+        for subset in all_subsets(graph):
+            assert is_consistent_cut(graph, subset) == (subset in expected)
+            assert is_consistent_cut(graph, mask_of(subset)) == (
+                subset in expected
+            )
+        count = len(graph.nodes)
+        assert not is_consistent_cut(graph, [count])
+        assert not is_consistent_cut(graph, [-1])
+        assert not is_consistent_cut(graph, 1 << count)
+
+    def test_enumeration(self, graph):
+        expected = consistent_cuts_by_definition(graph)
+        masks = list(enumerate_cut_masks(graph))
+        cuts = [frozenset(cut_members(mask)) for mask in masks]
+        assert len(cuts) == len(expected)
+        assert set(cuts) == expected
+        sizes = [len(cut) for cut in cuts]
+        assert sizes == sorted(sizes)
+        assert list(enumerate_cuts(graph)) == cuts
+
+    def test_minimal_cuts(self, graph):
+        expected = consistent_cuts_by_definition(graph)
+        for pid in range(len(graph.nodes)):
+            smallest = frozenset.intersection(
+                *(cut for cut in expected if pid in cut)
+            )
+            assert minimal_cut(graph, pid) == smallest
+            assert minimal_cut_mask(graph, pid) == mask_of(smallest)
+
+    def test_content_keys_and_bytes(self, graph):
+        keys = set()
+        for cut in consistent_cuts_by_definition(graph):
+            overlay = overlay_by_definition(graph, cut)
+            key = content_key_by_definition(graph, cut)
+            keys.add(key)
+            for form in (cut, sorted(cut), mask_of(cut)):
+                assert cut_bytes(graph, form) == overlay
+                assert cut_content_key(graph, form) == key
+        stats = CutStats()
+        representatives = list(unique_cuts(graph, stats=stats))
+        assert stats.unique == len(keys) == len(representatives)
 
 
 class TestImages:

@@ -65,7 +65,7 @@ def state(analyzer):
         "block_writes": dict(analyzer._block_writes),
         "model": tuple(dict(d) for d in analyzer.model.thread_state()),
         "nodes": nodes,
-        "dep_masks": list(getattr(graph, "dep_masks", ())),
+        "dep_masks": list(graph.dep_masks),
         "ancestors": [graph.ancestors(pid) for pid in range(len(nodes))],
         "levels": graph.levels(),
         "histogram": graph.level_histogram(),

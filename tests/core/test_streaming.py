@@ -261,9 +261,7 @@ class TestChunkLengths:
     def test_short_and_full_chunks_agree(self):
         """One paper-queue trace fed as 1-, 31- and 4,096-event chunks:
         short chunks take the stdlib precompute and full ones numpy
-        (when installed); every result and DAG must be identical.  The
-        bitset domain stands for the DAG domains: the graph domain's
-        ancestor sets make long strand traces slow."""
+        (when installed); every result and DAG must be identical."""
         trace = run_insert_workload(
             WorkloadConfig(
                 design="2lc", threads=2, inserts_per_thread=40, seed=1
@@ -272,7 +270,7 @@ class TestChunkLengths:
         assert len(trace) > DEFAULT_CHUNK_EVENTS
         config = AnalysisConfig()
         for model in MODELS:
-            for domain in ("level", "bitset"):
+            for domain in ("level", "bitset", "graph"):
                 full = stream(
                     trace, model, config, domain, DEFAULT_CHUNK_EVENTS
                 )

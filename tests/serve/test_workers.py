@@ -99,10 +99,11 @@ class TestWorkerPool:
     def test_timeout_counts_and_retries_as_fresh_submission(self):
         pool = worker_pool(2, RetryPolicy(retries=0, timeout=0.05, backoff=0.0))
         try:
-            # A check shard with history recording over a busy target is
-            # far slower than 50ms; the future is abandoned, not joined.
+            # The first 2x1 shard of a busy target runs for seconds, far
+            # beyond 50ms; the future is abandoned, not joined, and the
+            # bounded shard lets the worker process exit soon after.
             spec = {"kind": "check", "target": "queue-2lc-faithful",
-                    "threads": 2, "ops": 2}
+                    "threads": 2, "ops": 1}
             task = plan_job(spec)[0]
             with pytest.raises(TaskFailed, match="timed out"):
                 run_async(pool.run(task))
