@@ -17,11 +17,15 @@ that DPOR with global sleep sets would have pruned across the prefix
 boundary — equivalence classes straddling shards are verified once per
 shard.  The merge therefore deduplicates violations by their
 schedule-independent identity and sums per-shard stats, reporting both.
+
+At depth 0 the one shard is the whole tree and honours every config
+field, the unshardable ones included: ``repro check --jobs 1`` runs
+it.  :data:`CHECK_JOB` registers this module as the ``check`` job kind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.check.checker import (
@@ -32,8 +36,9 @@ from repro.check.checker import (
     check_target,
 )
 from repro.errors import ReproError
-from repro.harness.parallel import fan_out
-from repro.schema import decode, encode
+from repro.fuzz.targets import TARGET_CHOICES, make_target
+from repro.harness.parallel import JobKind, fan_out
+from repro.schema import Option, decode, encode, options_of
 from repro.sim.scheduler import ReplayableScheduler, Scheduler
 
 
@@ -94,8 +99,8 @@ def enumerate_prefixes(
     return complete + frontier
 
 
-#: Shard task keys beyond the config's spec: the target coordinates,
-#: the pinned prefix, and the ``kind`` a serve plan adds.
+#: Shard task keys beyond the config's encoding: the kind, the target
+#: coordinates and the pinned prefix.
 _TASK_KEYS = ("kind", "target", "threads", "ops", "prefix")
 
 
@@ -119,14 +124,16 @@ def shard_tasks(
 
     Probes the schedule tree to ``shard_depth`` and returns one
     :func:`check_shard_worker` task per prefix.  Shared by
-    :func:`check_target_sharded` and the serve job planner
-    (:mod:`repro.serve.jobs`), so a check job submitted to the daemon
-    shards exactly like a ``repro check --jobs N`` run — and its shard
-    digests are stable across both paths.
-    """
-    from repro.fuzz.targets import make_target
+    :func:`check_target_sharded` and :data:`CHECK_JOB`, so a check job
+    submitted to the daemon shards exactly like a ``repro check --jobs
+    N`` run — and its shard digests are stable across both paths.
 
-    config.check_shardable()
+    Raises:
+        ReproError: when ``shard_depth`` is above 0 and ``config`` sets
+            a field that prefix shards cannot honour.
+    """
+    if shard_depth:
+        config.check_shardable()
     fuzz_target = make_target(target)
     # The probe must run the exact program the shards re-explore:
     # history recording adds marker steps, shifting every choice point.
@@ -139,8 +146,8 @@ def shard_tasks(
     )
     spec = encode(config)
     return [
-        {"target": target, "threads": threads, "ops": ops, **spec,
-         "prefix": list(prefix)}
+        {"kind": "check", "target": target, "threads": threads, "ops": ops,
+         **spec, "prefix": list(prefix)}
         for prefix in prefixes
     ]
 
@@ -212,11 +219,11 @@ def check_shard_worker(task: Dict[str, object]) -> Dict[str, object]:
     violations.  An exploration-limit overrun is reported in-band (the
     ``error`` field) so the merge can fail loudly with shard context.
     """
-    config = decode(
-        CheckConfig,
-        task,
-        extra=_TASK_KEYS,
-        forced_prefix=tuple(int(c) for c in task["prefix"]),
+    config = decode(CheckConfig, task, extra=_TASK_KEYS, task=True)
+    config = replace(
+        config,
+        forced_prefix=config.forced_prefix
+        + tuple(int(c) for c in task["prefix"]),
     )
     try:
         result = check_target(
@@ -246,7 +253,8 @@ def check_target_sharded(
     exploration per prefix out over ``jobs`` processes, and merges:
     violations are deduplicated by their schedule-independent key
     (shards can rediscover the same violation), stats are summed, and
-    per-shard reports are returned for ``--stats``.
+    per-shard reports are returned for ``--stats``.  At depth 0 the one
+    shard explores the whole tree under every field of ``config``.
 
     Raises:
         ReproError: when any shard fails or overruns its schedule bound.
@@ -258,3 +266,47 @@ def check_target_sharded(
         check_shard_worker, tasks, jobs, merge.add, on_failure=merge.add_failure
     )
     return merge.finish()
+
+
+def _fold_check(
+    config: CheckConfig,
+    job: Dict[str, object],
+    payloads: Sequence[Dict[str, object]],
+) -> Dict[str, object]:
+    merge = ShardMerge()
+    for payload in payloads:
+        merge.add(payload)
+    result, reports = merge.finish()
+    return {
+        "violations": len(result.distinct),
+        "schedules": result.stats.schedules,
+        "cuts_checked": result.stats.cuts_checked,
+        "violation_occurrences": result.stats.violation_occurrences,
+        "shards": len(reports),
+        "stats": result.stats.describe(),
+        "text": "\n".join(result.summary_lines()),
+    }
+
+
+#: A sharded model check as a job: one :func:`check_shard_worker` task
+#: per depth-``shard_depth`` prefix, merged by :class:`ShardMerge`
+#: (whose in-band shard failures fail the job).  Its config keys are
+#: the shardable :class:`CheckConfig` fields only.
+CHECK_JOB = JobKind(
+    name="check",
+    config=CheckConfig,
+    keys=options_of(
+        target=Option(choices=TARGET_CHOICES, noun="fuzz target"),
+        threads=Option(int),
+        ops=Option(int, help="operations per thread"),
+        shard_depth=Option(
+            int, default=2,
+            help="choice-prefix depth that partitions the schedule tree",
+        ),
+    ),
+    plan=lambda config, job: shard_tasks(
+        job["target"], job["threads"], job["ops"], config, job["shard_depth"]
+    ),
+    worker=check_shard_worker,
+    fold=_fold_check,
+)

@@ -45,7 +45,6 @@ from typing import List, Optional
 from repro.check import (
     GRAPH_DOMAINS,
     CheckConfig,
-    check_target,
     check_target_sharded,
 )
 from repro.core import (
@@ -98,7 +97,7 @@ from repro.queue import WorkloadConfig, run_insert_workload, verify_recovery
 from repro.queue.cwl import INSERT_MARK
 from repro.schema import Option, add_arguments, from_args, options_of
 from repro.serve import (
-    JOB_KEYS,
+    JOB_KINDS,
     ServeConfig,
     default_socket,
     request,
@@ -489,24 +488,22 @@ def cmd_check(args: argparse.Namespace) -> int:
     models, deduplicates persist DAGs and cut images by content hash,
     and checks recovery at every remaining failure state.  With
     ``--jobs`` above one the schedule tree is prefix-partitioned across
-    worker processes.  Distinct violations are exported to the corpus as
-    replayable repro files (``repro fuzz replay`` / ``minimize``).
-    Returns 1 when violations were found, 0 on a verified-clean target,
-    2 on an exploration-limit overrun or other error.
+    worker processes; otherwise one shard explores the whole tree.
+    Distinct violations are exported to the corpus as replayable repro
+    files (``repro fuzz replay`` / ``minimize``).  Returns 1 when
+    violations were found, 0 on a verified-clean target, 2 on an
+    exploration-limit overrun or other error.
     """
     config = from_args(args)
-    reports = []
-    if args.jobs and args.jobs > 1:
-        result, reports = check_target_sharded(
-            args.target,
-            args.threads,
-            args.ops,
-            config,
-            jobs=args.jobs,
-            shard_depth=args.shard_depth,
-        )
-    else:
-        result = check_target(args.target, args.threads, args.ops, config)
+    sharded = args.jobs > 1
+    result, reports = check_target_sharded(
+        args.target,
+        args.threads,
+        args.ops,
+        config,
+        jobs=args.jobs,
+        shard_depth=args.shard_depth if sharded else 0,
+    )
     print(
         f"checked {args.target} threads={args.threads} ops={args.ops} "
         f"models={','.join(config.models)}"
@@ -516,7 +513,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.stats:
         for key in sorted(result.stats.engine):
             print(f"  engine {key}: {result.stats.engine[key]}", file=sys.stderr)
-        for report in reports:
+        for report in reports if sharded else ():
             print(
                 f"  shard {report.prefix}: "
                 f"{report.stats['schedules']} schedule(s), "
@@ -920,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_arguments(
         table_parser,
         ExperimentRunner,
-        extra={**JOB_KEYS["paper"], **_GRID_OPTIONS},
+        extra={**JOB_KINDS["paper"].keys, **_GRID_OPTIONS},
     )
     table_parser.set_defaults(handler=cmd_table1)
 
@@ -991,7 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_arguments(
         check_parser,
         CheckConfig,
-        extra=JOB_KEYS["check"],
+        extra=JOB_KINDS["check"].keys,
         threads={"default": 2},
         ops={"default": 1},
     )

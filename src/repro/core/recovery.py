@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import (
     Deque,
     Dict,
@@ -319,8 +318,8 @@ def cut_content_key(graph: GraphDomain, cut: Cut) -> str:
 
     Hashes :func:`cut_bytes` in address order.  Two cuts with equal keys
     materialise byte-identical images from any common base, so recovery
-    needs to be checked at only one of them — the deduplication
-    :func:`unique_cuts` and the ``repro.check`` cut memo are built on.
+    needs to be checked at only one of them — the deduplication the
+    ``repro.check`` cut memo is built on.
     """
     written = cut_bytes(graph, cut)
     buffer = bytearray()
@@ -329,55 +328,6 @@ def cut_content_key(graph: GraphDomain, cut: Cut) -> str:
         append(addr.to_bytes(8, "little"))
         buffer.append(written[addr])
     return hashlib.sha256(bytes(buffer)).hexdigest()
-
-
-@dataclass
-class CutStats:
-    """Deduplication counters for one :func:`unique_cuts` sweep.
-
-    ``enumerated`` counts every consistent cut visited; ``unique`` the
-    distinct content keys among them.  The gap is the re-imaging work a
-    caller skips by checking representatives only.
-    """
-
-    enumerated: int = 0
-    unique: int = 0
-
-    @property
-    def deduplicated(self) -> int:
-        """Cuts skipped because an earlier cut had identical content."""
-        return self.enumerated - self.unique
-
-
-def unique_cuts(
-    graph: GraphDomain,
-    limit: int = 100_000,
-    stats: Optional[CutStats] = None,
-) -> Iterator[FrozenSet[int]]:
-    """Enumerate one representative cut per distinct NVRAM content.
-
-    Walks :func:`enumerate_cut_masks`, yielding as a frozenset only the
-    first cut of each :func:`cut_content_key` equivalence class (the
-    smallest, since
-    enumeration is in non-decreasing size order).  Checking recovery at
-    the representatives covers every observable failure image while
-    skipping redundant :func:`image_at_cut` materialisations; pass
-    ``stats`` to observe the enumerated/unique gap.
-
-    Raises:
-        RecoveryError: when more than ``limit`` cuts would be
-            enumerated (same bound as :func:`enumerate_cuts`).
-    """
-    stats = stats if stats is not None else CutStats()
-    seen: Set[str] = set()
-    for mask in enumerate_cut_masks(graph, limit=limit):
-        stats.enumerated += 1
-        key = cut_content_key(graph, mask)
-        if key in seen:
-            continue
-        seen.add(key)
-        stats.unique += 1
-        yield frozenset(iter_bits(mask))
 
 
 #: One pre-validated persist: ``(page, span, data)``, ``span`` a slice

@@ -20,10 +20,11 @@ Cases are independent.  The module owns the campaign's one job form:
 :func:`plan_shards` batches the sampled cases into JSON-safe
 ``{"kind": "fuzz", "cases": [...]}`` shards, :func:`run_shard` executes
 one, and :func:`fold_shards` folds shard payloads into a
-:class:`CampaignResult`.  :func:`run_campaign` (the batch executor,
-over :func:`repro.harness.parallel.fan_out`) and ``repro serve`` (the
-daemon executor) both run exactly these, and both resume through the
-same :class:`~repro.harness.cache.ResultStore` entries.  Every case that
+:class:`CampaignResult`; :data:`FUZZ_JOB` registers them as the
+``fuzz`` job kind.  :func:`run_campaign` (the batch executor, over
+:func:`repro.harness.parallel.fan_out`) and ``repro serve`` (the daemon
+executor) both run exactly these, and both resume through the same
+:class:`~repro.harness.cache.ResultStore` entries.  Every case that
 violates its recovery invariant carries the recorded schedule choices,
 so the finding can be minimized and replayed deterministically.
 """
@@ -49,11 +50,13 @@ from repro.fuzz.judge import (
 )
 from repro.fuzz.targets import TARGET_CHOICES, TargetRun, make_target
 from repro.harness.cache import ResultStore
-from repro.harness.parallel import RetryPolicy, fan_out
+from repro.harness.parallel import JobKind, RetryPolicy, fan_out
 from repro.harness.runner import SEED_SPACE
 from repro.histories.oracle import ORACLES
 from repro.inject.plan import FAULT_KINDS, FaultPlan
-from repro.schema import decode_keys, encode, option, options
+from repro.schema import (
+    Option, decode_keys, encode, option, options, options_of
+)
 from repro.sim.scheduler import (
     SCHEDULER_KINDS,
     ChoiceRecordingScheduler,
@@ -781,13 +784,23 @@ def sample_specs(config: CampaignConfig) -> List[CaseSpec]:
     return specs
 
 
+def _check_batch(batch: int) -> None:
+    """Raise :class:`FuzzError` unless ``batch`` is a usable shard size."""
+    if batch < 1:
+        raise FuzzError(f"fuzz shard batch must be at least 1, got {batch}")
+
+
 def plan_shards(config: CampaignConfig, batch: int = 1) -> List[dict]:
     """The campaign's shard tasks: :func:`case_tasks` in runs of ``batch``.
 
     Every executor plans with this, so a shard's task dict — and hence
     its :func:`~repro.harness.cache.shard_key` — is the same whichever
     executor computed it.
+
+    Raises:
+        FuzzError: when ``batch`` is below 1.
     """
+    _check_batch(batch)
     cases = case_tasks(config)
     return [
         {"kind": "fuzz", "cases": cases[start : start + batch]}
@@ -876,29 +889,47 @@ def run_campaign(
     ``CampaignConfig.task_retries``) are reported as error outcomes but
     never stored, so they retry next run.
     """
-    tasks = plan_shards(config)
-    if store is None:
-        hits, pending = {}, dict.fromkeys(range(len(tasks)))
-    else:
-        hits, pending = store.resolve(tasks, check=decode_shard)
-    payloads = list(hits.values())
-
-    def merge(payload: dict) -> None:
-        payloads.append(payload)
-        if store is not None:
-            # One case per shard: the case index is the shard index.
-            store.store(pending[payload["indices"][0]], payload)
-
-    def failed(task: dict, error: str) -> None:
-        payloads.append(_failed_shard(task, error))
-
-    fan_out(
+    payloads: List[dict] = []
+    hits = fan_out(
         run_shard,
-        [tasks[index] for index in pending],
+        plan_shards(config),
         config.jobs,
-        merge,
+        payloads.append,
+        store=store,
+        check=decode_shard,
         timeout=config.task_timeout,
         retries=config.task_retries,
-        on_failure=failed,
+        on_failure=lambda task, error: payloads.append(
+            _failed_shard(task, error)
+        ),
     )
-    return fold_shards(config, payloads)
+    return fold_shards(config, [*hits.values(), *payloads])
+
+
+def _fold_fuzz(
+    config: CampaignConfig, job: Dict[str, object], payloads: Sequence[dict]
+) -> Dict[str, object]:
+    result = fold_shards(config, payloads)
+    return {
+        "violations": result.violations,
+        "cases": result.cases,
+        "violating_cases": result.violating_cases,
+        "cuts_checked": result.cuts_checked,
+        "silent_corruptions": result.silent_corruptions,
+        "crash_violations": result.crash_violations,
+        "text": result.summary(),
+    }
+
+
+#: A fuzz (or crash-recovery) campaign as a job: :func:`plan_shards` in
+#: runs of the job's ``batch``, folded by :func:`fold_shards`.
+FUZZ_JOB = JobKind(
+    name="fuzz",
+    config=CampaignConfig,
+    keys=options_of(batch=Option(int, default=1)),
+    plan=lambda config, job: plan_shards(config, job["batch"]),
+    worker=run_shard,
+    fold=_fold_fuzz,
+    validate=lambda config, job: _check_batch(job["batch"]),
+    check=decode_shard,
+)

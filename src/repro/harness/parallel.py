@@ -1,14 +1,17 @@
-"""The task pool, and the paper grid's plan → resolve → run → fold path.
+"""The task pool, the job-kind record, and the paper grid's job.
 
 :class:`TaskPool` runs JSON-safe tasks through a module-level worker,
 in-process or on a process pool, with per-attempt timeouts and
-retries; :func:`fan_out` drives it over a batch of tasks for the fuzz
-campaign, sharded checking and :func:`run_grid`, and ``repro serve``
-awaits the same pool one shard at a time.  Table 1 and
+retries; :func:`fan_out` is the one batch path over it (resolve
+against a :class:`~repro.harness.cache.ResultStore`, run the misses,
+store and fold each result) for the fuzz campaign, sharded checking and
+:func:`run_grid`, and ``repro serve`` awaits the same pool one shard
+at a time.  A :class:`JobKind` is one engine's job for every executor;
+each engine module registers one beside its code (:data:`PAPER_JOB`
+here) and ``repro serve`` looks it up by name.  Table 1 and
 Figures 3-5 evaluate a (design x threads x racing x model x
 granularity) grid; :func:`run_grid` plans one task per *program
-variant* carrying every cell that shares its trace, resolves the tasks
-against a :class:`~repro.harness.cache.ResultStore`, runs the misses
+variant* carrying every cell that shares its trace, runs the misses
 through :func:`run_variant` (an identical runner decoded from the
 task) and folds each payload — analyses, instruction rate, insert
 count, no trace — into the parent
@@ -22,7 +25,9 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+)
 
 from repro.core.analysis import AnalysisConfig
 from repro.errors import ReproError, TaskFailed
@@ -33,8 +38,9 @@ from repro.harness.runner import (
     TABLE1_COLUMNS,
     ExperimentRunner,
 )
+from repro.harness.tables import build_table1, format_table1
 from repro.memory import layout
-from repro.schema import decode, encode
+from repro.schema import Option, decode, decode_keys, encode, options_of
 
 #: One program variant: (design, threads, racing).
 Variant = Tuple[str, int, bool]
@@ -156,30 +162,38 @@ def fan_out(
     jobs: Optional[int],
     merge: Callable[[dict], None],
     *,
+    store: Optional[ResultStore] = None,
+    check: Optional[Callable[[dict], object]] = None,
+    stored: Callable[[dict], dict] = lambda result: result,
     timeout: Optional[float] = None,
     retries: int = 0,
     backoff: float = 0.1,
     on_failure: Optional[Callable[[dict, str], None]] = None,
     stats: Optional[HarnessStats] = None,
-) -> None:
+) -> Dict[int, dict]:
     """Run JSON-safe ``tasks`` through ``worker``, folding each result
-    into ``merge``.
+    into ``merge``; returns the payloads ``store`` served.
 
     The batch driver of :class:`TaskPool` under :func:`run_grid`, the
-    ``repro.fuzz`` campaign engine and sharded checking: ``jobs`` slots
-    each take the next task and await it on a pool of ``jobs`` worker
-    processes; ``jobs`` of ``None``, 0 or 1 runs everything in-process
-    through the same worker (identical results, no pool).  Results are
-    merged as they complete, in arbitrary order, so ``merge`` must not
-    assume task order.
+    ``repro.fuzz`` campaign engine and sharded checking.  With a
+    ``store`` the tasks first resolve against it (``check`` as in
+    :meth:`~repro.harness.cache.ResultStore.resolve`); the hits are
+    returned by task position for the caller to fold, and each miss's
+    ``stored(result)`` is stored under its key before ``merge`` sees it.
+    ``jobs`` slots each take the next task and await it on a pool of
+    ``jobs`` worker processes; ``jobs`` of ``None``, 0 or 1 runs
+    everything in-process through the same worker (identical results,
+    no pool).  Results are merged as they complete, in arbitrary order,
+    so ``merge`` must not assume task order.
 
     Resilience: a task whose attempt raises — or, on worker processes,
     runs past ``timeout`` seconds from its dispatch on a slot — is
     retried up to ``retries`` times with exponential backoff (see
     :class:`RetryPolicy`); once attempts are exhausted the task *fails
     its cell*: ``on_failure(task, error)`` is invoked (a warning when
-    None) and the remaining tasks keep running.  ``stats`` (when given)
-    accumulates the pool's counters for ``--stats`` reporting.
+    None), nothing is stored, and the remaining tasks keep running.
+    ``stats`` (when given) accumulates the pool's counters for
+    ``--stats`` reporting.
 
     Caveat: a timed-out worker process cannot be interrupted
     mid-computation; its attempt is abandoned, keeps its process busy
@@ -189,12 +203,17 @@ def fan_out(
     import asyncio
 
     policy = RetryPolicy(retries=retries, backoff=backoff, timeout=timeout)
+    if store is None:
+        hits, pending = {}, dict.fromkeys(range(len(tasks)))
+    else:
+        hits, pending = store.resolve(tasks, check=check)
     processes = jobs if jobs is not None and jobs > 1 else 0
     pool = TaskPool(worker, processes, policy, stats)
-    queue = iter(tasks)
+    queue = iter(pending.items())
 
     async def slot() -> None:
-        for task in queue:
+        for index, key in queue:
+            task = tasks[index]
             try:
                 result = await pool.run(task)
             except TaskFailed as exc:
@@ -205,6 +224,8 @@ def fan_out(
                         f"fan_out task {exc}", RuntimeWarning, stacklevel=2
                     )
                 continue
+            if store is not None:
+                store.store(key, stored(result))
             merge(result)
 
     async def drain() -> None:
@@ -214,6 +235,46 @@ def fan_out(
         asyncio.run(drain())
     finally:
         pool.shutdown()
+    return hits
+
+
+@dataclass(frozen=True)
+class JobKind:
+    """What a job of one engine is, for every executor.
+
+    ``config`` is the engine config class and ``keys`` the job-level
+    spec keys beyond its fields; ``validate(config, job)`` checks (and
+    may complete) the job-level values.  ``plan(config, job)`` lists
+    the JSON-safe tasks, each carrying ``kind``: ``name``, and the
+    module-level ``worker(task)`` runs one.  ``fold(config, job,
+    payloads)`` folds the payloads, in task order, into the job's
+    summary: ``text`` (what the batch CLI prints), ``violations`` (the
+    headline defect count) and the kind's counts.  ``check`` decodes a
+    stored payload before the store serves it.
+    """
+
+    name: str
+    config: type
+    keys: Mapping[str, Option]
+    plan: Callable[[Any, Dict[str, object]], List[dict]]
+    worker: Callable[[dict], dict]
+    fold: Callable[[Any, Dict[str, object], Sequence[dict]], Dict[str, object]]
+    validate: Optional[Callable[[Any, Dict[str, object]], None]] = None
+    check: Optional[Callable[[dict], object]] = None
+
+    def decode(
+        self, spec: Mapping[str, object]
+    ) -> Tuple[Any, Dict[str, object]]:
+        """``(engine config, job-level values)`` of a job spec.
+
+        Raises:
+            ReproError: on a malformed spec or one the engine rejects.
+        """
+        job = decode_keys(self.keys, spec)
+        config = decode(self.config, spec, extra=["kind", *self.keys])
+        if self.validate is not None:
+            self.validate(config, job)
+        return config, job
 
 
 @dataclass(frozen=True)
@@ -374,16 +435,15 @@ def run_grid(
 ) -> HarnessStats:
     """Evaluate ``cells`` and fold every result into ``runner``.
 
-    Plans one task per program variant (:func:`plan_variants`), resolves
-    them against ``store`` when given, runs the misses through
-    :func:`fan_out` on ``jobs`` worker processes (``None``, 0 or 1 runs
-    them in-process) and stores each fresh payload.  Afterwards every
-    cell's analysis, instruction rate and insert count sit in the
-    runner's in-memory caches, so table/figure builders neither trace
-    nor analyze.  A stored variant counts one workload disk hit and one
-    analysis disk hit per cell; a fresh one adds its worker's counters.
-    Store hits and misses count on ``store.stats``.  Returns the
-    runner's stats.
+    Plans one task per program variant (:func:`plan_variants`) and runs
+    them through :func:`fan_out` against ``store`` when given, on
+    ``jobs`` worker processes (``None``, 0 or 1 runs them in-process).
+    Afterwards every cell's analysis, instruction rate and insert count
+    sit in the runner's in-memory caches, so table/figure builders
+    neither trace nor analyze.  A stored variant counts one workload
+    disk hit and one analysis disk hit per cell; a fresh one adds its
+    worker's counters.  Store hits and misses count on ``store.stats``.
+    Returns the runner's stats.
 
     ``task_timeout`` / ``task_retries`` bound each variant task (see
     :func:`fan_out`).  A variant that exhausts its retries is *recorded*
@@ -391,24 +451,9 @@ def run_grid(
     cells are simply absent from the runner's caches, and any later
     table/figure builder that needs them recomputes serially on demand.
     """
-    RetryPolicy(task_retries, timeout=task_timeout)  # rejects bad bounds
-    tasks = plan_variants(runner, cells)
-    if store is None:
-        hits, pending = {}, dict.fromkeys(range(len(tasks)))
-    else:
-        hits, pending = store.resolve(tasks)
-    for payload in hits.values():
-        runner.fold(payload)
-        runner.stats.workload_disk_hits += 1
-        runner.stats.analysis_disk_hits += len(payload["analyses"])
-    keys = {tuple(tasks[i]["variant"]): key for i, key in pending.items()}
-
     def merge(result: dict) -> None:
         runner.stats.merge(HarnessStats.from_payload(result["stats"]))
-        payload = result["payload"]
-        runner.fold(payload)
-        if store is not None:
-            store.store(keys[tuple(payload["variant"])], payload)
+        runner.fold(result["payload"])
 
     def failed(task: dict, error: str) -> None:
         warnings.warn(
@@ -418,14 +463,52 @@ def run_grid(
             stacklevel=2,
         )
 
-    fan_out(
+    hits = fan_out(
         _grid_worker,
-        [tasks[index] for index in pending],
+        plan_variants(runner, cells),
         jobs,
         merge,
+        store=store,
+        stored=lambda result: result["payload"],
         timeout=task_timeout,
         retries=task_retries,
         on_failure=failed,
         stats=runner.stats,
     )
+    for payload in hits.values():
+        runner.fold(payload)
+        runner.stats.workload_disk_hits += 1
+        runner.stats.analysis_disk_hits += len(payload["analyses"])
     return runner.stats
+
+
+def _check_paper(runner: ExperimentRunner, job: Dict[str, object]) -> None:
+    job["cells"] = table1_cells(job["threads"])
+
+
+def _fold_paper(
+    runner: ExperimentRunner, job: Dict[str, object], payloads: Sequence[dict]
+) -> Dict[str, object]:
+    for payload in payloads:
+        runner.fold(payload)
+    table = build_table1(runner, thread_counts=job["threads"])
+    return {"violations": 0, "text": format_table1(table)}
+
+
+#: The paper's Table 1 as a job: one :func:`run_variant` task per
+#: program variant of :func:`table1_cells`, summarised as the table
+#: ``repro table1`` prints.
+PAPER_JOB = JobKind(
+    name="paper",
+    config=ExperimentRunner,
+    keys=options_of(
+        threads=Option(
+            int, many=True, default=(1, 8), cli={"default": [1, 8]},
+            help="thread counts of Table 1's rows",
+        )
+    ),
+    plan=lambda runner, job: plan_variants(runner, job["cells"]),
+    worker=run_variant,
+    fold=_fold_paper,
+    validate=_check_paper,
+)

@@ -17,10 +17,12 @@ model allows and another forbids — and any bitset-vs-frozenset domain
 mismatch, which would be an implementation bug rather than a semantic
 difference.
 
-The module also owns the litmus job form every executor runs: one
-:func:`program_task` per corpus program, executed by
-:func:`run_program_task` and folded by :func:`summarize_reports` —
-:func:`run_corpus` runs them in-process, ``repro serve`` as shards.
+The module also owns the litmus job form: one :func:`program_task` per
+corpus program, executed by :func:`run_program_task` and folded by
+:func:`summarize_reports`, registered as the ``litmus`` job kind
+(:data:`LITMUS_JOB`) that ``repro serve`` runs as shards.
+:func:`run_corpus` runs a program list in-process instead, since
+generated programs have no corpus name a task could carry.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ from repro.core.analysis import PrefixSharedAnalysis
 from repro.core.model import MODEL_CHOICES, validate_models
 from repro.core.recovery import cut_bytes, enumerate_cut_masks
 from repro.errors import RecoveryError, ReproError
+from repro.harness.parallel import JobKind
 from repro.litmus.corpus import corpus_by_name
-from repro.litmus.program import CELL_SIZE, LitmusProgram
-from repro.schema import decode, encode, option
+from repro.litmus.program import CELL_SIZE, LitmusError, LitmusProgram
+from repro.schema import Option, decode, encode, option, options_of
 from repro.sim.scheduler import Scheduler
 
 #: An outcome: (per-thread register tuples, per-location persisted values).
@@ -338,6 +341,42 @@ def run_corpus(
         "summary": summarize_reports(reports, config),
         "programs": reports,
     }
+
+
+def _check_litmus_job(config: LitmusConfig, job: Dict[str, object]) -> None:
+    names, by_name = job["programs"], corpus_by_name()
+    missing = sorted(set(names or ()) - set(by_name))
+    if missing:
+        raise LitmusError(f"unknown litmus program(s): {', '.join(missing)}")
+    job["programs"] = list(by_name if names is None else names)
+
+
+def _fold_litmus(
+    config: LitmusConfig, job: Dict[str, object], payloads: Sequence[dict]
+) -> dict:
+    reports = [payload["report"] for payload in payloads]
+    summary = summarize_reports(reports, config)
+    return {
+        "violations": summary["domain_mismatches"],
+        **summary,
+        "text": "\n".join(summary_lines(summary)),
+    }
+
+
+#: A litmus sweep as a job: one :func:`program_task` per named corpus
+#: program (the whole default corpus when ``programs`` is absent), whose
+#: headline defect count is the bitset-vs-frozenset domain mismatches.
+LITMUS_JOB = JobKind(
+    name="litmus",
+    config=LitmusConfig,
+    keys=options_of(programs=Option(many=True, optional=True, default=None)),
+    plan=lambda config, job: [
+        program_task(name, config) for name in job["programs"]
+    ],
+    worker=run_program_task,
+    fold=_fold_litmus,
+    validate=_check_litmus_job,
+)
 
 
 def save_report(report: dict, path: str) -> None:

@@ -30,10 +30,12 @@ Job-level keys that belong to no engine config (a check job's
 ``threads``, a fuzz job's ``batch``) are :class:`Option` maps bound by
 :func:`options_of` and parsed by :func:`decode_keys`.  A field marked
 ``shardable=False`` shapes one exploration in a way prefix shards cannot
-honour, so it has no spec key.  A field marked ``settable=False`` has
-no spec key and no flag either, but :func:`encode` still writes it
-under its name, so the tasks built from a config (and their store keys)
-record it; ``decode(..., task=True)`` reads it back.
+honour, so it has no spec key; :func:`encode` writes it under its name
+while it is off its default, for a whole-tree task.  A field marked
+``settable=False`` has no spec key and no flag either, but
+:func:`encode` still writes it under its name, so the tasks built from
+a config (and their store keys) record it; ``decode(..., task=True)``
+reads both back.
 """
 
 from __future__ import annotations
@@ -65,10 +67,11 @@ class Option:
     ``optional`` admits None.  ``key``/``flag`` default (``""``) to the
     field name and its dashed flag; None keeps the field out of specs /
     off the CLI.  ``settable=False`` does both, yet keeps the field in
-    encoded tasks (see the module docstring).  ``sparse`` leaves the
-    field out of an encoding while it holds its default.  ``noun`` names
-    a choice in errors; ``cli`` holds extra argparse keywords.  ``name``
-    and ``default`` are bound from the field.
+    encoded tasks, as ``shardable=False`` (no spec key) does while the
+    field is off its default (see the module docstring).  ``sparse``
+    leaves the field out of an encoding while it holds its default.
+    ``noun`` names a choice in errors; ``cli`` holds extra argparse
+    keywords.  ``name`` and ``default`` are bound from the field.
     """
 
     type: type = str
@@ -252,12 +255,12 @@ def decode(
     ``extra`` names keys that belong to the caller (job-level keys, a
     shard task's coordinates); any other key that is not a spec key of
     ``cls`` is an error.  A ``task`` (what :func:`encode` wrote) also
-    carries the fields that are not ``settable``.  ``fixed`` sets fields
-    that have no spec key.
+    carries the fields that are not ``settable`` or not ``shardable``.
+    ``fixed`` sets fields that have no spec key.
     """
     opts = {}
     for name, opt in options(cls).items():
-        if task and not opt.settable:
+        if task and not (opt.settable and opt.shardable):
             opt = replace(opt, key=name)
         if opt.key is not None:
             opts[name] = opt
@@ -273,12 +276,14 @@ def decode(
 def encode(config: object) -> Dict[str, object]:
     """The JSON spec of a config: every spec-keyed field, and every
     field that is not settable (under its name), in order; a ``sparse``
-    field only when it differs from its default."""
+    field, and one that is not shardable (under its name), only when it
+    differs from its default."""
     spec = {}
     for opt in options(type(config)).values():
-        key = opt.key if opt.settable else opt.name
+        key = opt.key if opt.settable and opt.shardable else opt.name
+        sparse = opt.sparse or not opt.shardable
         value = getattr(config, opt.name)
-        if key is not None and not (opt.sparse and value == opt.default):
+        if key is not None and not (sparse and value == opt.default):
             spec[key] = opt.unparse(value)
     return spec
 

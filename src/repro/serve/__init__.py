@@ -11,13 +11,12 @@ token-bucket fairness, and every shard result lands in a shared
 digest-addressed store so identical work — across tenants, across
 daemon restarts, across resubmissions — is computed once.
 
-Layout: :mod:`~repro.serve.jobs` maps job specs onto the engines' own
-shard plans and folds and journals each job's durable state,
-:mod:`~repro.serve.queue` schedules fairly and steals work,
-:mod:`~repro.serve.workers` executes shards in processes, and
-:mod:`~repro.serve.api` is the daemon, the socket protocol, and the
-client the ``repro serve`` / ``submit`` / ``jobs`` / ``status`` /
-``cancel`` subcommands drive.  Shard results live in
+Layout: :mod:`~repro.serve.jobs` looks each job spec and shard task up
+in the table of engine job kinds (plan, worker, fold, summary) and
+journals each job's durable state, :mod:`~repro.serve.queue` schedules
+fairly and steals work, and :mod:`~repro.serve.api` is the daemon, the
+socket protocol, and the client the ``repro serve`` / ``submit`` /
+``jobs`` / ``status`` / ``cancel`` subcommands drive.  Shard results live in
 :class:`repro.harness.cache.ResultStore`, the same store
 ``repro fuzz run --checkpoint DIR`` resumes from.
 """
@@ -32,12 +31,11 @@ from repro.serve.api import (
     wait_for_job,
 )
 from repro.serve.jobs import (
-    JOB_CONFIGS,
-    JOB_KEYS,
     JOB_KINDS,
     JOB_STATES,
     TERMINAL_STATES,
     JobRecord,
+    execute_shard,
     job_id,
     load_records,
     merge_job,
@@ -46,11 +44,8 @@ from repro.serve.jobs import (
     validate_spec,
 )
 from repro.serve.queue import JobQueue, TokenBucket, WorkStealingScheduler
-from repro.serve.workers import execute_shard
 
 __all__ = [
-    "JOB_CONFIGS",
-    "JOB_KEYS",
     "JOB_KINDS",
     "JOB_STATES",
     "TERMINAL_STATES",

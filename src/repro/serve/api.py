@@ -16,7 +16,7 @@ Operations::
 The daemon is a single asyncio event loop: one task per worker slot
 pulls shards from the :class:`~repro.serve.queue.WorkStealingScheduler`
 (own queue first, then stealing), gates dispatch on the tenant's token
-bucket, and awaits :func:`~repro.serve.workers.execute_shard` on the
+bucket, and awaits :func:`~repro.serve.jobs.execute_shard` on the
 :class:`~repro.harness.parallel.TaskPool`; the socket server and the
 job table run on the same loop, so no locks are needed anywhere in the
 daemon's state.
@@ -43,9 +43,8 @@ from typing import Dict, Optional, Union
 from repro.errors import ServeError, TaskFailed
 from repro.harness.parallel import RetryPolicy, TaskPool
 from repro.schema import option
-from repro.serve.jobs import JobRecord
+from repro.serve.jobs import JobRecord, execute_shard
 from repro.serve.queue import JobQueue, WorkStealingScheduler
-from repro.serve.workers import execute_shard
 
 _PathLike = Union[str, Path]
 

@@ -1,18 +1,13 @@
-"""Job specs, planning, merging, and the durable job journal.
+"""Job specs, planning, merging, shard execution, and the job journal.
 
 A *job* is one tenant-submitted unit of work: a sharded model check, a
 fuzz (or crash-recovery) campaign, a litmus sweep, or the paper's
-Table 1.  Each engine module owns its kind's task form and fold —
-:func:`~repro.check.shard.shard_tasks` / :class:`~repro.check.shard.ShardMerge`
-for checks, :func:`~repro.fuzz.campaign.plan_shards` /
-:func:`~repro.fuzz.campaign.fold_shards` for campaigns,
-:func:`~repro.litmus.runner.program_task` /
-:func:`~repro.litmus.runner.summarize_reports` for litmus,
-:func:`~repro.harness.parallel.plan_variants` /
-:meth:`~repro.harness.runner.ExperimentRunner.fold` for the paper — and this
-module only maps specs onto them, so a job submitted to the daemon
-computes precisely what the one-shot CLI would, and its shards
-content-address into the shared :class:`~repro.harness.cache.ResultStore`.
+Table 1.  Each engine module registers its kind as one
+:class:`~repro.harness.parallel.JobKind` (spec schema, plan, worker,
+fold, summary) and this module only looks a spec's or task's kind up
+in :data:`JOB_KINDS`, so a job submitted to the daemon computes
+precisely what the one-shot CLI would, and its shards content-address
+into the shared :class:`~repro.harness.cache.ResultStore`.
 
 Job lifecycle::
 
@@ -34,46 +29,22 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.check import CheckConfig, ShardMerge, shard_tasks
+from repro.check.shard import CHECK_JOB
 from repro.errors import ReproError, ServeError
-from repro.fuzz.campaign import (
-    CampaignConfig,
-    decode_shard,
-    fold_shards,
-    plan_shards,
-)
-from repro.fuzz.targets import TARGET_CHOICES
-from repro.harness import (
-    ExperimentRunner,
-    build_table1,
-    format_table1,
-    table1_cells,
-)
+from repro.fuzz.campaign import FUZZ_JOB
 from repro.harness.cache import atomic_write, content_digest, quarantine_file
-from repro.harness.parallel import plan_variants
-from repro.litmus.corpus import corpus_by_name
-from repro.litmus.runner import (
-    LitmusConfig,
-    program_task,
-    summarize_reports,
-    summary_lines,
-)
-from repro.schema import (
-    Option,
-    decode,
-    decode_keys,
-    encode,
-    option,
-    options,
-    options_of,
-)
+from repro.harness.parallel import PAPER_JOB, JobKind
+from repro.litmus.runner import LITMUS_JOB
+from repro.schema import decode_keys, encode, option, options
 
 _PathLike = Union[str, Path]
 
-#: Job kinds the planner understands.
-JOB_KINDS = ("check", "fuzz", "litmus", "paper")
+#: Every job kind the daemon runs, by name.
+JOB_KINDS: Dict[str, JobKind] = {
+    kind.name: kind for kind in (CHECK_JOB, FUZZ_JOB, LITMUS_JOB, PAPER_JOB)
+}
 
 #: Every state a job can be in (see the module docstring's lifecycle).
 JOB_STATES = (
@@ -93,39 +64,6 @@ TERMINAL_STATES = ("done", "failed", "cancelled")
 JOB_FORMAT_VERSION = 1
 
 
-#: The engine config each job kind describes (its spec-keyed fields).
-JOB_CONFIGS = {
-    "check": CheckConfig,
-    "fuzz": CampaignConfig,
-    "litmus": LitmusConfig,
-    "paper": ExperimentRunner,
-}
-
-#: Job-level spec keys per kind, beyond the engine config's.  A check
-#: job's config keys are its shardable fields only.
-JOB_KEYS: Dict[str, Dict[str, Option]] = {
-    "check": options_of(
-        target=Option(choices=TARGET_CHOICES, noun="fuzz target"),
-        threads=Option(int),
-        ops=Option(int, help="operations per thread"),
-        shard_depth=Option(
-            int, default=2,
-            help="choice-prefix depth that partitions the schedule tree",
-        ),
-    ),
-    "fuzz": options_of(batch=Option(int, default=1)),
-    "litmus": options_of(
-        programs=Option(many=True, optional=True, default=None)
-    ),
-    "paper": options_of(
-        threads=Option(
-            int, many=True, default=(1, 8), cli={"default": [1, 8]},
-            help="thread counts of Table 1's rows",
-        )
-    ),
-}
-
-
 def validate_spec(spec: object) -> Dict[str, object]:
     """Validate a submitted job spec; returns it unchanged.
 
@@ -139,73 +77,52 @@ def validate_spec(spec: object) -> Dict[str, object]:
     return spec
 
 
-def _decode(spec: object):
-    """``(engine config, job-level values)`` of a spec; raises
+def _kind(name: object, noun: str) -> JobKind:
+    """The kind registered as ``name``; raises :class:`ServeError`
+    naming the ``noun`` when there is none."""
+    if isinstance(name, str) and name in JOB_KINDS:
+        return JOB_KINDS[name]
+    raise ServeError(
+        f"unknown {noun} kind {name!r}; expected one of {tuple(JOB_KINDS)}"
+    )
+
+
+def _decode(spec: object) -> Tuple[JobKind, object, Dict[str, object]]:
+    """``(kind, engine config, job-level values)`` of a spec; raises
     :class:`ServeError` on a malformed one."""
     if not isinstance(spec, dict):
         raise ServeError("job spec must be a JSON object")
-    kind = spec.get("kind")
-    if kind not in JOB_KINDS:
-        raise ServeError(
-            f"unknown job kind {kind!r}; expected one of {JOB_KINDS}"
-        )
+    kind = _kind(spec.get("kind"), "job")
     try:
-        job = decode_keys(JOB_KEYS[kind], spec)
-        config = decode(
-            JOB_CONFIGS[kind], spec, extra=["kind", *JOB_KEYS[kind]]
-        )
-        if kind == "paper":
-            job["cells"] = table1_cells(job["threads"])
+        config, job = kind.decode(spec)
     except ReproError as exc:
-        raise ServeError(f"invalid {kind} job spec: {exc}") from exc
-    if kind == "fuzz" and job["batch"] <= 0:
-        raise ServeError("fuzz job batch size must be positive")
-    if kind == "litmus":
-        names, by_name = job["programs"], corpus_by_name()
-        missing = sorted(set(names or ()) - set(by_name))
-        if missing:
-            raise ServeError(
-                f"unknown litmus program(s): {', '.join(missing)}"
-            )
-        job["programs"] = list(by_name if names is None else names)
-    return config, job
+        raise ServeError(f"invalid {kind.name} job spec: {exc}") from exc
+    return kind, config, job
 
 
 def plan_job(spec: Dict[str, object]) -> List[Dict[str, object]]:
     """Expand a validated spec into its ordered shard task list.
 
     Every task is JSON-safe, carries its ``kind``, and is exactly what
-    :func:`repro.serve.workers.execute_shard` executes — and what
+    :func:`execute_shard` executes — and what
     :func:`repro.harness.cache.shard_key` digests.  Planning is
     deterministic (seeded sampling, schedule-tree probing), so a
     restarted daemon re-plans a job into byte-identical tasks and every
     already-computed shard resolves from the store.
     """
-    config, job = _decode(spec)
-    kind = spec["kind"]
-    if kind == "check":
-        tasks = shard_tasks(
-            job["target"], job["threads"], job["ops"], config,
-            shard_depth=job["shard_depth"],
-        )
-        for task in tasks:
-            task["kind"] = "check"
-        return tasks
-    if kind == "fuzz":
-        return plan_shards(config, batch=job["batch"])
-    if kind == "paper":
-        return plan_variants(config, job["cells"])
-    return [program_task(name, config) for name in job["programs"]]
+    kind, config, job = _decode(spec)
+    return kind.plan(config, job)
 
 
-def stored_shard_check(
-    spec: Dict[str, object]
-) -> Optional[Callable[[dict], object]]:
-    """The decoder a stored shard of this job's kind must pass before it
-    is served from the store (see :meth:`ResultStore.resolve
-    <repro.harness.cache.ResultStore.resolve>`), or None when the
-    digest check suffices."""
-    return decode_shard if spec["kind"] == "fuzz" else None
+def execute_shard(task: Dict[str, object]) -> Dict[str, object]:
+    """Run one shard task of any kind; returns its JSON-safe payload.
+
+    Module-level so it pickles into the daemon's
+    :class:`~repro.harness.parallel.TaskPool` workers; it runs the
+    task's kind's engine worker, so a shard computed by the daemon is
+    byte-identical to one a batch run computes.
+    """
+    return _kind(task.get("kind"), "shard").worker(task)
 
 
 def merge_job(
@@ -224,49 +141,8 @@ def merge_job(
             (exploration-limit overrun) — the job fails, like the
             sharded CLI run would.
     """
-    config, job = _decode(spec)
-    kind = spec["kind"]
-    if kind == "check":
-        merge = ShardMerge()
-        for payload in payloads:
-            merge.add(payload)
-        result, reports = merge.finish()
-        return {
-            "kind": "check",
-            "violations": len(result.distinct),
-            "schedules": result.stats.schedules,
-            "cuts_checked": result.stats.cuts_checked,
-            "violation_occurrences": result.stats.violation_occurrences,
-            "shards": len(reports),
-            "stats": result.stats.describe(),
-            "text": "\n".join(result.summary_lines()),
-        }
-    if kind == "fuzz":
-        result = fold_shards(config, payloads)
-        return {
-            "kind": "fuzz",
-            "violations": result.violations,
-            "cases": result.cases,
-            "violating_cases": result.violating_cases,
-            "cuts_checked": result.cuts_checked,
-            "silent_corruptions": result.silent_corruptions,
-            "crash_violations": result.crash_violations,
-            "text": result.summary(),
-        }
-    if kind == "paper":
-        for payload in payloads:
-            config.fold(payload)
-        table = build_table1(config, thread_counts=job["threads"])
-        return {"kind": "paper", "violations": 0, "text": format_table1(table)}
-    summary = summarize_reports(
-        [payload["report"] for payload in payloads], config
-    )
-    return {
-        "kind": "litmus",
-        "violations": summary["domain_mismatches"],
-        **summary,
-        "text": "\n".join(summary_lines(summary)),
-    }
+    kind, config, job = _decode(spec)
+    return {"kind": kind.name, **kind.fold(config, job, payloads)}
 
 
 def job_id(tenant: str, seq: int, spec: Dict[str, object]) -> str:

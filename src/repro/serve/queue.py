@@ -36,13 +36,13 @@ from typing import Callable, Deque, Dict, List, Optional, Union
 from repro.errors import ReproError, ServeError
 from repro.harness.cache import HarnessStats, ResultStore
 from repro.serve.jobs import (
+    JOB_KINDS,
     JobRecord,
     job_id,
     load_records,
     merge_job,
     plan_job,
     save_record,
-    stored_shard_check,
     validate_spec,
 )
 
@@ -277,7 +277,7 @@ class JobQueue:
         record.state = "sharded"
         self._save(record)
         hits, misses = self.store.resolve(
-            tasks, check=stored_shard_check(record.spec)
+            tasks, check=JOB_KINDS[record.spec["kind"]].check
         )
         self._payloads.setdefault(record.id, {}).update(hits)
         record.store_hits += len(hits)

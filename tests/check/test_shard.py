@@ -59,6 +59,32 @@ class TestShardedCheck:
             merged.stats.schedules
         )
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            CheckConfig(),
+            CheckConfig(replay="reexecute"),
+            CheckConfig(reduction="none"),
+            CheckConfig(graph_domain="graph"),
+        ],
+        ids=["default", "reexecute", "no-reduction", "graph-domain"],
+    )
+    def test_depth_zero_is_the_unsharded_check(self, config):
+        """`repro check --jobs 1` runs one depth-0 shard: it honours the
+        fields a prefix shard cannot, and reports what one unsharded
+        exploration does, violation payloads included."""
+        solo = check_target("publish-pair", 2, 1, config)
+        merged, reports = check_target_sharded(
+            "publish-pair", 2, 1, config, jobs=1, shard_depth=0
+        )
+        assert [report.prefix for report in reports] == [()]
+        assert merged.summary_lines() == solo.summary_lines()
+        assert merged.stats.engine == solo.stats.engine
+        assert [v.describe() for v in merged.distinct.values()] == [
+            v.describe() for v in solo.distinct.values()
+        ]
+        assert solo.distinct
+
     def test_worker_reports_overrun_in_band(self):
         """A shard that blows its schedule budget must come back as an
         error payload, not a crashed worker."""
@@ -86,6 +112,14 @@ class TestShardedCheck:
 
 
 class TestShardTasks:
+    def test_depth_zero_task_carries_unshardable_fields(self):
+        config = CheckConfig(replay="reexecute", reduction="none")
+        (task,) = shard_tasks("counter", 2, 1, config, shard_depth=0)
+        assert (task["replay"], task["reduction"]) == ("reexecute", "none")
+        assert task["prefix"] == []
+        (task,) = shard_tasks("counter", 2, 1, CheckConfig(), shard_depth=0)
+        assert not {"replay", "reduction", "graph_domain"} & set(task)
+
     def test_one_task_per_prefix_with_config_bounds(self):
         config = CheckConfig(
             models=MODELS, max_schedules=500, max_cuts_per_graph=128

@@ -200,6 +200,15 @@ class TestStrand:
         )
         assert cp(trace, "strand") == 1
 
+    def test_new_strand_drops_the_unbarriered_epoch(self):
+        """Section 5.3: a new strand starts with no ordering constraints,
+        so a persist the old strand issued after its last barrier does
+        not order the new strand's first barriered persist either."""
+        trace = build(
+            [(0, S, P, 1), (0, NS), (0, B), (0, S, P + 64, 2)]
+        )
+        assert cp(trace, "strand") == 1
+
     def test_barriers_order_within_strand(self):
         trace = build(
             [(0, NS), (0, S, P, 1), (0, B), (0, S, P + 64, 2)]

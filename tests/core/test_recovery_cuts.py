@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import (
     MODELS,
-    CutStats,
     cut_bytes,
     cut_members,
     cut_size,
@@ -24,7 +23,6 @@ from repro.core import (
     minimal_cut_mask,
     prefix_cut,
     sample_cut,
-    unique_cuts,
 )
 from repro.core.bitgraph import mask_of
 from repro.errors import RecoveryError
@@ -259,50 +257,6 @@ class TestCutContentKeys:
         assert one.read_bytes(P, 16) == both.read_bytes(P, 16)
 
 
-class TestUniqueCuts:
-    def test_all_distinct_yields_everything(self):
-        graph, _ = diamond_graph()
-        stats = CutStats()
-        cuts = list(unique_cuts(graph, stats=stats))
-        assert len(cuts) == 6
-        assert stats.enumerated == stats.unique == 6
-        assert stats.deduplicated == 0
-
-    def test_duplicate_content_collapsed(self):
-        graph = twin_write_graph()
-        stats = CutStats()
-        cuts = list(unique_cuts(graph, stats=stats))
-        # {} and one representative of {{0}, {1}, {0, 1}}.
-        assert len(cuts) == 2
-        assert stats.enumerated == 4
-        assert stats.unique == 2
-        assert stats.deduplicated == 2
-        for cut in cuts:
-            assert is_consistent_cut(graph, cut)
-
-    def test_representative_is_first_and_smallest(self):
-        """Enumeration is in non-decreasing size order, so the kept
-        representative is a smallest cut of its content class."""
-        graph = twin_write_graph()
-        cuts = list(unique_cuts(graph))
-        assert cuts[0] == frozenset()
-        assert len(cuts[1]) == 1
-
-    def test_limit_still_enforced(self):
-        domain = GraphDomain()
-        for index in range(20):  # 2^20 cuts of distinct content
-            event = make_access(
-                index, 0, EventKind.STORE, P + 64 * index, 8, 1, True
-            )
-            domain.persist(frozenset(), event)
-        with pytest.raises(RecoveryError):
-            list(unique_cuts(domain, limit=1000))
-
-    def test_stats_optional(self):
-        graph, _ = diamond_graph()
-        assert len(list(unique_cuts(graph))) == 6
-
-
 #: Small hand-written programs (at most 8 persists each) whose DAGs the
 #: definition oracles below cover under every model and both domains.
 ORACLE_PROGRAMS = {
@@ -405,9 +359,9 @@ class TestCutsAgainstDefinition:
             for form in (cut, sorted(cut), mask_of(cut)):
                 assert cut_bytes(graph, form) == overlay
                 assert cut_content_key(graph, form) == key
-        stats = CutStats()
-        representatives = list(unique_cuts(graph, stats=stats))
-        assert stats.unique == len(keys) == len(representatives)
+        assert len(keys) == len(
+            {cut_content_key(graph, mask) for mask in enumerate_cut_masks(graph)}
+        )
 
 
 class TestImages:

@@ -173,6 +173,12 @@ class TestSampling:
         with pytest.raises(FuzzError):
             sample_specs(CampaignConfig(target="nope"))
 
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_shard_batch_below_one_rejected(self, batch):
+        config = CampaignConfig(target="minifs", budget=4)
+        with pytest.raises(FuzzError, match="batch must be at least 1"):
+            plan_shards(config, batch=batch)
+
 
 class TestRunCase:
     def test_known_bad_spec_violates(self):

@@ -11,7 +11,9 @@ from repro.fuzz.campaign import CampaignConfig, case_tasks
 from repro.harness.cache import ResultStore, content_digest, shard_key
 from repro.litmus import LitmusConfig, corpus_by_name, run_corpus
 from repro.serve import (
+    JOB_KINDS,
     JobRecord,
+    execute_shard,
     job_id,
     load_records,
     merge_job,
@@ -19,7 +21,6 @@ from repro.serve import (
     save_record,
     validate_spec,
 )
-from repro.serve.workers import execute_shard
 
 CHECK_SPEC = {"kind": "check", "target": "queue-cwl", "threads": 2, "ops": 1}
 FUZZ_SPEC = {
@@ -204,6 +205,37 @@ class TestMergeJob:
         assert {key: summary[key] for key in corpus} == corpus
         assert summary["cut_limit_exceeded"] >= 1
         assert "lower bounds" in summary["text"]
+
+
+#: One small spec per registered job kind: registering a kind means
+#: adding its spec here, and the test below then runs it end to end.
+SMALL_SPECS = {
+    "check": {"kind": "check", "target": "publish-pair", "threads": 2,
+              "ops": 1, "shard_depth": 1},
+    "fuzz": {"kind": "fuzz", "target": "minifs", "budget": 2, "seed": 0},
+    "litmus": {"kind": "litmus", "programs": ["mp-clflush"],
+               "models": ["epoch"]},
+    "paper": {"kind": "paper", "inserts_per_thread": 2, "threads": [1]},
+}
+
+
+class TestJobKinds:
+    @pytest.mark.parametrize("name", sorted(JOB_KINDS))
+    def test_registered_kind_runs_a_small_job(self, name):
+        """validate -> plan -> execute every shard -> merge, with tasks,
+        payloads and summary crossing JSON as they do in the daemon."""
+        spec = SMALL_SPECS[name]
+        assert validate_spec(spec) is spec
+        tasks = json.loads(json.dumps(plan_job(spec)))
+        assert tasks and all(task["kind"] == name for task in tasks)
+        payloads = [
+            json.loads(json.dumps(execute_shard(task))) for task in tasks
+        ]
+        summary = merge_job(spec, payloads)
+        assert json.loads(json.dumps(summary))["kind"] == name
+        assert isinstance(summary["text"], str) and summary["text"]
+        assert isinstance(summary["violations"], int)
+        assert summary["violations"] >= 0
 
 
 #: A finished job with every field off its default.

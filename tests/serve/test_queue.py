@@ -5,8 +5,13 @@ import pytest
 from repro.errors import ServeError
 from repro.fuzz import CampaignConfig, plan_shards, run_campaign
 from repro.harness.cache import ResultStore, shard_key
-from repro.serve import JobQueue, TokenBucket, WorkStealingScheduler, load_records
-from repro.serve.workers import execute_shard
+from repro.serve import (
+    JobQueue,
+    TokenBucket,
+    WorkStealingScheduler,
+    execute_shard,
+    load_records,
+)
 
 CHECK_SPEC = {"kind": "check", "target": "queue-cwl", "threads": 2, "ops": 1}
 LITMUS_SPEC = {"kind": "litmus", "programs": ["mp-clflush"]}

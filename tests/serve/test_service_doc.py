@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.schema import options
-from repro.serve import JOB_CONFIGS, JOB_KEYS, JOB_KINDS, validate_spec
+from repro.serve import JOB_KINDS, validate_spec
 
 DOC = (Path(__file__).resolve().parents[2] / "docs" / "service.md").read_text(
     encoding="utf-8"
@@ -20,10 +20,11 @@ DOC = (Path(__file__).resolve().parents[2] / "docs" / "service.md").read_text(
 
 
 def schema_keys(kind):
+    job_kind = JOB_KINDS[kind]
     config_keys = {
-        opt.key for opt in options(JOB_CONFIGS[kind]).values() if opt.key
+        opt.key for opt in options(job_kind.config).values() if opt.key
     }
-    return config_keys | set(JOB_KEYS[kind])
+    return config_keys | set(job_kind.keys)
 
 
 def documented_keys(kind):

@@ -16,7 +16,7 @@ from repro.schema import (
     options,
     options_of,
 )
-from repro.serve import JOB_CONFIGS, JOB_KEYS
+from repro.serve import JOB_KINDS
 
 
 class TestParse:
@@ -172,7 +172,8 @@ class TestArguments:
         assert encode(from_args(args)) == encode(
             decode(ExperimentRunner, {})
         )
-        assert tuple(args.threads) == JOB_KEYS["paper"]["threads"].default
+        threads = JOB_KINDS["paper"].keys["threads"]
+        assert tuple(args.threads) == threads.default
 
     def test_unset_list_flags_keep_config_defaults(self):
         config = from_args(self.parse(["fuzz", "run", "--target", "kv"]))
@@ -180,11 +181,10 @@ class TestArguments:
 
 
 def test_every_job_kind_has_a_config_and_job_keys():
-    assert set(JOB_CONFIGS) == set(JOB_KEYS) == {
-        "check", "fuzz", "litmus", "paper"
-    }
-    for kind, config in JOB_CONFIGS.items():
-        overlap = set(JOB_KEYS[kind]) & {
-            o.key for o in options(config).values()
+    assert set(JOB_KINDS) == {"check", "fuzz", "litmus", "paper"}
+    for name, kind in JOB_KINDS.items():
+        assert kind.name == name
+        overlap = set(kind.keys) & {
+            o.key for o in options(kind.config).values()
         }
-        assert not overlap, (kind, overlap)
+        assert not overlap, (name, overlap)
