@@ -37,11 +37,16 @@ from repro.trace.events import MemoryEvent
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Yield the set bit positions of ``mask`` in ascending order.
+
+    Scans the binary digits once, least significant first: peeling the
+    lowest bit off a many-thousand-bit mask would copy the mask per bit.
+    """
+    digits = bin(mask)[:1:-1]
+    position = digits.find("1")
+    while position >= 0:
+        yield position
+        position = digits.find("1", position + 1)
 
 
 def mask_of(pids) -> int:

@@ -15,9 +15,10 @@ Cuts have two interchangeable representations:
   accepted by every cut-consuming function here and produced by the
   ``*_mask`` enumerators.
 
-Every cut operation has one implementation, on masks: each persist DAG
-(either domain) keeps its nodes' dependency frontiers as ``dep_masks``,
-so downward closure is one big-int test per member, and the cut's bytes
+Every cut operation has one implementation: each persist DAG (either
+domain) keeps its nodes' dependency frontiers as ``deps`` sets and as
+``dep_masks``, downward closure is one subset test of a member's
+``deps`` per member (a mask lists its members first), and the cut's bytes
 (:func:`cut_bytes`) come from a cached per-graph write index instead of
 a rescan of every node.  :func:`enumerate_cuts` is the frozenset view of
 :func:`enumerate_cut_masks`.
@@ -45,7 +46,7 @@ from typing import (
     Union,
 )
 
-from repro.core.lattice import GraphDomain, iter_bits, mask_of
+from repro.core.lattice import GraphDomain, iter_bits
 from repro.errors import RecoveryError
 from repro.memory.nvram import NvramImage
 
@@ -84,22 +85,27 @@ def cut_size(cut: Cut) -> int:
 
 
 def is_consistent_cut(graph: GraphDomain, included: Cut) -> bool:
-    """True when ``included`` is downward-closed under persist order.
+    """True when ``included`` is downward-closed under persist order:
+    every member's direct dependences are members too.
 
-    A cut naming a persist the graph does not have is not consistent.
+    A mask lists its members first, so both cut forms take the same
+    per-member test.  A cut naming a persist the graph does not have is
+    not consistent.
     """
-    count = len(graph.nodes)
+    nodes = graph.nodes
     if isinstance(included, int):
-        if included < 0 or included >> count:
+        if included < 0 or included >> len(nodes):
             return False
-        mask, members = included, iter_bits(included)
+        members = frozenset(iter_bits(included))
     else:
-        members = list(included)
-        if members and not 0 <= min(members) <= max(members) < count:
+        members = (
+            included
+            if isinstance(included, (set, frozenset))
+            else frozenset(included)
+        )
+        if members and not 0 <= min(members) <= max(members) < len(nodes):
             return False
-        mask = mask_of(members)
-    deps = graph.dep_masks
-    return all(deps[pid] & mask == deps[pid] for pid in members)
+    return all(nodes[pid].deps <= members for pid in members)
 
 
 def full_cut(graph: GraphDomain) -> FrozenSet[int]:

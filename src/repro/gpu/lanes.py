@@ -36,8 +36,15 @@ from repro.memory import layout
 from repro.memory.nvram import NvramImage
 from repro.sim.machine import Machine
 from repro.sim.scheduler import Scheduler
-from repro.trace.columnar import DEFAULT_CHUNK_EVENTS, ColumnarChunk
-from repro.trace.events import EventKind
+from repro.trace.columnar import (
+    CODE_LOAD,
+    CODE_PERSIST_BARRIER,
+    CODE_STORE,
+    DEFAULT_CHUNK_EVENTS,
+    FLAG_PERSISTENT,
+    FLAG_SYNC,
+    ColumnarChunk,
+)
 
 #: Record stride: one 64-byte line per record, the GPU-natural unit
 #: (``words_per_record`` words live at its front, the rest is padding).
@@ -301,17 +308,17 @@ def iter_lane_chunks(
         )
     workload = _synthetic_workload(lanes, records, words, lanes_per_scope)
     chunk = ColumnarChunk(0)
-    store = EventKind.STORE
-    load = EventKind.LOAD
-    barrier = EventKind.PERSIST_BARRIER
+    store = CODE_STORE
+    load = CODE_LOAD
+    barrier = CODE_PERSIST_BARRIER
     word_size = layout.WORD_SIZE
 
-    def emit(kind, thread, addr=0, size=0, value=0, persistent=False, sync=False):
+    def emit(code, thread, addr=0, size=0, value=0, flags=0):
         nonlocal chunk
         if len(chunk) >= chunk_events:
             full, chunk = chunk, ColumnarChunk(chunk.end_seq)
             yield full
-        chunk.append_raw(kind, thread, addr, size, value, persistent, sync)
+        chunk.append_raw(code, thread, addr, size, value, flags)
 
     for record in range(records):
         for lane in range(lanes):
@@ -322,19 +329,19 @@ def iter_lane_chunks(
                     workload.record_addr(lane, record, word),
                     word_size,
                     lane_record_word(lane, record, word),
-                    persistent=True,
+                    FLAG_PERSISTENT,
                 )
             yield from emit(barrier, lane)
     for lane in range(lanes):
         yield from emit(
-            store, lane, workload.done_addr(lane), word_size, 1, sync=True
+            store, lane, workload.done_addr(lane), word_size, 1, FLAG_SYNC
         )
     for scope in range(workload.scopes):
         committer = lanes + scope
         for lane in workload.scope_lanes(scope):
             yield from emit(
                 load, committer, workload.done_addr(lane), word_size, 1,
-                sync=True,
+                FLAG_SYNC,
             )
         yield from emit(barrier, committer)
         yield from emit(
@@ -343,7 +350,7 @@ def iter_lane_chunks(
             workload.commit_addr(scope),
             word_size,
             COMMIT_MAGIC,
-            persistent=True,
+            FLAG_PERSISTENT,
         )
         yield from emit(barrier, committer)
     if len(chunk):

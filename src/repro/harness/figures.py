@@ -275,21 +275,30 @@ def figure2_dependences(
     threads: int = 1,
     inserts: int = 8,
 ) -> DependenceSummary:
-    """Quantify Figure 2's dependence classes on a real (small) trace."""
+    """Quantify Figure 2's dependence classes on a real (small) trace.
+
+    Each distinct program is simulated once: the strict and epoch
+    columns share the non-racing one, and a design the racing flag does
+    not change runs one program for all three columns.
+    """
     from repro.queue.workload import run_insert_workload
 
     constraints: Dict[str, float] = {}
+    workloads = {}
     for column in ("strict", "epoch", "strand"):
         model, racing = TABLE1_COLUMNS[column]
-        workload = run_insert_workload(
-            design=design,
-            threads=threads,
-            inserts_per_thread=-(-inserts // threads),
-            entry_size=runner.entry_size,
-            racing=racing,
-            lock_kind=runner.lock_kind,
-            seed=runner.base_seed,
-        )
+        key = runner.variant_key(design, threads, racing)
+        workload = workloads.get(key)
+        if workload is None:
+            workload = workloads[key] = run_insert_workload(
+                design=design,
+                threads=threads,
+                inserts_per_thread=-(-inserts // threads),
+                entry_size=runner.entry_size,
+                racing=key[2],
+                lock_kind=runner.lock_kind,
+                seed=runner.base_seed,
+            )
         graph = analyze_graph(workload.trace, model).graph
         ordered_pairs = sum(len(graph.ancestors(n.pid)) for n in graph.nodes)
         constraints[column] = ordered_pairs / workload.total_inserts

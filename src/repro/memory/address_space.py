@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import MemoryAccessError
 from repro.memory import layout
+from repro.memory.layout import WORD_SIZE
 
 #: Default bases chosen far apart so volatile/persistent never collide.
 DEFAULT_VOLATILE_BASE = 0x1000_0000
@@ -21,6 +22,13 @@ DEFAULT_PERSISTENT_BASE = 0x8000_0000
 
 #: Default region sizes.  Traces in this repo are small; 4 MiB is plenty.
 DEFAULT_REGION_SIZE = 4 * 1024 * 1024
+
+#: log2 of the page size of :meth:`AddressSpace.checked_region`'s
+#: page -> region map (4 KiB pages).
+PAGE_SHIFT = 12
+
+#: One past the largest value a store of ``size`` bytes may write.
+_VALUE_LIMITS = tuple(1 << (8 * size) for size in range(layout.WORD_SIZE + 1))
 
 
 @dataclass
@@ -83,6 +91,11 @@ class AddressSpace:
         #: Region bases in ascending order, parallel to ``_regions``.
         self._bases: List[int] = []
         self._by_name: Dict[str, Region] = {}
+        #: Page number -> the region wholly containing that page, filled
+        #: by :meth:`checked_region` on a page's first access.  A page
+        #: that straddles a region edge is never entered, so the bisection
+        #: of :meth:`region_of` keeps deciding (and reporting) there.
+        self._pages: Dict[int, Region] = {}
         for region in regions or []:
             self.add_region(region)
 
@@ -157,11 +170,32 @@ class AddressSpace:
         :func:`~repro.memory.layout.validate_access`, the range of the
         ``value`` a store writes (when given), then the mapping.  The
         caller may then use the region's raw byte accessors directly.
+
+        The simulated machine calls this once per access, so the passing
+        case is tested inline and a failing one is handed to the
+        :mod:`~repro.memory.layout` validator that words its error.  An
+        access never crosses a word, so it lies in one page, and a page
+        in :attr:`_pages` lies wholly inside its region.
         """
-        layout.validate_access(addr, size)
-        if value is not None:
-            layout.validate_value(value, size)
-        return self.region_of(addr, size)
+        if (
+            addr < 0
+            or not 0 < size <= WORD_SIZE
+            or addr % WORD_SIZE + size > WORD_SIZE
+        ):
+            layout.validate_access(addr, size)  # raises
+        if value is not None and not 0 <= value < _VALUE_LIMITS[size]:
+            layout.validate_value(value, size)  # raises
+        try:
+            return self._pages[addr >> PAGE_SHIFT]
+        except KeyError:
+            pass
+        region = self.region_of(addr, size)
+        page = addr >> PAGE_SHIFT
+        if region.base <= page << PAGE_SHIFT and (
+            (page + 1) << PAGE_SHIFT <= region.end
+        ):
+            self._pages[page] = region
+        return region
 
     def read(self, addr: int, size: int) -> int:
         """Load an unsigned little-endian value of 1-8 bytes."""

@@ -7,9 +7,14 @@ first argument and using ``yield from`` on its methods::
         value = yield from ctx.load(counter_addr)
         yield from ctx.store(counter_addr, value + 1)
 
-Every helper is a generator that yields exactly one operation request per
-memory event (bulk helpers yield one per word), so the scheduler
-interleaves threads at single-access granularity.
+Every helper yields exactly one operation request per memory event (bulk
+helpers yield one per word), so the scheduler interleaves threads at
+single-access granularity.  A helper whose op has a result (a load, an
+atomic, a wait, an allocation) is a generator that returns that result;
+one whose op has none returns its request in a one-element tuple, which
+``yield from`` walks like a generator but without a generator frame to
+build and resume on every store.  The machine sends ``None`` for such
+an op, which ``yield from`` passes to the tuple as a plain ``next``.
 """
 
 from __future__ import annotations
@@ -21,6 +26,15 @@ from repro.sim import ops
 
 #: Type of the generators returned by context helpers.
 OpGen = Generator[object, object, object]
+
+#: What the helper of an op without a result returns: its one request.
+OneOp = Tuple[object]
+
+_PERSIST_BARRIER = (ops.PERSIST_BARRIER,)
+_NEW_STRAND = (ops.NEW_STRAND,)
+_PERSIST_SYNC = (ops.PERSIST_SYNC,)
+_FENCE = (ops.FENCE,)
+_SFENCE = (ops.SFENCE,)
 
 
 class ThreadContext:
@@ -53,9 +67,9 @@ class ThreadContext:
         value: int,
         size: int = layout.WORD_SIZE,
         sync: bool = False,
-    ) -> OpGen:
+    ) -> OneOp:
         """Store an unsigned value."""
-        yield ops.Store(addr, value, size, sync)
+        return (ops.Store(addr, value, size, sync),)
 
     def cas(
         self,
@@ -143,45 +157,45 @@ class ThreadContext:
 
     # -- persistency annotations --------------------------------------------
 
-    def persist_barrier(self) -> OpGen:
+    def persist_barrier(self) -> OneOp:
         """Emit a persist barrier (epoch and strand models)."""
-        yield ops.PersistBarrier()
+        return _PERSIST_BARRIER
 
-    def new_strand(self) -> OpGen:
+    def new_strand(self) -> OneOp:
         """Emit a strand barrier (strand model only)."""
-        yield ops.NewStrand()
+        return _NEW_STRAND
 
-    def persist_sync(self) -> OpGen:
+    def persist_sync(self) -> OneOp:
         """Emit a persist sync (order persists before later side effects)."""
-        yield ops.PersistSync()
+        return _PERSIST_SYNC
 
-    def fence(self) -> OpGen:
+    def fence(self) -> OneOp:
         """Emit a memory fence (drains the store buffer on TSO machines)."""
-        yield ops.Fence()
+        return _FENCE
 
     # -- x86 flush / fence family (Px86 models) ----------------------------
 
-    def clflush(self, addr: int, size: int = layout.WORD_SIZE) -> OpGen:
+    def clflush(self, addr: int, size: int = layout.WORD_SIZE) -> OneOp:
         """Flush the line(s) covering the range (strongly ordered)."""
-        yield ops.ClFlush(addr, size)
+        return (ops.ClFlush(addr, size),)
 
-    def clflushopt(self, addr: int, size: int = layout.WORD_SIZE) -> OpGen:
+    def clflushopt(self, addr: int, size: int = layout.WORD_SIZE) -> OneOp:
         """Flush the line(s) covering the range (weakly ordered)."""
-        yield ops.ClFlushOpt(addr, size)
+        return (ops.ClFlushOpt(addr, size),)
 
-    def clwb(self, addr: int, size: int = layout.WORD_SIZE) -> OpGen:
+    def clwb(self, addr: int, size: int = layout.WORD_SIZE) -> OneOp:
         """Write the line(s) covering the range back (weakly ordered)."""
-        yield ops.Clwb(addr, size)
+        return (ops.Clwb(addr, size),)
 
-    def sfence(self) -> OpGen:
+    def sfence(self) -> OneOp:
         """Emit an sfence (commits outstanding clflushopt/clwb)."""
-        yield ops.SFence()
+        return _SFENCE
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def mark(self, info: str) -> OpGen:
+    def mark(self, info: str) -> OneOp:
         """Emit a MARK annotation for the harness."""
-        yield ops.Mark(info)
+        return (ops.Mark(info),)
 
     def malloc_persistent(self, size: int) -> OpGen:
         """Allocate persistent memory; returns the address."""
@@ -193,10 +207,10 @@ class ThreadContext:
         addr = yield ops.Malloc(size, persistent=False)
         return addr
 
-    def free_persistent(self, addr: int) -> OpGen:
+    def free_persistent(self, addr: int) -> OneOp:
         """Free a persistent allocation."""
-        yield ops.Free(addr, persistent=True)
+        return (ops.Free(addr, persistent=True),)
 
-    def free_volatile(self, addr: int) -> OpGen:
+    def free_volatile(self, addr: int) -> OneOp:
         """Free a volatile allocation."""
-        yield ops.Free(addr, persistent=False)
+        return (ops.Free(addr, persistent=False),)

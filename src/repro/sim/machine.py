@@ -20,6 +20,23 @@ from repro.memory.layout import WORD_SIZE, validate_value
 from repro.sim import ops
 from repro.sim.context import ThreadContext
 from repro.sim.scheduler import RandomScheduler, Scheduler
+from repro.trace.columnar import (
+    CODE_CLFLUSH,
+    CODE_CLFLUSH_OPT,
+    CODE_CLWB,
+    CODE_FENCE,
+    CODE_LOAD,
+    CODE_MARK,
+    CODE_NEW_STRAND,
+    CODE_PERSIST_BARRIER,
+    CODE_RMW,
+    CODE_SFENCE,
+    CODE_STORE,
+    DEFAULT_CHUNK_EVENTS,
+    FLAG_PERSISTENT,
+    FLAG_SYNC,
+    KIND_CODES,
+)
 from repro.trace.events import EventKind
 from repro.trace.trace import Trace
 
@@ -39,12 +56,22 @@ class ThreadState(enum.Enum):
 #: (id = _DRAIN_BASE + thread_id); below it, thread execution steps.
 _DRAIN_BASE = 1 << 20
 
-#: Event kind of each cache-line flush op.
+#: Kind codes of the events only the machine emits.
+CODE_PERSIST_SYNC = KIND_CODES[EventKind.PERSIST_SYNC]
+CODE_MALLOC = KIND_CODES[EventKind.MALLOC]
+CODE_FREE = KIND_CODES[EventKind.FREE]
+CODE_THREAD_BEGIN = KIND_CODES[EventKind.THREAD_BEGIN]
+CODE_THREAD_END = KIND_CODES[EventKind.THREAD_END]
+
+#: Event kind code of each cache-line flush op.
 _FLUSH_OPS = {
-    ops.ClFlush: EventKind.CLFLUSH,
-    ops.ClFlushOpt: EventKind.CLFLUSH_OPT,
-    ops.Clwb: EventKind.CLWB,
+    ops.ClFlush: CODE_CLFLUSH,
+    ops.ClFlushOpt: CODE_CLFLUSH_OPT,
+    ops.Clwb: CODE_CLWB,
 }
+
+#: The read-modify-write ops, traced as RMW (a failed CAS as a LOAD).
+_ATOMIC_OPS = (ops.CompareAndSwap, ops.Swap, ops.FetchAdd)
 
 
 class SimThread:
@@ -63,9 +90,9 @@ class SimThread:
         self.result: object = None
         #: TSO store buffer: FIFO of entries, one of
         #: ``("store", addr, size, value, sync, region)``,
-        #: ``("flush", addr, size, EventKind, region)``
+        #: ``("flush", addr, size, kind code, region)``
         #: (clflush/clflushopt/clwb travelling behind earlier stores), or
-        #: ``("marker", EventKind)`` (persist barrier / strand / sfence).
+        #: ``("marker", kind code)`` (persist barrier / strand / sfence).
         #: Store and flush entries were validated when buffered and keep
         #: the region they map to.
         self.store_buffer: list = []
@@ -174,9 +201,10 @@ class Machine:
         if bind is not None:
             bind(self)
         self.trace = Trace(meta=meta)
-        #: Appends one event's fields to the trace's columns; the machine
-        #: validated them when it executed the operation.
-        self._append = self.trace.append_raw
+        #: Appends one event's column values to the trace, starting a new
+        #: chunk when the last is full; the machine validated them when it
+        #: executed the operation.
+        self._emit = self.trace.append_raw
         self._threads: List[SimThread] = []
         self._steps = 0
         #: Write-undo journal: (addr, previous bytes) per memory write,
@@ -202,7 +230,7 @@ class Machine:
         #: lets an unchanged entry skip the bisection.
         self._listed: Set[int] = set()
         #: Watch index: word number -> ids of WAITING threads whose wait
-        #: reads that word; :meth:`_mem_write` moves them to ``_woken``.
+        #: reads that word; a store to the word moves them to ``_woken``.
         self._watchers: Dict[int, Set[int]] = {}
         self._woken: Set[int] = set()
 
@@ -238,6 +266,16 @@ class Machine:
     def run(self, max_steps: Optional[int] = None) -> Trace:
         """Run until every thread finishes; returns the trace.
 
+        This loop is the machine's one step path, for SC, TSO and
+        snapshot-enabled machines alike.  A step of a READY thread
+        executes its pending op — stores, loads, persist barriers, waits
+        and atomics right here, rarer ops in :meth:`_execute` — writes
+        memory, appends the event to the trace's last chunk, sends the
+        result into the thread's generator and relists the thread.  A
+        NEW thread begins, a woken WAITING thread re-reads its word, and
+        a drain agent makes its thread's oldest buffered entry visible
+        (:meth:`_drain_scheduled`).
+
         Raises:
             DeadlockError: when all unfinished threads are blocked.
             SimulationError: when ``max_steps`` is exhausted first.
@@ -246,6 +284,16 @@ class Machine:
         runnable = self._runnable
         threads = self._threads
         woken = self._woken
+        watchers = self._watchers
+        journal = self._journal
+        send_log = self._send_log
+        tso = self._tso
+        pick = self.scheduler.pick
+        checked_region = self.memory.checked_region
+        chunks = self.trace.chunks
+        emit = self._emit
+        relist = self._relist
+        ready = ThreadState.READY
         while True:
             if not runnable:
                 unfinished = [
@@ -264,23 +312,184 @@ class Machine:
                 raise SimulationError(
                     f"exceeded max_steps={max_steps} with threads still running"
                 )
-            agent = self.scheduler.pick(runnable)
-            self._step(agent)
+            agent = pick(runnable)
+            if agent >= _DRAIN_BASE:
+                thread = self._drain_scheduled(agent)
+                state = None
+            else:
+                thread = threads[agent]
+                state = thread.state
+                # What the step does, set below: the event to append
+                # (``code`` -1 for none), whether it writes ``value`` to
+                # memory first, and what to send into the generator.
+                code = -1
+                write = False
+                send = True
+                result = None
+                if state is ready:
+                    op = thread.pending
+                    op_type = type(op)
+                    if op_type is ops.Store:
+                        addr, size, value = op.addr, op.size, op.value
+                        region = checked_region(addr, size, value)
+                        if tso:
+                            thread.store_buffer.append(
+                                ("store", addr, size, value, op.sync, region)
+                            )
+                        else:
+                            code = CODE_STORE
+                            write = True
+                            persistent, sync = region.persistent, op.sync
+                            info = ""
+                    elif op_type is ops.Load or op_type is ops.WaitUntil:
+                        addr, size = op.addr, op.size
+                        if thread.store_buffer:  # TSO: may forward
+                            value, info, region = self._read(
+                                thread, addr, size
+                            )
+                        else:
+                            region = checked_region(addr, size)
+                            offset = addr - region.base
+                            value = int.from_bytes(
+                                region.data[offset:offset + size], "little"
+                            )
+                            info = ""
+                        code = CODE_LOAD
+                        persistent, sync = region.persistent, op.sync
+                        result = value
+                        if op_type is not ops.Load and not op.predicate(value):
+                            thread.pending = None
+                            thread.wait = op
+                            thread.state = ThreadState.WAITING
+                            send = False
+                    elif op_type is ops.PersistBarrier:
+                        # On TSO the barrier travels through the store
+                        # buffer with the stores it separates (epoch
+                        # hardware tags epochs at the core, in program
+                        # order); emitting it at execute time would let
+                        # later-draining stores float in front of it in
+                        # memory order and dissolve the epoch boundary.
+                        if tso and thread.store_buffer:
+                            thread.store_buffer.append(
+                                ("marker", CODE_PERSIST_BARRIER)
+                            )
+                        else:
+                            code = CODE_PERSIST_BARRIER
+                            addr = size = value = 0
+                            persistent = sync = False
+                            info = ""
+                    elif op_type in _ATOMIC_OPS:
+                        if tso:
+                            # Atomics are fences on TSO (x86 semantics).
+                            self._flush_buffer(thread)
+                        addr, size = op.addr, op.size
+                        region = checked_region(addr, size)
+                        offset = addr - region.base
+                        old = int.from_bytes(
+                            region.data[offset:offset + size], "little"
+                        )
+                        persistent, sync = region.persistent, op.sync
+                        info = ""
+                        if (
+                            op_type is ops.CompareAndSwap
+                            and old != op.expected
+                        ):
+                            # A failed CAS is traced as a LOAD, but the
+                            # lock prefix still fenced (the buffer was
+                            # flushed above); "rmw-fail" lets the Px86
+                            # analyzers keep its flush-committing effect.
+                            code = CODE_LOAD
+                            value = old
+                            info = "rmw-fail"
+                            result = False, old
+                        else:
+                            if op_type is ops.FetchAdd:
+                                value = (old + op.delta) % (1 << (8 * size))
+                            else:
+                                value = op.new
+                            validate_value(value, size)
+                            code = CODE_RMW
+                            write = True
+                            if op_type is ops.CompareAndSwap:
+                                result = True, old
+                            else:
+                                result = old
+                    else:
+                        result = self._execute(thread, op)
+                elif state is ThreadState.NEW:
+                    code = CODE_THREAD_BEGIN
+                    addr = size = value = 0
+                    persistent = sync = False
+                    info = ""
+                    thread.state = ready
+                elif state is ThreadState.WAITING:
+                    wait = thread.wait
+                    addr, size = wait.addr, wait.size
+                    value, info, region = self._read(thread, addr, size)
+                    code = CODE_LOAD
+                    persistent, sync = region.persistent, wait.sync
+                    result = value
+                    thread.wait = None
+                    thread.state = ready
+                else:
+                    raise SimulationError(f"cannot step {thread!r}")
+                if write:
+                    # Journal the overwritten bytes (snapshots), write,
+                    # and wake the waiters watching the word.
+                    data = region.data
+                    offset = addr - region.base
+                    end = offset + size
+                    if journal is not None:
+                        journal.append((addr, bytes(data[offset:end])))
+                    data[offset:end] = value.to_bytes(size, "little")
+                    watching = watchers.get(addr // WORD_SIZE)
+                    if watching:
+                        woken.update(watching)
+                if code >= 0:
+                    flags = (FLAG_PERSISTENT if persistent else 0) | (
+                        FLAG_SYNC if sync else 0
+                    )
+                    chunk = chunks[-1]
+                    if len(chunk.kinds) < DEFAULT_CHUNK_EVENTS:
+                        chunk.append_raw(
+                            code, agent, addr, size, value, flags, info
+                        )
+                    else:  # the trace starts its next chunk
+                        emit(code, agent, addr, size, value, flags, info)
+                if send:
+                    if journal is not None:
+                        send_log.append((thread, result))
+                    try:
+                        thread.pending = thread.generator.send(result)
+                    except StopIteration as stop:
+                        thread.pending = None
+                        thread.result = stop.value
+                        if thread.store_buffer:
+                            # TSO: the thread's stores are not yet
+                            # visible; drain agents finish the job, then
+                            # THREAD_END is emitted.
+                            thread.state = ThreadState.DRAINING
+                        else:
+                            thread.state = ThreadState.FINISHED
+                            emit(CODE_THREAD_END, agent)
             self._steps += 1
             # A step changes only its own thread's state and buffer, plus
             # memory; of the other threads, only WAITING ones whose word
-            # was written can change runnability (wait predicates are pure).
-            self._relist(threads[agent % _DRAIN_BASE])
+            # was written can change runnability (wait predicates are
+            # pure).  An SC thread READY before and after its step keeps
+            # both entries as they were.
+            if tso or state is not ready or thread.state is not ready:
+                relist(thread)
             if woken:
                 for thread_id in woken:
-                    self._relist(threads[thread_id])
+                    relist(threads[thread_id])
                 woken.clear()
 
     def _rebuild_runnable(self) -> None:
         """Recompute the runnable set and watch index from scratch.
 
         Covers every change made outside :meth:`run` — setup-time
-        memory writes, :meth:`spawn`, :meth:`restore`, direct steps.
+        memory writes, :meth:`spawn`, :meth:`restore`.
         """
         self._runnable.clear()
         self._runnable_keys.clear()
@@ -343,55 +552,27 @@ class Machine:
             del self._runnable[index]
             self._listed.discard(key)
 
-    def _step(self, thread_id: int) -> None:
-        """Execute one scheduling step for ``thread_id``."""
-        if thread_id >= _DRAIN_BASE:
-            index = thread_id - _DRAIN_BASE
-            if not 0 <= index < len(self._threads):
-                raise SimulationError(
-                    f"scheduler picked drain agent {thread_id} for "
-                    f"nonexistent thread {index}"
-                )
-            thread = self._threads[index]
-            if not thread.store_buffer:
-                # Drain agents are runnable exactly while the buffer is
-                # non-empty; reaching here means the scheduler returned
-                # an id that was not in the runnable set it was given
-                # (e.g. a stale replay recording).
-                raise SimulationError(
-                    f"drain scheduled for {thread.name} with an empty "
-                    f"buffer: scheduler violated the runnable-set contract"
-                )
-            self._drain_one(thread)
-            return
-        thread = self._threads[thread_id]
-        state = thread.state
-        if state is ThreadState.READY:
-            op = thread.pending
-            thread.pending = None
-            if type(op) is ops.WaitUntil:
-                value = self._load(thread, op.addr, op.size, op.sync)
-                if op.predicate(value):
-                    self._advance(thread, value)
-                else:
-                    thread.wait = op
-                    thread.state = ThreadState.WAITING
-                return
-            self._advance(thread, self._execute(thread, op))
-            return
-        if state is ThreadState.NEW:
-            self._append(EventKind.THREAD_BEGIN, thread.thread_id)
-            thread.state = ThreadState.READY
-            self._advance(thread, None)
-            return
-        if state is ThreadState.WAITING:
-            wait = thread.wait
-            value = self._load(thread, wait.addr, wait.size, wait.sync)
-            thread.wait = None
-            thread.state = ThreadState.READY
-            self._advance(thread, value)
-            return
-        raise SimulationError(f"cannot step {thread!r}")
+    def _drain_scheduled(self, agent: int) -> SimThread:
+        """The step of drain agent ``agent``: drain one entry of its
+        thread's buffer; returns the thread."""
+        index = agent - _DRAIN_BASE
+        if not 0 <= index < len(self._threads):
+            raise SimulationError(
+                f"scheduler picked drain agent {agent} for "
+                f"nonexistent thread {index}"
+            )
+        thread = self._threads[index]
+        if not thread.store_buffer:
+            # Drain agents are runnable exactly while the buffer is
+            # non-empty; reaching here means the scheduler returned an id
+            # that was not in the runnable set it was given (e.g. a stale
+            # replay recording).
+            raise SimulationError(
+                f"drain scheduled for {thread.name} with an empty "
+                f"buffer: scheduler violated the runnable-set contract"
+            )
+        self._drain_one(thread)
+        return thread
 
     def register_state(
         self, capture: Callable[[], object], restore: Callable[[object], None]
@@ -415,39 +596,6 @@ class Machine:
                     "register_state after the snapshot-enabled machine ran"
                 )
             self._ext_initial.append(capture())
-
-    def _advance(self, thread: SimThread, send_value: object) -> None:
-        """Resume the thread body until its next operation request."""
-        if self._journal is not None:
-            self._send_log.append((thread, send_value))
-        try:
-            thread.pending = thread.generator.send(send_value)
-        except StopIteration as stop:
-            thread.result = stop.value
-            if thread.store_buffer:
-                # TSO: the thread's stores are not yet visible; drain
-                # agents finish the job, then THREAD_END is emitted.
-                thread.state = ThreadState.DRAINING
-            else:
-                thread.state = ThreadState.FINISHED
-                self._append(EventKind.THREAD_END, thread.thread_id)
-
-    def _mem_write(
-        self, region: Region, addr: int, size: int, value: int
-    ) -> None:
-        """All simulated stores funnel through here so the undo journal
-        can capture the overwritten bytes before they are lost.
-
-        The store was validated and mapped to ``region`` when issued
-        (:meth:`AddressSpace.checked_region`); nothing is re-checked.
-        """
-        journal = self._journal
-        if journal is not None:
-            journal.append((addr, region.read_bytes(addr, size)))
-        region.write_bytes(addr, value.to_bytes(size, "little"))
-        watchers = self._watchers.get(addr // WORD_SIZE)
-        if watchers:
-            self._woken.update(watchers)
 
     # -- snapshot / restore -------------------------------------------------
 
@@ -566,27 +714,37 @@ class Machine:
 
         The DRAINING → FINISHED transition lives here — the only place a
         buffer empties entry by entry — so an exhausted thread can never
-        outlive its buffer.
+        outlive its buffer.  A buffered store writes memory here, as a
+        store of an SC thread does in :meth:`run`.
         """
         entry = thread.store_buffer.pop(0)
         tag = entry[0]
         if tag == "store":
             _, addr, size, value, sync, region = entry
-            self._mem_write(region, addr, size, value)
-            self._append(
-                EventKind.STORE, thread.thread_id, addr, size, value,
-                region.persistent, sync,
+            data = region.data
+            offset = addr - region.base
+            if self._journal is not None:
+                self._journal.append((addr, bytes(data[offset:offset + size])))
+            data[offset:offset + size] = value.to_bytes(size, "little")
+            watching = self._watchers.get(addr // WORD_SIZE)
+            if watching:
+                self._woken.update(watching)
+            self._emit(
+                CODE_STORE, thread.thread_id, addr, size, value,
+                (FLAG_PERSISTENT if region.persistent else 0)
+                | (FLAG_SYNC if sync else 0),
             )
         elif tag == "flush":
-            _, addr, size, kind, region = entry
-            self._append(
-                kind, thread.thread_id, addr, size, 0, region.persistent
+            _, addr, size, code, region = entry
+            self._emit(
+                code, thread.thread_id, addr, size, 0,
+                FLAG_PERSISTENT if region.persistent else 0,
             )
         else:
-            self._append(entry[1], thread.thread_id)
+            self._emit(entry[1], thread.thread_id)
         if thread.state is ThreadState.DRAINING and not thread.store_buffer:
             thread.state = ThreadState.FINISHED
-            self._append(EventKind.THREAD_END, thread.thread_id)
+            self._emit(CODE_THREAD_END, thread.thread_id)
 
     def _flush_buffer(self, thread: SimThread) -> None:
         """Drain the thread's entire store buffer (RMW/mfence semantics)."""
@@ -656,85 +814,37 @@ class Machine:
 
     # -- operation execution -------------------------------------------------
 
-    def _load(
-        self, thread: SimThread, addr: int, size: int, sync: bool
-    ) -> int:
-        """Perform and trace one load (or wait read); returns the value."""
-        value, info, region = self._read(thread, addr, size)
-        self._append(
-            EventKind.LOAD, thread.thread_id, addr, size, value,
-            region.persistent, sync, info,
-        )
-        return value
-
     def _execute(self, thread: SimThread, op: object) -> object:
-        """Execute one non-wait operation atomically; returns its result.
+        """Execute one of the rarer ops :meth:`run` does not execute
+        itself; returns its result.
 
-        Dispatches on the op's exact type, most frequent ops first.  An
-        access is validated and mapped exactly once, when it executes —
-        on TSO when it enters the store buffer, so a bad store fails at
-        the same step as on SC — and the region found then serves the
-        data read/write, the undo journal and the event's ``persistent``
-        flag.
+        Dispatches on the op's exact type.  A flush is validated and
+        mapped once, when it executes (on TSO when it enters the store
+        buffer), and the region found then gives the event's
+        ``persistent`` flag.
         """
         op_type = type(op)
-        if op_type is ops.Store:
-            addr, size, value = op.addr, op.size, op.value
-            region = self.memory.checked_region(addr, size, value)
-            if self._tso:
-                thread.store_buffer.append(
-                    ("store", addr, size, value, op.sync, region)
-                )
-                return None
-            self._mem_write(region, addr, size, value)
-            self._append(
-                EventKind.STORE, thread.thread_id, addr, size, value,
-                region.persistent, op.sync,
-            )
-            return None
-        if op_type is ops.Load:
-            return self._load(thread, op.addr, op.size, op.sync)
-        if op_type is ops.PersistBarrier:
-            # On TSO the barrier travels through the store buffer with
-            # the stores it separates (epoch hardware tags epochs at the
-            # core, in program order); emitting it at execute time would
-            # let later-draining stores float in front of it in memory
-            # order and dissolve the epoch boundary.
-            self._buffered_marker(thread, EventKind.PERSIST_BARRIER)
-            return None
-        if (
-            op_type is ops.CompareAndSwap
-            or op_type is ops.Swap
-            or op_type is ops.FetchAdd
-        ):
-            return self._atomic(thread, op_type, op)
+        thread_id = thread.thread_id
         if op_type is ops.NewStrand:
-            self._buffered_marker(thread, EventKind.NEW_STRAND)
+            self._buffered_marker(thread, CODE_NEW_STRAND)
             return None
         if op_type is ops.Mark:
-            self._append(
-                EventKind.MARK, thread.thread_id, 0, 0, 0, False, False,
-                op.info,
-            )
+            self._emit(CODE_MARK, thread_id, 0, 0, 0, 0, op.info)
             return None
         if op_type is ops.Malloc:
             heap = self.persistent_heap if op.persistent else self.volatile_heap
             addr = heap.malloc(op.size)
-            self._append(
-                EventKind.MALLOC, thread.thread_id, 0, 0, 0, False, False,
-                f"{addr:#x}+{op.size}",
+            self._emit(
+                CODE_MALLOC, thread_id, 0, 0, 0, 0, f"{addr:#x}+{op.size}"
             )
             return addr
         if op_type is ops.Free:
             heap = self.persistent_heap if op.persistent else self.volatile_heap
             heap.free(op.addr)
-            self._append(
-                EventKind.FREE, thread.thread_id, 0, 0, 0, False, False,
-                f"{op.addr:#x}",
-            )
+            self._emit(CODE_FREE, thread_id, 0, 0, 0, 0, f"{op.addr:#x}")
             return None
-        kind = _FLUSH_OPS.get(op_type)
-        if kind is not None:
+        code = _FLUSH_OPS.get(op_type)
+        if code is not None:
             # Flushes are ordered behind earlier stores (they write the
             # line those stores dirtied), and later stores stay behind
             # them in the FIFO — so on TSO they travel through the store
@@ -743,11 +853,12 @@ class Machine:
             region = self.memory.checked_region(op.addr, op.size)
             if self._tso and thread.store_buffer:
                 thread.store_buffer.append(
-                    ("flush", op.addr, op.size, kind, region)
+                    ("flush", op.addr, op.size, code, region)
                 )
                 return None
-            self._append(
-                kind, thread.thread_id, op.addr, op.size, 0, region.persistent
+            self._emit(
+                code, thread_id, op.addr, op.size, 0,
+                FLAG_PERSISTENT if region.persistent else 0,
             )
             return None
         if op_type is ops.SFence:
@@ -755,58 +866,25 @@ class Machine:
             # sfence only marks where outstanding weak flushes commit,
             # so like the persist barrier it travels through the buffer
             # to keep its memory-order position faithful.
-            self._buffered_marker(thread, EventKind.SFENCE)
+            self._buffered_marker(thread, CODE_SFENCE)
             return None
         if op_type is ops.Fence:
             if self._tso:
                 self._flush_buffer(thread)
-            self._append(EventKind.FENCE, thread.thread_id)
+            self._emit(CODE_FENCE, thread_id)
             return None
         if op_type is ops.PersistSync:
-            self._append(EventKind.PERSIST_SYNC, thread.thread_id)
+            self._emit(CODE_PERSIST_SYNC, thread_id)
             return None
         raise SimulationError(
             f"thread {thread.name} yielded unknown operation {op!r}"
         )
 
-    def _atomic(self, thread: SimThread, op_type: type, op) -> object:
-        """Execute a CAS, swap or fetch-add; returns its result."""
-        if self._tso:
-            # Atomics are fences on TSO (x86 semantics).
-            self._flush_buffer(thread)
-        addr, size = op.addr, op.size
-        region = self.memory.checked_region(addr, size)
-        old = int.from_bytes(region.read_bytes(addr, size), "little")
-        if op_type is ops.CompareAndSwap:
-            if old != op.expected:
-                # A failed CAS is traced as a LOAD, but the lock prefix
-                # still fenced (the buffer was flushed above); "rmw-fail"
-                # lets the Px86 analyzers keep its flush-committing
-                # effect.
-                self._append(
-                    EventKind.LOAD, thread.thread_id, addr, size, old,
-                    region.persistent, op.sync, "rmw-fail",
-                )
-                return False, old
-            new = op.new
-        elif op_type is ops.Swap:
-            new = op.new
-        else:
-            new = (old + op.delta) % (1 << (8 * size))
-        validate_value(new, size)
-        self._mem_write(region, addr, size, new)
-        self._append(
-            EventKind.RMW, thread.thread_id, addr, size, new,
-            region.persistent, op.sync,
-        )
-        if op_type is ops.CompareAndSwap:
-            return True, old
-        return old
-
-    def _buffered_marker(self, thread: SimThread, kind: EventKind) -> None:
-        """Emit a persist barrier / strand / sfence marker, or on TSO
-        queue it behind the thread's buffered entries."""
+    def _buffered_marker(self, thread: SimThread, code: int) -> None:
+        """Emit a strand / sfence marker, or on TSO queue it behind the
+        thread's buffered entries (:meth:`run` does the same for the
+        persist barrier)."""
         if self._tso and thread.store_buffer:
-            thread.store_buffer.append(("marker", kind))
+            thread.store_buffer.append(("marker", code))
         else:
-            self._append(kind, thread.thread_id)
+            self._emit(code, thread.thread_id)

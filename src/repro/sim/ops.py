@@ -7,18 +7,46 @@ the request atomically, appends the corresponding trace event, and sends
 the result back into the generator.  One yielded request = one step of
 the sequentially consistent interleaving, which reproduces the paper's
 analysis atomicity.
+
+The records are plain slotted classes, one built per simulated access,
+so their constructors are as cheap as Python allows.  They compare,
+hash and print by their fields in declaration order, like frozen
+dataclasses; fields are never reassigned after construction (nothing
+enforces it).  A field-less record is one shared instance
+(:data:`PERSIST_BARRIER`, :data:`NEW_STRAND`, ...).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.memory import layout
 
 
-@dataclass(frozen=True)
-class Load:
+class _Op:
+    """Equality, hashing and repr by the ``__slots__`` fields."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Load(_Op):
     """Read ``size`` bytes at ``addr``; result is the observed value.
 
     ``sync`` marks the access as a synchronization operation (e.g. a lock
@@ -26,59 +54,96 @@ class Load:
     execution or persist ordering.
     """
 
-    addr: int
-    size: int = layout.WORD_SIZE
-    sync: bool = False
+    __slots__ = ("addr", "size", "sync")
+
+    def __init__(
+        self, addr: int, size: int = layout.WORD_SIZE, sync: bool = False
+    ) -> None:
+        self.addr = addr
+        self.size = size
+        self.sync = sync
 
 
-@dataclass(frozen=True)
-class Store:
+class Store(_Op):
     """Write ``value`` (``size`` bytes) at ``addr``; result is None."""
 
-    addr: int
-    value: int
-    size: int = layout.WORD_SIZE
-    sync: bool = False
+    __slots__ = ("addr", "value", "size", "sync")
+
+    def __init__(
+        self,
+        addr: int,
+        value: int,
+        size: int = layout.WORD_SIZE,
+        sync: bool = False,
+    ) -> None:
+        self.addr = addr
+        self.value = value
+        self.size = size
+        self.sync = sync
 
 
-@dataclass(frozen=True)
-class CompareAndSwap:
+class CompareAndSwap(_Op):
     """Atomic CAS; result is ``(succeeded, observed_value)``.
 
     A failed CAS performs only the load (and is traced as a LOAD); a
     successful CAS is traced as an RMW.
     """
 
-    addr: int
-    expected: int
-    new: int
-    size: int = layout.WORD_SIZE
-    sync: bool = False
+    __slots__ = ("addr", "expected", "new", "size", "sync")
+
+    def __init__(
+        self,
+        addr: int,
+        expected: int,
+        new: int,
+        size: int = layout.WORD_SIZE,
+        sync: bool = False,
+    ) -> None:
+        self.addr = addr
+        self.expected = expected
+        self.new = new
+        self.size = size
+        self.sync = sync
 
 
-@dataclass(frozen=True)
-class Swap:
+class Swap(_Op):
     """Atomic exchange; result is the previous value.  Traced as RMW."""
 
-    addr: int
-    new: int
-    size: int = layout.WORD_SIZE
-    sync: bool = False
+    __slots__ = ("addr", "new", "size", "sync")
+
+    def __init__(
+        self,
+        addr: int,
+        new: int,
+        size: int = layout.WORD_SIZE,
+        sync: bool = False,
+    ) -> None:
+        self.addr = addr
+        self.new = new
+        self.size = size
+        self.sync = sync
 
 
-@dataclass(frozen=True)
-class FetchAdd:
+class FetchAdd(_Op):
     """Atomic fetch-and-add (wrapping at ``size`` bytes); result is the
     previous value.  Traced as RMW."""
 
-    addr: int
-    delta: int
-    size: int = layout.WORD_SIZE
-    sync: bool = False
+    __slots__ = ("addr", "delta", "size", "sync")
+
+    def __init__(
+        self,
+        addr: int,
+        delta: int,
+        size: int = layout.WORD_SIZE,
+        sync: bool = False,
+    ) -> None:
+        self.addr = addr
+        self.delta = delta
+        self.size = size
+        self.sync = sync
 
 
-@dataclass(frozen=True)
-class WaitUntil:
+class WaitUntil(_Op):
     """Block until ``predicate(value_at_addr)`` holds; result is the value.
 
     The machine traces the initial failed check and the final successful
@@ -90,24 +155,34 @@ class WaitUntil:
     writes its word.
     """
 
-    addr: int
-    predicate: Callable[[int], bool]
-    size: int = layout.WORD_SIZE
-    sync: bool = False
+    __slots__ = ("addr", "predicate", "size", "sync")
+
+    def __init__(
+        self,
+        addr: int,
+        predicate: Callable[[int], bool],
+        size: int = layout.WORD_SIZE,
+        sync: bool = False,
+    ) -> None:
+        self.addr = addr
+        self.predicate = predicate
+        self.size = size
+        self.sync = sync
 
 
-@dataclass(frozen=True)
-class PersistBarrier:
+class PersistBarrier(_Op):
     """The paper's ``PERSISTBARRIER`` annotation; result is None."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class NewStrand:
+
+class NewStrand(_Op):
     """The paper's ``NEWSTRAND`` annotation; result is None."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class PersistSync:
+
+class PersistSync(_Op):
     """The paper's persist sync (Section 4.1); result is None.
 
     Semantically: execution does not proceed (and so no later visible
@@ -116,9 +191,10 @@ class PersistSync:
     charge the stall.
     """
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Fence:
+
+class Fence(_Op):
     """Memory (consistency) fence; result is None.
 
     On a TSO machine, drains the issuing thread's store buffer before
@@ -127,9 +203,10 @@ class Fence:
     persistency keeps the two separate.
     """
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class ClFlush:
+
+class ClFlush(_Op):
     """x86 ``clflush``: write the cache line(s) covering ``[addr,
     addr+size)`` back to memory; result is None.
 
@@ -139,12 +216,14 @@ class ClFlush:
     place where the flush appears in memory order.
     """
 
-    addr: int
-    size: int = layout.WORD_SIZE
+    __slots__ = ("addr", "size")
+
+    def __init__(self, addr: int, size: int = layout.WORD_SIZE) -> None:
+        self.addr = addr
+        self.size = size
 
 
-@dataclass(frozen=True)
-class ClFlushOpt:
+class ClFlushOpt(_Op):
     """x86 ``clflushopt``: weakly ordered cache-line write-back; result
     is None.
 
@@ -154,23 +233,27 @@ class ClFlushOpt:
     ignores the deferral and treats it like ``clflush``).
     """
 
-    addr: int
-    size: int = layout.WORD_SIZE
+    __slots__ = ("addr", "size")
+
+    def __init__(self, addr: int, size: int = layout.WORD_SIZE) -> None:
+        self.addr = addr
+        self.size = size
 
 
-@dataclass(frozen=True)
-class Clwb:
+class Clwb(_Op):
     """x86 ``clwb``: write back without evicting; result is None.
 
     Ordering-equivalent to :class:`ClFlushOpt` for persist analysis.
     """
 
-    addr: int
-    size: int = layout.WORD_SIZE
+    __slots__ = ("addr", "size")
+
+    def __init__(self, addr: int, size: int = layout.WORD_SIZE) -> None:
+        self.addr = addr
+        self.size = size
 
 
-@dataclass(frozen=True)
-class SFence:
+class SFence(_Op):
     """x86 ``sfence``; result is None.
 
     Commits the thread's outstanding weak flushes (clflushopt/clwb) so
@@ -180,25 +263,41 @@ class SFence:
     to forbid store-buffering outcomes.
     """
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Mark:
+
+class Mark(_Op):
     """Free-form trace annotation (e.g. ``insert:end``); result is None."""
 
-    info: str
+    __slots__ = ("info",)
+
+    def __init__(self, info: str) -> None:
+        self.info = info
 
 
-@dataclass(frozen=True)
-class Malloc:
+class Malloc(_Op):
     """Allocate from the persistent or volatile heap; result is the address."""
 
-    size: int
-    persistent: bool
+    __slots__ = ("size", "persistent")
+
+    def __init__(self, size: int, persistent: bool) -> None:
+        self.size = size
+        self.persistent = persistent
 
 
-@dataclass(frozen=True)
-class Free:
+class Free(_Op):
     """Release a heap allocation; result is None."""
 
-    addr: int
-    persistent: bool
+    __slots__ = ("addr", "persistent")
+
+    def __init__(self, addr: int, persistent: bool) -> None:
+        self.addr = addr
+        self.persistent = persistent
+
+
+#: The shared instance of each field-less record.
+PERSIST_BARRIER = PersistBarrier()
+NEW_STRAND = NewStrand()
+PERSIST_SYNC = PersistSync()
+FENCE = Fence()
+SFENCE = SFence()

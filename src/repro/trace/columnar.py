@@ -19,8 +19,9 @@ arrays (:mod:`array`), one column per field:
 
 Sequence numbers are implicit: chunk ``base_seq`` plus local index.
 A :class:`~repro.trace.trace.Trace` is a list of these chunks, which
-the simulated machine appends to directly (:meth:`ColumnarChunk.
-append_raw`).
+the simulated machine appends to directly: :meth:`ColumnarChunk.
+append_raw` takes the column values themselves (kind code, packed
+flags), the one append every writer of a chunk goes through.
 
 When numpy is importable (:data:`HAVE_NUMPY`), :meth:`ColumnarChunk.
 columns` exposes zero-copy ``ndarray`` views over the same buffers so
@@ -77,6 +78,12 @@ CODE_MARK = KIND_CODES[EventKind.MARK]
 FLAG_PERSISTENT = 1
 FLAG_SYNC = 2
 
+
+def pack_flags(persistent: bool, sync: bool) -> int:
+    """The ``flags`` column value of an event."""
+    return (FLAG_PERSISTENT if persistent else 0) | (FLAG_SYNC if sync else 0)
+
+
 #: The typed-array columns of a chunk, one per field.
 _COLUMNS = ("kinds", "threads", "addrs", "sizes", "values", "flags")
 
@@ -122,16 +129,17 @@ class ColumnarChunk:
 
     def append_raw(
         self,
-        kind: EventKind,
+        code: int,
         thread: int,
         addr: int = 0,
         size: int = 0,
         value: int = 0,
-        persistent: bool = False,
-        sync: bool = False,
+        flags: int = 0,
         info: str = "",
     ) -> None:
-        """Append one event from raw fields (no event object built).
+        """Append one event from its column values: the :data:`KIND_CODES`
+        ``code`` of its kind and its packed ``flags`` (:func:`pack_flags`).
+        No event object is built.
 
         Callers own the validity of the fields (the simulated machine
         already validated its operations); reconstructing the event via
@@ -139,15 +147,12 @@ class ColumnarChunk:
         """
         if info:
             self.infos[len(self.kinds)] = info
-        self.kinds.append(KIND_CODES[kind])
+        self.kinds.append(code)
         self.threads.append(thread)
         self.addrs.append(addr)
         self.sizes.append(size)
         self.values.append(value)
-        self.flags.append(
-            (FLAG_PERSISTENT if persistent else 0)
-            | (FLAG_SYNC if sync else 0)
-        )
+        self.flags.append(flags)
 
     def append_event(self, event: MemoryEvent) -> None:
         """Append an already-built event, all or nothing: a field that
@@ -157,8 +162,9 @@ class ColumnarChunk:
         length = len(self.kinds)
         try:
             self.append_raw(
-                event.kind, event.thread, event.addr, event.size,
-                event.value, event.persistent, event.sync, event.info,
+                KIND_CODES[event.kind], event.thread, event.addr,
+                event.size, event.value,
+                pack_flags(event.persistent, event.sync), event.info,
             )
         except (OverflowError, TypeError) as exc:
             self.truncate(length)

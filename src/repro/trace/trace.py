@@ -77,7 +77,8 @@ class Trace:
 
     def append_raw(self, *fields) -> None:
         """Append the next event from :meth:`ColumnarChunk.append_raw`
-        fields (``kind, thread, addr, …``) the caller already checked."""
+        column values (``code, thread, addr, size, value, flags, info``)
+        the caller already checked."""
         chunk = self.chunks[-1]
         if len(chunk.kinds) == DEFAULT_CHUNK_EVENTS:
             chunk = ColumnarChunk(chunk.end_seq)

@@ -127,9 +127,9 @@ class TestColumnarMakespan:
 class TestEncodeOnce:
     def test_paper_evaluation_encodes_each_event_once(self, monkeypatch):
         """Table 1 and Figures 2-5 at 60 inserts per thread, seed 0: the
-        six variant traces (64,190 events) and Figure 2's six small
-        traces (1,853) are each encoded once, while the analyses still
-        consume 195,037 events between them."""
+        six variant traces (64,190 events) and Figure 2's three distinct
+        small traces (834) are each encoded once, while the analyses
+        still consume 195,037 events between them."""
         appended = [0]
         fed = [0]
         append_raw = ColumnarChunk.append_raw
@@ -147,7 +147,7 @@ class TestEncodeOnce:
         monkeypatch.setattr(StreamingAnalyzer, "finish", counting_finish)
         runner = ExperimentRunner(inserts_per_thread=60, base_seed=0)
         paper_evaluation(runner)
-        assert appended[0] == 66_043
+        assert appended[0] == 65_024
         assert fed[0] == 195_037
         variant_events = sum(
             len(runner.workload(*variant).trace) for variant in TABLE1_VARIANTS

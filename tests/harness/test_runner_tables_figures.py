@@ -138,3 +138,24 @@ class TestFigures:
         assert constraints["strict"] > constraints["epoch"] > constraints["strand"]
         assert summary.removed_by_epoch > 0
         assert summary.removed_by_strand > 0
+
+    @pytest.mark.parametrize("design, programs", [("cwl", 2), ("2lc", 1)])
+    def test_figure2_simulates_each_program_once(
+        self, shared_runner, monkeypatch, design, programs
+    ):
+        """Strict and epoch share the non-racing program; 2LC's program
+        does not change with the racing flag, so one run serves all
+        three columns."""
+        from repro.queue import workload as queue_workload
+
+        run_insert_workload = queue_workload.run_insert_workload
+        calls = []
+
+        def counting(**kwargs):
+            calls.append(kwargs["racing"])
+            return run_insert_workload(**kwargs)
+
+        monkeypatch.setattr(queue_workload, "run_insert_workload", counting)
+        figure2_dependences(shared_runner, design)
+        assert len(calls) == programs
+        assert sorted(calls) == [False, True][:programs]

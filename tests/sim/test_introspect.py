@@ -10,18 +10,27 @@ fence whose buffer holds only a flush entry was once classified fully
 local, hiding the flush-vs-remote-store race from DPOR.
 """
 
-from repro.sim import Machine, ops
+import pytest
+
+from repro.errors import SimulationError
+from repro.sim import Machine, ReplayScheduler, ops
 from repro.sim.introspect import next_footprint
 from repro.sim.machine import _DRAIN_BASE
 
-from tests.sim.test_tso import DrainLastScheduler
+
+def run_steps(machine, choices):
+    """Run exactly the steps of ``choices`` (agent ids, in order); the
+    machine stops between steps when the recording runs out."""
+    machine.scheduler = ReplayScheduler(choices)
+    with pytest.raises(SimulationError, match="recording exhausted"):
+        machine.run()
 
 
 def flush_fence_machine():
     """One thread at ``store x; clflushopt y; mfence``, stepped until
     the store has drained: the buffer holds only the flush entry and
     the pending op is the fence."""
-    machine = Machine(scheduler=DrainLastScheduler(), consistency="tso")
+    machine = Machine(consistency="tso")
     x = machine.persistent_heap.malloc(64)
     y = machine.persistent_heap.malloc(64)
 
@@ -31,16 +40,16 @@ def flush_fence_machine():
         yield from ctx.fence()
 
     machine.spawn(body)
-    machine._step(0)  # THREAD_BEGIN; pending = Store x
-    machine._step(0)  # buffer the store; pending = ClFlushOpt y
-    machine._step(0)  # buffer the flush; pending = Fence
+    # THREAD_BEGIN (pending = Store x), buffer the store (pending =
+    # ClFlushOpt y), buffer the flush (pending = Fence).
+    run_steps(machine, [0, 0, 0])
     return machine, x, y
 
 
 class TestFenceFootprint:
     def test_fence_with_only_buffered_flush_is_not_local(self):
         machine, x, y = flush_fence_machine()
-        machine._step(_DRAIN_BASE)  # drain the store: buffer = [flush y]
+        run_steps(machine, [_DRAIN_BASE])  # drain the store: buffer = [flush y]
         thread = machine._threads[0]
         assert [entry[0] for entry in thread.store_buffer] == ["flush"]
         assert isinstance(thread.pending, ops.Fence)
@@ -57,7 +66,7 @@ class TestFenceFootprint:
         assert (y, 8, True) in footprint.reads
 
     def test_rmw_footprint_includes_buffered_flush_reads(self):
-        machine = Machine(scheduler=DrainLastScheduler(), consistency="tso")
+        machine = Machine(consistency="tso")
         x = machine.persistent_heap.malloc(64)
         y = machine.persistent_heap.malloc(64)
         cell = machine.volatile_heap.malloc(8)
@@ -68,9 +77,8 @@ class TestFenceFootprint:
             yield from ctx.fetch_add(cell, 1)
 
         machine.spawn(body)
-        machine._step(0)  # THREAD_BEGIN; pending = Store x
-        machine._step(0)  # buffer the store; pending = ClFlushOpt y
-        machine._step(0)  # buffer the flush; pending = FetchAdd
+        # THREAD_BEGIN, buffer the store, buffer the flush.
+        run_steps(machine, [0, 0, 0])
         thread = machine._threads[0]
         assert isinstance(thread.pending, ops.FetchAdd)
         footprint = next_footprint(machine, 0)

@@ -1,5 +1,7 @@
 """Unit tests for interleaving policies."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -102,6 +104,20 @@ class TestRandom:
         scheduler = RandomScheduler(seed=1)
         for _ in range(100):
             assert scheduler.pick([2, 5]) in (2, 5)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_draws_exactly_as_random_choice(self, seed):
+        """Pick for pick, and in the generator state it leaves behind,
+        ``pick`` equals ``random.Random(seed).choice`` on the same lists
+        (lengths 1-300), so every seeded schedule stays as it was."""
+        lists = random.Random(1000 + seed)
+        scheduler = RandomScheduler(seed=seed)
+        reference = random.Random(seed)
+        for _ in range(10_000):
+            length = lists.randint(1, 300)
+            runnable = list(range(3 * length, 4 * length))
+            assert scheduler.pick(runnable) == reference.choice(runnable)
+        assert scheduler._rng.getstate() == reference.getstate()
 
 
 class TestStrided:

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import TraceError
 from repro.trace import (
     ColumnarChunk,
+    KIND_CODES,
     EventKind,
     MemoryEvent,
     Trace,
@@ -61,7 +62,7 @@ class TestColumnarChunk:
 
     def test_event_validates_on_materialisation(self):
         chunk = ColumnarChunk(0)
-        chunk.append_raw(EventKind.STORE, 0)  # size 0: invalid access
+        chunk.append_raw(KIND_CODES[EventKind.STORE], 0)  # size 0: invalid
         with pytest.raises(Exception):
             chunk.event(0)
 

@@ -6,7 +6,7 @@ from repro.core.analysis import PrefixSharedAnalysis, analyze
 from repro.errors import SimulationError, TraceError
 from repro.sim import Machine, RandomScheduler
 from repro.trace import EventKind, MemoryEvent, Trace, make_access, make_marker
-from repro.trace.columnar import DEFAULT_CHUNK_EVENTS
+from repro.trace.columnar import DEFAULT_CHUNK_EVENTS, KIND_CODES, pack_flags
 
 
 def sample_trace():
@@ -88,13 +88,14 @@ def raw_rows(count, salt=0):
     for seq in range(count):
         thread = (seq + salt) % 3
         if seq % 11 == 5:
-            rows.append((EventKind.MARK, thread, 0, 0, 0, False, False,
+            rows.append((KIND_CODES[EventKind.MARK], thread, 0, 0, 0, 0,
                          f"m{seq}-{salt}"))
         elif seq % 7 == 3:
-            rows.append((EventKind.PERSIST_BARRIER, thread))
+            rows.append((KIND_CODES[EventKind.PERSIST_BARRIER], thread))
         else:
-            rows.append((EventKind.STORE, thread, 0x8000_0000 + 8 * (seq % 64),
-                         8, seq * 31 + salt, True, seq % 5 == 0,
+            rows.append((KIND_CODES[EventKind.STORE], thread,
+                         0x8000_0000 + 8 * (seq % 64), 8, seq * 31 + salt,
+                         pack_flags(True, seq % 5 == 0),
                          "sb-forward" if seq % 13 == 0 else ""))
     return rows
 
